@@ -2,11 +2,11 @@
 //!
 //! "Before" is the stepper path: the original one-op-at-a-time replay loop
 //! (fresh latency synthesis per op, `BinaryHeap` depth tracking, per-op
-//! histogram inserts, OOB re-reads on every checkpoint) and, for the traced
+//! histogram inserts) and, for the traced
 //! class, the legacy quadratic `submit_traced` admission. "After" is the
 //! batched engine: calendar-queue completion tracking, prefix-cached
 //! latency synthesis, struct-of-arrays stat accumulators folded once at
-//! `timed_end`, the incremental checkpoint seq table, the frontend's
+//! `timed_end`, the frontend's
 //! event-driven drain (arena-backed records, packed readiness mask), and
 //! single-sort batched admission.
 //!

@@ -248,6 +248,28 @@ impl Geometry {
         block.wl(lwl).page(pt)
     }
 
+    /// Inverse of [`Geometry::page_index`]: the page address at a flat
+    /// array-wide index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= total_pages()`.
+    #[must_use]
+    pub fn page_at_index(&self, index: usize) -> PageAddr {
+        assert!((index as u64) < self.total_pages(), "page index {index} out of range");
+        let ppb = self.pages_per_block() as usize;
+        let bpp = self.blocks_per_plane as usize;
+        let planes = usize::from(self.planes_per_chip);
+        let (block, offset) = (index / ppb, index % ppb);
+        let group = block / bpp;
+        let addr = BlockAddr::new(
+            ChipId((group / planes) as u16),
+            PlaneId((group % planes) as u16),
+            BlockId((block % bpp) as u32),
+        );
+        self.page_at_offset(addr, offset)
+    }
+
     /// Number of independently schedulable chip/plane groups (one command
     /// queue per plane of every chip).
     #[must_use]
@@ -336,6 +358,7 @@ mod tests {
                     seen[idx] = true;
                     // Offset/address roundtrip.
                     assert_eq!(g.page_at_offset(b, g.page_offset_in_block(ppa)), ppa);
+                    assert_eq!(g.page_at_index(idx), ppa);
                 }
             }
         }

@@ -222,8 +222,7 @@ pub struct FtlConfig {
     /// stays byte-for-byte untouched; `Batched` drives the same request
     /// sequence through the event-driven core (calendar-queue completion
     /// tracking, batched admission, prefix-cached latency synthesis,
-    /// incremental checkpoints, struct-of-arrays stat accumulators folded at
-    /// `timed_end`). Every statistic the two engines produce is bit-identical
+    /// struct-of-arrays stat accumulators folded at `timed_end`). Every statistic the two engines produce is bit-identical
     /// — the stepper is the batched engine's golden oracle.
     pub engine: EngineMode,
     /// Media fault injection (disabled by default: perfect media, and the

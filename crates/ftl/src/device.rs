@@ -6,7 +6,7 @@ use crate::error::FtlError;
 use crate::gc::{select_victim, GcBudget, GcJob, PatrolJob, SealedSuperblock};
 use crate::manager::{speed_class_for, BlockManager};
 use crate::mapping::Mapping;
-use crate::recovery::{Checkpoint, JournalEntry, RecoveryReport, SporState};
+use crate::recovery::{JournalEntry, RecoveryReport, SporState, NO_PAGE};
 use crate::request::{IoOp, IoRequest};
 use crate::sched::DepthTracker;
 use crate::stats::SsdStats;
@@ -21,7 +21,7 @@ use flash_model::{
     SealRecord,
 };
 use pvcheck::{BlockSummary, Characterizer, EigenSequence, SpeedClass};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Shape summary handed to workload generators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,12 +80,9 @@ pub struct Ssd {
     /// per-op histogram `record` and the replay step collects the sample in
     /// its struct-of-arrays accumulator instead (folded at `timed_end`).
     defer_hist: bool,
-    /// Batched-engine checkpoint accelerator: `fast_ckpt[lpn]` mirrors the
-    /// OOB write sequence of the page `lpn` currently maps to, maintained
-    /// at `apply_assignments` time so `take_checkpoint` skips its per-page
-    /// OOB read. `Some` only when `engine = Batched` and SPOR is enabled;
-    /// checkpoint contents stay exactly equal to the stepper's.
-    fast_ckpt: Option<Vec<u64>>,
+    /// Reused buffer for the LPNs a checkpoint drains from the mapping's
+    /// change record.
+    changed_lpns: Vec<u64>,
     /// Partially collected victim parked between GC slices
     /// ([`GcBudget::Sliced`] only); `None` when no collection is mid-flight.
     gc_job: Option<GcJob>,
@@ -178,16 +175,18 @@ impl Ssd {
             manager.promote_known();
         }
         let spor = SporState::new(&config.spor);
-        let fast_ckpt = (config.engine == EngineMode::Batched && config.spor.enabled)
-            .then(|| vec![0u64; usize::try_from(logical_pages).expect("capacity fits usize")]);
         let birth_us = config
             .integrity
             .track
             .then(|| vec![0.0f64; usize::try_from(logical_pages).expect("capacity fits usize")]);
+        let mut mapping = Mapping::new(logical_pages, &geo);
+        if spor.enabled {
+            mapping.track_changes();
+        }
         Ok(Ssd {
             config,
             array,
-            mapping: Mapping::new(logical_pages, &geo),
+            mapping,
             manager,
             actives: ActiveSlots::default(),
             sealed: Vec::new(),
@@ -202,7 +201,7 @@ impl Ssd {
             spor,
             engine: None,
             defer_hist: false,
-            fast_ckpt,
+            changed_lpns: Vec::new(),
             gc_job: None,
             gc_allowance_us: f64::INFINITY,
             birth_us,
@@ -225,6 +224,9 @@ impl Ssd {
         assert_eq!(self.mapping.valid_pages(), 0, "switch mappings only on a fresh device");
         assert!(self.actives.is_empty(), "switch mappings only on a fresh device");
         self.mapping = Mapping::new_naive(self.logical_pages);
+        if self.spor.enabled {
+            self.mapping.track_changes();
+        }
     }
 
     /// Shape summary for workload generation.
@@ -1499,15 +1501,6 @@ impl Ssd {
                 // refresh alike.
                 birth[usize::try_from(lpn).expect("lpn fits usize")] = clock;
             }
-            if let Some(table) = &mut self.fast_ckpt {
-                // Mirror the page's OOB write sequence so the next
-                // checkpoint reads it from RAM instead of the spare area.
-                // The table exists only when SPOR is on, so the OOB was
-                // just programmed alongside the payload.
-                let seq =
-                    self.array.read_oob(ppa).expect("programmed page carries OOB metadata").seq;
-                table[usize::try_from(lpn).expect("lpn fits usize")] = seq;
-            }
         }
     }
 
@@ -2093,55 +2086,45 @@ impl Ssd {
     /// Snapshots the FTL RAM state into the capacitor-backed checkpoint and
     /// clears the journal. Costs zero simulated time and zero RNG draws, so
     /// checkpointing never perturbs latency results.
+    ///
+    /// Per-LPN columns are refreshed only for the LPNs the mapping recorded
+    /// as changed since the previous checkpoint. Every other LPN's entry is
+    /// still current: a mapped page is never reprogrammed while mapped (so
+    /// its OOB sequence holds), its write time changes only when it is
+    /// remapped, and a tombstone moves only through a trim, which unmaps.
     fn take_checkpoint(&mut self) -> Result<()> {
-        let mut entries = Vec::new();
-        for lpn in 0..self.logical_pages {
-            if let Some(ppa) = self.mapping.lookup(lpn) {
-                // The batched engine's sequence table mirrors the OOB at
-                // apply_assignments time; reading it back here produces the
-                // exact entries the OOB scan would.
-                let seq = match &self.fast_ckpt {
-                    Some(table) => table[usize::try_from(lpn).expect("lpn fits usize")],
-                    None => self.array.read_oob(ppa)?.seq,
-                };
-                entries.push((lpn, seq, Some(ppa)));
-            } else if let Some(&seq) = self.spor.trim_seqs.get(&lpn) {
-                entries.push((lpn, seq, None));
+        let ckpt = &mut self.spor.checkpoint;
+        if ckpt.seq.is_empty() {
+            let n = usize::try_from(self.logical_pages).expect("capacity fits usize");
+            ckpt.seq = vec![0; n];
+            ckpt.loc = vec![NO_PAGE; n];
+            if self.birth_us.is_some() {
+                ckpt.birth = vec![0.0; n];
             }
         }
-        let sealed =
-            self.sealed.iter().map(|s| (s.sb_id, s.members.clone(), s.sealed_at)).collect();
-        let mut actives = Vec::new();
-        for a in self.actives.iter() {
-            actives.push((a.sb_id(), a.members.clone()));
+        self.mapping.take_changed(&mut self.changed_lpns);
+        let geo = self.array.geometry();
+        for &lpn in &self.changed_lpns {
+            let i = usize::try_from(lpn).expect("lpn fits usize");
+            (ckpt.seq[i], ckpt.loc[i]) = match self.mapping.lookup(lpn) {
+                Some(ppa) => (self.array.read_oob(ppa)?.seq, geo.page_index(ppa) as u64),
+                None => (self.spor.trim_seqs.get(&lpn).copied().unwrap_or(0), NO_PAGE),
+            };
+            if let Some(birth) = &self.birth_us {
+                ckpt.birth[i] = birth[i];
+            }
         }
-        let mut retired = self.spor.checkpoint.retired.clone();
+        ckpt.sealed =
+            self.sealed.iter().map(|s| (s.sb_id, s.members.clone(), s.sealed_at)).collect();
+        ckpt.actives = self.actives.iter().map(|a| (a.sb_id(), a.members.clone())).collect();
         for e in &self.spor.journal {
             if let JournalEntry::Retired { addr } = e {
-                retired.push(*addr);
+                ckpt.retired.push(*addr);
             }
         }
-        // Persist the seq → write-time table for the live entries so
-        // recovery can rebuild data ages from its OOB scan. Bounded by the
-        // live-entry count: stale sequences fall out at every checkpoint.
-        let mut write_times = HashMap::new();
-        if let Some(birth) = &self.birth_us {
-            for &(lpn, seq, loc) in &entries {
-                if loc.is_some() {
-                    write_times.insert(seq, birth[usize::try_from(lpn).expect("lpn fits usize")]);
-                }
-            }
-        }
-        self.spor.checkpoint = Checkpoint {
-            entries,
-            sealed,
-            actives,
-            write_seq: self.spor.write_seq,
-            sb_seq: self.sb_seq,
-            seal_seq: self.seal_seq,
-            retired,
-            write_times,
-        };
+        ckpt.write_seq = self.spor.write_seq;
+        ckpt.sb_seq = self.sb_seq;
+        ckpt.seal_seq = self.seal_seq;
         self.spor.journal.clear();
         self.spor.superwls_since_ckpt = 0;
         Ok(())
@@ -2217,17 +2200,23 @@ impl Ssd {
                 class: None,
             })
             .collect();
-        // 2. Latest-wins merge, seeded with the checkpoint entries and the
+        // 2. Latest-wins merge on per-LPN columns cloned from the
+        // checkpoint (before the first checkpoint: no entries), then the
         // journaled trim tombstones.
-        let mut best: HashMap<u64, (u64, Option<PageAddr>)> =
-            self.spor.checkpoint.entries.iter().map(|&(lpn, seq, loc)| (lpn, (seq, loc))).collect();
-        let mut max_seq = self.spor.checkpoint.write_seq.saturating_sub(1);
+        let n = usize::try_from(self.logical_pages).expect("capacity fits usize");
+        let ckpt = &self.spor.checkpoint;
+        let (mut seqs, mut locs) = if ckpt.seq.is_empty() {
+            (vec![0; n], vec![NO_PAGE; n])
+        } else {
+            (ckpt.seq.clone(), ckpt.loc.clone())
+        };
+        let mut max_seq = ckpt.write_seq.saturating_sub(1);
         for e in &self.spor.journal {
             if let JournalEntry::Trimmed { lpn, seq } = *e {
                 max_seq = max_seq.max(seq);
-                let slot = best.entry(lpn).or_insert((0, None));
-                if seq > slot.0 {
-                    *slot = (seq, None);
+                let i = usize::try_from(lpn).expect("lpn fits usize");
+                if seq > seqs[i] {
+                    (seqs[i], locs[i]) = (seq, NO_PAGE);
                 }
             }
         }
@@ -2279,41 +2268,36 @@ impl Ssd {
                             continue;
                         }
                         debug_assert_eq!(oob.sb_id, *sb_id, "OOB names its superblock");
-                        let slot = best.entry(oob.lpn).or_insert((0, None));
-                        if oob.seq > slot.0 {
-                            *slot = (oob.seq, Some(page));
+                        let i = usize::try_from(oob.lpn).expect("lpn fits usize");
+                        if oob.seq > seqs[i] {
+                            (seqs[i], locs[i]) = (oob.seq, geo.page_index(page) as u64);
                         }
                     }
                 }
             }
         }
-        // 4. Rebuild the mapping from the merge winners (sorted by LPN so
-        // the rebuild is deterministic end to end).
+        // 4. Rebuild the mapping from the merge winners in LPN order, so the
+        // rebuild is deterministic end to end.
         for lpn in 0..self.logical_pages {
             self.mapping.unmap(lpn);
         }
         self.spor.trim_seqs.clear();
-        let mut winners: Vec<(u64, (u64, Option<PageAddr>))> = best.into_iter().collect();
-        winners.sort_unstable_by_key(|&(lpn, _)| lpn);
-        for (lpn, (seq, loc)) in winners {
-            match loc {
-                Some(ppa) => {
-                    self.mapping.map(lpn, ppa);
-                    if let Some(birth) = &mut self.birth_us {
-                        // Rebuild the page's age from the checkpointed
-                        // seq → time table. A sequence written after that
-                        // checkpoint is missing and conservatively reports
-                        // age since power-on — patrol re-examines it early
-                        // rather than never.
-                        birth[usize::try_from(lpn).expect("lpn fits usize")] =
-                            self.spor.checkpoint.write_times.get(&seq).copied().unwrap_or(0.0);
-                    }
-                    report.recovered_mappings += 1;
+        let ckpt = &self.spor.checkpoint;
+        for (i, (&seq, &loc)) in seqs.iter().zip(&locs).enumerate() {
+            let lpn = i as u64;
+            if loc != NO_PAGE {
+                self.mapping.map(lpn, geo.page_at_index(loc as usize));
+                if let Some(birth) = &mut self.birth_us {
+                    // A winner the checkpoint already held takes its
+                    // checkpointed write time (sequences are unique per
+                    // write). One written after that checkpoint
+                    // conservatively reports age since power-on — patrol
+                    // re-examines it early rather than never.
+                    birth[i] = if ckpt.seq.get(i) == Some(&seq) { ckpt.birth[i] } else { 0.0 };
                 }
-                None if seq > 0 => {
-                    self.spor.trim_seqs.insert(lpn, seq);
-                }
-                None => {}
+                report.recovered_mappings += 1;
+            } else if seq > 0 {
+                self.spor.trim_seqs.insert(lpn, seq);
             }
         }
         // 5. Close every dirty superblock into the sealed list: partially
@@ -2366,27 +2350,23 @@ impl Ssd {
         for addr in geo.blocks() {
             self.wear.set_erases(addr, self.array.pe_cycles(addr)?);
         }
-        // Recovery rebuilt the mapping without going through
-        // apply_assignments, so the batched engine's sequence table must be
-        // refreshed from the recovered pages' OOB before the checkpoint
-        // below trusts it.
-        if self.fast_ckpt.is_some() {
-            let mut table = self.fast_ckpt.take().expect("checked is_some");
-            for lpn in 0..self.logical_pages {
-                if let Some(ppa) = self.mapping.lookup(lpn) {
-                    table[usize::try_from(lpn).expect("lpn fits usize")] =
-                        self.array.read_oob(ppa)?.seq;
-                }
-            }
-            self.fast_ckpt = Some(table);
-        }
         // 8. Back to life: sequences continue past everything ever durably
         // assigned, and a fresh checkpoint bounds the next recovery's scan.
+        // The merge columns already are that checkpoint's per-LPN state —
+        // each winner's sequence is its page's OOB sequence, each loser
+        // slot its tombstone — so the rebuild's change record is dropped
+        // instead of re-read from flash.
         self.spor.crashed = false;
         self.spor.journal.clear();
         self.spor.superwls_since_ckpt = 0;
         self.spor.write_seq = max_seq + 1;
-        self.spor.checkpoint.retired = retired;
+        let ckpt = &mut self.spor.checkpoint;
+        (ckpt.seq, ckpt.loc) = (seqs, locs);
+        if let Some(birth) = &self.birth_us {
+            ckpt.birth.clone_from(birth);
+        }
+        ckpt.retired = retired;
+        self.mapping.take_changed(&mut self.changed_lpns);
         self.stats.recovery_scan_pages += report.scanned_pages;
         self.stats.recovered_mappings += report.recovered_mappings;
         self.stats.torn_writes_discarded += report.torn_writes_discarded;
@@ -3015,6 +2995,133 @@ mod tests {
         assert_eq!(s.recovery_scan_pages, report.scanned_pages);
         assert_eq!(s.recovered_mappings, report.recovered_mappings);
         assert!(s.recovery_time_us > 0.0);
+    }
+
+    /// The checkpoint's per-LPN columns as a full rescan of RAM builds
+    /// them — the original O(logical pages) algorithm, kept as the oracle
+    /// for the incremental one.
+    fn full_rescan_checkpoint(dev: &Ssd) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+        let geo = dev.array.geometry();
+        let (seq, loc) = (0..dev.logical_pages)
+            .map(|lpn| match dev.mapping.lookup(lpn) {
+                Some(ppa) => (dev.array.read_oob(ppa).unwrap().seq, geo.page_index(ppa) as u64),
+                None => (dev.spor.trim_seqs.get(&lpn).copied().unwrap_or(0), NO_PAGE),
+            })
+            .unzip();
+        (seq, loc, dev.birth_us.clone().unwrap_or_default())
+    }
+
+    fn assert_checkpoint_is_full_rescan(dev: &Ssd, tag: &str) {
+        let (seq, loc, birth) = full_rescan_checkpoint(dev);
+        let ckpt = &dev.spor.checkpoint;
+        assert_eq!(ckpt.seq.len(), seq.len(), "{tag}: seq column allocated");
+        assert_eq!(ckpt.birth.len(), birth.len(), "{tag}: birth column iff tracking");
+        for lpn in 0..seq.len() {
+            assert_eq!(ckpt.seq[lpn], seq[lpn], "{tag}: seq of lpn {lpn}");
+            assert_eq!(ckpt.loc[lpn], loc[lpn], "{tag}: location of lpn {lpn}");
+        }
+        for (lpn, (got, want)) in ckpt.birth.iter().zip(&birth).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "{tag}: birth of lpn {lpn}");
+        }
+    }
+
+    #[test]
+    fn incremental_checkpoint_equals_a_full_rescan() {
+        use crate::config::IntegrityConfig;
+        use crate::recovery::CrashPoint;
+        use crate::workload::poisson_arrivals;
+        let mut case = 0u64;
+        for engine in [EngineMode::Stepper, EngineMode::Batched] {
+            for interval in [1u64, 8, 256] {
+                case += 1;
+                let mut config = FtlConfig::small_test();
+                config.scheme = OrganizationScheme::QstrMed { candidates: 4 };
+                config.engine = engine;
+                config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
+                config.integrity = IntegrityConfig {
+                    track: true,
+                    retention_hours_per_us: 0.05,
+                    patrol: PatrolConfig::On {
+                        interval_us: 10_000.0,
+                        slice_us: 300.0,
+                        refresh_fraction: 0.5,
+                        order: PatrolOrder::SlowPoolFirst,
+                    },
+                };
+                config.spor.checkpoint_interval = interval;
+                // Odd cases lose power mid-stream; even ones power-cycle
+                // cleanly halfway through.
+                if case % 2 == 1 {
+                    config.spor.crash = Some(CrashPoint::from_seed(case, 2500));
+                }
+                let mut dev = Ssd::new(config, case).unwrap();
+                let info = dev.geometry_info();
+                let mut reqs = Workload::RandomWrite { span: 0.8, read_fraction: 0.2 }.generate(
+                    &info,
+                    (info.logical_pages * 3) as usize,
+                    case,
+                );
+                for (i, r) in reqs.iter_mut().enumerate() {
+                    if i % 13 == 5 {
+                        *r = IoRequest::trim(r.lpn);
+                    }
+                }
+                let timed = poisson_arrivals(&reqs, 300.0, case);
+                let tag = format!("{engine:?} interval {interval}");
+                let mut power_cycled = false;
+                let mut fresh_checks = 0;
+                dev.timed_begin();
+                for (i, &(arrival, r)) in timed.iter().enumerate() {
+                    let lost = match dev.timed_step(arrival, r, QosClass::Standard) {
+                        Ok(_) => false,
+                        Err(FtlError::PowerLoss) => true,
+                        Err(e) => panic!("{tag}: unexpected error {e}"),
+                    };
+                    if lost || (i == timed.len() / 2 && !power_cycled) {
+                        dev.timed_end();
+                        let ckpt_seq = dev.spor.checkpoint.seq.clone();
+                        let birth = dev.birth_us.clone().unwrap();
+                        dev.recover().unwrap();
+                        assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: after recover"));
+                        // A recovered page the old checkpoint covered keeps
+                        // its write time; one written after it reports 0.
+                        let (seq, _, recovered) = full_rescan_checkpoint(&dev);
+                        for lpn in 0..seq.len() {
+                            if dev.mapping.lookup(lpn as u64).is_some() {
+                                let covered = ckpt_seq.get(lpn) == Some(&seq[lpn]);
+                                let want = if covered { birth[lpn] } else { 0.0 };
+                                assert_eq!(recovered[lpn], want, "{tag}: recovered age {lpn}");
+                            }
+                        }
+                        power_cycled = true;
+                        dev.timed_begin();
+                        continue;
+                    }
+                    // A checkpoint drawn after the last sequence is current:
+                    // nothing was programmed or trimmed since it was taken.
+                    let ckpt = &dev.spor.checkpoint;
+                    if i % 64 == 0 && !ckpt.seq.is_empty() && ckpt.write_seq == dev.spor.write_seq {
+                        assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: op {i}"));
+                        fresh_checks += 1;
+                    }
+                    // Extra checkpoints at arbitrary points stress the
+                    // change record between interval-driven ones.
+                    if i % 509 == 0 {
+                        dev.take_checkpoint().unwrap();
+                        assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: forced at op {i}"));
+                    }
+                }
+                dev.timed_end();
+                dev.flush().unwrap();
+                dev.take_checkpoint().unwrap();
+                assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: end"));
+                assert!(power_cycled, "{tag}: the stream power-cycles the device");
+                assert!(dev.stats().gc_relocations > 0, "{tag}: GC relocated pages");
+                if interval < 256 {
+                    assert!(fresh_checks > 0, "{tag}: some interval checkpoint was checked");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   the reference implementation for oracle tests and the before/after
 //!   benchmarks (`perf_replay`, `benches/gc.rs`); both stores make identical
 //!   decisions, the dense one just answers in O(1).
+//!
+//! Either store can also record which logical pages changed
+//! ([`Mapping::track_changes`], [`Mapping::take_changed`]); the SPOR
+//! checkpoint uses that record to refresh only what moved.
 
 use flash_model::{BlockAddr, Geometry, PageAddr};
 use std::collections::HashMap;
@@ -38,6 +42,25 @@ enum Store {
     },
 }
 
+/// Logical pages whose mapping changed since the last drain: a per-LPN mark
+/// bitset deduplicates, so the list holds each LPN at most once and a drain
+/// costs O(changed), not O(capacity).
+#[derive(Debug, Clone)]
+struct ChangeLog {
+    marks: Vec<u64>,
+    list: Vec<u64>,
+}
+
+impl ChangeLog {
+    fn mark(&mut self, lpn: u64) {
+        let (word, bit) = ((lpn / 64) as usize, 1u64 << (lpn % 64));
+        if self.marks[word] & bit == 0 {
+            self.marks[word] |= bit;
+            self.list.push(lpn);
+        }
+    }
+}
+
 /// Page-level L2P/P2L mapping.
 ///
 /// Invariant: `l2p[lpn] == Some(ppa)` iff the reverse store maps `ppa` to
@@ -47,6 +70,10 @@ enum Store {
 pub struct Mapping {
     l2p: Vec<Option<PageAddr>>,
     store: Store,
+    /// `Some` once [`Mapping::track_changes`] is called: every LPN passed
+    /// through `map`, `unmap` or `invalidate_block` since the last
+    /// [`Mapping::take_changed`].
+    changes: Option<ChangeLog>,
 }
 
 impl Mapping {
@@ -62,6 +89,7 @@ impl Mapping {
                 valid: 0,
                 geo: geo.clone(),
             },
+            changes: None,
         }
     }
 
@@ -72,7 +100,38 @@ impl Mapping {
     /// GC benchmarks; not meant for production paths.
     #[must_use]
     pub fn new_naive(capacity: u64) -> Self {
-        Mapping { l2p: vec![None; capacity as usize], store: Store::Naive { p2l: HashMap::new() } }
+        Mapping {
+            l2p: vec![None; capacity as usize],
+            store: Store::Naive { p2l: HashMap::new() },
+            changes: None,
+        }
+    }
+
+    /// Starts recording which logical pages change. Every L2P change —
+    /// writes, relocations, trims, erase sweeps and recovery rebuilds —
+    /// funnels through `map`, `unmap` or `invalidate_block`, so the record
+    /// is complete. Changes made before this call are not recorded.
+    pub fn track_changes(&mut self) {
+        if self.changes.is_none() {
+            let words = self.l2p.len().div_ceil(64);
+            self.changes = Some(ChangeLog { marks: vec![0; words], list: Vec::new() });
+        }
+    }
+
+    /// Moves every logical page changed since the previous drain into
+    /// `out` (cleared first; each LPN once, in first-change order) and
+    /// resets the record. Leaves `out` empty when tracking is off. Swaps
+    /// buffers with `out`, so a caller reusing one `Vec` allocates nothing
+    /// in steady state.
+    pub fn take_changed(&mut self, out: &mut Vec<u64>) {
+        out.clear();
+        if let Some(log) = &mut self.changes {
+            for &lpn in &log.list {
+                // Every set bit of the word belongs to a listed LPN.
+                log.marks[(lpn / 64) as usize] = 0;
+            }
+            std::mem::swap(out, &mut log.list);
+        }
     }
 
     /// Exported logical capacity in pages.
@@ -122,6 +181,7 @@ impl Mapping {
     /// logical page (a physical page is written once per erase cycle).
     pub fn map(&mut self, lpn: u64, ppa: PageAddr) {
         assert!((lpn as usize) < self.l2p.len(), "lpn {lpn} out of range");
+        self.note_changed(lpn);
         if let Some(old) = self.l2p[lpn as usize].take() {
             self.clear_reverse(old);
         }
@@ -141,18 +201,27 @@ impl Mapping {
         self.l2p[lpn as usize] = Some(ppa);
     }
 
-    /// Unmaps a logical page (trim); returns its old location.
+    /// Unmaps a logical page (trim); returns its old location. Records the
+    /// LPN as changed even when it was already unmapped: a trim of an
+    /// unmapped page still moves its tombstone.
     ///
     /// # Panics
     ///
     /// Panics if `lpn` is out of range.
     pub fn unmap(&mut self, lpn: u64) -> Option<PageAddr> {
         assert!((lpn as usize) < self.l2p.len(), "lpn {lpn} out of range");
+        self.note_changed(lpn);
         let old = self.l2p[lpn as usize].take();
         if let Some(ppa) = old {
             self.clear_reverse(ppa);
         }
         old
+    }
+
+    fn note_changed(&mut self, lpn: u64) {
+        if let Some(log) = &mut self.changes {
+            log.mark(lpn);
+        }
     }
 
     /// Drops the reverse-store record of one page, fixing the counters.
@@ -188,6 +257,9 @@ impl Mapping {
                     let lpn = std::mem::replace(slot, INVALID);
                     if lpn != INVALID {
                         self.l2p[lpn as usize] = None;
+                        if let Some(log) = &mut self.changes {
+                            log.mark(lpn);
+                        }
                         *valid -= 1;
                     }
                 }
@@ -199,6 +271,9 @@ impl Mapping {
                 for ppa in stale {
                     if let Some(lpn) = p2l.remove(&ppa) {
                         self.l2p[lpn as usize] = None;
+                        if let Some(log) = &mut self.changes {
+                            log.mark(lpn);
+                        }
                     }
                 }
             }
@@ -397,6 +472,31 @@ mod tests {
         m.unmap(2);
         assert_eq!(m.valid_in_block_count(blk0), 0);
         assert!(m.is_consistent());
+    }
+
+    #[test]
+    fn change_log_records_each_changed_lpn_once_per_drain() {
+        for mut m in both(130) {
+            let mut out = vec![99];
+            m.map(1, ppa(0, 0, PageType::Lsb));
+            m.take_changed(&mut out);
+            assert!(out.is_empty(), "nothing is recorded before tracking starts");
+            m.track_changes();
+            m.map(1, ppa(0, 1, PageType::Lsb));
+            m.map(129, ppa(0, 0, PageType::Csb));
+            m.map(1, ppa(1, 0, PageType::Lsb));
+            m.unmap(70);
+            m.take_changed(&mut out);
+            assert_eq!(out, [1, 129, 70], "first-change order, deduplicated");
+            m.take_changed(&mut out);
+            assert!(out.is_empty(), "a drain resets the record");
+            m.map(2, ppa(0, 1, PageType::Csb));
+            m.invalidate_block(BlockAddr::new(ChipId(0), PlaneId(0), BlockId(0)));
+            m.take_changed(&mut out);
+            out.sort_unstable();
+            assert_eq!(out, [2, 129], "an erase sweep records every LPN it unmaps");
+            assert!(m.is_consistent());
+        }
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //!   number, superblock identity) written atomically with the payload;
 //! * a capacitor-backed metadata region holds per-superblock *seal records*
 //!   (member list + gathered QSTR-MED stats) and the checkpoint/journal;
+//! * a checkpoint rewrites only the logical pages whose mapping changed
+//!   since the previous one — O(changed LPNs), not O(logical pages);
 //! * after a crash, only superblocks dirtied since the last checkpoint are
-//!   scanned — recovery cost is O(dirty), not O(device);
+//!   scanned — the flash scan is O(dirty), not O(device), and the RAM
+//!   rebuild adds one pass over the logical pages;
 //! * duplicate LPNs resolve by highest sequence number (latest wins), and
 //!   pages of a *torn* super word-line (interrupted mid-program) are
 //!   discarded even on members whose individual program completed.
 
-use flash_model::{BlockAddr, PageAddr};
+use flash_model::BlockAddr;
 use std::collections::HashMap;
 
 /// SplitMix64: a tiny, high-quality 64-bit mixer. Used to derive the crash
@@ -106,14 +109,27 @@ pub(crate) enum JournalEntry {
     },
 }
 
+/// [`Checkpoint::loc`] value of an LPN that maps to no page.
+pub(crate) const NO_PAGE: u64 = u64::MAX;
+
 /// A periodic snapshot of FTL RAM state. Recovery replays the journal and
 /// scans only superblocks dirtied after this point.
+///
+/// The per-LPN state lives in dense columns indexed by LPN. They are empty
+/// until the first checkpoint (read as "no entry" everywhere) and then
+/// stay allocated: each later checkpoint rewrites only the LPNs whose
+/// mapping changed since the previous one, so taking a checkpoint costs
+/// O(LPNs changed), not O(logical pages). The columns always equal a full
+/// rescan of the mapping, LPN for LPN.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Checkpoint {
-    /// Sparse `(lpn, seq, location)` entries: `Some` locations carry the
-    /// OOB sequence of the mapped page; `None` locations are trim
-    /// tombstones. LPNs never written and never trimmed have no entry.
-    pub entries: Vec<(u64, u64, Option<PageAddr>)>,
+    /// Per-LPN sequence number: the OOB write sequence of the page the LPN
+    /// maps to, else its trim tombstone sequence, else 0 (never written
+    /// and never trimmed: no entry).
+    pub seq: Vec<u64>,
+    /// Per-LPN location as a `Geometry::page_index`; [`NO_PAGE`] for
+    /// tombstones and absent entries.
+    pub loc: Vec<u64>,
     /// Sealed superblocks at checkpoint time: `(sb_id, members, sealed_at)`.
     pub sealed: Vec<(u64, Vec<BlockAddr>, u64)>,
     /// Open superblocks at checkpoint time: `(sb_id, members)`.
@@ -126,17 +142,20 @@ pub(crate) struct Checkpoint {
     pub seal_seq: u64,
     /// Bad-block table.
     pub retired: Vec<BlockAddr>,
-    /// Write times of the live entries, keyed by OOB write sequence:
-    /// device-clock µs at program time. Lets recovery rebuild per-page data
-    /// ages from the OOB scan (a recovered sequence missing here — written
-    /// after this checkpoint — conservatively reports age since power-on,
-    /// so patrol re-examines it early rather than never). Empty unless
-    /// integrity tracking is on.
-    pub write_times: HashMap<u64, f64>,
+    /// Per-LPN write time, device-clock µs at the program of the page in
+    /// `loc` (only meaningful where `loc` names a page). Lets recovery
+    /// rebuild data ages from the OOB scan: a winner whose sequence equals
+    /// `seq[lpn]` takes this time; any other winner was written after this
+    /// checkpoint and conservatively reports age since power-on, so patrol
+    /// re-examines it early rather than never. Empty unless integrity
+    /// tracking is on.
+    pub birth: Vec<f64>,
 }
 
 /// Live SPOR state inside the device: countdown to the injected crash, the
-/// journal since the last checkpoint, and that checkpoint.
+/// journal since the last checkpoint, and that checkpoint. The mapping's
+/// change record (`Mapping::track_changes`, on whenever SPOR is) names the
+/// LPNs the next checkpoint must refresh.
 #[derive(Debug)]
 pub(crate) struct SporState {
     /// Whether OOB/journal/checkpoint maintenance is on.

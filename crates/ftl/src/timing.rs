@@ -39,8 +39,8 @@ pub enum EngineMode {
     #[default]
     Stepper,
     /// Event-driven core: calendar-queue completion tracking, batched
-    /// admission, prefix-cached latency synthesis, incremental checkpoints,
-    /// SoA stat accumulators folded at `timed_end`.
+    /// admission, prefix-cached latency synthesis, SoA stat accumulators
+    /// folded at `timed_end`.
     Batched,
 }
 

@@ -6,9 +6,8 @@
 //! and with idle-gap GC on or off. A single reassociated float add, skipped
 //! RNG draw, or reordered histogram sample flips a bit here.
 //!
-//! The crash test additionally pins the incremental checkpoint table
-//! (`fast_ckpt`) and the prefix latency cache: a batched device must crash,
-//! checkpoint, and recover exactly like a stepper device.
+//! The crash test additionally pins the prefix latency cache: a batched
+//! device must crash, checkpoint, and recover exactly like a stepper device.
 
 use flash_model::FaultConfig;
 use ftl::{
@@ -204,9 +203,9 @@ fn batched_engine_matches_stepper_with_active_parity() {
 #[test]
 fn batched_engine_crashes_and_recovers_exactly_like_the_stepper() {
     // Untimed drive with an injected power loss: the batched device keeps
-    // its checkpoint seq table (`fast_ckpt`) and prefix latency cache warm
-    // the whole time, and both must be invisible — same crash op, same
-    // recovery report, same rebuilt mapping, same post-recovery stats.
+    // its prefix latency cache warm the whole time, and it must be
+    // invisible — same crash op, same recovery report, same rebuilt
+    // mapping, same post-recovery stats.
     let run = |engine: EngineMode| {
         let mut config = FtlConfig::small_test();
         config.engine = engine;
@@ -234,8 +233,8 @@ fn batched_engine_crashes_and_recovers_exactly_like_the_stepper() {
         }
         assert!(resume < reqs.len(), "the injected crash must fire");
         let report = dev.recover().unwrap();
-        // Resume past the crash so the rebuilt fast_ckpt table is exercised
-        // by further checkpoints, not just rebuilt.
+        // Resume past the crash so the checkpoint recovery installed is
+        // exercised by further checkpoints, not just rebuilt.
         for req in &reqs[resume..] {
             match req.op {
                 IoOp::Write => drop(dev.write(req.lpn).unwrap()),

@@ -9,8 +9,8 @@
 
 use flash_model::FaultConfig;
 use ftl::{
-    CrashPoint, FtlConfig, FtlError, GcBudget, IntegrityConfig, IoOp, IoRequest,
-    OrganizationScheme, ParityConfig, PatrolConfig, PatrolOrder, Ssd, Workload,
+    CrashPoint, EngineMode, FtlConfig, FtlError, GcBudget, IntegrityConfig, IoOp, IoRequest,
+    OrganizationScheme, ParityConfig, PatrolConfig, PatrolOrder, QosClass, Ssd, Workload,
 };
 use proptest::prelude::*;
 
@@ -23,24 +23,45 @@ fn apply(dev: &mut Ssd, req: &IoRequest) -> Result<(), FtlError> {
 }
 
 /// Drives both devices in lockstep until either the stream ends or power
-/// is lost on both at the same op. Returns the index to resume from.
+/// is lost on both at the same op. With `timed`, requests go through the
+/// configured timed replay engine (one arrival every 200 µs) instead of the
+/// untimed per-request API — the only path on which `EngineMode` matters.
+/// Returns the index to resume from.
 fn drive_lockstep(
     dense: &mut Ssd,
     naive: &mut Ssd,
     reqs: &[IoRequest],
+    timed: bool,
 ) -> Result<usize, TestCaseError> {
+    let step = |dev: &mut Ssd, i: usize, req: &IoRequest| {
+        if timed {
+            dev.timed_step(i as f64 * 200.0, *req, QosClass::Standard).map(|_| ())
+        } else {
+            apply(dev, req)
+        }
+    };
+    if timed {
+        dense.timed_begin();
+        naive.timed_begin();
+    }
+    let mut resume = reqs.len();
     for (i, req) in reqs.iter().enumerate() {
-        let d = apply(dense, req);
-        let n = apply(naive, req);
-        match (d, n) {
+        match (step(dense, i, req), step(naive, i, req)) {
             (Ok(()), Ok(())) => {}
-            (Err(FtlError::PowerLoss), Err(FtlError::PowerLoss)) => return Ok(i),
+            (Err(FtlError::PowerLoss), Err(FtlError::PowerLoss)) => {
+                resume = i;
+                break;
+            }
             (d, n) => {
                 prop_assert!(false, "op {} diverged: dense {:?} naive {:?}", i, d, n);
             }
         }
     }
-    Ok(reqs.len())
+    if timed {
+        dense.timed_end();
+        naive.timed_end();
+    }
+    Ok(resume)
 }
 
 fn schemes() -> [OrganizationScheme; 3] {
@@ -54,18 +75,26 @@ fn schemes() -> [OrganizationScheme; 3] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
+    /// The Batched engine only differs on timed replays, so it is driven
+    /// through one; integrity tracking adds the checkpointed write times.
     #[test]
     fn recovery_rebuilds_exactly_the_ram_mapping_at_any_crash_point(
         crash_seed in any::<u64>(),
         workload_seed in any::<u64>(),
         scheme_idx in 0usize..3,
         interval_idx in 0usize..3,
+        batched in any::<bool>(),
+        track in any::<bool>(),
     ) {
         let intervals = [0u64, 8, 128];
         let mut config = FtlConfig::small_test();
         config.scheme = schemes()[scheme_idx];
         config.spor.checkpoint_interval = intervals[interval_idx];
         config.spor.crash = Some(CrashPoint::from_seed(crash_seed, 2500));
+        if batched {
+            config.engine = EngineMode::Batched;
+        }
+        config.integrity.track = track;
         let mut dense = Ssd::new(config.clone(), 11).unwrap();
         let mut naive = Ssd::new(config, 11).unwrap();
         naive.use_naive_mapping_for_benchmarks();
@@ -77,7 +106,7 @@ proptest! {
                 *r = IoRequest::trim(r.lpn);
             }
         }
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs)?;
+        let resume = drive_lockstep(&mut dense, &mut naive, &reqs, batched)?;
         // Snapshot RAM at the crash: this IS the set of acknowledged data.
         let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
         let ram_valid = dense.valid_pages();
@@ -91,19 +120,19 @@ proptest! {
         prop_assert_eq!(dense.valid_pages(), ram_valid, "valid counters rebuilt");
         prop_assert_eq!(naive.valid_pages(), ram_valid);
         // Every recovered page is readable with the right identity (the
-        // device debug-asserts the OOB/backing tag on every read).
+        // device debug-asserts the OOB/backing tag on every read). With
+        // integrity tracking a read bumps read-disturb counters, so the
+        // same reads go through the oracle to keep the pair in lockstep.
         for (lpn, mapped) in ram.iter().enumerate() {
             let got = dense.read(lpn as u64).unwrap();
             prop_assert_eq!(got.is_some(), mapped.is_some(), "readability of lpn {}", lpn);
+            let got = naive.read(lpn as u64).unwrap();
+            prop_assert_eq!(got.is_some(), mapped.is_some(), "naive readability of lpn {}", lpn);
         }
         // The device keeps working past the crash, and the dense store
-        // keeps agreeing with the oracle. (The readability probe above
-        // touched only dense, but reads are pure here — no faults, no RNG
-        // draws, no mapping changes — so the pair is still in lockstep.)
-        for req in &reqs[resume..] {
-            apply(&mut dense, req).unwrap();
-            apply(&mut naive, req).unwrap();
-        }
+        // keeps agreeing with the oracle.
+        let done = drive_lockstep(&mut dense, &mut naive, &reqs[resume..], batched)?;
+        prop_assert_eq!(done, reqs.len() - resume, "no second crash");
         dense.flush().unwrap();
         naive.flush().unwrap();
         for lpn in 0..info.logical_pages {
@@ -143,7 +172,7 @@ proptest! {
         let info = dense.geometry_info();
         let reqs = Workload::RandomWrite { span: 0.6, read_fraction: 0.1 }
             .generate(&info, (info.logical_pages * 3) as usize, workload_seed);
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs)?;
+        let resume = drive_lockstep(&mut dense, &mut naive, &reqs, false)?;
         let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
         let dense_report = dense.recover().unwrap();
         let naive_report = naive.recover().unwrap();
@@ -215,7 +244,7 @@ proptest! {
         let info = dense.geometry_info();
         let reqs = Workload::RandomWrite { span: 0.6, read_fraction: 0.1 }
             .generate(&info, (info.logical_pages * 3) as usize, workload_seed);
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs)?;
+        let resume = drive_lockstep(&mut dense, &mut naive, &reqs, false)?;
         let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
         let dense_report = dense.recover().unwrap();
         let naive_report = naive.recover().unwrap();
@@ -288,7 +317,7 @@ proptest! {
         let info = dense.geometry_info();
         let reqs = Workload::RandomWrite { span: 0.6, read_fraction: 0.2 }
             .generate(&info, (info.logical_pages * 3) as usize, workload_seed);
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs)?;
+        let resume = drive_lockstep(&mut dense, &mut naive, &reqs, false)?;
         let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
         let dense_report = dense.recover().unwrap();
         let naive_report = naive.recover().unwrap();
