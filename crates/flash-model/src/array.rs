@@ -1,7 +1,7 @@
 //! The stateful flash array: legal-operation enforcement plus latency
 //! reporting, including multi-plane (MP) command semantics.
 
-use crate::ber::BerModel;
+use crate::ber::{BerModel, RberFactors};
 use crate::chip::{BlockPhase, BlockState};
 use crate::config::FlashConfig;
 use crate::error::FlashError;
@@ -11,6 +11,9 @@ use crate::ids::{BlockAddr, PageAddr, WlAddr};
 use crate::latency::{LatencyCache, LatencyModel};
 use crate::spor::{PageOob, SealRecord};
 use crate::Result;
+
+/// User data per page, bytes (the paper's platform): the error-bit scale.
+const PAGE_BYTES: u32 = 16 * 1024;
 
 /// Outcome of a multi-plane command.
 ///
@@ -73,9 +76,10 @@ pub struct FlashArray {
     /// survives sudden power loss (the flush is covered by the SSD's
     /// power-loss-protection capacitors, as on real drives).
     seals: Vec<SealRecord>,
-    /// Optional prefix memoization for program/erase latency synthesis
+    /// Optional memoization of the static latency and RBER terms
     /// ([`FlashArray::set_fast_latency`]); bit-identical to the uncached
-    /// model, so enabling it never changes any reported latency.
+    /// models, so enabling it never changes any reported latency or error
+    /// count.
     fast_latency: Option<LatencyCache>,
     /// Whether payload reads accumulate per-block read-disturb counters
     /// ([`FlashArray::set_track_disturb`]). Off by default: untracked runs
@@ -109,12 +113,16 @@ impl FlashArray {
         }
     }
 
-    /// Turns prefix memoization of program/erase latency synthesis on or
-    /// off. The cache is an optimization only: every latency it returns is
-    /// bit-identical to the uncached [`LatencyModel`] query, so this flag
-    /// never changes simulation results — it trades a dense `f64` table per
-    /// (block, word-line) for skipping the static sampler draws on every
-    /// program and erase. Toggling clears the cache.
+    /// Turns memoization of the static latency and RBER terms on or off.
+    /// The cache is an optimization only: every latency and error count it
+    /// returns is bit-identical to the uncached [`LatencyModel`] and
+    /// [`BerModel`] queries, so this flag never changes simulation results.
+    /// It skips the static sampler draws of every program and erase, every
+    /// re-read of a page since its block's last erase, and the per-block
+    /// RBER terms. The cost is a dense `f64` table per (block, word-line)
+    /// for program prefixes and one per physical page for read latencies:
+    /// 8 B per physical page, zero-filled so a page never read maps no
+    /// memory. Toggling clears the cache.
     pub fn set_fast_latency(&mut self, enabled: bool) {
         self.fast_latency = enabled.then(|| LatencyCache::new(self.model.geometry()));
     }
@@ -219,7 +227,10 @@ impl FlashArray {
         }
         self.blocks[idx].erase();
         Ok(match &mut self.fast_latency {
-            Some(cache) => cache.erase_latency_us(&self.model, addr, pe),
+            Some(cache) => {
+                cache.invalidate_block(idx);
+                cache.erase_latency_us(&self.model, addr, pe)
+            }
             None => self.model.erase_latency_us(addr, pe),
         })
     }
@@ -350,7 +361,11 @@ impl FlashArray {
             self.blocks[idx].record_read_disturb(total, pidx);
         }
         let pe = self.blocks[idx].wear.pe_cycles();
-        Ok((data, self.model.read_latency_us(page, pe)))
+        let t = match &self.fast_latency {
+            Some(cache) => cache.read_latency_us(&self.model, page, pe),
+            None => self.model.read_latency_us(page, pe),
+        };
+        Ok((data, t))
     }
 
     /// Accumulated read disturb of one page: payload reads of *sibling*
@@ -464,15 +479,23 @@ impl FlashArray {
         let layer = self.geometry().layer_of(page.wl.lwl);
         let pidx = (page.wl.lwl.0 * self.geometry().pages_per_lwl() + page.page.index()) as usize;
         let disturbs = self.blocks[idx].read_disturbs(pidx);
-        let bits = self.ber.expected_error_bits(
-            self.geometry(),
-            page.wl.block,
+        let geo = self.geometry();
+        let addr = page.wl.block;
+        let (factors, weak) = match &self.fast_latency {
+            Some(cache) => cache.rber_factors(geo, &self.ber, &self.fault, addr, pe),
+            None => (
+                RberFactors { wear: self.ber.wear_factor(pe), block: self.ber.block_factor(addr) },
+                self.fault.ber_multiplier(addr),
+            ),
+        };
+        let bits = self.ber.expected_error_bits_with(
+            geo,
+            factors,
             layer,
-            pe,
             retention_hours,
             disturbs,
-            16 * 1024,
-        ) * self.fault.ber_multiplier(page.wl.block);
+            PAGE_BYTES,
+        ) * weak;
         // Page-type spread (LSB best, MSB worst) is the page-granular error
         // channel; the multiply is skipped at zero spread so the default
         // stays bit-identical to the block-granular model.
@@ -516,6 +539,9 @@ impl FlashArray {
     pub fn age_block(&mut self, addr: BlockAddr, cycles: u32) -> Result<()> {
         let idx = self.check(addr)?;
         self.blocks[idx].wear.age(cycles);
+        if let Some(cache) = &mut self.fast_latency {
+            cache.invalidate_block(idx);
+        }
         Ok(())
     }
 
@@ -523,6 +549,9 @@ impl FlashArray {
     pub fn age_all(&mut self, cycles: u32) {
         for b in &mut self.blocks {
             b.wear.age(cycles);
+        }
+        if let Some(cache) = &mut self.fast_latency {
+            cache.invalidate_reads();
         }
     }
 }

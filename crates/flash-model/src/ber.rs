@@ -50,6 +50,26 @@ impl BerModel {
         }
     }
 
+    /// The wear prefix of [`Self::rber`]: `base_rber * exp(growth * pe)`.
+    /// Constant per P/E count, so a cache may key it by `pe`.
+    #[must_use]
+    pub fn wear_factor(&self, pe: u32) -> f64 {
+        self.base_rber * (self.pe_growth_per_kcycle * f64::from(pe) / 1000.0).exp()
+    }
+
+    /// The block's lognormal RBER factor: a stable per-block trait.
+    #[must_use]
+    pub fn block_factor(&self, addr: BlockAddr) -> f64 {
+        (self.block_sigma
+            * self.sampler.normal(&[
+                TAG_BER_BLOCK,
+                u64::from(addr.chip.0),
+                u64::from(addr.plane.0),
+                u64::from(addr.block.0),
+            ]))
+        .exp()
+    }
+
     /// Raw bit error rate of one layer of a block after `pe` cycles,
     /// `retention_hours` of data retention and `read_disturbs` disturbing
     /// reads (reads of *sibling* pages since the block's last erase).
@@ -71,6 +91,25 @@ impl BerModel {
         retention_hours: f64,
         read_disturbs: u64,
     ) -> f64 {
+        let factors = RberFactors { wear: self.wear_factor(pe), block: self.block_factor(addr) };
+        self.rber_with(geo, factors, layer, retention_hours, read_disturbs)
+    }
+
+    /// Finishes [`Self::rber`] from its static factors, multiplying in the
+    /// same left-to-right order, so
+    /// `rber_with(geo, RberFactors { wear: wear_factor(pe), block:
+    /// block_factor(addr) }, ..)` equals `rber(geo, addr, .., pe, ..)` to
+    /// the bit. A zero retention or disturb exponent skips its `exp`, which
+    /// would return exactly 1.0.
+    #[must_use]
+    pub fn rber_with(
+        &self,
+        geo: &Geometry,
+        factors: RberFactors,
+        layer: PwlLayer,
+        retention_hours: f64,
+        read_disturbs: u64,
+    ) -> f64 {
         debug_assert!(
             retention_hours.is_finite() && retention_hours >= 0.0,
             "retention_hours must be finite and non-negative, got {retention_hours}"
@@ -79,20 +118,11 @@ impl BerModel {
         let layers = f64::from(geo.pwl_layers());
         let x = if layers > 1.0 { 2.0 * f64::from(layer.0) / (layers - 1.0) - 1.0 } else { 0.0 };
         let layer_mult = 1.0 + self.layer_edge_factor * x * x;
-        let block_mult = (self.block_sigma
-            * self.sampler.normal(&[
-                TAG_BER_BLOCK,
-                u64::from(addr.chip.0),
-                u64::from(addr.plane.0),
-                u64::from(addr.block.0),
-            ]))
-        .exp();
-        self.base_rber
-            * (self.pe_growth_per_kcycle * f64::from(pe) / 1000.0).exp()
-            * (self.retention_growth_per_khour * retention_hours / 1000.0).exp()
+        factors.wear
+            * growth(self.retention_growth_per_khour * retention_hours / 1000.0)
             * layer_mult
-            * block_mult
-            * (self.disturb_growth_per_kread * read_disturbs as f64 / 1000.0).exp()
+            * factors.block
+            * growth(self.disturb_growth_per_kread * read_disturbs as f64 / 1000.0)
     }
 
     /// Expected number of error bits when reading a page of `page_bytes`.
@@ -111,6 +141,42 @@ impl BerModel {
         self.rber(geo, addr, layer, pe, retention_hours, read_disturbs)
             * f64::from(page_bytes)
             * 8.0
+    }
+
+    /// [`Self::expected_error_bits`] from cached [`RberFactors`];
+    /// bit-identical to it.
+    #[must_use]
+    pub fn expected_error_bits_with(
+        &self,
+        geo: &Geometry,
+        factors: RberFactors,
+        layer: PwlLayer,
+        retention_hours: f64,
+        read_disturbs: u64,
+        page_bytes: u32,
+    ) -> f64 {
+        self.rber_with(geo, factors, layer, retention_hours, read_disturbs)
+            * f64::from(page_bytes)
+            * 8.0
+    }
+}
+
+/// The P/E- and block-dependent factors of [`BerModel::rber`], which stay
+/// constant between erases and can therefore be memoized per block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RberFactors {
+    /// [`BerModel::wear_factor`] at the block's current P/E count.
+    pub wear: f64,
+    /// [`BerModel::block_factor`] of the block.
+    pub block: f64,
+}
+
+/// `exp(x)`, skipping the call at exactly zero where it would return 1.0.
+fn growth(x: f64) -> f64 {
+    if x == 0.0 {
+        1.0
+    } else {
+        x.exp()
     }
 }
 

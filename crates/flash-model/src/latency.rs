@@ -20,10 +20,13 @@
 //! sequential assembly barely improves erase latency in the paper while
 //! latency-sorted assemblies improve it a lot.
 
+use crate::ber::{BerModel, RberFactors};
+use crate::fault::FaultInjector;
 use crate::geometry::Geometry;
 use crate::ids::{BlockAddr, PageAddr, PwlLayer, WlAddr};
 use crate::sampler::Sampler;
 use crate::variation::{StringMask, VariationConfig};
+use std::cell::RefCell;
 
 // Domain tags: keep every random quantity in its own hash domain.
 const TAG_LAYER_GROUP: u64 = 0x10;
@@ -356,7 +359,7 @@ impl LatencyModel {
     }
 }
 
-/// Memoized static prefixes of program/erase synthesis.
+/// Memoized static terms of latency and RBER synthesis.
 ///
 /// Profiling a saturated replay shows most of the per-op cost is the 5–7
 /// hash-sampler draws behind [`LatencyModel::program_latency_us`]; all but
@@ -366,7 +369,14 @@ impl LatencyModel {
 /// so results stay bit-identical to the uncached model while steady-state
 /// queries pay one draw instead of many.
 ///
-/// Read latency is already a single draw and is not cached.
+/// A read latency depends only on `(page, P/E)`, and patrol scrubbing
+/// re-reads every sealed page many times between erases, so whole read
+/// latencies are memoized per page. The owner must call
+/// [`LatencyCache::invalidate_block`] whenever a block's P/E count changes
+/// (and [`LatencyCache::invalidate_reads`] when every block's does). The
+/// per-block RBER terms — [`RberFactors`] and the fault injector's
+/// weak-block multiplier — are memoized too, the wear factor keyed by the
+/// P/E count it was computed at.
 #[derive(Debug, Clone)]
 pub struct LatencyCache {
     /// `prog_prefix[block_index * lwls_per_block + lwl]`; NaN = unfilled.
@@ -374,19 +384,105 @@ pub struct LatencyCache {
     /// `ers_prefix[block_index]`; NaN = unfilled.
     ers_prefix: Vec<f64>,
     lwls_per_block: usize,
+    /// `read_us[`[`Geometry::page_index`]`]`; 0.0 = unfilled (a
+    /// read takes at least 1 µs), so the table starts as a zeroed
+    /// allocation whose memory the OS maps only once touched. Interior
+    /// mutability because reads take `&self`.
+    read_us: RefCell<Vec<f64>>,
+    pages_per_block: usize,
+    /// `ber[block_index]`, filled on first use.
+    ber: RefCell<Vec<BlockBer>>,
+}
+
+/// The memoized RBER terms of one block.
+#[derive(Debug, Clone, Copy)]
+struct BlockBer {
+    /// [`BerModel::block_factor`]; NaN = unfilled.
+    block: f64,
+    /// [`FaultInjector::ber_multiplier`]; valid once `block` is.
+    weak: f64,
+    /// P/E count `wear` was computed at.
+    pe: u32,
+    /// [`BerModel::wear_factor`] at `pe`; NaN = unfilled.
+    wear: f64,
 }
 
 impl LatencyCache {
-    /// An empty cache sized for `geo`'s dense block/word-line index space.
+    /// An empty cache sized for `geo`'s dense block/word-line/page index
+    /// space.
     #[must_use]
     pub fn new(geo: &Geometry) -> Self {
         let blocks = geo.total_blocks() as usize;
         let lwls_per_block = geo.lwls_per_block() as usize;
+        let pages_per_block = geo.pages_per_block() as usize;
+        let unfilled = BlockBer { block: f64::NAN, weak: f64::NAN, pe: 0, wear: f64::NAN };
         LatencyCache {
             prog_prefix: vec![f64::NAN; blocks * lwls_per_block],
             ers_prefix: vec![f64::NAN; blocks],
             lwls_per_block,
+            read_us: RefCell::new(vec![0.0; blocks * pages_per_block]),
+            pages_per_block,
+            ber: RefCell::new(vec![unfilled; blocks]),
         }
+    }
+
+    /// Memoized equivalent of [`LatencyModel::read_latency_us`]; bit-identical
+    /// to it as long as `pe` is the block's P/E count and the owner
+    /// invalidated the block when that count last changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range for the model's geometry.
+    pub fn read_latency_us(&self, model: &LatencyModel, page: PageAddr, pe: u32) -> f64 {
+        let idx = model.geometry().page_index(page);
+        let mut table = self.read_us.borrow_mut();
+        if table[idx] == 0.0 {
+            table[idx] = model.read_latency_us(page, pe);
+        }
+        table[idx]
+    }
+
+    /// Drops the memoized read latencies of the block at dense index
+    /// `block_index` ([`Geometry::block_index`]); call whenever its P/E
+    /// count changes.
+    pub fn invalidate_block(&mut self, block_index: usize) {
+        let start = block_index * self.pages_per_block;
+        self.read_us.get_mut()[start..start + self.pages_per_block].fill(0.0);
+    }
+
+    /// Drops every memoized read latency; call when every block's P/E count
+    /// changes.
+    pub fn invalidate_reads(&mut self) {
+        let table = self.read_us.get_mut();
+        *table = vec![0.0; table.len()];
+    }
+
+    /// Memoized [`RberFactors`] of `addr` at `pe`, plus its
+    /// [`FaultInjector::ber_multiplier`]; bit-identical to computing them
+    /// from `ber` and `fault` directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range for `geo`.
+    pub fn rber_factors(
+        &self,
+        geo: &Geometry,
+        ber: &BerModel,
+        fault: &FaultInjector,
+        addr: BlockAddr,
+        pe: u32,
+    ) -> (RberFactors, f64) {
+        let mut table = self.ber.borrow_mut();
+        let entry = &mut table[geo.block_index(addr)];
+        if entry.block.is_nan() {
+            entry.block = ber.block_factor(addr);
+            entry.weak = fault.ber_multiplier(addr);
+        }
+        if entry.pe != pe || entry.wear.is_nan() {
+            entry.pe = pe;
+            entry.wear = ber.wear_factor(pe);
+        }
+        (RberFactors { wear: entry.wear, block: entry.block }, entry.weak)
     }
 
     /// Cached-prefix equivalent of [`LatencyModel::program_latency_us`];

@@ -69,7 +69,7 @@ mod variation;
 mod wear;
 
 pub use array::{FlashArray, MpOutcome};
-pub use ber::BerModel;
+pub use ber::{BerModel, RberFactors};
 pub use chip::BlockPhase;
 pub use config::{FlashConfig, FlashConfigBuilder};
 pub use error::FlashError;

@@ -1,8 +1,8 @@
 //! Property-based tests for the latency model's invariants.
 
 use flash_model::{
-    BlockAddr, BlockId, CellType, ChipId, FlashArray, FlashConfig, Geometry, LwlId, PlaneId,
-    PwlLayer, Sampler, VariationConfig,
+    BlockAddr, BlockId, CellType, ChipId, FaultConfig, FlashArray, FlashConfig, Geometry, LwlId,
+    PageType, PlaneId, PwlLayer, Sampler, VariationConfig,
 };
 use proptest::prelude::*;
 
@@ -94,6 +94,72 @@ proptest! {
             .read_page(addr.wl(LwlId(geo.lwls_per_block() - 1)).page(flash_model::PageType::Lsb))
             .unwrap();
         prop_assert_eq!(data, 7);
+    }
+
+    #[test]
+    fn latency_cache_matches_uncached_model(
+        seed in any::<u64>(),
+        ops in collection::vec((0u8..10, 0usize..4, any::<u32>(), 0usize..4), 1..160),
+    ) {
+        // Two arrays replay the same random interleaving of programs, reads,
+        // erases and aging with read disturb tracked and page-type spread on;
+        // only one memoizes. Every latency and error-bit answer must agree
+        // to the bit, which pins the cache's invalidation on every P/E change.
+        let geo = Geometry::new(2, 1, 2, 3, 2, CellType::Tlc);
+        let config = FlashConfig { geometry: geo.clone(), variation: VariationConfig::default() };
+        let fault = FaultConfig {
+            page_type_ber_spread: 0.35,
+            weak_block_prob: 0.3,
+            weak_ber_multiplier: 300.0,
+            ..FaultConfig::default()
+        };
+        let mut plain = FlashArray::with_faults(config.clone(), seed, fault.clone());
+        let mut memo = FlashArray::with_faults(config, seed, fault);
+        memo.set_fast_latency(true);
+        plain.set_track_disturb(true);
+        memo.set_track_disturb(true);
+        let blocks: Vec<BlockAddr> = geo.blocks().collect();
+        let per_lwl = geo.pages_per_lwl();
+        for (kind, b, pick, age) in ops {
+            let addr = blocks[b];
+            // A page on a word-line the block has already programmed, when
+            // it has any.
+            let written = plain.next_lwl(addr).unwrap().0.max(1);
+            let pt = PageType::from_index(geo.cell(), pick % per_lwl).unwrap();
+            let page = addr.wl(LwlId((pick / per_lwl) % written)).page(pt);
+            match kind {
+                0 | 1 => {
+                    let (a, b) = (plain.erase_block(addr), memo.erase_block(addr));
+                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+                }
+                2 | 3 => {
+                    let wl = addr.wl(plain.next_lwl(addr).unwrap());
+                    let data = vec![u64::from(pick); per_lwl as usize];
+                    let (a, b) = (plain.program_wl(wl, &data), memo.program_wl(wl, &data));
+                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+                }
+                4..=7 => {
+                    let (a, b) = (plain.read_page(page), memo.read_page(page));
+                    prop_assert_eq!(
+                        a.map(|(d, t)| (d, t.to_bits())),
+                        b.map(|(d, t)| (d, t.to_bits()))
+                    );
+                }
+                8 => {
+                    plain.age_block(addr, 1 + pick % 500).unwrap();
+                    memo.age_block(addr, 1 + pick % 500).unwrap();
+                }
+                _ => {
+                    plain.age_all(1 + pick % 50);
+                    memo.age_all(1 + pick % 50);
+                }
+            }
+            let retention = [0.0, 0.0, 3.5, 2000.0][age];
+            prop_assert_eq!(
+                plain.expected_error_bits(page, retention).to_bits(),
+                memo.expected_error_bits(page, retention).to_bits()
+            );
+        }
     }
 
     #[test]

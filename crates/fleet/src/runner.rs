@@ -50,6 +50,13 @@ pub struct DeviceReport {
     pub gc_slices: u64,
     /// Completion time of the device's last command, µs.
     pub makespan_us: f64,
+    /// Pages the patrol scrubber examined (zero with patrol off).
+    pub patrol_scanned_pages: u64,
+    /// Parity pages the scrubber verified against their stripe XOR.
+    pub parity_verified: u64,
+    /// Stripe rebuilds that could not reproduce the lost payload: double
+    /// failures inside one super word-line, i.e. true data loss.
+    pub rebuilds_failed: u64,
 }
 
 /// Fleet-level aggregates over every device, bit-identical for any worker
@@ -211,6 +218,9 @@ fn run_device(config: &FleetConfig, device: usize) -> ftl::Result<DeviceReport> 
         gc_stall_us: dev.gc_stall_us,
         gc_slices: dev.gc_slices,
         makespan_us: dev.makespan_us,
+        patrol_scanned_pages: dev.patrol_scanned_pages,
+        parity_verified: dev.parity_verified,
+        rebuilds_failed: dev.rebuilds_failed,
         latency,
     })
 }

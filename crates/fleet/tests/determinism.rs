@@ -4,7 +4,10 @@
 //! for bit — not just the headline quantiles.
 
 use fleet::{run_fleet, FleetConfig, FleetReport, FleetWorkload};
-use ftl::{EngineMode, FtlConfig, GcBudget, QueueModel};
+use ftl::{
+    EngineMode, FtlConfig, GcBudget, IntegrityConfig, ParityConfig, PatrolConfig, PatrolOrder,
+    QueueModel,
+};
 use host::Arbitration;
 
 /// GC-active batched device — frontend QoS, sliced collection and per-chip
@@ -21,19 +24,42 @@ fn device_config() -> FtlConfig {
     config
 }
 
-fn fleet(workers: usize) -> FleetReport {
-    // ~80k ops over 4 devices: each shard's ~14k writes overwrite its
-    // 5k-page logical space nearly three times, so collection stays busy.
-    let mut workload = FleetWorkload::new(10_000, 4);
+/// [`device_config`] with parity, integrity tracking and PV-aware patrol
+/// on, as the `fleet_integrity` benchmark runs it.
+fn integrity_device_config() -> FtlConfig {
+    let mut config = device_config();
+    config.parity = ParityConfig::On;
+    config.fault.page_type_ber_spread = 0.35;
+    config.integrity = IntegrityConfig {
+        track: true,
+        retention_hours_per_us: 0.0,
+        patrol: PatrolConfig::On {
+            interval_us: 10_000.0,
+            slice_us: 2_000.0,
+            refresh_fraction: 0.1,
+            order: PatrolOrder::SlowPoolFirst,
+        },
+    };
+    config
+}
+
+fn fleet_on(device_config: FtlConfig, users: u64, workers: usize) -> FleetReport {
+    let mut workload = FleetWorkload::new(users, 4);
     workload.mean_gap_us = 20_000.0;
     let config = FleetConfig {
-        device_config: device_config(),
+        device_config,
         workload,
         fleet_seed: 11,
         arbitration: Arbitration::WeightedRoundRobin,
         workers,
     };
     run_fleet(&config).expect("fleet replay succeeds")
+}
+
+fn fleet(workers: usize) -> FleetReport {
+    // ~80k ops over 4 devices: each shard's ~14k writes overwrite its
+    // 5k-page logical space nearly three times, so collection stays busy.
+    fleet_on(device_config(), 10_000, workers)
 }
 
 #[test]
@@ -101,4 +127,18 @@ fn fleet_exercises_collection_and_the_device_skew_is_sane() {
     let skew = report.device_skew();
     assert!(skew >= 1.0, "skew is max/median, so it is at least 1 (got {skew})");
     assert!(report.max_device_p99_us >= report.median_device_p99_us);
+}
+
+#[test]
+fn integrity_counters_are_bit_identical_across_worker_counts() {
+    let one = fleet_on(integrity_device_config(), 2_000, 1);
+    let two = fleet_on(integrity_device_config(), 2_000, 2);
+    assert!(one.devices.iter().all(|d| d.patrol_scanned_pages > 0), "patrol must scan");
+    assert!(one.devices.iter().any(|d| d.parity_verified > 0), "patrol must verify stripes");
+    for (a, b) in one.devices.iter().zip(&two.devices) {
+        assert_eq!(a.patrol_scanned_pages, b.patrol_scanned_pages, "device {}: scanned", a.device);
+        assert_eq!(a.parity_verified, b.parity_verified, "device {}: parity", a.device);
+        assert_eq!(a.rebuilds_failed, b.rebuilds_failed, "device {}: rebuilds", a.device);
+    }
+    assert_eq!(one.p999_us.to_bits(), two.p999_us.to_bits());
 }

@@ -3,7 +3,7 @@
 use crate::active::{ActiveSlots, ActiveSuperblock, FailedMember, Purpose, FILLER, PURPOSES};
 use crate::config::{FtlConfig, PatrolConfig, PatrolOrder, QosClass};
 use crate::error::FtlError;
-use crate::gc::{select_victim, GcBudget, GcJob, PatrolJob, SealedSuperblock};
+use crate::gc::{select_victim, GcBudget, GcJob, PatrolBuffers, PatrolJob, SealedSuperblock};
 use crate::manager::{speed_class_for, BlockManager};
 use crate::mapping::Mapping;
 use crate::recovery::{JournalEntry, RecoveryReport, SporState, NO_PAGE};
@@ -103,6 +103,8 @@ pub struct Ssd {
     /// no pass is mid-flight. Cursors live only in RAM (crash-safe to drop:
     /// the pass merely restarts).
     patrol_job: Option<PatrolJob>,
+    /// The pass's scan order plus scratch buffers reused by every step.
+    patrol_bufs: PatrolBuffers,
     /// Device-clock time at which the next patrol pass is due, µs.
     patrol_due_at: f64,
     /// Wall time the device spent idle during timed replays, µs: the sum of
@@ -153,7 +155,7 @@ impl Ssd {
             array.set_track_disturb(true);
         }
         if config.engine == EngineMode::Batched {
-            // Bit-identical prefix memoization of program/erase synthesis;
+            // Bit-identical memoization of static latency and RBER terms;
             // kept off under the stepper so the oracle stays on the original
             // code path.
             array.set_fast_latency(true);
@@ -206,6 +208,7 @@ impl Ssd {
             gc_allowance_us: f64::INFINITY,
             birth_us,
             patrol_job: None,
+            patrol_bufs: PatrolBuffers::default(),
             patrol_due_at: 0.0,
             idle_wall_us: 0.0,
         })
@@ -1727,30 +1730,29 @@ impl Ssd {
         Ok(time)
     }
 
-    /// Sealed-superblock scan order for a new patrol pass.
-    fn patrol_order(&self) -> Vec<u64> {
+    /// Refills the sealed-superblock scan order for a new patrol pass.
+    fn fill_patrol_order(&mut self) {
+        let bufs = &mut self.patrol_bufs;
+        bufs.order.clear();
         match self.config.integrity.patrol {
             PatrolConfig::On { order: PatrolOrder::SlowPoolFirst, .. } => {
                 // Slow pool first (GC/background data — the cold tail whose
                 // retention ages worst on the worst media), unknown-class
                 // superblocks next, fast ones last; oldest sealed first
                 // within each group.
-                let mut keyed: Vec<(u8, u64, u64)> = self
-                    .sealed
-                    .iter()
-                    .map(|s| {
-                        let rank = match s.class {
-                            Some(SpeedClass::Slow) => 0u8,
-                            None => 1,
-                            Some(SpeedClass::Fast) => 2,
-                        };
-                        (rank, s.sealed_at, s.sb_id)
-                    })
-                    .collect();
-                keyed.sort_unstable();
-                keyed.into_iter().map(|(_, _, id)| id).collect()
+                bufs.keys.clear();
+                bufs.keys.extend(self.sealed.iter().map(|s| {
+                    let rank = match s.class {
+                        Some(SpeedClass::Slow) => 0u8,
+                        None => 1,
+                        Some(SpeedClass::Fast) => 2,
+                    };
+                    (rank, s.sealed_at, s.sb_id)
+                }));
+                bufs.keys.sort_unstable();
+                bufs.order.extend(bufs.keys.iter().map(|&(_, _, id)| id));
             }
-            _ => self.sealed.iter().map(|s| s.sb_id).collect(),
+            _ => bufs.order.extend(self.sealed.iter().map(|s| s.sb_id)),
         }
     }
 
@@ -1777,12 +1779,13 @@ impl Ssd {
             Some(job) if self.device_clock_us() < self.patrol_due_at => job,
             _ => {
                 self.patrol_due_at = self.device_clock_us() + interval_us;
-                PatrolJob::new(self.patrol_order())
+                self.fill_patrol_order();
+                PatrolJob::default()
             }
         };
         let refresh_at = refresh_fraction * self.config.retry.uncorrectable_limit();
         loop {
-            let Some(&sb_id) = job.order.get(job.sb_cursor) else {
+            let Some(&sb_id) = self.patrol_bufs.order.get(job.sb_cursor) else {
                 // Pass complete: make the staged refreshes durable so the
                 // rotting copies actually stop being read.
                 let t = self.flush_purpose(Purpose::Gc)?;
@@ -1804,7 +1807,9 @@ impl Ssd {
             }
             let lwl = LwlId(job.lwl_cursor);
             job.lwl_cursor += 1;
-            let members = sb.members.clone();
+            let mut members = std::mem::take(&mut self.patrol_bufs.members);
+            members.clear();
+            members.extend_from_slice(&sb.members);
             let cell = geo.cell();
             let pages_per_lwl = geo.pages_per_lwl();
             let mut time = 0.0;
@@ -1816,8 +1821,9 @@ impl Ssd {
             let mut lwl_xor = 0u64;
             let mut parity_page: Option<PageAddr> = None;
             let mut live_pages = 0u64;
-            let mut unrefreshed_live: Vec<u64> = Vec::new();
-            for member in members {
+            let mut unrefreshed_live = std::mem::take(&mut self.patrol_bufs.unrefreshed_live);
+            unrefreshed_live.clear();
+            for &member in &members {
                 for k in 0..pages_per_lwl {
                     let pt = PageType::from_index(cell, k).expect("k < pages_per_lwl");
                     let page = member.wl(lwl).page(pt);
@@ -1885,7 +1891,7 @@ impl Ssd {
                     // uncorrectable read takes, so fresh protected copies
                     // replace the exposed ones.
                     self.stats.parity_mismatch += 1;
-                    for lpn in unrefreshed_live {
+                    for &lpn in &unrefreshed_live {
                         if self.manager.assemblable() <= 1 {
                             time += self.gc_slice_toward(f64::INFINITY, 2)?;
                         }
@@ -1894,6 +1900,8 @@ impl Ssd {
                     }
                 }
             }
+            self.patrol_bufs.members = members;
+            self.patrol_bufs.unrefreshed_live = unrefreshed_live;
             self.patrol_job = Some(job);
             return Ok(time);
         }

@@ -89,23 +89,31 @@ impl GcJob {
 /// cursors live only in RAM, so a crash mid-pass merely restarts the pass —
 /// no mapping state depends on them. Each step scans one super word-line
 /// (the same quantum as a GC slice step), so patrol slices preempt at the
-/// identical granularity.
-#[derive(Debug)]
+/// identical granularity. The pass's scan order lives in
+/// [`PatrolBuffers::order`].
+#[derive(Debug, Default)]
 pub(crate) struct PatrolJob {
-    /// Superblock identities in scan order, snapshot at pass start.
-    /// Superblocks collected mid-pass are simply skipped when their id no
-    /// longer resolves in the sealed list.
-    pub order: Vec<u64>,
-    /// Index into `order` of the superblock being scanned.
+    /// Index into the scan order of the superblock being scanned.
     pub sb_cursor: usize,
     /// Next logical word-line of the current superblock to scan.
     pub lwl_cursor: u32,
 }
 
-impl PatrolJob {
-    pub(crate) fn new(order: Vec<u64>) -> Self {
-        PatrolJob { order, sb_cursor: 0, lwl_cursor: 0 }
-    }
+/// Buffers patrol refills in place, so steady-state scanning allocates
+/// nothing per super word-line or per pass.
+#[derive(Debug, Default)]
+pub(crate) struct PatrolBuffers {
+    /// Superblock identities in scan order, snapshot at pass start.
+    /// Superblocks collected mid-pass are simply skipped when their id no
+    /// longer resolves in the sealed list.
+    pub order: Vec<u64>,
+    /// `(rank, sealed_at, sb_id)` sort keys behind a PV-aware `order`.
+    pub keys: Vec<(u8, u64, u64)>,
+    /// Member blocks of the superblock being scanned.
+    pub members: Vec<BlockAddr>,
+    /// Live LPNs of the current super word-line that the scan did not
+    /// refresh (the ones a parity mismatch must relocate).
+    pub unrefreshed_live: Vec<u64>,
 }
 
 /// A fully written superblock awaiting garbage collection.

@@ -11,8 +11,8 @@
 //!   full stat set bit for bit, patrol counters included.
 
 use ftl::{
-    poisson_arrivals, EngineMode, FtlConfig, IntegrityConfig, IoOp, IoRequest, PatrolConfig,
-    PatrolOrder, QueueModel, Ssd, Workload,
+    poisson_arrivals, EngineMode, FtlConfig, IntegrityConfig, IoOp, IoRequest, ParityConfig,
+    PatrolConfig, PatrolOrder, QueueModel, Ssd, Workload,
 };
 
 /// The timed-golden mixed workload: 3x-capacity random writes over half
@@ -58,6 +58,10 @@ fn assert_stats_bit_identical(a: &Ssd, b: &Ssd, tag: &str) {
     assert_eq!(s.patrol_scanned_pages, t.patrol_scanned_pages, "{tag} patrol_scanned_pages");
     assert_eq!(s.patrol_refreshes, t.patrol_refreshes, "{tag} patrol_refreshes");
     assert_eq!(s.patrol_passes, t.patrol_passes, "{tag} patrol_passes");
+    assert_eq!(s.parity_verified, t.parity_verified, "{tag} parity_verified");
+    assert_eq!(s.parity_mismatch, t.parity_mismatch, "{tag} parity_mismatch");
+    assert_eq!(s.rebuilds_ok, t.rebuilds_ok, "{tag} rebuilds_ok");
+    assert_eq!(s.rebuilds_failed, t.rebuilds_failed, "{tag} rebuilds_failed");
     assert_eq!(s.waf().to_bits(), t.waf().to_bits(), "{tag} waf");
     assert_eq!(s.write_latency.len(), t.write_latency.len(), "{tag} write samples");
     assert_eq!(
@@ -146,35 +150,59 @@ fn tracking_without_aging_never_goes_uncorrectable() {
 
 #[test]
 fn batched_engine_matches_stepper_with_patrol_active() {
-    // Full integrity stack: aggressive acceleration so the run produces
-    // uncorrectable reads, in-path refreshes, patrol refreshes and
-    // completed passes — then every stat must agree bit for bit between
-    // the engines, on both queue models.
-    for queue_model in [QueueModel::Single, QueueModel::PerChip] {
-        let mut config = FtlConfig::small_test();
-        config.idle_gc = true;
-        config.queue_model = queue_model;
-        config.integrity = IntegrityConfig {
-            track: true,
-            retention_hours_per_us: 0.01,
-            patrol: PatrolConfig::On {
-                interval_us: 20_000.0,
-                slice_us: 300.0,
-                refresh_fraction: 0.5,
-                order: PatrolOrder::SlowPoolFirst,
-            },
-        };
-        let mut stepper_config = config.clone();
-        stepper_config.engine = EngineMode::Stepper;
-        let mut batched_config = config;
-        batched_config.engine = EngineMode::Batched;
-        let stepper = run_config(stepper_config);
-        let batched = run_config(batched_config);
-        let tag = format!("queue={queue_model:?}");
-        let s = stepper.stats();
-        assert!(s.patrol_scanned_pages > 0, "{tag}: the regime must exercise patrol");
-        assert!(s.patrol_refreshes > 0, "{tag}: the regime must refresh proactively");
-        assert_stats_bit_identical(&stepper, &batched, &tag);
+    // Two full integrity regimes, each on both queue models:
+    // * aging — aggressive acceleration, so the run produces uncorrectable
+    //   reads, in-path refreshes, patrol refreshes and completed passes;
+    // * fleet — the `fleet_integrity` benchmark device: parity on, page-type
+    //   spread, no retention aging and refreshes at 0.1 of the limit, so
+    //   read disturb alone drives refreshes while patrol verifies stripes.
+    // The batched engine memoizes latency and RBER terms and the stepper
+    // does not, so every stat agreeing bit for bit pins the memo against
+    // the uncached model.
+    let mut aging = FtlConfig::small_test();
+    aging.integrity = IntegrityConfig {
+        track: true,
+        retention_hours_per_us: 0.01,
+        patrol: PatrolConfig::On {
+            interval_us: 20_000.0,
+            slice_us: 300.0,
+            refresh_fraction: 0.5,
+            order: PatrolOrder::SlowPoolFirst,
+        },
+    };
+    let mut fleet = FtlConfig::small_test();
+    fleet.parity = ParityConfig::On;
+    fleet.fault.page_type_ber_spread = 0.35;
+    fleet.integrity = IntegrityConfig {
+        track: true,
+        retention_hours_per_us: 0.0,
+        patrol: PatrolConfig::On {
+            interval_us: 10_000.0,
+            slice_us: 2_000.0,
+            refresh_fraction: 0.1,
+            order: PatrolOrder::SlowPoolFirst,
+        },
+    };
+    for (regime, base) in [("aging", aging), ("fleet", fleet)] {
+        for queue_model in [QueueModel::Single, QueueModel::PerChip] {
+            let mut config = base.clone();
+            config.idle_gc = true;
+            config.queue_model = queue_model;
+            let mut stepper_config = config.clone();
+            stepper_config.engine = EngineMode::Stepper;
+            let mut batched_config = config;
+            batched_config.engine = EngineMode::Batched;
+            let stepper = run_config(stepper_config);
+            let batched = run_config(batched_config);
+            let tag = format!("regime={regime} queue={queue_model:?}");
+            let s = stepper.stats();
+            assert!(s.patrol_scanned_pages > 0, "{tag}: the regime must exercise patrol");
+            assert!(s.patrol_refreshes > 0, "{tag}: the regime must refresh proactively");
+            if regime == "fleet" {
+                assert!(s.parity_verified > 0, "{tag}: patrol must verify parity stripes");
+            }
+            assert_stats_bit_identical(&stepper, &batched, &tag);
+        }
     }
 }
 
