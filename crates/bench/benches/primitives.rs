@@ -45,6 +45,13 @@ fn bench_primitives(c: &mut Criterion) {
         b.iter(|| model.program_latency_us(black_box(wl), 0))
     });
 
+    c.bench_function("synthesize_block_tprog_384wl", |b| {
+        let config = FlashConfig::paper_platform();
+        let model = flash_model::LatencyModel::new(config.geometry, config.variation, 1);
+        let addr = BlockAddr::new(ChipId(1), PlaneId(0), BlockId(500));
+        b.iter(|| model.block_program_latencies_us(black_box(addr), 0).sum::<f64>())
+    });
+
     c.bench_function("extra_latency_4x384", |b| {
         let vs: Vec<Vec<f64>> =
             (0..4).map(|k| t.iter().map(|x| x + f64::from(k) * 3.0).collect()).collect();

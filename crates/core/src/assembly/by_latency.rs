@@ -46,7 +46,7 @@ impl Assembler for LatencySortAssembly {
                         SortKey::Erase => (blocks[a].tbers_us(), blocks[b].tbers_us()),
                         SortKey::Program => (blocks[a].pgm_sum_us(), blocks[b].pgm_sum_us()),
                     };
-                    ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+                    ka.total_cmp(&kb).then(a.cmp(&b))
                 });
                 order
             })

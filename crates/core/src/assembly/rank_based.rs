@@ -5,11 +5,21 @@
 //! combination minimizing the Equation-1 pairwise rank distance wins. The
 //! four variants differ only in how a block is reduced to a comparison
 //! vector.
+//!
+//! A block's vector is computed once, into one flat table per pool: `u32`
+//! ranks, or packed words of STR-median bits. The pairwise distances
+//! between window candidates are kept across rounds. Each round drops the
+//! picked block's row and column from every pool pair's matrix and
+//! computes only the distances of the block that slid into each window —
+//! `2w − 1` per pool pair instead of `w²`. The combination search is the
+//! suffix-first pruned enumeration [`crate::assembly::OptimalAssembly`]
+//! uses, so the first minimal combination in mixed-radix order (pool 0
+//! varying fastest) still wins.
 
-use crate::assembly::windowed::{assemble_rounds, for_each_combo};
+use crate::assembly::windowed::assemble_rounds;
 use crate::assembly::Assembler;
 use crate::distance::rank_distance;
-use crate::eigen::EigenSequence;
+use crate::eigen;
 use crate::profile::BlockPool;
 use crate::rank;
 use crate::superblock::Superblock;
@@ -36,11 +46,6 @@ impl RankStrategy {
             RankStrategy::StrMedian => "STR-MED",
         }
     }
-}
-
-enum Vectors {
-    Ranks(Vec<Vec<Vec<u32>>>),
-    Eigens(Vec<Vec<EigenSequence>>),
 }
 
 /// Windowed assembly minimizing summed pairwise rank distance.
@@ -74,36 +79,54 @@ impl RankAssembly {
         self.window
     }
 
-    fn precompute(&self, pool: &BlockPool) -> Vectors {
-        let strings = pool.strings();
-        match self.strategy {
-            RankStrategy::StrMedian => Vectors::Eigens(
-                (0..pool.pool_count())
-                    .map(|p| {
-                        pool.pool(p)
-                            .iter()
-                            .map(|b| rank::str_median_eigen(b.tprog_us(), strings))
-                            .collect()
-                    })
-                    .collect(),
-            ),
-            _ => Vectors::Ranks(
-                (0..pool.pool_count())
-                    .map(|p| {
-                        pool.pool(p)
-                            .iter()
-                            .map(|b| match self.strategy {
-                                RankStrategy::Lwl => rank::lwl_ranks(b.tprog_us()),
-                                RankStrategy::Pwl => rank::pwl_ranks(b.tprog_us(), strings),
-                                RankStrategy::Str => rank::str_ranks(b.tprog_us(), strings),
-                                RankStrategy::StrMedian => unreachable!(),
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            ),
-        }
+    /// Runs the windowed rounds over per-pool `tables`, comparing two rows
+    /// with the Equation-1 `distance`.
+    fn assemble_with<T>(
+        &self,
+        pool: &BlockPool,
+        tables: &[Table<T>],
+        distance: impl Fn(&[T], &[T]) -> u32,
+    ) -> Vec<Superblock> {
+        // No window holds more blocks than its pool.
+        let longest = (0..pool.pool_count()).map(|p| pool.pool(p).len()).max().unwrap_or(0);
+        let mut distances = WindowDistances::new(pool.pool_count(), self.window.min(longest));
+        assemble_rounds(pool, self.window, |windows| {
+            distances.admit(windows, |p, i, q, j| distance(tables[p].row(i), tables[q].row(j)));
+            let best = distances.best();
+            distances.drop_picked(&best);
+            best
+        })
     }
+}
+
+/// One flat table per pool of each block's `ranker` output.
+fn rank_tables(pool: &BlockPool, ranker: fn(&[f64], u16) -> Vec<u32>) -> Vec<Table<u32>> {
+    (0..pool.pool_count())
+        .map(|p| {
+            let mut data = Vec::with_capacity(pool.pool(p).len() * pool.wl_count());
+            for b in pool.pool(p) {
+                data.extend(ranker(b.tprog_us(), pool.strings()));
+            }
+            Table { stride: pool.wl_count(), data }
+        })
+        .collect()
+}
+
+/// STR-median tables of every pool: each block's eigen bits packed into
+/// `ceil(lwls / 64)` words.
+fn eigen_tables(pool: &BlockPool) -> Vec<Table<u64>> {
+    let stride = pool.wl_count().div_ceil(64);
+    (0..pool.pool_count())
+        .map(|p| {
+            let blocks = pool.pool(p);
+            let mut data = vec![0u64; blocks.len() * stride];
+            for (i, b) in blocks.iter().enumerate() {
+                let row = &mut data[i * stride..(i + 1) * stride];
+                rank::str_median_bits(b.tprog_us(), pool.strings(), row);
+            }
+            Table { stride, data }
+        })
+        .collect()
 }
 
 impl Assembler for RankAssembly {
@@ -112,47 +135,163 @@ impl Assembler for RankAssembly {
     }
 
     fn assemble(&mut self, pool: &BlockPool) -> Vec<Superblock> {
-        let vectors = self.precompute(pool);
-        let pools = pool.pool_count();
-        let distance = |p: usize, i: usize, q: usize, j: usize| -> u64 {
-            match &vectors {
-                Vectors::Ranks(r) => u64::from(rank_distance(&r[p][i], &r[q][j])),
-                Vectors::Eigens(e) => u64::from(e[p][i].distance(&e[q][j])),
+        let ranker: fn(&[f64], u16) -> Vec<u32> = match self.strategy {
+            RankStrategy::Lwl => |tprog_us, _| rank::lwl_ranks(tprog_us),
+            RankStrategy::Pwl => rank::pwl_ranks,
+            RankStrategy::Str => rank::str_ranks,
+            RankStrategy::StrMedian => {
+                return self.assemble_with(pool, &eigen_tables(pool), eigen::bit_distance)
             }
         };
-        assemble_rounds(pool, self.window, |windows| {
-            // Pairwise distance matrices between window candidates, so each
-            // combination scores with C(pools, 2) lookups instead of full
-            // vector comparisons.
-            let sizes: Vec<usize> = windows.iter().map(|w| w.len()).collect();
-            let mut mats: Vec<Vec<Vec<u64>>> = vec![Vec::new(); pools * pools];
-            for p in 0..pools {
-                for q in (p + 1)..pools {
-                    let mut m = vec![vec![0u64; sizes[q]]; sizes[p]];
-                    for (a, row) in m.iter_mut().enumerate() {
-                        for (b, cell) in row.iter_mut().enumerate() {
-                            *cell = distance(p, windows[p][a], q, windows[q][b]);
-                        }
+        self.assemble_with(pool, &rank_tables(pool, ranker), rank_distance)
+    }
+}
+
+/// One pool's comparison vectors, one row of `stride` entries per block in
+/// pool order.
+struct Table<T> {
+    stride: usize,
+    data: Vec<T>,
+}
+
+impl<T> Table<T> {
+    fn row(&self, block: usize) -> &[T] {
+        &self.data[block * self.stride..(block + 1) * self.stride]
+    }
+}
+
+/// Pairwise distances between the candidates of every pool pair's windows,
+/// kept across rounds.
+struct WindowDistances {
+    pools: usize,
+    window: usize,
+    /// Per pool, the profile indices whose distances are held, in window
+    /// order.
+    held: Vec<Vec<usize>>,
+    /// `mats[p * pools + q]` for `p < q`: entry `b * window + a` is the
+    /// distance between `held[p][a]` and `held[q][b]`, so the distances
+    /// of pool `p`'s candidates to one candidate of pool `q` are
+    /// contiguous.
+    mats: Vec<Vec<u32>>,
+}
+
+/// One round's combination search.
+struct Search {
+    /// The combination being scored: a window position per pool.
+    picks: Vec<usize>,
+    /// `scores[level * window + a]`: the partial sum with candidate `a` at
+    /// `level` and the current picks above it.
+    scores: Vec<u64>,
+    best: Vec<usize>,
+    best_score: u64,
+}
+
+impl WindowDistances {
+    fn new(pools: usize, window: usize) -> Self {
+        WindowDistances {
+            pools,
+            window,
+            held: vec![Vec::new(); pools],
+            mats: (0..pools * pools)
+                .map(|k| if k / pools < k % pools { vec![0; window * window] } else { Vec::new() })
+                .collect(),
+        }
+    }
+
+    /// Brings the held windows up to this round's `windows`: a window's
+    /// held blocks are its prefix, and every block past them has just
+    /// entered, so only entrants' distances are computed.
+    /// `distance(p, i, q, j)` compares profile `i` of pool `p` with
+    /// profile `j` of pool `q`.
+    fn admit(
+        &mut self,
+        windows: &[&[usize]],
+        distance: impl Fn(usize, usize, usize, usize) -> u32,
+    ) {
+        let w = self.window;
+        for p in 0..self.pools {
+            for q in (p + 1)..self.pools {
+                let (held_p, held_q) = (self.held[p].len(), self.held[q].len());
+                let mat = &mut self.mats[p * self.pools + q];
+                for (b, &j) in windows[q].iter().enumerate() {
+                    // A held candidate of `q` needs only `p`'s entrants.
+                    let from = if b < held_q { held_p } else { 0 };
+                    for (a, &i) in windows[p].iter().enumerate().skip(from) {
+                        mat[b * w + a] = distance(p, i, q, j);
                     }
-                    mats[p * pools + q] = m;
                 }
             }
-            let mut best_score = u64::MAX;
-            let mut best = vec![0usize; pools];
-            for_each_combo(&sizes, |picks| {
-                let mut s = 0u64;
-                for p in 0..pools {
-                    for q in (p + 1)..pools {
-                        s += mats[p * pools + q][picks[p]][picks[q]];
-                    }
+        }
+        for (held, window) in self.held.iter_mut().zip(windows) {
+            debug_assert!(window.starts_with(held), "held blocks must stay the window's prefix");
+            held.clear();
+            held.extend_from_slice(window);
+        }
+    }
+
+    /// Drops each pool's picked position from every matrix; later
+    /// positions move up one.
+    fn drop_picked(&mut self, picks: &[usize]) {
+        let w = self.window;
+        for p in 0..self.pools {
+            for q in (p + 1)..self.pools {
+                let (held_p, held_q) = (self.held[p].len(), self.held[q].len());
+                let mat = &mut self.mats[p * self.pools + q];
+                mat.copy_within((picks[q] + 1) * w..held_q * w, picks[q] * w);
+                for to_q in mat.chunks_exact_mut(w).take(held_q - 1) {
+                    to_q.copy_within(picks[p] + 1..held_p, picks[p]);
                 }
-                if s < best_score {
-                    best_score = s;
-                    best.copy_from_slice(picks);
-                }
-            });
-            best
-        })
+            }
+        }
+        for (held, &pick) in self.held.iter_mut().zip(picks) {
+            held.remove(pick);
+        }
+    }
+
+    /// The window positions of the first combination, in mixed-radix order
+    /// with pool 0 varying fastest, whose summed pairwise distance is
+    /// smallest.
+    fn best(&self) -> Vec<usize> {
+        let mut search = Search {
+            picks: vec![0; self.pools],
+            scores: vec![0; self.pools * self.window],
+            best: vec![0; self.pools],
+            best_score: u64::MAX,
+        };
+        if let Some(top) = self.pools.checked_sub(1) {
+            self.search(top, 0, &mut search);
+        }
+        search.best
+    }
+
+    /// Tries every candidate of pool `level` under the picks of the pools
+    /// above it, adding its distances to them to `partial`. Distances are
+    /// non-negative, so a partial sum at or above the incumbent prunes the
+    /// branch, and only a strictly smaller total replaces it: the same
+    /// combination wins as in the plain product loop.
+    fn search(&self, level: usize, partial: u64, s: &mut Search) {
+        let w = self.window;
+        let row = level * w..level * w + self.held[level].len();
+        s.scores[row.clone()].fill(partial);
+        for q in (level + 1)..self.pools {
+            let to_q = &self.mats[level * self.pools + q][s.picks[q] * w..];
+            for (score, &d) in s.scores[row.clone()].iter_mut().zip(to_q) {
+                *score += u64::from(d);
+            }
+        }
+        for (a, at) in row.enumerate() {
+            let score = s.scores[at];
+            if score >= s.best_score {
+                continue;
+            }
+            s.picks[level] = a;
+            if level == 0 {
+                s.best_score = score;
+                s.best.copy_from_slice(&s.picks);
+            } else {
+                self.search(level - 1, score, s);
+            }
+        }
     }
 }
 
@@ -161,7 +300,9 @@ mod tests {
     use super::*;
     use crate::assembly::test_support::*;
     use crate::assembly::RandomAssembly;
+    use crate::profile::BlockProfile;
     use crate::superblock::ExtraLatency;
+    use flash_model::{BlockAddr, BlockId, ChipId, PlaneId};
 
     fn avg_extra_pgm(pool: &BlockPool, sbs: &[Superblock]) -> f64 {
         sbs.iter().map(|sb| ExtraLatency::of_superblock(pool, sb).unwrap().program_us).sum::<f64>()
@@ -206,5 +347,136 @@ mod tests {
     #[should_panic(expected = "window must be positive")]
     fn zero_window_rejected() {
         let _ = RankAssembly::new(RankStrategy::Str, 0);
+    }
+
+    const STRATEGIES: [RankStrategy; 4] =
+        [RankStrategy::Lwl, RankStrategy::Pwl, RankStrategy::Str, RankStrategy::StrMedian];
+
+    /// The from-scratch search the incremental one replaced: every round
+    /// builds the window-distance matrices anew from the public rank and
+    /// eigen functions, then scores every combination in the plain product
+    /// loop, keeping the first strictly better one.
+    fn assemble_brute_force(
+        pool: &BlockPool,
+        strategy: RankStrategy,
+        window: usize,
+    ) -> Vec<Superblock> {
+        use crate::assembly::windowed::for_each_combo;
+        let strings = pool.strings();
+        let pools = pool.pool_count();
+        let ranks: Vec<Vec<Vec<u32>>> = (0..pools)
+            .map(|p| {
+                pool.pool(p)
+                    .iter()
+                    .map(|b| match strategy {
+                        RankStrategy::Lwl => rank::lwl_ranks(b.tprog_us()),
+                        RankStrategy::Pwl => rank::pwl_ranks(b.tprog_us(), strings),
+                        _ => rank::str_ranks(b.tprog_us(), strings),
+                    })
+                    .collect()
+            })
+            .collect();
+        let eigens: Vec<Vec<crate::EigenSequence>> = (0..pools)
+            .map(|p| {
+                pool.pool(p).iter().map(|b| rank::str_median_eigen(b.tprog_us(), strings)).collect()
+            })
+            .collect();
+        let distance = |p: usize, i: usize, q: usize, j: usize| -> u64 {
+            match strategy {
+                RankStrategy::StrMedian => u64::from(eigens[p][i].distance(&eigens[q][j])),
+                _ => u64::from(rank_distance(&ranks[p][i], &ranks[q][j])),
+            }
+        };
+        assemble_rounds(pool, window, |windows| {
+            let sizes: Vec<usize> = windows.iter().map(|w| w.len()).collect();
+            let mut mats: Vec<Vec<Vec<u64>>> = vec![Vec::new(); pools * pools];
+            for p in 0..pools {
+                for q in (p + 1)..pools {
+                    mats[p * pools + q] = windows[p]
+                        .iter()
+                        .map(|&i| windows[q].iter().map(|&j| distance(p, i, q, j)).collect())
+                        .collect();
+                }
+            }
+            let mut best_score = u64::MAX;
+            let mut best = vec![0usize; pools];
+            for_each_combo(&sizes, |picks| {
+                let mut s = 0u64;
+                for p in 0..pools {
+                    for q in (p + 1)..pools {
+                        s += mats[p * pools + q][picks[p]][picks[q]];
+                    }
+                }
+                if s < best_score {
+                    best_score = s;
+                    best.copy_from_slice(picks);
+                }
+            });
+            best
+        })
+    }
+
+    /// `lens[p]` blocks in pool `p`, every latency one of three levels, so
+    /// ranks, window distances, combination scores and program sums tie
+    /// often.
+    fn tie_heavy_pool(seed: u64, lens: &[usize], layers: usize, strings: u16) -> BlockPool {
+        let draw = flash_model::Sampler::new(seed);
+        let mut pool = BlockPool::new(lens.len(), strings);
+        for (p, &len) in lens.iter().enumerate() {
+            for b in 0..len {
+                let addr = BlockAddr::new(ChipId(p as u16), PlaneId(0), BlockId(b as u32));
+                let tprog: Vec<f64> = (0..layers * usize::from(strings))
+                    .map(|w| {
+                        let level = draw.choice(3, &[p as u64, b as u64, w as u64]);
+                        1880.1 + 18.4 * level as f64
+                    })
+                    .collect();
+                pool.push(p, BlockProfile::new(addr, 0, tprog, 3500.0)).unwrap();
+            }
+        }
+        pool
+    }
+
+    #[test]
+    fn matches_from_scratch_brute_force() {
+        // Exact equality, tie-breaks included, over 1..=5 pools of unequal
+        // lengths and every window 1..=8.
+        for seed in 0..15u64 {
+            let pools = 1 + (seed % 5) as usize;
+            let draw = flash_model::Sampler::new(seed);
+            let lens: Vec<usize> = (0..pools).map(|p| 1 + draw.choice(11, &[p as u64])).collect();
+            let strings = [1u16, 2, 4][(seed % 3) as usize];
+            let layers = 1 + (seed % 4) as usize;
+            let pool = tie_heavy_pool(seed, &lens, layers, strings);
+            for strategy in STRATEGIES {
+                for window in 1..=8 {
+                    let fast = RankAssembly::new(strategy, window).assemble(&pool);
+                    let slow = assemble_brute_force(&pool, strategy, window);
+                    assert_eq!(
+                        fast, slow,
+                        "seed={seed} lens={lens:?} strings={strings} {strategy:?}({window})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_latencies_assemble_without_panicking() {
+        let mut pool = BlockPool::new(2, 4);
+        for p in 0..2 {
+            for b in 0..40u32 {
+                let addr = BlockAddr::new(ChipId(p as u16), PlaneId(0), BlockId(b));
+                let mut tprog: Vec<f64> =
+                    (0..32).map(|wl| 1700.0 + f64::from((b * 7 + wl * 3) % 5) * 18.4).collect();
+                if b % 9 == 4 {
+                    tprog[5] = f64::NAN;
+                }
+                pool.push(p, BlockProfile::new(addr, 0, tprog, 3500.0)).unwrap();
+            }
+        }
+        for strategy in STRATEGIES {
+            assert_valid_assembly(&pool, &RankAssembly::new(strategy, 4).assemble(&pool));
+        }
     }
 }

@@ -17,11 +17,7 @@ pub(crate) fn sorted_remaining(pool: &BlockPool) -> Vec<Vec<usize>> {
             let blocks = pool.pool(p);
             let mut order: Vec<usize> = (0..blocks.len()).collect();
             order.sort_by(|&a, &b| {
-                blocks[a]
-                    .pgm_sum_us()
-                    .partial_cmp(&blocks[b].pgm_sum_us())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
+                blocks[a].pgm_sum_us().total_cmp(&blocks[b].pgm_sum_us()).then(a.cmp(&b))
             });
             order
         })
@@ -29,7 +25,9 @@ pub(crate) fn sorted_remaining(pool: &BlockPool) -> Vec<Vec<usize>> {
 }
 
 /// Calls `f` with every mixed-radix combination `picks` where
-/// `picks[i] < sizes[i]`.
+/// `picks[i] < sizes[i]`, `picks[0]` varying fastest: the plain product
+/// loop the pruned searches are tested against.
+#[cfg(test)]
 pub(crate) fn for_each_combo(sizes: &[usize], mut f: impl FnMut(&[usize])) {
     if sizes.contains(&0) {
         return;

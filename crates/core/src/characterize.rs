@@ -116,6 +116,12 @@ impl Characterizer {
     /// [`Characterizer::characterize_array`] (erase is sampled at `pe`, the
     /// programs land at `pe + 1` — the cycle the erase opened).
     ///
+    /// Each block is synthesized at once with
+    /// [`LatencyModel::block_program_latencies_us`]: process variation is a
+    /// static per-block trait, so the block's speed and pattern terms are
+    /// drawn once and each layer's base and fast strings once per layer,
+    /// leaving only the noise draw per word-line.
+    ///
     /// The per-block work fans out over all available cores: the latency
     /// model is a pure function of `(seed, address, pe)`, so profiles are
     /// computed in parallel chunks and stitched back in geometry order —
@@ -151,8 +157,8 @@ impl Characterizer {
         let mut pool = BlockPool::new(self.pool_count(), geo.strings());
         let profile_of = |addr: flash_model::BlockAddr| {
             let tbers = model.erase_latency_us(addr, pe);
-            let tprog: Vec<f64> =
-                geo.lwls().map(|lwl| model.program_latency_us(addr.wl(lwl), pe + 1)).collect();
+            let mut tprog = Vec::with_capacity(geo.lwls_per_block() as usize);
+            tprog.extend(model.block_program_latencies_us(addr, pe + 1));
             BlockProfile::new(addr, pe, tprog, tbers)
         };
         if threads == 1 {

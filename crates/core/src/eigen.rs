@@ -53,6 +53,18 @@ impl EigenSequence {
         self.len += 1;
     }
 
+    /// Appends `n` zero bits.
+    pub(crate) fn push_zeros(&mut self, n: usize) {
+        self.len += n;
+        self.words.resize(self.len.div_ceil(64), 0);
+    }
+
+    /// The packed words: bit `i` is `words[i / 64] >> (i % 64) & 1`, and
+    /// the bits past `len` are zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Number of bits.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -91,7 +103,7 @@ impl EigenSequence {
     #[must_use]
     pub fn distance(&self, other: &EigenSequence) -> u32 {
         assert_eq!(self.len, other.len, "eigen sequences must have equal length");
-        self.words.iter().zip(&other.words).map(|(a, b)| (a ^ b).count_ones()).sum()
+        bit_distance(&self.words, &other.words)
     }
 
     /// Memory footprint of the packed bits, in bytes (Equation 2's
@@ -100,6 +112,13 @@ impl EigenSequence {
     pub fn footprint_bytes(&self) -> usize {
         self.len.div_ceil(8)
     }
+}
+
+/// Number of differing bits between two equally long runs of packed words:
+/// [`EigenSequence::distance`] on its words, also used by tables that hold
+/// many sequences' words back to back.
+pub(crate) fn bit_distance(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x ^ y).count_ones()).sum()
 }
 
 impl fmt::Display for EigenSequence {

@@ -11,6 +11,7 @@
 use crate::eigen::EigenSequence;
 use crate::error::PvError;
 use crate::profile::BlockSummary;
+use crate::rank;
 use crate::Result;
 use flash_model::BlockAddr;
 
@@ -106,25 +107,13 @@ impl BlockGatherer {
         Ok(())
     }
 
-    /// Quantizes the completed layer to bits: fastest half of strings → 0,
-    /// ties broken by string index, then drops the layer latencies.
+    /// Quantizes the completed layer to bits with the offline STR-median
+    /// rule (fastest half of strings → 0, ties broken by string index),
+    /// then drops the layer latencies.
     fn fold_layer(&mut self) {
-        let s = usize::from(self.strings);
-        let fast = (s / 2).max(1);
-        let mut idx: Vec<usize> = (0..s).collect();
-        idx.sort_by(|&a, &b| {
-            self.current_layer[a]
-                .partial_cmp(&self.current_layer[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut slow = vec![true; s];
-        for &i in idx.iter().take(fast) {
-            slow[i] = false;
-        }
-        for bit in slow {
-            self.eigen.push(bit);
-        }
+        let first = self.eigen.len();
+        self.eigen.push_zeros(self.current_layer.len());
+        rank::mark_slow_strings(&self.current_layer, self.eigen.words_mut(), first);
         self.current_layer.clear();
     }
 
@@ -156,24 +145,42 @@ impl BlockGatherer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank;
     use flash_model::{BlockId, ChipId, PlaneId};
 
     fn addr() -> BlockAddr {
         BlockAddr::new(ChipId(0), PlaneId(0), BlockId(7))
     }
 
-    #[test]
-    fn gathers_sum_and_eigen_in_order() {
-        let t = [10.0, 30.0, 20.0, 40.0, 5.0, 5.0, 50.0, 5.0];
-        let mut g = BlockGatherer::new(addr(), 4, 2);
+    fn gather(t: &[f64], strings: u16) -> BlockSummary {
+        let layers = (t.len() / usize::from(strings)) as u16;
+        let mut g = BlockGatherer::new(addr(), strings, layers);
         for (i, &lat) in t.iter().enumerate() {
             g.record(i as u32, lat).unwrap();
         }
-        let s = g.finish().unwrap();
+        g.finish().unwrap()
+    }
+
+    #[test]
+    fn gathers_sum_and_eigen_in_order() {
+        let t = [10.0, 30.0, 20.0, 40.0, 5.0, 5.0, 50.0, 5.0];
+        let s = gather(&t, 4);
         assert_eq!(s.pgm_sum_us, t.iter().sum::<f64>());
         // Must match the offline STR-median quantization.
         assert_eq!(s.eigen, rank::str_median_eigen(&t, 4));
+        // Tie-heavy layers (three latency levels) across string counts:
+        // gathering, the offline eigen and the rank definition (string rank
+        // at or past the fastest half → 1) all agree.
+        for strings in [1u16, 2, 3, 4, 8] {
+            let s = usize::from(strings);
+            let t: Vec<f64> =
+                (0..s * 40).map(|i| 1880.1 + 18.4 * ((i * i / 3 + i) % 3) as f64).collect();
+            let ranks = rank::str_ranks(&t, strings);
+            let fast = (strings / 2).max(1);
+            let by_rank: EigenSequence = ranks.iter().map(|&r| r >= u32::from(fast)).collect();
+            let offline = rank::str_median_eigen(&t, strings);
+            assert_eq!(offline, by_rank, "strings={strings}");
+            assert_eq!(gather(&t, strings).eigen, offline, "strings={strings}");
+        }
     }
 
     #[test]

@@ -81,8 +81,9 @@ pub fn write_pool<W: Write>(pool: &BlockPool, mut w: W) -> Result<(), PoolIoErro
 ///
 /// # Errors
 ///
-/// Returns [`PoolIoError`] on malformed rows, I/O failure or inconsistent
-/// pool shapes.
+/// Returns [`PoolIoError`] on malformed rows (a latency that is not finite,
+/// or carries a minus sign, `-0` included, is malformed), I/O failure or
+/// inconsistent pool shapes.
 pub fn read_pool<R: BufRead>(r: R) -> Result<BlockPool, PoolIoError> {
     let mut strings: u16 = 4;
     let mut pools: usize = 0;
@@ -130,10 +131,25 @@ pub fn read_pool<R: BufRead>(r: R) -> Result<BlockPool, PoolIoError> {
         let plane = next_num("plane")? as u16;
         let block = next_num("block")? as u32;
         let pe = next_num("pe")? as u32;
-        let tbers = next_num("tbers_us")?;
+        let latency = |name: &str, t: f64| {
+            // A sign test, so `-0` is refused too: `total_cmp` would order
+            // it before `0` while `>=` treats the two as equal.
+            if t.is_finite() && t.is_sign_positive() {
+                Ok(t)
+            } else {
+                Err(malformed(format!(
+                    "{name} must be a finite, non-negative latency (not -0), got {t}"
+                )))
+            }
+        };
+        let tbers = latency("tbers_us", next_num("tbers_us")?)?;
         let tprog: Result<Vec<f64>, _> = fields
             .map(|f| {
-                f.trim().parse::<f64>().map_err(|e| malformed(format!("bad tprog value: {e}")))
+                let t = f
+                    .trim()
+                    .parse::<f64>()
+                    .map_err(|e| malformed(format!("bad tprog value: {e}")))?;
+                latency("tprog value", t)
             })
             .collect();
         let tprog = tprog?;
@@ -189,6 +205,53 @@ mod tests {
         let data = b"# strings=4 pools=1\n0,0,0,0,0,3000,1.0,2.0,3.0,4.0\nnot,a,row\n" as &[u8];
         let err = read_pool(data).unwrap_err();
         assert!(err.to_string().contains("row 2"), "{err}");
+    }
+
+    #[test]
+    fn rejects_non_finite_and_negative_latencies_with_row_number() {
+        let good = "0,0,0,0,0,3000,1.0,2.0,3.0,4.0";
+        for bad in [
+            "0,0,0,1,0,3000,1.0,NaN,3.0,4.0",
+            "0,0,0,1,0,3000,1.0,inf,3.0,4.0",
+            "0,0,0,1,0,3000,1.0,-2.0,3.0,4.0",
+            "0,0,0,1,0,NaN,1.0,2.0,3.0,4.0",
+            "0,0,0,1,0,-inf,1.0,2.0,3.0,4.0",
+            "0,0,0,1,0,-1,1.0,2.0,3.0,4.0",
+            "0,0,0,1,0,3000,1.0,-0,3.0,4.0",
+            "0,0,0,1,0,-0.0,1.0,2.0,3.0,4.0",
+        ] {
+            let data = format!("# strings=4 pools=1\n{good}\n{bad}\n");
+            match read_pool(data.as_bytes()) {
+                Err(PoolIoError::Malformed { row: 2, reason }) => {
+                    assert!(reason.contains("finite, non-negative"), "{bad}: {reason}");
+                }
+                other => panic!("{bad}: expected a row-2 rejection, got {other:?}"),
+            }
+        }
+    }
+
+    /// A pool CSV with a NaN latency, 2 pools x 40 blocks x 32 word-lines,
+    /// the shape on which LWL-RANK's sort panicked under a partial order:
+    /// the reader rejects it, naming the row.
+    #[test]
+    fn nan_pool_csv_is_rejected_before_assembly() {
+        let mut csv = String::from("# strings=4 pools=2\n");
+        for p in 0..2 {
+            for b in 0..40 {
+                csv.push_str(&format!("{p},{p},0,{b},0,3000"));
+                for wl in 0..32 {
+                    let t = if p == 1 && b == 17 && wl == 5 {
+                        f64::NAN
+                    } else {
+                        1700.0 + f64::from((b * 7 + wl * 3) % 5) * 18.4
+                    };
+                    csv.push_str(&format!(",{t}"));
+                }
+                csv.push('\n');
+            }
+        }
+        let err = read_pool(csv.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("row 58"), "{err}");
     }
 
     #[test]

@@ -26,20 +26,13 @@ pub fn lwl_ranks(tprog_us: &[f64]) -> Vec<u32> {
 pub fn pwl_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
     let s = usize::from(strings);
     assert!(s > 0 && tprog_us.len().is_multiple_of(s), "latency vector not layer-major");
-    let layers = tprog_us.len() / s;
     let mut out = vec![0u32; tprog_us.len()];
+    let mut keyed = Vec::with_capacity(tprog_us.len() / s);
     for string in 0..s {
-        // Latencies of this string across layers, keeping layer ids.
-        let mut idx: Vec<usize> = (0..layers).collect();
-        idx.sort_by(|&a, &b| {
-            tprog_us[a * s + string]
-                .partial_cmp(&tprog_us[b * s + string])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        for (rank, &layer) in idx.iter().enumerate() {
-            out[layer * s + string] = rank as u32;
-        }
+        // Latencies of this string across layers, keyed by their word-line.
+        keyed.clear();
+        keyed.extend((string..tprog_us.len()).step_by(s).map(|wl| (tprog_us[wl], wl as u32)));
+        assign_ranks(&mut keyed, &mut out);
     }
     out
 }
@@ -55,19 +48,12 @@ pub fn pwl_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
 pub fn str_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
     let s = usize::from(strings);
     assert!(s > 0 && tprog_us.len().is_multiple_of(s), "latency vector not layer-major");
-    let layers = tprog_us.len() / s;
     let mut out = vec![0u32; tprog_us.len()];
-    let mut idx: Vec<usize> = Vec::with_capacity(s);
-    for layer in 0..layers {
-        let row = &tprog_us[layer * s..(layer + 1) * s];
-        idx.clear();
-        idx.extend(0..s);
-        idx.sort_by(|&a, &b| {
-            row[a].partial_cmp(&row[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-        });
-        for (rank, &string) in idx.iter().enumerate() {
-            out[layer * s + string] = rank as u32;
-        }
+    let mut keyed = Vec::with_capacity(s);
+    for first in (0..tprog_us.len()).step_by(s) {
+        keyed.clear();
+        keyed.extend((first..first + s).map(|wl| (tprog_us[wl], wl as u32)));
+        assign_ranks(&mut keyed, &mut out);
     }
     out
 }
@@ -90,22 +76,60 @@ pub fn str_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
 /// Panics if `tprog_us.len()` is not a multiple of `strings`.
 #[must_use]
 pub fn str_median_eigen(tprog_us: &[f64], strings: u16) -> EigenSequence {
-    let ranks = str_ranks(tprog_us, strings);
-    let fast = u32::from(strings / 2).max(1);
-    ranks.iter().map(|&r| r >= fast).collect()
+    let mut eigen = EigenSequence::zeros(tprog_us.len());
+    str_median_bits(tprog_us, strings, eigen.words_mut());
+    eigen
+}
+
+/// Writes the [`str_median_eigen`] bits of a block into `words` (bit `i`
+/// of the sequence at `words[i / 64] >> (i % 64)`), which must start zeroed.
+///
+/// # Panics
+///
+/// Panics if `tprog_us.len()` is not a multiple of `strings`, or if
+/// `words` holds fewer than `tprog_us.len()` bits.
+pub(crate) fn str_median_bits(tprog_us: &[f64], strings: u16, words: &mut [u64]) {
+    let s = usize::from(strings);
+    assert!(s > 0 && tprog_us.len().is_multiple_of(s), "latency vector not layer-major");
+    for (layer, row) in tprog_us.chunks_exact(s).enumerate() {
+        mark_slow_strings(row, words, layer * s);
+    }
+}
+
+/// The STR-median rule for one physical word-line layer: every string
+/// outside the fastest `max(strings / 2, 1)` — ties broken by string index
+/// — sets its bit, bit `first + string` of `words`. Allocation-free: a
+/// string is slow when at least that many strings order before it.
+pub(crate) fn mark_slow_strings(layer: &[f64], words: &mut [u64], first: usize) {
+    let fast = (layer.len() / 2).max(1);
+    for (i, t) in layer.iter().enumerate() {
+        // Lower-indexed strings order first on a tie.
+        let before = layer[..i].iter().filter(|u| u.total_cmp(t).is_le()).count()
+            + layer[i + 1..].iter().filter(|u| u.total_cmp(t).is_lt()).count();
+        if before >= fast {
+            let bit = first + i;
+            words[bit / 64] |= 1 << (bit % 64);
+        }
+    }
 }
 
 /// Ranks an arbitrary latency vector (0 = fastest, ties by index).
 fn rank_all(values: &[f64]) -> Vec<u32> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[a].partial_cmp(&values[b]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
+    let mut keyed: Vec<(f64, u32)> = values.iter().zip(0..).map(|(&t, wl)| (t, wl)).collect();
     let mut out = vec![0u32; values.len()];
-    for (rank, &i) in idx.iter().enumerate() {
-        out[i] = rank as u32;
-    }
+    assign_ranks(&mut keyed, &mut out);
     out
+}
+
+/// Sorts one group of `(latency, word-line)` pairs fastest first — ties by
+/// word-line, which is also the order by index within the group — and
+/// writes each word-line's rank within the group to `out[word-line]`.
+fn assign_ranks(keyed: &mut [(f64, u32)], out: &mut [u32]) {
+    // The keys are distinct, so the unstable sort has one result.
+    keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    for (rank, &(_, wl)) in keyed.iter().enumerate() {
+        out[wl as usize] = rank as u32;
+    }
 }
 
 #[cfg(test)]
@@ -193,6 +217,21 @@ mod tests {
         assert_eq!(str_median_eigen(&[1579.1, 1646.6, 1579.1, 1579.1], 4).to_string(), "0101");
         // PWL 95: 1898.6, 1910.8, 1880.1, 1910.8 -> figure says 0 1 0 1.
         assert_eq!(str_median_eigen(&[1898.6, 1910.8, 1880.1, 1910.8], 4).to_string(), "0101");
+    }
+
+    #[test]
+    fn nan_latencies_rank_without_panicking() {
+        // 32 word-lines with ties and one NaN: the comparator is a total
+        // order, so the sort cannot panic and the ranks stay a permutation.
+        let mut t: Vec<f64> = (0..32).map(|i| 1700.0 + f64::from(i % 3) * 18.4).collect();
+        t[5] = f64::NAN;
+        let mut r = lwl_ranks(&t);
+        assert_eq!(r[5], 31, "NaN sorts after every finite latency");
+        r.sort_unstable();
+        assert_eq!(r, (0..32).collect::<Vec<u32>>());
+        let _ = pwl_ranks(&t, 4);
+        let _ = str_ranks(&t, 4);
+        let _ = str_median_eigen(&t, 4);
     }
 
     #[test]

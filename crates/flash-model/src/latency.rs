@@ -23,7 +23,7 @@
 use crate::ber::{BerModel, RberFactors};
 use crate::fault::FaultInjector;
 use crate::geometry::Geometry;
-use crate::ids::{BlockAddr, PageAddr, PwlLayer, WlAddr};
+use crate::ids::{BlockAddr, PageAddr, PwlLayer, StringId, WlAddr};
 use crate::sampler::Sampler;
 use crate::variation::{StringMask, VariationConfig};
 use std::cell::RefCell;
@@ -103,6 +103,17 @@ impl LatencyModel {
     /// per-chip constant offset. Shared by all blocks of a chip.
     #[must_use]
     pub fn layer_base_us(&self, addr: BlockAddr, layer: PwlLayer) -> f64 {
+        self.layer_base_with(self.chip_offset_us(addr), addr, layer)
+    }
+
+    /// The per-chip constant term of [`Self::layer_base_us`].
+    fn chip_offset_us(&self, addr: BlockAddr) -> f64 {
+        self.var.chip_offset_sigma_us
+            * self.sampler.normal(&[TAG_CHIP_OFFSET, u64::from(addr.chip.0)])
+    }
+
+    /// [`Self::layer_base_us`] given its chip offset.
+    fn layer_base_with(&self, chip_off: f64, addr: BlockAddr, layer: PwlLayer) -> f64 {
         let v = &self.var;
         let layers = f64::from(self.geo.pwl_layers());
         let x = if layers > 1.0 { 2.0 * f64::from(layer.0) / (layers - 1.0) - 1.0 } else { 0.0 };
@@ -110,8 +121,6 @@ impl LatencyModel {
         let group = u64::from(layer.0 / self.var.layer_group_size);
         let group_off = v.layer_group_sigma_us
             * self.sampler.normal(&[TAG_LAYER_GROUP, u64::from(addr.chip.0), group]);
-        let chip_off = v.chip_offset_sigma_us
-            * self.sampler.normal(&[TAG_CHIP_OFFSET, u64::from(addr.chip.0)]);
         v.prog_base_us + curve + group_off + chip_off
     }
 
@@ -187,6 +196,11 @@ impl LatencyModel {
     /// family, occasionally flipped to a block-private pattern.
     #[must_use]
     pub fn fast_strings(&self, addr: BlockAddr, layer: PwlLayer) -> StringMask {
+        self.fast_strings_with(addr, layer, self.pattern_family(addr))
+    }
+
+    /// [`Self::fast_strings`] given the block's [`Self::pattern_family`].
+    fn fast_strings_with(&self, addr: BlockAddr, layer: PwlLayer, family: u32) -> StringMask {
         let v = &self.var;
         let [c, p, b] = Self::block_tags(addr);
         let l = u64::from(layer.0);
@@ -198,7 +212,7 @@ impl LatencyModel {
         {
             self.sampler.choice(combos as usize, &[TAG_PATTERN_FLIP_PICK, c, p, b, l]) as u32
         } else {
-            let fam = u64::from(self.pattern_family(addr));
+            let fam = u64::from(family);
             self.sampler.choice(combos as usize, &[TAG_PATTERN, fam, l]) as u32
         };
         k_subset_mask(strings, n_fast, idx)
@@ -234,17 +248,66 @@ impl LatencyModel {
     #[must_use]
     pub fn program_prefix_us(&self, wl: WlAddr) -> f64 {
         assert!(self.geo.contains_block(wl.block), "address {wl} out of range");
-        let v = &self.var;
-        let layer = self.geo.layer_of(wl.lwl);
-        let string = self.geo.string_of(wl.lwl);
-        let base = self.layer_base_us(wl.block, layer);
-        let speed = self.block_speed_us(wl.block);
-        let pattern = if self.fast_strings(wl.block, layer).contains(string.0) {
-            0.0
-        } else {
-            v.pattern_penalty_us
-        };
-        base + speed + pattern
+        let block = self.block_terms(wl.block);
+        let layer = self.layer_terms(&block, wl.block, self.geo.layer_of(wl.lwl));
+        self.prefix_of(&block, &layer, self.geo.string_of(wl.lwl))
+    }
+
+    /// Program latencies of every logical word-line of one block at P/E
+    /// cycle `pe`, in word-line order; bit-identical to calling
+    /// [`Self::program_latency_us`] on each word-line.
+    ///
+    /// The block's speed, outlier and pattern-family terms are drawn once,
+    /// each layer's base and fast-string mask once per layer, so a
+    /// word-line pays only for its noise draw — the block-at-a-time path
+    /// characterization takes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range for the geometry.
+    pub fn block_program_latencies_us(
+        &self,
+        addr: BlockAddr,
+        pe: u32,
+    ) -> impl Iterator<Item = f64> + '_ {
+        assert!(self.geo.contains_block(addr), "address {addr} out of range");
+        let block = self.block_terms(addr);
+        (0..self.geo.pwl_layers()).flat_map(move |l| {
+            let layer = self.layer_terms(&block, addr, PwlLayer(l));
+            (0..self.geo.strings()).map(move |s| {
+                let string = StringId(s);
+                let prefix = self.prefix_of(&block, &layer, string);
+                self.program_latency_from_prefix_us(
+                    prefix,
+                    addr.wl(self.geo.lwl_of(PwlLayer(l), string)),
+                    pe,
+                )
+            })
+        })
+    }
+
+    /// The static program terms shared by every word-line of a block.
+    fn block_terms(&self, addr: BlockAddr) -> BlockTerms {
+        BlockTerms {
+            speed: self.block_speed_us(addr),
+            family: self.pattern_family(addr),
+            chip_off: self.chip_offset_us(addr),
+        }
+    }
+
+    /// The static program terms shared by every string of one layer.
+    fn layer_terms(&self, block: &BlockTerms, addr: BlockAddr, layer: PwlLayer) -> LayerTerms {
+        LayerTerms {
+            base: self.layer_base_with(block.chip_off, addr, layer),
+            fast: self.fast_strings_with(addr, layer, block.family),
+        }
+    }
+
+    /// Layer base + block speed + string-pattern penalty: the one place the
+    /// wear-independent program prefix is summed.
+    fn prefix_of(&self, block: &BlockTerms, layer: &LayerTerms, string: StringId) -> f64 {
+        let pattern = if layer.fast.contains(string.0) { 0.0 } else { self.var.pattern_penalty_us };
+        layer.base + block.speed + pattern
     }
 
     /// Finishes a program-latency synthesis from a cached
@@ -355,8 +418,28 @@ impl LatencyModel {
     /// "BLK PGM LTN" metric used to sort blocks.
     #[must_use]
     pub fn block_program_sum_us(&self, addr: BlockAddr, pe: u32) -> f64 {
-        self.geo.lwls().map(|lwl| self.program_latency_us(addr.wl(lwl), pe)).sum()
+        self.block_program_latencies_us(addr, pe).sum()
     }
+}
+
+/// Static program terms of one block, drawn once per block.
+#[derive(Clone, Copy)]
+struct BlockTerms {
+    /// [`LatencyModel::block_speed_us`].
+    speed: f64,
+    /// [`LatencyModel::pattern_family`].
+    family: u32,
+    /// The per-chip term of [`LatencyModel::layer_base_us`].
+    chip_off: f64,
+}
+
+/// Static program terms of one layer of a block, drawn once per layer.
+#[derive(Clone, Copy)]
+struct LayerTerms {
+    /// [`LatencyModel::layer_base_us`].
+    base: f64,
+    /// [`LatencyModel::fast_strings`].
+    fast: StringMask,
 }
 
 /// Memoized static terms of latency and RBER synthesis.
@@ -744,6 +827,45 @@ mod tests {
         let a = blk(2, 7);
         let manual: f64 = m.geometry().lwls().map(|l| m.program_latency_us(a.wl(l), 0)).sum();
         assert_eq!(m.block_program_sum_us(a, 0), manual);
+    }
+
+    #[test]
+    fn block_routine_matches_per_word_line_synthesis() {
+        for strings in [1u16, 2, 4, 8] {
+            for cell in [CellType::Mlc, CellType::Tlc] {
+                for (flip, outlier) in [(0.0, 0.0), (0.3, 0.0), (0.0, 0.3), (0.3, 0.3)] {
+                    let var = VariationConfig {
+                        pattern_flip_prob: flip,
+                        outlier_prob: outlier,
+                        ..VariationConfig::default()
+                    };
+                    let m = LatencyModel::new(Geometry::new(2, 2, 6, 5, strings, cell), var, 11);
+                    let geo = m.geometry().clone();
+                    for addr in geo.blocks() {
+                        for pe in [0u32, 3000] {
+                            let block: Vec<u64> =
+                                m.block_program_latencies_us(addr, pe).map(f64::to_bits).collect();
+                            let per_wl: Vec<u64> = geo
+                                .lwls()
+                                .map(|lwl| m.program_latency_us(addr.wl(lwl), pe).to_bits())
+                                .collect();
+                            assert_eq!(block, per_wl, "{addr} strings={strings} pe={pe}");
+                            let sum: f64 =
+                                geo.lwls().map(|lwl| m.program_latency_us(addr.wl(lwl), pe)).sum();
+                            assert_eq!(m.block_program_sum_us(addr, pe).to_bits(), sum.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn block_routine_out_of_range_panics() {
+        let m = model();
+        let bad = BlockAddr::new(ChipId(99), PlaneId(0), BlockId(0));
+        let _ = m.block_program_latencies_us(bad, 0);
     }
 
     #[test]
