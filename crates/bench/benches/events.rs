@@ -1,18 +1,16 @@
-//! Micro-benchmarks of the event core's scheduler primitives: calendar
-//! queue push/pop, the sorted-ring depth tracker, and arena alloc/free.
+//! Micro-benchmarks of the event core: the sorted-ring depth tracker behind
+//! the batched device replay, and the host frontend's 16-tenant dispatch
+//! loop.
 //!
-//! These isolate the structures behind `perf_events` so a regression in
-//! the batched engine's throughput can be attributed: is the queue, the
-//! tracker or the arena slower, or is it the replay loop around them?
+//! These isolate the pieces behind `perf_events` so a regression in the
+//! batched engine's throughput can be attributed: is the tracker slower,
+//! is the frontend's admission and arbitration slower, or is it the device
+//! step around them?
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ftl::sched::{Arena, CalendarQueue, DepthTracker};
-
-/// Deterministic scatter of event times across a 10 ms span — wide enough
-/// to exercise bucket rotation and at least one resize cycle.
-fn scattered_times(n: u32) -> Vec<f64> {
-    (0..n).map(|i| f64::from((i.wrapping_mul(7919)) % 10_000)).collect()
-}
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use ftl::sched::DepthTracker;
+use ftl::{EngineMode, FtlConfig, IoRequest, QosClass, Ssd};
+use host::{Arbitration, HostFrontend, TenantSpec};
 
 /// Near-sorted completion times the way a replay produces them: a
 /// monotone base clock plus a small per-chip service jitter.
@@ -20,39 +18,41 @@ fn near_sorted_times(n: u32) -> Vec<f64> {
     (0..n).map(|i| f64::from(i) * 2.5 + f64::from(i.wrapping_mul(2654435761) % 97)).collect()
 }
 
+/// Sixteen tenants shaped like the benchmark's `tenants_read_mostly`
+/// (LC/Std/BG cycling, weights 1-4, depths 8/16/24, WRR) over an empty
+/// batched device, each with `per_tenant` reads of unwritten pages. A miss
+/// costs the device almost nothing, so the time is the frontend's own:
+/// admission, the due-arrival tree, arbitration and dispatch bookkeeping.
+/// Arrivals sit on a coarse grid so tenants fall due at the same instant,
+/// and bursts overrun the shallow queues.
+fn dispatch_frontend(per_tenant: u64) -> HostFrontend {
+    let config = FtlConfig { engine: EngineMode::Batched, ..FtlConfig::small_test() };
+    let ssd = Ssd::new(config, 11).expect("valid config");
+    let pages = ssd.geometry_info().logical_pages;
+    let specs = (0..16)
+        .map(|i| {
+            let qos = [QosClass::LatencyCritical, QosClass::Standard, QosClass::Background][i % 3];
+            TenantSpec::new(&format!("t{i:02}"), qos)
+                .weight(1 + (i % 4) as u32)
+                .queue_depth(8 + (i % 3) * 8)
+        })
+        .collect();
+    let mut front = HostFrontend::new(ssd, specs, Arbitration::WeightedRoundRobin);
+    for tenant in 0..16u64 {
+        let stream: Vec<(f64, IoRequest)> = (0..per_tenant)
+            .map(|i| {
+                let burst = i / 32;
+                let at = (burst * 400 + (i * 7 + tenant * 13) % 24) as f64;
+                (at, IoRequest::read((tenant * per_tenant + i) % pages))
+            })
+            .collect();
+        front.submit(tenant as usize, &stream);
+    }
+    front
+}
+
 fn bench_events(c: &mut Criterion) {
-    let scattered = scattered_times(4096);
     let near_sorted = near_sorted_times(4096);
-
-    c.bench_function("calendar_push_pop_4096_scattered", |b| {
-        b.iter(|| {
-            let mut q = CalendarQueue::new();
-            for (i, &t) in scattered.iter().enumerate() {
-                q.push(black_box(t), i as u32);
-            }
-            let mut acc = 0.0;
-            while let Some(ev) = q.pop_min() {
-                acc += ev.time;
-            }
-            acc
-        })
-    });
-
-    c.bench_function("calendar_arrive_probe_4096", |b| {
-        // The steady-state shape: a standing backlog probed by arrivals
-        // that mostly retire nothing (min_cache fast path).
-        let mut q = CalendarQueue::new();
-        for (i, &t) in near_sorted.iter().enumerate() {
-            q.complete_at(t + f64::from(i as u32));
-        }
-        b.iter(|| {
-            let mut depth = 0usize;
-            for i in 0..4096u32 {
-                depth = depth.wrapping_add(q.arrive(black_box(f64::from(i) * 0.001)));
-            }
-            depth
-        })
-    });
 
     c.bench_function("depth_tracker_replay_4096", |b| {
         // One complete_at + one arrive per op, near-sorted input — the
@@ -68,22 +68,15 @@ fn bench_events(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("arena_alloc_free_churn_4096", |b| {
-        // Bounded in-flight depth: 64 live records, LIFO slot reuse.
-        b.iter(|| {
-            let mut arena: Arena<[u64; 4]> = Arena::new();
-            let mut live = [0u32; 64];
-            for (slot, live_handle) in live.iter_mut().enumerate() {
-                *live_handle = arena.alloc([slot as u64; 4]);
-            }
-            let mut acc = 0u64;
-            for i in 0..4096u64 {
-                let slot = (i % 64) as usize;
-                acc = acc.wrapping_add(arena.free(live[slot])[0]);
-                live[slot] = arena.alloc([i; 4]);
-            }
-            black_box(acc)
-        })
+    c.bench_function("frontend_dispatch_16_tenants_8192", |b| {
+        b.iter_batched(
+            || dispatch_frontend(512),
+            |mut front| {
+                front.run().expect("reads of unwritten pages are misses, not errors");
+                front.dispatch_log().len()
+            },
+            BatchSize::SmallInput,
+        )
     });
 }
 

@@ -4,10 +4,10 @@
 //! (fresh latency synthesis per op, `BinaryHeap` depth tracking, per-op
 //! histogram inserts) and, for the traced
 //! class, the legacy quadratic `submit_traced` admission. "After" is the
-//! batched engine: calendar-queue completion tracking, prefix-cached
+//! batched engine: sorted-ring completion tracking, prefix-cached
 //! latency synthesis, struct-of-arrays stat accumulators folded once at
 //! `timed_end`, the frontend's
-//! event-driven drain (arena-backed records, packed readiness mask), and
+//! event-driven drain (per-tenant due times, packed readiness mask), and
 //! single-sort batched admission.
 //!
 //! Three classes, each asserted bit-identical before the speedup counts:
@@ -356,7 +356,7 @@ fn main() {
     let runs: Vec<String> = [&device, &frontend, &traced].iter().map(|t| t.to_json()).collect();
     let json = format!(
         "{{\n  \"bench\": \"Event-driven replay core: per-op stepper loop + quadratic traced \
-         admission (before) vs batched calendar-queue engine + single-sort admission (after); \
+         admission (before) vs batched event engine + single-sort admission (after); \
          full stat set asserted bit-identical per class\",\n  \
          \"command\": \"cargo run --release -p repro-bench --bin perf_events\",\n  \
          \"quick\": {quick},\n  \

@@ -356,8 +356,7 @@ impl FlashArray {
         let data = self.blocks[idx].read_page(self.geometry(), page)?;
         if self.track_disturb {
             let total = self.geometry().pages_per_block() as usize;
-            let pidx =
-                (page.wl.lwl.0 * self.geometry().pages_per_lwl() + page.page.index()) as usize;
+            let pidx = self.geometry().offset_in_block(page);
             self.blocks[idx].record_read_disturb(total, pidx);
         }
         let pe = self.blocks[idx].wear.pe_cycles();
@@ -378,7 +377,7 @@ impl FlashArray {
     #[must_use]
     pub fn read_disturbs(&self, page: PageAddr) -> u64 {
         let idx = self.geometry().block_index(page.wl.block);
-        let pidx = (page.wl.lwl.0 * self.geometry().pages_per_lwl() + page.page.index()) as usize;
+        let pidx = self.geometry().offset_in_block(page);
         self.blocks[idx].read_disturbs(pidx)
     }
 
@@ -477,7 +476,7 @@ impl FlashArray {
         let idx = self.geometry().block_index(page.wl.block);
         let pe = self.blocks[idx].wear.pe_cycles();
         let layer = self.geometry().layer_of(page.wl.lwl);
-        let pidx = (page.wl.lwl.0 * self.geometry().pages_per_lwl() + page.page.index()) as usize;
+        let pidx = self.geometry().offset_in_block(page);
         let disturbs = self.blocks[idx].read_disturbs(pidx);
         let geo = self.geometry();
         let addr = page.wl.block;
@@ -499,7 +498,7 @@ impl FlashArray {
         // Page-type spread (LSB best, MSB worst) is the page-granular error
         // channel; the multiply is skipped at zero spread so the default
         // stays bit-identical to the block-granular model.
-        let ptm = self.fault.page_type_ber_mult(page.page.index(), self.geometry().pages_per_lwl());
+        let ptm = self.fault.page_type_ber_mult(page.page.slot(geo.cell()), geo.pages_per_lwl());
         if ptm == 1.0 {
             bits
         } else {

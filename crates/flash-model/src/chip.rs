@@ -188,7 +188,7 @@ impl BlockState {
     pub(crate) fn read_page(&self, geo: &Geometry, page: PageAddr) -> Result<u64> {
         self.check_readable(page)?;
         let pages = self.pages.as_ref().ok_or(FlashError::ReadUnwritten { page })?;
-        let idx = (page.wl.lwl.0 * geo.pages_per_lwl() + page.page.index()) as usize;
+        let idx = geo.offset_in_block(page);
         Ok(pages[idx])
     }
 
@@ -197,7 +197,7 @@ impl BlockState {
     /// the filler default.
     pub(crate) fn read_oob(&self, geo: &Geometry, page: PageAddr) -> Result<PageOob> {
         self.check_readable(page)?;
-        let idx = (page.wl.lwl.0 * geo.pages_per_lwl() + page.page.index()) as usize;
+        let idx = geo.offset_in_block(page);
         Ok(self.oob.as_ref().map_or_else(PageOob::default, |o| o[idx]))
     }
 }

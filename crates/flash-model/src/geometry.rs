@@ -205,7 +205,7 @@ impl Geometry {
     }
 
     /// Flat offset of a page within its block: `lwl * pages_per_lwl +
-    /// page.index()`, i.e. program order within the block.
+    /// page.slot(cell)`, i.e. program order within the block.
     ///
     /// # Panics
     ///
@@ -214,9 +214,16 @@ impl Geometry {
     #[must_use]
     pub fn page_offset_in_block(&self, ppa: PageAddr) -> usize {
         assert!(ppa.wl.lwl.0 < self.lwls_per_block(), "lwl {} out of range", ppa.wl.lwl);
-        let pt = ppa.page.index();
+        let pt = ppa.page.slot(self.cell);
         assert!(pt < self.pages_per_lwl(), "page type {} invalid for {:?}", ppa.page, self.cell);
-        ppa.wl.lwl.0 as usize * self.pages_per_lwl() as usize + pt as usize
+        self.offset_in_block(ppa)
+    }
+
+    /// [`Geometry::page_offset_in_block`] without its range checks, for the
+    /// per-read paths that index a block's page tables (the tables' own
+    /// bounds checks still apply).
+    pub(crate) fn offset_in_block(&self, ppa: PageAddr) -> usize {
+        ppa.wl.lwl.0 as usize * self.pages_per_lwl() as usize + ppa.page.slot(self.cell) as usize
     }
 
     /// Stable flat index of a page address, suitable for dense tables:
@@ -340,6 +347,21 @@ mod tests {
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn page_offsets_round_trip_for_every_cell_type() {
+        for cell in [CellType::Slc, CellType::Mlc, CellType::Tlc, CellType::Qlc] {
+            let g = Geometry::new(2, 1, 2, 2, 2, cell);
+            for b in g.blocks() {
+                for off in 0..g.pages_per_block() as usize {
+                    let ppa = g.page_at_offset(b, off);
+                    assert_eq!(g.page_offset_in_block(ppa), off, "{cell:?} offset {off}");
+                    let idx = g.page_index(ppa);
+                    assert_eq!(g.page_at_index(idx), ppa, "{cell:?} index {idx}");
+                }
+            }
+        }
     }
 
     #[test]

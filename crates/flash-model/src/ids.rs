@@ -96,9 +96,24 @@ impl PageType {
         }
     }
 
-    /// Inverse of [`PageType::index`] for a given cell type.
+    /// Position of this page type within a word-line of `cell`: its index
+    /// in [`PageType::for_cell`]`(cell)`, and so its in-word-line page
+    /// offset. SLC, TLC and QLC slots equal [`PageType::index`]; MLC has
+    /// no CSB page, so its MSB sits in slot 1. A page type `cell` does not
+    /// have gets a slot of at least `cell.bits_per_cell()`, which range
+    /// checks reject.
+    #[must_use]
+    pub fn slot(self, cell: CellType) -> u32 {
+        match (cell, self) {
+            (CellType::Mlc, PageType::Msb) => 1,
+            (CellType::Mlc, PageType::Csb) => 2,
+            _ => self.index(),
+        }
+    }
+
+    /// Inverse of [`PageType::slot`] for a given cell type.
     ///
-    /// Returns `None` when the index is out of range for the cell type.
+    /// Returns `None` when the slot is out of range for the cell type.
     #[must_use]
     pub fn from_index(cell: CellType, index: u32) -> Option<PageType> {
         PageType::for_cell(cell).get(index as usize).copied()
@@ -227,8 +242,15 @@ mod tests {
         for cell in [CellType::Slc, CellType::Mlc, CellType::Tlc, CellType::Qlc] {
             for (i, pt) in PageType::for_cell(cell).iter().enumerate() {
                 assert_eq!(PageType::from_index(cell, i as u32), Some(*pt));
+                assert_eq!(pt.slot(cell), i as u32, "{pt} slot in {cell:?}");
             }
             assert_eq!(PageType::from_index(cell, cell.bits_per_cell()), None);
+            // Page types the cell lacks land past the word-line.
+            for pt in [PageType::Lsb, PageType::Csb, PageType::Msb, PageType::Top] {
+                if !PageType::for_cell(cell).contains(&pt) {
+                    assert!(pt.slot(cell) >= cell.bits_per_cell(), "{pt} in {cell:?}");
+                }
+            }
         }
     }
 

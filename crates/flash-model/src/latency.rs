@@ -388,7 +388,8 @@ impl LatencyModel {
         assert!(self.geo.contains_block(page.wl.block), "address out of range");
         let v = &self.var;
         let [c, p, b] = Self::block_tags(page.wl.block);
-        let step = v.read_page_step_us * f64::from(page.page.index());
+        let slot = page.page.slot(self.geo.cell());
+        let step = v.read_page_step_us * f64::from(slot);
         // Per-block tR deviation, correlated with program speed through the
         // same latent quality the erase path uses. Gated so the default
         // (sigma 0) adds a literal `+ 0.0` and stays bit-identical.
@@ -408,7 +409,7 @@ impl LatencyModel {
                 p,
                 b,
                 u64::from(page.wl.lwl.0),
-                u64::from(page.page.index()),
+                u64::from(slot),
                 u64::from(pe),
             ]);
         (v.read_base_us + step + block_dev + noise).max(1.0)

@@ -220,7 +220,7 @@ pub struct FtlConfig {
     /// Replay engine for [`crate::Ssd::run_timed`] and the host frontend.
     /// `Stepper` (the default) is the original one-op-at-a-time loop and
     /// stays byte-for-byte untouched; `Batched` drives the same request
-    /// sequence through the event-driven core (calendar-queue completion
+    /// sequence through the event-driven core (sorted-ring completion
     /// tracking, batched admission, prefix-cached latency synthesis,
     /// struct-of-arrays stat accumulators folded at `timed_end`). Every statistic the two engines produce is bit-identical
     /// — the stepper is the batched engine's golden oracle.

@@ -676,7 +676,7 @@ impl Ssd {
 
     /// One step of the batched scalar-clock replay. The clock arithmetic is
     /// the stepper's ([`Ssd::timed_step_single`]) operation for operation;
-    /// only the bookkeeping around it changes (calendar-queue completions,
+    /// only the bookkeeping around it changes (sorted-ring completions,
     /// deferred histogram samples), so every stat folds out bit-identical.
     fn timed_step_batched_single(
         &mut self,

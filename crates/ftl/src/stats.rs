@@ -1,6 +1,7 @@
 //! Device statistics: latencies, write amplification, extra-latency
 //! accounting.
 
+use crate::sched::{from_total_key, total_key, Tournament};
 use std::sync::OnceLock;
 
 /// A simple latency sample collector with percentile queries.
@@ -82,9 +83,11 @@ impl LatencyHistogram {
     /// query. Parts whose caches are cold are sorted here once (the
     /// per-part sorts a fleet reduction already paid stay paid).
     ///
-    /// Ties across parts break toward the earlier part, matching the
-    /// stable sort of the concatenation, so every quantile answer is
-    /// bit-identical to the `merge` path on NaN-free samples.
+    /// The merge is a [`Tournament`] over the [`total_key`] of each run's
+    /// head, so it orders exactly like the [`f64::total_cmp`] sort behind
+    /// every quantile, and its output is bit-identical to the `merge`
+    /// path. Keys that compare equal are the same bits, so which part a
+    /// tie is taken from cannot show.
     ///
     /// Nearest-rank quantiles keep their semantics after a fold — which
     /// matters at the deep tail: `quantile_us(0.9999)` reads the sample at
@@ -98,61 +101,42 @@ impl LatencyHistogram {
     where
         I: IntoIterator<Item = &'a LatencyHistogram>,
     {
-        struct Head<'p> {
-            value: f64,
-            part: usize,
-            rest: &'p [f64],
-        }
-        impl PartialEq for Head<'_> {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == std::cmp::Ordering::Equal
-            }
-        }
-        impl Eq for Head<'_> {}
-        impl PartialOrd for Head<'_> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Head<'_> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // BinaryHeap is a max-heap; reverse so `pop` yields the
-                // smallest value, breaking ties toward the earlier part
-                // (stable with respect to part order, like the one-shot
-                // stable sort of the concatenation).
-                self.value.total_cmp(&other.value).then(self.part.cmp(&other.part)).reverse()
-            }
-        }
-
         let parts: Vec<&LatencyHistogram> = parts.into_iter().collect();
         let total: usize = parts.iter().map(|p| p.len()).sum();
         let mut samples_us = Vec::with_capacity(total);
-        let mut heap = std::collections::BinaryHeap::with_capacity(parts.len());
-        for (idx, part) in parts.iter().enumerate() {
+        let mut runs: Vec<&[f64]> = Vec::with_capacity(parts.len());
+        let mut tree = Tournament::new(parts.len());
+        for (slot, part) in parts.iter().enumerate() {
             samples_us.extend_from_slice(&part.samples_us);
-            let sorted = part.sorted_samples();
-            if let Some((&value, rest)) = sorted.split_first() {
-                heap.push(Head { value, part: idx, rest });
-            }
+            let run = part.sorted_samples();
+            tree.set(slot, head_key(run));
+            runs.push(run);
         }
         let mut merged = Vec::with_capacity(total);
-        while let Some(Head { value, part, rest }) = heap.pop() {
-            merged.push(value);
-            if let Some((&value, rest)) = rest.split_first() {
-                heap.push(Head { value, part, rest });
-            }
+        for _ in 0..total {
+            // The value comes from the winning key, not from the winning
+            // run: an exhausted run (key `u64::MAX`) can only win a tie
+            // with live heads of that same key, whose bits it then emits.
+            let (slot, key) = tree.min();
+            merged.push(from_total_key(key));
+            let rest = runs[slot].get(1..).unwrap_or_default();
+            runs[slot] = rest;
+            tree.set(slot, head_key(rest));
         }
         let sorted = OnceLock::new();
         sorted.set(merged).expect("fresh OnceLock accepts one set");
         LatencyHistogram { samples_us, sorted }
     }
 
-    /// The samples in ascending order, sorting (and caching) on first use.
+    /// The samples in ascending [`f64::total_cmp`] order, sorting (and
+    /// caching) on first use. Sorting the [`total_key`]s as integers gives
+    /// the same order as sorting the values by `total_cmp`, only faster;
+    /// the key vector is converted back in place.
     fn sorted_samples(&self) -> &[f64] {
         self.sorted.get_or_init(|| {
-            let mut s = self.samples_us.clone();
-            s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            s
+            let mut keys: Vec<u64> = self.samples_us.iter().map(|&x| total_key(x)).collect();
+            keys.sort_unstable();
+            keys.into_iter().map(from_total_key).collect()
         })
     }
 
@@ -226,6 +210,12 @@ impl LatencyHistogram {
     pub fn max_us(&self) -> f64 {
         self.samples_us.iter().copied().fold(0.0, f64::max)
     }
+}
+
+/// The [`total_key`] of a sorted run's first sample; `u64::MAX` (the
+/// largest key) once the run is exhausted.
+fn head_key(run: &[f64]) -> u64 {
+    run.first().map_or(u64::MAX, |&x| total_key(x))
 }
 
 /// Counters and histograms of one simulation run.
@@ -605,6 +595,23 @@ mod tests {
         let empties = [LatencyHistogram::new(), LatencyHistogram::new()];
         let folded = LatencyHistogram::fold(empties.iter());
         assert!(folded.is_empty());
+    }
+
+    #[test]
+    fn fold_emits_the_largest_key_after_runs_run_out() {
+        // A NaN with every payload bit set has the largest total-order key,
+        // the same `u64::MAX` an exhausted run holds in the merge tree, so
+        // an exhausted part can win the tie against it. The fold must
+        // still emit exactly the merged samples.
+        let top = f64::from_bits(u64::MAX >> 1);
+        let mut a = LatencyHistogram::new();
+        a.extend(&[1.0]);
+        let mut b = LatencyHistogram::new();
+        b.extend(&[top, 2.0, top]);
+        let folded = LatencyHistogram::fold([&a, &b]);
+        let sorted: Vec<u64> =
+            (0..4).map(|i| folded.quantile_us(f64::from(i) / 3.0).to_bits()).collect();
+        assert_eq!(sorted, [1.0f64.to_bits(), 2.0f64.to_bits(), top.to_bits(), top.to_bits()]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub enum EngineMode {
     /// Original one-op-at-a-time replay loop (golden oracle).
     #[default]
     Stepper,
-    /// Event-driven core: calendar-queue completion tracking, batched
+    /// Event-driven core: sorted-ring completion tracking, batched
     /// admission, prefix-cached latency synthesis, SoA stat accumulators
     /// folded at `timed_end`.
     Batched,

@@ -3,7 +3,7 @@
 //! the dense page mapping must agree with its naive `HashMap` oracle.
 
 use flash_model::{CellType, Geometry};
-use ftl::{FtlConfig, IoRequest, Mapping, OrganizationScheme, Ssd};
+use ftl::{FtlConfig, IoRequest, LatencyHistogram, Mapping, OrganizationScheme, Ssd};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -209,6 +209,71 @@ proptest! {
     }
 }
 
+/// Latency parts drawn from a pool of special values (NaNs of both signs,
+/// signed zeros and infinities) and a coarse grid, so ties within and
+/// across parts are common; empty parts included. The flag per part warms
+/// its sorted cache before the fold.
+fn arb_parts() -> impl Strategy<Value = Vec<(Vec<f64>, bool)>> {
+    let value = (0usize..10, 0u32..6).prop_map(|(kind, x)| match kind {
+        0 => f64::NAN,
+        1 => -f64::NAN,
+        2 => 0.0,
+        3 => -0.0,
+        4 => f64::INFINITY,
+        5 => f64::NEG_INFINITY,
+        _ => f64::from(x) * 12.5,
+    });
+    proptest::collection::vec((proptest::collection::vec(value, 0..40), any::<bool>()), 0..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn quantiles_stay_monotone_and_fold_matches_a_merge_chain(parts in arb_parts()) {
+        let hists: Vec<LatencyHistogram> = parts
+            .iter()
+            .map(|(samples, warm)| {
+                let mut h = LatencyHistogram::new();
+                h.extend(samples);
+                if *warm {
+                    let _ = h.quantile_us(0.5);
+                }
+                h
+            })
+            .collect();
+        let folded = LatencyHistogram::fold(&hists);
+        let mut chained = LatencyHistogram::new();
+        for h in &hists {
+            chained.merge(h);
+        }
+        // Quantiles at q = i / (n - 1) read the sorted run rank by rank.
+        let n = chained.len();
+        let run = |h: &LatencyHistogram| -> Vec<u64> {
+            (0..n).map(|i| h.quantile_us(i as f64 / (n - 1).max(1) as f64).to_bits()).collect()
+        };
+        let mut want: Vec<f64> = chained.samples_us().to_vec();
+        want.sort_by(f64::total_cmp);
+        let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
+        prop_assert_eq!(run(&chained), want.clone(), "merge chain sorts by total order");
+        prop_assert_eq!(run(&folded), want, "fold sorts by total order");
+        let bits = |h: &LatencyHistogram| -> Vec<u64> {
+            h.samples_us().iter().map(|x| x.to_bits()).collect()
+        };
+        prop_assert_eq!(bits(&folded), bits(&chained));
+        prop_assert_eq!(folded.mean_us().to_bits(), chained.mean_us().to_bits());
+        for h in hists.iter().chain([&folded, &chained]) {
+            let qs = (0..=100).map(|i| f64::from(i) / 100.0).chain([0.999, 0.9999, 1.0]);
+            let mut qs: Vec<f64> = qs.collect();
+            qs.sort_by(f64::total_cmp);
+            for pair in qs.windows(2) {
+                let (lo, hi) = (h.quantile_us(pair[0]), h.quantile_us(pair[1]));
+                prop_assert!(lo.total_cmp(&hi).is_le(), "q {} -> {} but q {} -> {}", pair[0], lo, pair[1], hi);
+            }
+        }
+    }
+}
+
 #[test]
 fn read_your_writes_with_requests_api() {
     let mut dev = Ssd::new(FtlConfig::small_test(), 1).unwrap();
@@ -217,4 +282,32 @@ fn read_your_writes_with_requests_api() {
     dev.run(&reqs).unwrap();
     assert_eq!(dev.stats().host_reads, 50);
     assert_eq!(dev.stats().read_latency.len(), 50);
+}
+
+#[test]
+fn mlc_device_writes_flushes_reads_and_recovers() {
+    // MLC's word-line is [LSB, MSB]: its MSB sits in slot 1, not at
+    // `PageType::Msb.index()` (2), so every page offset must come from the
+    // per-cell slot.
+    let mut config = FtlConfig::small_test();
+    config.flash.geometry = Geometry::new(4, 1, 24, 8, 4, CellType::Mlc);
+    config.validate().unwrap();
+    let mut dev = Ssd::new(config, 3).unwrap();
+    let capacity = dev.geometry_info().logical_pages;
+    // A fill, then scattered overwrites, so collection relocates live
+    // MSB pages.
+    for lpn in (0..capacity).chain((0..capacity * 2).map(|i| (i * 7919) % capacity)) {
+        dev.write(lpn).unwrap();
+    }
+    assert!(dev.stats().gc_relocations > 0, "the second pass must collect");
+    dev.flush().unwrap();
+    for lpn in 0..capacity {
+        assert!(dev.read(lpn).unwrap().is_some(), "lpn {lpn} lost before recovery");
+    }
+    let before: Vec<_> = (0..capacity).map(|l| dev.mapping().lookup(l)).collect();
+    dev.recover().unwrap();
+    for lpn in 0..capacity {
+        assert_eq!(dev.mapping().lookup(lpn), before[lpn as usize], "lpn {lpn} remapped");
+        assert!(dev.read(lpn).unwrap().is_some(), "lpn {lpn} lost after recovery");
+    }
 }

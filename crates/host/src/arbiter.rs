@@ -31,6 +31,13 @@ impl Arbitration {
 
 /// Deterministic round-robin / weighted-round-robin queue picker.
 ///
+/// Readiness and remaining WRR credit are bit words (bit `i % 64` of word
+/// `i / 64` is queue `i`), so a pick jumps to the first set bit at or
+/// cyclically after the queue past the cursor instead of probing queues one
+/// by one. RR grants the first ready queue; WRR grants the first ready
+/// queue with credit left, and when no ready queue has any, refills every
+/// queue's credit to its weight and grants the first ready queue.
+///
 /// With unit weights under saturation (every queue ready) WRR degenerates
 /// to RR exactly: every queue holds one credit per round, so the cyclic
 /// credit scan visits queues in the same order the plain scan does. (Under
@@ -52,6 +59,9 @@ pub struct Arbiter {
     kind: Arbitration,
     weights: Vec<u32>,
     credits: Vec<u32>,
+    /// Bit set while the queue has WRR credit left this round (bits past
+    /// the last queue stay set and are never read).
+    credited: Vec<u64>,
     cursor: usize,
 }
 
@@ -66,9 +76,10 @@ impl Arbiter {
     pub fn new(kind: Arbitration, weights: Vec<u32>) -> Self {
         assert!(!weights.is_empty(), "arbiter needs at least one queue");
         assert!(weights.iter().all(|&w| w >= 1), "weights must be at least 1");
+        let n = weights.len();
         let credits = weights.clone();
-        let cursor = weights.len() - 1;
-        Arbiter { kind, weights, credits, cursor }
+        let credited = vec![u64::MAX; n.div_ceil(64)];
+        Arbiter { kind, weights, credits, credited, cursor: n - 1 }
     }
 
     /// Number of queues under arbitration.
@@ -84,64 +95,72 @@ impl Arbiter {
     ///
     /// Panics if `ready.len()` differs from the number of queues.
     pub fn pick(&mut self, ready: &[bool]) -> Option<usize> {
-        let n = self.weights.len();
-        assert_eq!(ready.len(), n, "ready mask must cover every queue");
-        if !ready.iter().any(|&r| r) {
-            return None;
-        }
-        self.pick_ready(|i| ready[i])
+        assert_eq!(ready.len(), self.weights.len(), "ready mask must cover every queue");
+        let packed: Vec<u64> = ready
+            .chunks(64)
+            .map(|c| c.iter().rev().fold(0, |w, &r| w << 1 | u64::from(r)))
+            .collect();
+        self.pick_mask(&packed)
     }
 
     /// [`Arbiter::pick`] over a packed readiness bitmask (bit `i % 64` of
     /// word `i / 64` marks queue `i` ready) — the representation the
     /// batched frontend maintains incrementally instead of rebuilding a
-    /// `Vec<bool>` per dispatch. Picks are identical to [`Arbiter::pick`]
-    /// on the unpacked mask (`tests` pin this).
+    /// `Vec<bool>` per dispatch. Bits past the last queue are ignored.
     ///
     /// # Panics
     ///
     /// Panics if `ready` has fewer than `queues().div_ceil(64)` words.
     pub fn pick_mask(&mut self, ready: &[u64]) -> Option<usize> {
         let n = self.weights.len();
-        assert!(ready.len() >= n.div_ceil(64), "ready mask must cover every queue");
-        if ready.iter().all(|&w| w == 0) {
-            return None;
-        }
-        self.pick_ready(|i| ready[i / 64] & (1u64 << (i % 64)) != 0)
-    }
-
-    /// Shared RR/WRR scan over an abstract readiness predicate; the caller
-    /// guarantees at least one queue is ready.
-    fn pick_ready(&mut self, ready: impl Fn(usize) -> bool) -> Option<usize> {
-        let n = self.weights.len();
-        match self.kind {
-            Arbitration::RoundRobin => {
-                for off in 1..=n {
-                    let i = (self.cursor + off) % n;
-                    if ready(i) {
-                        self.cursor = i;
-                        return Some(i);
+        let words = n.div_ceil(64);
+        assert!(ready.len() >= words, "ready mask must cover every queue");
+        let tail = u64::MAX >> (words * 64 - n);
+        let ready_word = |j: usize| ready[j] & if j + 1 == words { tail } else { u64::MAX };
+        let start = if self.cursor + 1 == n { 0 } else { self.cursor + 1 };
+        let i = match self.kind {
+            Arbitration::RoundRobin => next_set(words, start, ready_word)?,
+            Arbitration::WeightedRoundRobin => {
+                let credited = &self.credited;
+                let i = match next_set(words, start, |j| ready_word(j) & credited[j]) {
+                    Some(i) => i,
+                    None => {
+                        // Every ready queue exhausted its credits: start a
+                        // new round. Work conservation: idle queues cannot
+                        // bank credits across rounds, so the refill cannot
+                        // starve anyone. Nothing ready: no new round.
+                        let i = next_set(words, start, ready_word)?;
+                        self.credits.copy_from_slice(&self.weights);
+                        self.credited.fill(u64::MAX);
+                        i
                     }
+                };
+                self.credits[i] -= 1;
+                if self.credits[i] == 0 {
+                    self.credited[i / 64] &= !(1 << (i % 64));
                 }
-                unreachable!("a ready queue exists");
+                i
             }
-            Arbitration::WeightedRoundRobin => loop {
-                for off in 1..=n {
-                    let i = (self.cursor + off) % n;
-                    if ready(i) && self.credits[i] > 0 {
-                        self.credits[i] -= 1;
-                        self.cursor = i;
-                        return Some(i);
-                    }
-                }
-                // Every ready queue exhausted its credits: start a new
-                // round. Work conservation: idle queues cannot bank
-                // credits across rounds, so the refill cannot starve
-                // anyone — the next scan must succeed.
-                self.credits.copy_from_slice(&self.weights);
-            },
-        }
+        };
+        self.cursor = i;
+        Some(i)
     }
+}
+
+/// The first set bit at or cyclically after bit `start` of a `words`-long
+/// bit vector read through `word`.
+fn next_set(words: usize, start: usize, word: impl Fn(usize) -> u64) -> Option<usize> {
+    let first = start / 64;
+    let w = word(first) & (u64::MAX << (start % 64));
+    if w != 0 {
+        return Some(first * 64 + w.trailing_zeros() as usize);
+    }
+    // Wrap around; word `first` comes last and can only hold bits below
+    // `start` now.
+    (first + 1..words).chain(0..=first).find_map(|j| {
+        let w = word(j);
+        (w != 0).then(|| j * 64 + w.trailing_zeros() as usize)
+    })
 }
 
 #[cfg(test)]
@@ -242,6 +261,18 @@ mod tests {
                     "{kind:?} diverged at step {step} (ready {bits:#010b})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn mask_pick_ignores_bits_past_the_last_queue() {
+        // Three queues: bit 3 and up of word 0 and any extra word are not
+        // queues, so a mask holding only those has nothing ready.
+        for kind in [Arbitration::RoundRobin, Arbitration::WeightedRoundRobin] {
+            let mut arb = Arbiter::new(kind, vec![1, 2, 1]);
+            assert_eq!(arb.pick_mask(&[!0b111, u64::MAX]), None);
+            assert_eq!(arb.pick_mask(&[0b100 | 1 << 40]), Some(2));
+            assert_eq!(arb.pick_mask(&[u64::MAX]), Some(0));
         }
     }
 

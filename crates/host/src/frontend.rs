@@ -2,10 +2,9 @@
 
 use crate::arbiter::{Arbiter, Arbitration};
 use crate::queue::{Queued, TenantSpec, TenantState, TenantStats};
-use ftl::sched::{Arena, CalendarQueue};
+use ftl::sched::{from_total_key, total_key, Tournament};
 use ftl::trace::TracedRequest;
 use ftl::{EngineMode, IoOp, IoRequest, QosClass, Ssd, TimedOutcome};
-use std::collections::VecDeque;
 
 /// A multi-queue host frontend: one submission queue per tenant, feeding
 /// a single [`Ssd`] through a deterministic event loop.
@@ -152,12 +151,16 @@ impl HostFrontend {
 
     /// Replays every submitted stream to completion.
     ///
-    /// The drain loop follows the device's configured [`EngineMode`]: the
-    /// stepper drain re-scans every tenant per dispatch (the golden
-    /// oracle), the batched drain consumes host-arrival events from a
-    /// calendar queue, keeps a packed readiness bitmask and arena-backed
-    /// queue records, and folds per-tenant latency samples at the end.
-    /// Both produce bit-identical stats (`tests/engine_identity.rs`).
+    /// The drain loop follows the device's configured [`EngineMode`]. The
+    /// stepper drain re-admits every tenant and rebuilds a `Vec<bool>`
+    /// readiness mask before each dispatch; it is the golden oracle. The
+    /// batched drain keeps its bookkeeping constant per command: a winner
+    /// tree holds each tenant's next arrival, readiness is a packed bitmask
+    /// updated on queue transitions, and a tenant is admitted only when its
+    /// next arrival falls due or its own dispatch frees a slot. Both drains
+    /// share the arbiter, [`TenantState`]'s queues and admission, and the
+    /// dispatch step, and produce bit-identical stats
+    /// (`tests/engine_identity.rs`, `tests/dispatch_oracle.rs`).
     ///
     /// # Errors
     ///
@@ -214,40 +217,124 @@ impl HostFrontend {
                 self.now = self.now.max(next);
                 continue;
             };
-            let state = &mut self.tenants[k];
-            let was_full = state.sq.len() >= state.spec.queue_depth;
-            let item = state.sq.pop_front().expect("picked queue is ready");
-            if was_full {
-                // The slot frees the instant the command is fetched.
-                state.freed_at = self.now;
-            }
-            let qos = state.spec.qos;
-            let out = self.step_with_slo(k, item, qos)?;
-            self.now = self.now.max(out.completion_us);
-            self.dispatch_log.push(k);
-            let stats = &mut self.tenants[k].stats;
-            let wait = out.start_us - item.arrival;
-            stats.queue_wait_us += wait;
-            match item.req.op {
-                IoOp::Write => stats.write_latency.record(wait + out.service_us),
-                IoOp::Read => {
-                    // Mirror the device convention: a miss has no service
-                    // time but its wait still counts as a latency sample.
-                    if out.service_us > 0.0 {
-                        stats.read_latency.record(wait + out.service_us);
-                    } else {
-                        stats.read_latency.record(wait);
-                    }
-                }
-                IoOp::Trim => {}
-            }
-            stats.completed += 1;
+            self.dispatch(k)?;
         }
     }
 
-    /// One device step under tenant `k`'s GC SLO, shared by both drains so
-    /// their allowance decisions are identical step for step. For a tenant
-    /// with a [`crate::GcSlo`], the device's per-command allowance is set
+    /// Event-driven drain over [`Events`]: the same admissions, picks and
+    /// dispatches as [`HostFrontend::drain`], found without rescanning the
+    /// tenants. A tenant's admission can only change its queue when the
+    /// clock reaches its next arrival or when its own dispatch frees a slot
+    /// in a full queue, so those are the only times it is admitted; which
+    /// of several tenants due at one instant is admitted first cannot
+    /// show, since each admission reads only that tenant's stream and
+    /// queue.
+    fn drain_batched(&mut self) -> ftl::Result<()> {
+        let mut ev = Events::new(&self.tenants);
+        for i in 0..self.tenants.len() {
+            self.admit_event(&mut ev, i);
+        }
+        loop {
+            // The stepper drain's latency-critical-first mask, tested in
+            // the cheaper order (`gc_slice_pending` is a pure query).
+            let lc_ready = ev.ready.iter().zip(&ev.lc).any(|(&r, &l)| r & l != 0);
+            let pick = if lc_ready && self.ssd.gc_slice_pending() {
+                for (m, (&r, &l)) in ev.masked.iter_mut().zip(ev.ready.iter().zip(&ev.lc)) {
+                    *m = r & l;
+                }
+                self.arbiter.pick_mask(&ev.masked)
+            } else {
+                self.arbiter.pick_mask(&ev.ready)
+            };
+            let Some(k) = pick else {
+                // Every queue is empty, so no tenant is held back by a full
+                // queue and the tree's minimum is the next arrival of all.
+                let next = from_total_key(ev.due.min().1);
+                if !next.is_finite() {
+                    return Ok(());
+                }
+                self.now = self.now.max(next);
+                self.admit_due(&mut ev);
+                continue;
+            };
+            self.dispatch(k)?;
+            // The clock moved and tenant k's queue shrank.
+            self.admit_due(&mut ev);
+            self.admit_event(&mut ev, k);
+        }
+    }
+
+    /// Admits every tenant whose next arrival is due by `self.now`. Each
+    /// admission either fills the tenant's queue (no arrival filed) or
+    /// files an arrival later than `self.now`, so the loop ends.
+    fn admit_due(&mut self, ev: &mut Events) {
+        loop {
+            let (i, key) = ev.due.min();
+            if key == NO_ARRIVAL || from_total_key(key) > self.now {
+                return;
+            }
+            self.admit_event(ev, i);
+        }
+    }
+
+    /// Admits tenant `i` up to `self.now`, refreshes its readiness bit and
+    /// files its next arrival — none while its queue is full, since only
+    /// its own dispatch can free a slot.
+    fn admit_event(&mut self, ev: &mut Events, i: usize) {
+        let tenant = &mut self.tenants[i];
+        tenant.admit(self.now);
+        let bit = 1u64 << (i % 64);
+        if tenant.sq.is_empty() {
+            ev.ready[i / 64] &= !bit;
+        } else {
+            ev.ready[i / 64] |= bit;
+        }
+        let due = match tenant.next_arrival() {
+            Some(arrival) if tenant.sq.len() < tenant.spec.queue_depth => total_key(arrival),
+            _ => NO_ARRIVAL,
+        };
+        if ev.due.key(i) != due {
+            ev.due.set(i, due);
+        }
+    }
+
+    /// Dispatches the front of tenant `k`'s queue, moves the clock to its
+    /// completion and records it in the tenant's stats; both drains
+    /// dispatch through here.
+    fn dispatch(&mut self, k: usize) -> ftl::Result<()> {
+        let state = &mut self.tenants[k];
+        let was_full = state.sq.len() >= state.spec.queue_depth;
+        let item = state.sq.pop_front().expect("picked queue is ready");
+        if was_full {
+            // The slot frees the instant the command is fetched.
+            state.freed_at = self.now;
+        }
+        let qos = state.spec.qos;
+        let out = self.step_with_slo(k, item, qos)?;
+        self.now = self.now.max(out.completion_us);
+        self.dispatch_log.push(k);
+        let stats = &mut self.tenants[k].stats;
+        let wait = out.start_us - item.arrival;
+        stats.queue_wait_us += wait;
+        match item.req.op {
+            IoOp::Write => stats.write_latency.record(wait + out.service_us),
+            IoOp::Read => {
+                // Mirror the device convention: a miss has no service
+                // time but its wait still counts as a latency sample.
+                if out.service_us > 0.0 {
+                    stats.read_latency.record(wait + out.service_us);
+                } else {
+                    stats.read_latency.record(wait);
+                }
+            }
+            IoOp::Trim => {}
+        }
+        stats.completed += 1;
+        Ok(())
+    }
+
+    /// One device step under tenant `k`'s GC SLO. For a tenant with a
+    /// [`crate::GcSlo`], the device's per-command allowance is set
     /// to the window's remaining debt budget before the step, the
     /// collection stall the command was actually charged (the device's
     /// `gc_stall_us` delta — foreground GC slices, overdue patrol-scrub
@@ -279,131 +366,6 @@ impl HostFrontend {
             state.stats.gc_throttled += 1;
         }
         result
-    }
-
-    /// Event-driven drain: instead of re-admitting every tenant and
-    /// rebuilding a `Vec<bool>` readiness mask on every dispatch, arrivals
-    /// live as events in a calendar queue, readiness is a packed bitmask
-    /// updated on queue transitions, queue records are arena-allocated,
-    /// and latency samples accumulate in per-tenant vectors folded once at
-    /// the end. Admission runs exactly when legacy admission would have
-    /// changed state — after the clock advances past an arrival, or after
-    /// a dispatch frees a slot — so dispatch order and every stat are
-    /// bit-identical to [`HostFrontend::drain`].
-    fn drain_batched(&mut self) -> ftl::Result<()> {
-        let n = self.tenants.len();
-        let mut run = BatchedRun::new(n);
-        for (i, t) in self.tenants.iter().enumerate() {
-            if t.spec.qos == QosClass::LatencyCritical {
-                run.lc_mask[i / 64] |= 1u64 << (i % 64);
-            }
-        }
-        let result = self.drain_batched_inner(&mut run);
-        // Fold the SoA sample accumulators even on the error path, exactly
-        // like the legacy drain's per-op records would have survived.
-        for (i, (w, r)) in run.write_samples.iter().zip(&run.read_samples).enumerate() {
-            self.tenants[i].stats.write_latency.extend(w);
-            self.tenants[i].stats.read_latency.extend(r);
-        }
-        result
-    }
-
-    fn drain_batched_inner(&mut self, run: &mut BatchedRun) -> ftl::Result<()> {
-        for i in 0..self.tenants.len() {
-            self.admit_one(run, i);
-        }
-        loop {
-            // Same LC-drain masking as the legacy drain (readiness and
-            // device state agree step for step, so both drains mask at the
-            // same dispatch points and stay bit-identical).
-            let pick = if self.ssd.gc_slice_pending()
-                && run.ready.iter().zip(&run.lc_mask).any(|(&r, &m)| r & m != 0)
-            {
-                for (m, (&r, &l)) in run.masked.iter_mut().zip(run.ready.iter().zip(&run.lc_mask)) {
-                    *m = r & l;
-                }
-                self.arbiter.pick_mask(&run.masked)
-            } else {
-                self.arbiter.pick_mask(&run.ready)
-            };
-            let Some(k) = pick else {
-                // Every queue is empty: jump to the next arrival event, or
-                // stop once all streams are drained. (No queue ready means
-                // no tenant is depth-blocked, so every pending arrival has
-                // an event in the calendar.)
-                let Some(ev) = run.arrivals.pop_min() else {
-                    return Ok(());
-                };
-                let i = ev.payload as usize;
-                run.scheduled[i] = false;
-                self.now = self.now.max(ev.time);
-                self.admit_one(run, i);
-                self.drain_due_arrivals(run);
-                continue;
-            };
-            let state = &mut self.tenants[k];
-            let sq = &mut run.sqs[k];
-            let was_full = sq.len() >= state.spec.queue_depth;
-            let handle = sq.pop_front().expect("picked queue is ready");
-            let item = run.arena.free(handle);
-            if sq.is_empty() {
-                run.ready[k / 64] &= !(1u64 << (k % 64));
-            }
-            if was_full {
-                // The slot frees the instant the command is fetched.
-                state.freed_at = self.now;
-            }
-            let qos = state.spec.qos;
-            let out = self.step_with_slo(k, item, qos)?;
-            self.now = self.now.max(out.completion_us);
-            self.dispatch_log.push(k);
-            let stats = &mut self.tenants[k].stats;
-            let wait = out.start_us - item.arrival;
-            stats.queue_wait_us += wait;
-            match item.req.op {
-                IoOp::Write => run.write_samples[k].push(wait + out.service_us),
-                IoOp::Read => {
-                    if out.service_us > 0.0 {
-                        run.read_samples[k].push(wait + out.service_us);
-                    } else {
-                        run.read_samples[k].push(wait);
-                    }
-                }
-                IoOp::Trim => {}
-            }
-            stats.completed += 1;
-            // The clock moved and a slot freed: fire due arrival events
-            // first (they may include tenant k's), then top up tenant k.
-            self.drain_due_arrivals(run);
-            self.admit_one(run, k);
-        }
-    }
-
-    /// Admits tenant `i` up to `self.now`, updates its readiness bit, and
-    /// schedules its next arrival event. A depth-blocked tenant gets no
-    /// event — only a dispatch (which calls back here) can unblock it.
-    fn admit_one(&mut self, run: &mut BatchedRun, i: usize) {
-        let state = &mut self.tenants[i];
-        state.admit_batched(self.now, &mut run.arena, &mut run.sqs[i]);
-        if !run.sqs[i].is_empty() {
-            run.ready[i / 64] |= 1u64 << (i % 64);
-        }
-        if !run.scheduled[i] && run.sqs[i].len() < state.spec.queue_depth {
-            if let Some(t) = state.next_arrival() {
-                run.arrivals.push(t, u32::try_from(i).expect("tenant count fits u32"));
-                run.scheduled[i] = true;
-            }
-        }
-    }
-
-    /// Fires every arrival event due by `self.now`, admitting its tenant.
-    fn drain_due_arrivals(&mut self, run: &mut BatchedRun) {
-        while run.arrivals.peek().is_some_and(|ev| ev.time <= self.now) {
-            let ev = run.arrivals.pop_min().expect("peeked event exists");
-            let i = ev.payload as usize;
-            run.scheduled[i] = false;
-            self.admit_one(run, i);
-        }
     }
 
     /// Whether every submitted request has been dispatched and completed.
@@ -448,37 +410,37 @@ impl HostFrontend {
     }
 }
 
-/// Working set of one batched drain: the shared record arena, per-tenant
-/// handle queues, the host-arrival calendar, the packed readiness mask and
-/// the SoA latency accumulators.
-struct BatchedRun {
-    arena: Arena<Queued>,
-    sqs: Vec<VecDeque<u32>>,
-    arrivals: CalendarQueue,
-    /// Whether tenant `i` has an arrival event queued (at most one each).
-    scheduled: Vec<bool>,
+/// [`Tournament`] key of a tenant with no arrival to file: its stream is
+/// exhausted or its queue is full. Above every real arrival's key.
+const NO_ARRIVAL: u64 = u64::MAX;
+
+/// Bookkeeping of one event drain, by tenant index.
+struct Events {
+    /// Slot `i` holds the [`total_key`] of tenant `i`'s next arrival, or
+    /// [`NO_ARRIVAL`].
+    due: Tournament,
+    /// Bit set while the tenant's queue is non-empty.
     ready: Vec<u64>,
-    /// Which tenants are latency-critical (fixed over the run); `ready &
-    /// lc_mask` is the LC-first readiness used while a GC slice is pending.
-    lc_mask: Vec<u64>,
-    /// Scratch for the masked readiness, kept allocated across dispatches.
+    /// Bit set for latency-critical tenants (fixed over the run).
+    lc: Vec<u64>,
+    /// Scratch for `ready & lc`, kept allocated across dispatches.
     masked: Vec<u64>,
-    write_samples: Vec<Vec<f64>>,
-    read_samples: Vec<Vec<f64>>,
 }
 
-impl BatchedRun {
-    fn new(tenants: usize) -> Self {
-        BatchedRun {
-            arena: Arena::with_capacity(64),
-            sqs: (0..tenants).map(|_| VecDeque::new()).collect(),
-            arrivals: CalendarQueue::new(),
-            scheduled: vec![false; tenants],
-            ready: vec![0u64; tenants.div_ceil(64)],
-            lc_mask: vec![0u64; tenants.div_ceil(64)],
-            masked: vec![0u64; tenants.div_ceil(64)],
-            write_samples: vec![Vec::new(); tenants],
-            read_samples: vec![Vec::new(); tenants],
+impl Events {
+    fn new(tenants: &[TenantState]) -> Self {
+        let words = tenants.len().div_ceil(64);
+        let mut lc = vec![0u64; words];
+        for (i, t) in tenants.iter().enumerate() {
+            if t.spec.qos == QosClass::LatencyCritical {
+                lc[i / 64] |= 1 << (i % 64);
+            }
+        }
+        Events {
+            due: Tournament::new(tenants.len()),
+            ready: vec![0; words],
+            lc,
+            masked: vec![0; words],
         }
     }
 }
@@ -587,6 +549,32 @@ mod tests {
             Arbitration::RoundRobin,
         );
         front.submit_traced(&[(0.0, parsed[0])]);
+    }
+
+    #[test]
+    fn infinite_arrivals_stop_both_drains_at_the_same_point() {
+        // An arrival at +inf is never due: the rescan drain stops when the
+        // next arrival is not finite, and the event drain must stop there
+        // too rather than jump its clock to infinity.
+        let run = |engine: ftl::EngineMode| {
+            let config = FtlConfig { engine, ..FtlConfig::small_test() };
+            let mut front = HostFrontend::new(
+                Ssd::new(config, 7).unwrap(),
+                vec![
+                    TenantSpec::new("a", QosClass::Standard),
+                    TenantSpec::new("b", QosClass::Background).queue_depth(1),
+                ],
+                Arbitration::RoundRobin,
+            );
+            front.submit(0, &[(0.0, IoRequest::write(1)), (f64::INFINITY, IoRequest::write(2))]);
+            front.submit(1, &[(5.0, IoRequest::write(3)), (5.0, IoRequest::write(4))]);
+            front.run().unwrap();
+            assert!(!front.drained(), "{engine:?}: the infinite arrival stays pending");
+            (front.dispatch_log().to_vec(), front.device().stats().makespan_us.to_bits())
+        };
+        let stepper = run(ftl::EngineMode::Stepper);
+        assert_eq!(stepper.0, [0, 1, 1]);
+        assert_eq!(run(ftl::EngineMode::Batched), stepper);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Per-tenant submission queues and statistics.
 
-use ftl::sched::Arena;
 use ftl::{IoRequest, LatencyHistogram, QosClass};
 use std::collections::VecDeque;
 
@@ -154,6 +153,11 @@ pub(crate) struct Queued {
 
 /// Runtime state of one tenant: its pending arrival stream, its bounded
 /// submission queue, and its stats.
+///
+/// Both frontend drains keep their queue records here and admit through
+/// [`TenantState::admit`]; they differ only in *when* they call it (the
+/// rescan drain on every dispatch, the event drain when the tenant's next
+/// arrival falls due or its own dispatch frees a slot).
 #[derive(Debug)]
 pub(crate) struct TenantState {
     pub spec: TenantSpec,
@@ -161,6 +165,7 @@ pub(crate) struct TenantState {
     pub stream: Vec<(f64, IoRequest)>,
     /// Index of the next stream entry to admit.
     pub next: usize,
+    /// The submission queue, records inline, front dispatched first.
     pub sq: VecDeque<Queued>,
     /// When the last slot freed while the queue was full — the earliest
     /// instant a backpressured arrival can enter the queue.
@@ -232,31 +237,6 @@ impl TenantState {
             }
             self.sq.push_back(Queued { arrival, submit, req });
             self.stats.depth_high_water = self.stats.depth_high_water.max(self.sq.len());
-            self.next += 1;
-        }
-    }
-
-    /// Batched-engine twin of [`TenantState::admit`]: identical admission
-    /// rules, backpressure accounting and high-water tracking, but the
-    /// records live in a shared [`Arena`] and the submission queue holds
-    /// handles — one slab allocation serves every tenant, and a record is
-    /// touched exactly twice (alloc at admission, free at dispatch).
-    pub(crate) fn admit_batched(
-        &mut self,
-        now: f64,
-        arena: &mut Arena<Queued>,
-        sq: &mut VecDeque<u32>,
-    ) {
-        while let Some(&(arrival, req)) = self.stream.get(self.next) {
-            if arrival > now || sq.len() >= self.spec.queue_depth {
-                break;
-            }
-            let submit = arrival.max(self.freed_at);
-            if submit > arrival {
-                self.stats.backpressured += 1;
-            }
-            sq.push_back(arena.alloc(Queued { arrival, submit, req }));
-            self.stats.depth_high_water = self.stats.depth_high_water.max(sq.len());
             self.next += 1;
         }
     }
