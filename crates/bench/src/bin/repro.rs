@@ -15,6 +15,9 @@
 //! * `--engine E`    replay engine for `queueing`/`tenants`: `stepper` (default) or `batched` (bit-identical rows, faster)
 //! * `--gc MODE`     `tenants` collector: `off` (default; volume below the GC watermarks) or `on` (GC-active volume + sliced preemptive collection)
 //! * `--out DIR`     output directory (default `results`)
+//!
+//! A bad argument prints a usage error and exits with status 2 before any
+//! experiment runs.
 
 use flash_model::{CellType, Geometry};
 use ftl::{EngineMode, GcBudget};
@@ -32,8 +35,52 @@ struct Cli {
     gc: bool,
 }
 
-fn parse_cli() -> Cli {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: repro [COMMAND...] [--quick] [--groups N] [--blocks N] \
+[--pe-step N] [--engine stepper|batched] [--gc on|off] [--out DIR]";
+
+/// Every command `repro` runs; `all` runs the whole evaluation.
+const KNOWN: [&str; 24] = [
+    "all",
+    "resilience",
+    "parity",
+    "recovery",
+    "integrity",
+    "queueing",
+    "tenants",
+    "fleet",
+    "table1",
+    "table2",
+    "table5",
+    "fig5",
+    "fig6",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "overhead",
+    "ablation",
+    "stats",
+    "qstr-sweep",
+    "ers-corr",
+    "retry",
+    "ssd",
+];
+
+/// A flag's value: a whole number of at least 1.
+fn positive<T: std::str::FromStr + From<u8> + PartialEq>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    match value.parse() {
+        Ok(n) if n != T::from(0) => Ok(n),
+        Ok(_) => Err(format!("{flag} must be at least 1")),
+        Err(_) => Err(format!("{flag} takes a number, got {value:?}")),
+    }
+}
+
+/// Parses the command line (without the program name); a bad argument is
+/// an error message, never a panic.
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut commands = Vec::new();
     let mut groups = 3u64;
     let mut blocks = 1600u32;
@@ -42,45 +89,34 @@ fn parse_cli() -> Cli {
     let mut engine = EngineMode::Stepper;
     let mut gc = false;
     let mut out = PathBuf::from("results");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match arg.as_str() {
             "--quick" => quick = true,
             "--engine" => {
-                i += 1;
-                engine = match args[i].as_str() {
+                engine = match value("--engine")?.as_str() {
                     "stepper" => EngineMode::Stepper,
                     "batched" => EngineMode::Batched,
-                    other => panic!("--engine takes 'stepper' or 'batched', got {other:?}"),
+                    other => {
+                        return Err(format!("--engine takes 'stepper' or 'batched', got {other:?}"))
+                    }
                 };
             }
             "--gc" => {
-                i += 1;
-                gc = match args[i].as_str() {
+                gc = match value("--gc")?.as_str() {
                     "on" => true,
                     "off" => false,
-                    other => panic!("--gc takes 'on' or 'off', got {other:?}"),
+                    other => return Err(format!("--gc takes 'on' or 'off', got {other:?}")),
                 };
             }
-            "--groups" => {
-                i += 1;
-                groups = args[i].parse().expect("--groups takes a number");
-            }
-            "--blocks" => {
-                i += 1;
-                blocks = args[i].parse().expect("--blocks takes a number");
-            }
-            "--pe-step" => {
-                i += 1;
-                pe_step = args[i].parse().expect("--pe-step takes a number");
-            }
-            "--out" => {
-                i += 1;
-                out = PathBuf::from(&args[i]);
-            }
-            cmd => commands.push(cmd.to_string()),
+            "--groups" => groups = positive("--groups", value("--groups")?)?,
+            "--blocks" => blocks = positive("--blocks", value("--blocks")?)?,
+            "--pe-step" => pe_step = positive("--pe-step", value("--pe-step")?)?,
+            "--out" => out = PathBuf::from(value("--out")?),
+            cmd if KNOWN.contains(&cmd) => commands.push(cmd.to_string()),
+            cmd => return Err(format!("unknown command {cmd:?}; known: {}", KNOWN.join(", "))),
         }
-        i += 1;
     }
     if quick {
         groups = 2;
@@ -90,43 +126,13 @@ fn parse_cli() -> Cli {
     if commands.is_empty() {
         commands.push("all".to_string());
     }
-    const KNOWN: [&str; 22] = [
-        "all",
-        "resilience",
-        "parity",
-        "recovery",
-        "integrity",
-        "queueing",
-        "tenants",
-        "fleet",
-        "table1",
-        "table2",
-        "table5",
-        "fig5",
-        "fig6",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "overhead",
-        "ablation",
-        "stats",
-        "qstr-sweep",
-        "ers-corr",
-    ];
-    for c in &commands {
-        assert!(
-            KNOWN.contains(&c.as_str()) || c == "retry" || c == "ssd",
-            "unknown command {c:?}; known: {KNOWN:?}, retry, ssd"
-        );
-    }
     let mut params = ExperimentParams {
         group_seeds: (0..groups).collect(),
         pe_points: (0..=3000).step_by(pe_step as usize).collect(),
         ..ExperimentParams::default()
     };
     params.config.geometry = Geometry::new(4, 1, blocks, 96, 4, CellType::Tlc);
-    Cli { commands, params, out, quick, engine, gc }
+    Ok(Cli { commands, params, out, quick, engine, gc })
 }
 
 fn comparison_table(title: &str, r: &exp::ComparisonResult, out: &Path, file: &str) {
@@ -152,7 +158,11 @@ fn comparison_table(title: &str, r: &exp::ComparisonResult, out: &Path, file: &s
 }
 
 fn main() {
-    let cli = parse_cli();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = parse_cli(&args).unwrap_or_else(|msg| {
+        eprintln!("repro: {msg}\n{USAGE}");
+        std::process::exit(2);
+    });
     std::fs::create_dir_all(&cli.out).expect("create output dir");
     // One characterization cache shared by every command in this invocation:
     // `table1 table5 fig13` characterize each (group, P/E) pool once total.

@@ -7,7 +7,7 @@ use crate::config::FlashConfig;
 use crate::error::FlashError;
 use crate::fault::{FaultConfig, FaultInjector};
 use crate::geometry::Geometry;
-use crate::ids::{BlockAddr, PageAddr, WlAddr};
+use crate::ids::{BlockAddr, LwlId, PageAddr, PageType, WlAddr};
 use crate::latency::{LatencyCache, LatencyModel};
 use crate::spor::{PageOob, SealRecord};
 use crate::Result;
@@ -76,11 +76,10 @@ pub struct FlashArray {
     /// survives sudden power loss (the flush is covered by the SSD's
     /// power-loss-protection capacitors, as on real drives).
     seals: Vec<SealRecord>,
-    /// Optional memoization of the static latency and RBER terms
-    /// ([`FlashArray::set_fast_latency`]); bit-identical to the uncached
-    /// models, so enabling it never changes any reported latency or error
-    /// count.
-    fast_latency: Option<LatencyCache>,
+    /// Memoized static latency and RBER terms, bit-identical to the
+    /// uncached models (see [`LatencyCache`]); its tables are allocated on
+    /// the first query that needs them.
+    cache: LatencyCache,
     /// Whether payload reads accumulate per-block read-disturb counters
     /// ([`FlashArray::set_track_disturb`]). Off by default: untracked runs
     /// never allocate counters, and a zero disturb count multiplies the
@@ -103,28 +102,14 @@ impl FlashArray {
         let model = LatencyModel::new(config.geometry.clone(), config.variation, seed);
         let blocks = vec![BlockState::default(); config.geometry.total_blocks() as usize];
         FlashArray {
+            cache: LatencyCache::new(model.geometry()),
             model,
             ber: BerModel::new(seed),
             fault: FaultInjector::new(fault, seed),
             blocks,
             seals: Vec::new(),
-            fast_latency: None,
             track_disturb: false,
         }
-    }
-
-    /// Turns memoization of the static latency and RBER terms on or off.
-    /// The cache is an optimization only: every latency and error count it
-    /// returns is bit-identical to the uncached [`LatencyModel`] and
-    /// [`BerModel`] queries, so this flag never changes simulation results.
-    /// It skips the static sampler draws of every program and erase, every
-    /// re-read of a page since its block's last erase, and the per-block
-    /// RBER terms. The cost is a dense `f64` table per (block, word-line)
-    /// for program prefixes and one per physical page for read latencies:
-    /// 8 B per physical page, zero-filled so a page never read maps no
-    /// memory. Toggling clears the cache.
-    pub fn set_fast_latency(&mut self, enabled: bool) {
-        self.fast_latency = enabled.then(|| LatencyCache::new(self.model.geometry()));
     }
 
     /// Turns read-disturb tracking on or off. When on, every payload read
@@ -226,13 +211,8 @@ impl FlashArray {
             return Err(FlashError::EraseFailed { addr });
         }
         self.blocks[idx].erase();
-        Ok(match &mut self.fast_latency {
-            Some(cache) => {
-                cache.invalidate_block(idx);
-                cache.erase_latency_us(&self.model, addr, pe)
-            }
-            None => self.model.erase_latency_us(addr, pe),
-        })
+        self.cache.invalidate_block(idx);
+        Ok(self.cache.erase_latency_us(&self.model, addr, pe))
     }
 
     /// Programs one logical word-line with one payload tag per page,
@@ -290,10 +270,7 @@ impl FlashArray {
             return Err(FlashError::ProgramFailed { wl });
         }
         self.blocks[idx].program_wl(&geo, wl.block, wl.lwl, data, oob)?;
-        Ok(match &mut self.fast_latency {
-            Some(cache) => cache.program_latency_us(&self.model, wl, pe),
-            None => self.model.program_latency_us(wl, pe),
-        })
+        Ok(self.cache.program_latency_us(&self.model, wl, pe))
     }
 
     /// Marks a word-line torn by a sudden power loss mid-program: its pages
@@ -327,9 +304,14 @@ impl FlashArray {
     ///
     /// Returns an error if the address is out of range, the page was never
     /// programmed, or its word-line is torn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page type does not exist on the geometry's cell type.
     pub fn read_oob(&self, page: PageAddr) -> Result<PageOob> {
         let idx = self.check_wl(page.wl)?;
-        self.blocks[idx].read_oob(self.geometry(), page)
+        let (_, oob) = self.blocks[idx].readable(page)?;
+        Ok(oob_at(oob, self.geometry().page_offset_in_block(page)))
     }
 
     /// Appends a superblock seal record to the capacitor-backed metadata
@@ -345,26 +327,85 @@ impl FlashArray {
         &self.seals
     }
 
-    /// Reads one page, returning `(payload tag, read latency µs)`.
+    /// Reads one page, returning `(payload tag, read latency µs)`. With
+    /// read-disturb tracking on, the read first counts against every
+    /// sibling page of its block.
     ///
     /// # Errors
     ///
-    /// Returns an error if the address is out of range or the page was never
-    /// programmed.
+    /// Returns an error if the address is out of range, the page was never
+    /// programmed, or its word-line is torn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page type does not exist on the geometry's cell type.
     pub fn read_page(&self, page: PageAddr) -> Result<(u64, f64)> {
         let idx = self.check_wl(page.wl)?;
-        let data = self.blocks[idx].read_page(self.geometry(), page)?;
+        let block = &self.blocks[idx];
+        let (pages, _) = block.readable(page)?;
+        let offset = self.geometry().page_offset_in_block(page);
+        let index = idx * pages.len() + offset;
+        Ok(self.read_at(block, pages, offset, index, page))
+    }
+
+    /// The read every payload read path shares: disturb recorded first,
+    /// then the memoized tR. `offset` indexes `pages` (the block's
+    /// payloads) and `index` the array-wide page space.
+    #[inline]
+    fn read_at(
+        &self,
+        block: &BlockState,
+        pages: &[u64],
+        offset: usize,
+        index: usize,
+        page: PageAddr,
+    ) -> (u64, f64) {
+        let data = pages[offset];
         if self.track_disturb {
-            let total = self.geometry().pages_per_block() as usize;
-            let pidx = self.geometry().offset_in_block(page);
-            self.blocks[idx].record_read_disturb(total, pidx);
+            block.record_read_disturb(pages.len(), offset);
         }
-        let pe = self.blocks[idx].wear.pe_cycles();
-        let t = match &self.fast_latency {
-            Some(cache) => cache.read_latency_us(&self.model, page, pe),
-            None => self.model.read_latency_us(page, pe),
-        };
-        Ok((data, t))
+        (data, self.cache.read_latency_at(&self.model, index, page, block.wear.pe_cycles()))
+    }
+
+    /// A checked view of one word-line for reading its pages one after
+    /// another: the range and readability checks and the block's static
+    /// read and RBER terms are taken once here, so each page's
+    /// [`WordLine::oob`], [`WordLine::read`] and
+    /// [`WordLine::expected_error_bits`] answer exactly what
+    /// [`FlashArray::read_oob`], [`FlashArray::read_page`] and
+    /// [`FlashArray::expected_error_bits`] answer for that page.
+    ///
+    /// The view borrows the array, so nothing can program, erase or age
+    /// the block while it lives; take a fresh view after any such change.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the address is out of range, the word-line was
+    /// never programmed ([`FlashError::ReadUnwritten`] naming its first
+    /// page), or it is torn.
+    pub fn word_line(&self, wl: WlAddr) -> Result<WordLine<'_>> {
+        let idx = self.check_wl(wl)?;
+        let block = &self.blocks[idx];
+        let geo = self.geometry();
+        let (pages, oob) = block.readable(wl.page(PageType::Lsb))?;
+        let types = PageType::for_cell(geo.cell());
+        let first = wl.lwl.0 as usize * types.len();
+        let mut slot_mult = [1.0; 4];
+        for (k, m) in slot_mult.iter_mut().enumerate().take(types.len()) {
+            *m = self.fault.page_type_ber_mult(k as u32, geo.pages_per_lwl());
+        }
+        Ok(WordLine {
+            array: self,
+            block,
+            pages,
+            oob,
+            wl,
+            types,
+            first,
+            index: idx * pages.len() + first,
+            ber: self.ber_terms(wl.block, wl.lwl, block.wear.pe_cycles()),
+            slot_mult,
+        })
     }
 
     /// Accumulated read disturb of one page: payload reads of *sibling*
@@ -470,39 +511,52 @@ impl FlashArray {
     ///
     /// # Panics
     ///
-    /// Panics if the page address is outside the geometry.
+    /// Panics if the page address is outside the geometry or its page type
+    /// does not exist on the geometry's cell type.
     #[must_use]
     pub fn expected_error_bits(&self, page: PageAddr, retention_hours: f64) -> f64 {
-        let idx = self.geometry().block_index(page.wl.block);
-        let pe = self.blocks[idx].wear.pe_cycles();
-        let layer = self.geometry().layer_of(page.wl.lwl);
-        let pidx = self.geometry().offset_in_block(page);
-        let disturbs = self.blocks[idx].read_disturbs(pidx);
         let geo = self.geometry();
-        let addr = page.wl.block;
-        let (factors, weak) = match &self.fast_latency {
-            Some(cache) => cache.rber_factors(geo, &self.ber, &self.fault, addr, pe),
-            None => (
-                RberFactors { wear: self.ber.wear_factor(pe), block: self.ber.block_factor(addr) },
-                self.fault.ber_multiplier(addr),
-            ),
-        };
-        let bits = self.ber.expected_error_bits_with(
-            geo,
-            factors,
-            layer,
-            retention_hours,
-            disturbs,
-            PAGE_BYTES,
-        ) * weak;
+        let block = &self.blocks[geo.block_index(page.wl.block)];
+        let ber = self.ber_terms(page.wl.block, page.wl.lwl, block.wear.pe_cycles());
+        let slot_mult =
+            self.fault.page_type_ber_mult(page.page.slot(geo.cell()), geo.pages_per_lwl());
+        let disturbs = block.read_disturbs(geo.page_offset_in_block(page));
+        self.error_bits(&ber, slot_mult, disturbs, retention_hours)
+    }
+
+    /// The static RBER terms of one word-line of `addr` at `pe` cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block or word-line is outside the geometry.
+    fn ber_terms(&self, addr: BlockAddr, lwl: LwlId, pe: u32) -> BerTerms {
+        let geo = self.geometry();
+        let (factors, weak) = self.cache.rber_factors(geo, &self.ber, &self.fault, addr, pe);
+        BerTerms { factors, weak, layer: self.ber.layer_factor(geo, geo.layer_of(lwl)) }
+    }
+
+    /// Expected error bits of one page from its word-line's static terms,
+    /// its page-type multiplier and its disturb count: [`BerModel::rber`]
+    /// scaled to a page, times the weak-block and page-type multipliers.
+    fn error_bits(
+        &self,
+        ber: &BerTerms,
+        slot_mult: f64,
+        disturbs: u64,
+        retention_hours: f64,
+    ) -> f64 {
+        let disturb = self.cache.disturb_factor(&self.ber, disturbs);
+        let bits = self.ber.rber_from(ber.factors, ber.layer, retention_hours, disturb)
+            * f64::from(PAGE_BYTES)
+            * 8.0
+            * ber.weak;
         // Page-type spread (LSB best, MSB worst) is the page-granular error
         // channel; the multiply is skipped at zero spread so the default
         // stays bit-identical to the block-granular model.
-        let ptm = self.fault.page_type_ber_mult(page.page.slot(geo.cell()), geo.pages_per_lwl());
-        if ptm == 1.0 {
+        if slot_mult == 1.0 {
             bits
         } else {
-            bits * ptm
+            bits * slot_mult
         }
     }
 
@@ -538,9 +592,7 @@ impl FlashArray {
     pub fn age_block(&mut self, addr: BlockAddr, cycles: u32) -> Result<()> {
         let idx = self.check(addr)?;
         self.blocks[idx].wear.age(cycles);
-        if let Some(cache) = &mut self.fast_latency {
-            cache.invalidate_block(idx);
-        }
+        self.cache.invalidate_block(idx);
         Ok(())
     }
 
@@ -549,9 +601,136 @@ impl FlashArray {
         for b in &mut self.blocks {
             b.wear.age(cycles);
         }
-        if let Some(cache) = &mut self.fast_latency {
-            cache.invalidate_reads();
-        }
+        self.cache.invalidate_reads();
+    }
+}
+
+/// One page's OOB record from a block's spare area (`None`: nothing was
+/// programmed with OOB, so every page is filler).
+#[inline]
+fn oob_at(oob: Option<&[PageOob]>, offset: usize) -> PageOob {
+    oob.map_or_else(PageOob::default, |o| o[offset])
+}
+
+/// The static RBER terms of one word-line: constant until its block's
+/// next erase or aging.
+#[derive(Debug)]
+struct BerTerms {
+    factors: RberFactors,
+    /// [`FaultInjector::ber_multiplier`] of the block.
+    weak: f64,
+    /// `BerModel::layer_factor` of the word-line's layer.
+    layer: f64,
+}
+
+/// A checked, read-only view of one programmed word-line
+/// ([`FlashArray::word_line`]). Pages are addressed by their slot `k` in
+/// `0..pages()` (the [`PageType::slot`] order: LSB first).
+///
+/// ```
+/// use flash_model::{BlockAddr, BlockId, ChipId, FlashArray, FlashConfig, LwlId, PlaneId};
+///
+/// # fn main() -> flash_model::Result<()> {
+/// let mut array = FlashArray::new(FlashConfig::small_test(), 7);
+/// let block = BlockAddr::new(ChipId(0), PlaneId(0), BlockId(1));
+/// array.erase_block(block)?;
+/// array.program_wl(block.wl(LwlId(0)), &[4, 5, 6])?;
+/// let wl = array.word_line(block.wl(LwlId(0)))?;
+/// for k in 0..wl.pages() {
+///     let (tag, t_read) = wl.read(k);
+///     assert_eq!((tag, t_read.to_bits()), {
+///         let (d, t) = array.read_page(wl.page(k))?;
+///         (d, t.to_bits())
+///     });
+/// }
+/// assert!(array.word_line(block.wl(LwlId(1))).is_err(), "never programmed");
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct WordLine<'a> {
+    array: &'a FlashArray,
+    block: &'a BlockState,
+    /// The block's page payloads, by in-block offset.
+    pages: &'a [u64],
+    /// The block's OOB records, by in-block offset.
+    oob: Option<&'a [PageOob]>,
+    wl: WlAddr,
+    /// The cell type's pages in slot order.
+    types: &'static [PageType],
+    /// In-block offset of slot 0.
+    first: usize,
+    /// Array-wide page index of slot 0.
+    index: usize,
+    ber: BerTerms,
+    /// [`FaultInjector::page_type_ber_mult`] per slot.
+    slot_mult: [f64; 4],
+}
+
+impl WordLine<'_> {
+    /// Pages on the word-line (one per bit of the cell type).
+    #[inline]
+    #[must_use]
+    pub fn pages(&self) -> u32 {
+        self.types.len() as u32
+    }
+
+    /// Address of the page in slot `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.pages()`.
+    #[inline]
+    #[must_use]
+    pub fn page(&self, k: u32) -> PageAddr {
+        PageAddr { wl: self.wl, page: self.types[k as usize] }
+    }
+
+    /// In-block offset of slot `k`.
+    #[inline]
+    fn offset(&self, k: u32) -> usize {
+        assert!((k as usize) < self.types.len(), "page slot {k} out of range");
+        self.first + k as usize
+    }
+
+    /// The OOB record of slot `k`, as [`FlashArray::read_oob`] reports it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.pages()`.
+    #[inline]
+    #[must_use]
+    pub fn oob(&self, k: u32) -> PageOob {
+        oob_at(self.oob, self.offset(k))
+    }
+
+    /// Reads slot `k` exactly as [`FlashArray::read_page`] does — its read
+    /// disturb is recorded, then its memoized tR looked up — returning
+    /// `(payload tag, read latency µs)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.pages()`.
+    #[inline]
+    pub fn read(&self, k: u32) -> (u64, f64) {
+        let offset = self.offset(k);
+        let index = self.index + k as usize;
+        self.array.read_at(self.block, self.pages, offset, index, self.page(k))
+    }
+
+    /// Expected error bits of slot `k` after `retention_hours` of data
+    /// retention, as [`FlashArray::expected_error_bits`] computes them:
+    /// the disturb count is the page's current one, so reads through this
+    /// view count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.pages()`.
+    #[inline]
+    #[must_use]
+    pub fn expected_error_bits(&self, k: u32, retention_hours: f64) -> f64 {
+        let disturbs = self.block.read_disturbs(self.offset(k));
+        self.array.error_bits(&self.ber, self.slot_mult[k as usize], disturbs, retention_hours)
     }
 }
 
@@ -833,27 +1012,90 @@ mod tests {
 
     #[test]
     fn fast_latency_cache_is_bit_identical_end_to_end() {
-        let mut plain = array();
-        let mut fast = array();
-        fast.set_fast_latency(true);
+        // Every answer of the always-on memo equals the uncached model
+        // evaluated on the array's own state: erases at the P/E count
+        // before the erase, programs and reads at the current one, error
+        // bits at the current P/E and disturb counts.
+        let mut a = faulty_array(crate::FaultConfig {
+            page_type_ber_spread: 0.35,
+            weak_block_prob: 0.5,
+            ..crate::FaultConfig::default()
+        });
+        a.set_track_disturb(true);
+        let model = a.latency_model().clone();
+        let geo = a.geometry().clone();
+        let retry = crate::retry::RetryModel::default();
         for round in 0..3u64 {
             for c in 0..4 {
                 let b = blk(c, 2);
+                let pe = a.pe_cycles(b).unwrap();
                 assert_eq!(
-                    plain.erase_block(b).unwrap().to_bits(),
-                    fast.erase_block(b).unwrap().to_bits(),
+                    a.erase_block(b).unwrap().to_bits(),
+                    model.erase_latency_us(b, pe).to_bits(),
                     "erase chip {c} round {round}"
                 );
+                let pe = pe + 1;
                 for lwl in 0..4 {
                     let wl = b.wl(LwlId(lwl));
                     assert_eq!(
-                        plain.program_wl(wl, &[1, 2, 3]).unwrap().to_bits(),
-                        fast.program_wl(wl, &[1, 2, 3]).unwrap().to_bits(),
+                        a.program_wl(wl, &[1, 2, 3]).unwrap().to_bits(),
+                        model.program_latency_us(wl, pe).to_bits(),
                         "program {wl} round {round}"
                     );
                 }
+                for (i, pt) in [PageType::Lsb, PageType::Csb, PageType::Msb].into_iter().enumerate()
+                {
+                    let page = b.wl(LwlId(round as u32)).page(pt);
+                    // Twice: the second read hits the memo.
+                    for _ in 0..2 {
+                        let (_, t) = a.read_page(page).unwrap();
+                        assert_eq!(t.to_bits(), model.read_latency_us(page, pe).to_bits());
+                    }
+                    let weak = a.fault_injector().ber_multiplier(b);
+                    let bits = a.ber_model().expected_error_bits(
+                        &geo,
+                        b,
+                        geo.layer_of(page.wl.lwl),
+                        pe,
+                        12.5,
+                        a.read_disturbs(page),
+                        PAGE_BYTES,
+                    ) * weak
+                        * a.fault_injector().page_type_ber_mult(i as u32, 3);
+                    assert_eq!(a.expected_error_bits(page, 12.5).to_bits(), bits.to_bits());
+                    let (_, t, _) = a.read_page_with_retries(page, 12.5, &retry).unwrap();
+                    assert!(t > 0.0);
+                }
             }
         }
+    }
+
+    #[test]
+    fn disturb_memo_is_exact_on_both_sides_of_its_cap() {
+        let a = array();
+        let ber = a.ber_model();
+        for n in [0, 1, 999, 16_383, 16_384, 1 << 20, u64::MAX] {
+            for _ in 0..2 {
+                assert_eq!(
+                    a.cache.disturb_factor(ber, n).to_bits(),
+                    ber.disturb_factor(n).to_bits(),
+                    "{n}"
+                );
+            }
+        }
+        assert_eq!(ber.disturb_factor(0), 1.0);
+    }
+
+    #[test]
+    fn memo_tables_wait_for_the_first_flash_operation() {
+        // Offline characterization builds a paper-platform array per run
+        // and only queries its latency model: that must allocate no memo.
+        let mut a = FlashArray::new(FlashConfig::paper_platform(), 3);
+        let _ = a.latency_model().program_latency_us(blk(0, 0).wl(LwlId(0)), 0);
+        assert_eq!(a.cache.allocated_entries(), 0);
+        let b = blk(0, 0);
+        a.erase_block(b).unwrap();
+        assert!(a.cache.allocated_entries() > 0);
     }
 
     #[test]

@@ -110,19 +110,48 @@ impl BerModel {
         retention_hours: f64,
         read_disturbs: u64,
     ) -> f64 {
+        self.rber_from(
+            factors,
+            self.layer_factor(geo, layer),
+            retention_hours,
+            self.disturb_factor(read_disturbs),
+        )
+    }
+
+    /// [`Self::rber_with`] with the layer and disturb terms already
+    /// evaluated (`layer_factor`, `disturb_factor`): the one place the RBER
+    /// product is written.
+    pub(crate) fn rber_from(
+        &self,
+        factors: RberFactors,
+        layer_factor: f64,
+        retention_hours: f64,
+        disturb_factor: f64,
+    ) -> f64 {
         debug_assert!(
             retention_hours.is_finite() && retention_hours >= 0.0,
             "retention_hours must be finite and non-negative, got {retention_hours}"
         );
         let retention_hours = Self::sanitize_retention(retention_hours);
-        let layers = f64::from(geo.pwl_layers());
-        let x = if layers > 1.0 { 2.0 * f64::from(layer.0) / (layers - 1.0) - 1.0 } else { 0.0 };
-        let layer_mult = 1.0 + self.layer_edge_factor * x * x;
         factors.wear
             * growth(self.retention_growth_per_khour * retention_hours / 1000.0)
-            * layer_mult
+            * layer_factor
             * factors.block
-            * growth(self.disturb_growth_per_kread * read_disturbs as f64 / 1000.0)
+            * disturb_factor
+    }
+
+    /// The layer term of [`Self::rber`]: edge layers are worse, on a
+    /// parabola across the block's physical word-line layers.
+    pub(crate) fn layer_factor(&self, geo: &Geometry, layer: PwlLayer) -> f64 {
+        let layers = f64::from(geo.pwl_layers());
+        let x = if layers > 1.0 { 2.0 * f64::from(layer.0) / (layers - 1.0) - 1.0 } else { 0.0 };
+        1.0 + self.layer_edge_factor * x * x
+    }
+
+    /// The read-disturb term of [`Self::rber`] after `read_disturbs`
+    /// disturbing reads; exactly 1.0 at zero.
+    pub(crate) fn disturb_factor(&self, read_disturbs: u64) -> f64 {
+        growth(self.disturb_growth_per_kread * read_disturbs as f64 / 1000.0)
     }
 
     /// Expected number of error bits when reading a page of `page_bytes`.
@@ -139,23 +168,6 @@ impl BerModel {
         page_bytes: u32,
     ) -> f64 {
         self.rber(geo, addr, layer, pe, retention_hours, read_disturbs)
-            * f64::from(page_bytes)
-            * 8.0
-    }
-
-    /// [`Self::expected_error_bits`] from cached [`RberFactors`];
-    /// bit-identical to it.
-    #[must_use]
-    pub fn expected_error_bits_with(
-        &self,
-        geo: &Geometry,
-        factors: RberFactors,
-        layer: PwlLayer,
-        retention_hours: f64,
-        read_disturbs: u64,
-        page_bytes: u32,
-    ) -> f64 {
-        self.rber_with(geo, factors, layer, retention_hours, read_disturbs)
             * f64::from(page_bytes)
             * 8.0
     }

@@ -83,6 +83,7 @@ impl BlockState {
     /// Records one disturbing payload read of page `idx` (of `total` pages
     /// in the block). Called by the array only when disturb tracking is on,
     /// so untracked runs never allocate the counter vector.
+    #[inline]
     pub(crate) fn record_read_disturb(&self, total: usize, idx: usize) {
         self.block_reads.set(self.block_reads.get() + 1);
         let mut own = self.own_reads.borrow_mut();
@@ -94,6 +95,7 @@ impl BlockState {
 
     /// Accumulated read disturb of page `idx`: sibling reads since the
     /// block's last erase. Zero when tracking never recorded anything.
+    #[inline]
     pub(crate) fn read_disturbs(&self, idx: usize) -> u64 {
         let own = self.own_reads.borrow().get(idx).copied().unwrap_or(0);
         self.block_reads.get().saturating_sub(own)
@@ -169,7 +171,11 @@ impl BlockState {
         self.torn_lwl = Some(lwl);
     }
 
-    fn check_readable(&self, page: PageAddr) -> Result<()> {
+    /// The block's page payloads and OOB records (`None` when nothing was
+    /// programmed with OOB, so every page reports the filler default), once
+    /// `page`'s word-line passes the rules every read applies: programmed
+    /// and not torn. Both slices are indexed by in-block page offset.
+    pub(crate) fn readable(&self, page: PageAddr) -> Result<(&[u64], Option<&[PageOob]>)> {
         let lwl = page.wl.lwl;
         if self.torn_lwl == Some(lwl) {
             return Err(FlashError::TornWordLine { wl: page.wl });
@@ -179,26 +185,10 @@ impl BlockState {
             BlockPhase::Open | BlockPhase::Failed => lwl < self.next_lwl,
             BlockPhase::Fresh | BlockPhase::Erased => false,
         };
-        if !programmed {
-            return Err(FlashError::ReadUnwritten { page });
+        match &self.pages {
+            Some(pages) if programmed => Ok((pages, self.oob.as_deref())),
+            _ => Err(FlashError::ReadUnwritten { page }),
         }
-        Ok(())
-    }
-
-    pub(crate) fn read_page(&self, geo: &Geometry, page: PageAddr) -> Result<u64> {
-        self.check_readable(page)?;
-        let pages = self.pages.as_ref().ok_or(FlashError::ReadUnwritten { page })?;
-        let idx = geo.offset_in_block(page);
-        Ok(pages[idx])
-    }
-
-    /// Reads the spare-area OOB metadata of one page, under the same
-    /// readability rules as the payload. Pages programmed without OOB report
-    /// the filler default.
-    pub(crate) fn read_oob(&self, geo: &Geometry, page: PageAddr) -> Result<PageOob> {
-        self.check_readable(page)?;
-        let idx = geo.offset_in_block(page);
-        Ok(self.oob.as_ref().map_or_else(PageOob::default, |o| o[idx]))
     }
 }
 
@@ -213,6 +203,11 @@ mod tests {
 
     fn addr() -> BlockAddr {
         BlockAddr::new(ChipId(0), PlaneId(0), BlockId(0))
+    }
+
+    /// One page's payload under the block's readability rules.
+    fn read(b: &BlockState, g: &Geometry, page: PageAddr) -> Result<u64> {
+        Ok(b.readable(page)?.0[g.offset_in_block(page)])
     }
 
     #[test]
@@ -261,9 +256,9 @@ mod tests {
         b.erase();
         b.program_wl(&g, addr(), LwlId(0), &[10, 20, 30], None).unwrap();
         let wl = addr().wl(LwlId(0));
-        assert_eq!(b.read_page(&g, wl.page(PageType::Lsb)).unwrap(), 10);
-        assert_eq!(b.read_page(&g, wl.page(PageType::Csb)).unwrap(), 20);
-        assert_eq!(b.read_page(&g, wl.page(PageType::Msb)).unwrap(), 30);
+        assert_eq!(read(&b, &g, wl.page(PageType::Lsb)).unwrap(), 10);
+        assert_eq!(read(&b, &g, wl.page(PageType::Csb)).unwrap(), 20);
+        assert_eq!(read(&b, &g, wl.page(PageType::Msb)).unwrap(), 30);
     }
 
     #[test]
@@ -272,7 +267,7 @@ mod tests {
         let mut b = BlockState::default();
         b.erase();
         b.program_wl(&g, addr(), LwlId(0), &[1, 2, 3], None).unwrap();
-        let err = b.read_page(&g, addr().wl(LwlId(1)).page(PageType::Lsb)).unwrap_err();
+        let err = read(&b, &g, addr().wl(LwlId(1)).page(PageType::Lsb)).unwrap_err();
         assert!(matches!(err, FlashError::ReadUnwritten { .. }));
     }
 
@@ -285,7 +280,7 @@ mod tests {
         b.erase();
         assert_eq!(b.wear.pe_cycles(), 2);
         assert_eq!(b.phase, BlockPhase::Erased);
-        assert!(b.read_page(&g, addr().wl(LwlId(0)).page(PageType::Lsb)).is_err());
+        assert!(read(&b, &g, addr().wl(LwlId(0)).page(PageType::Lsb)).is_err());
     }
 
     #[test]

@@ -448,10 +448,10 @@ struct LayerTerms {
 /// Profiling a saturated replay shows most of the per-op cost is the 5–7
 /// hash-sampler draws behind [`LatencyModel::program_latency_us`]; all but
 /// the noise draw are constant per `(block, lwl)` (program) or per block
-/// (erase). This cache stores those prefixes in dense tables (NaN =
-/// unfilled) and finishes each query with the `*_from_prefix_us` methods,
-/// so results stay bit-identical to the uncached model while steady-state
-/// queries pay one draw instead of many.
+/// (erase). This cache stores those prefixes in dense tables and finishes
+/// each query with the `*_from_prefix_us` methods, so results stay
+/// bit-identical to the uncached model while steady-state queries pay one
+/// draw instead of many.
 ///
 /// A read latency depends only on `(page, P/E)`, and patrol scrubbing
 /// re-reads every sealed page many times between erases, so whole read
@@ -460,85 +460,114 @@ struct LayerTerms {
 /// (and [`LatencyCache::invalidate_reads`] when every block's does). The
 /// per-block RBER terms — [`RberFactors`] and the fault injector's
 /// weak-block multiplier — are memoized too, the wear factor keyed by the
-/// P/E count it was computed at.
+/// P/E count it was computed at, and so is the read-disturb growth factor
+/// of every disturb count below 16,384 (128 KiB at most).
+///
+/// Every table is allocated on its first query (the read table on the
+/// first erase), zero-filled, with zero meaning "unfilled": an array that
+/// is never erased, programmed or read (offline characterization builds
+/// one per run) allocates nothing, and the OS maps a table's memory only
+/// where queries touch it.
 #[derive(Debug, Clone)]
 pub struct LatencyCache {
-    /// `prog_prefix[block_index * lwls_per_block + lwl]`; NaN = unfilled.
-    prog_prefix: Vec<f64>,
-    /// `ers_prefix[block_index]`; NaN = unfilled.
-    ers_prefix: Vec<f64>,
+    /// `prog_prefix[block_index * lwls_per_block + lwl]`, stored as the
+    /// bitwise complement of the prefix's bits (0 = unfilled; the
+    /// complement of a latency is never 0).
+    prog_prefix: Vec<u64>,
+    /// `ers_prefix[block_index]`, complemented like `prog_prefix`.
+    ers_prefix: Vec<u64>,
+    blocks: usize,
     lwls_per_block: usize,
-    /// `read_us[`[`Geometry::page_index`]`]`; 0.0 = unfilled (a
-    /// read takes at least 1 µs), so the table starts as a zeroed
-    /// allocation whose memory the OS maps only once touched. Interior
-    /// mutability because reads take `&self`.
+    /// `read_us[`[`Geometry::page_index`]`]`; 0.0 = unfilled (a read takes
+    /// at least 1 µs). Interior mutability because reads take `&self`.
     read_us: RefCell<Vec<f64>>,
     pages_per_block: usize,
-    /// `ber[block_index]`, filled on first use.
+    /// `ber[block_index]`; `block == 0.0` = unfilled (the lognormal factor
+    /// is positive).
     ber: RefCell<Vec<BlockBer>>,
+    /// `disturb[n]` = `BerModel::disturb_factor(n)`; 0.0 = unfilled (the
+    /// factor is at least 1).
+    disturb: RefCell<Vec<f64>>,
 }
 
+/// Disturb counts below this bound have their `BerModel::disturb_factor`
+/// memoized (8 B each); larger counts compute it directly.
+const DISTURB_MEMO_LEN: usize = 1 << 14;
+
 /// The memoized RBER terms of one block.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct BlockBer {
-    /// [`BerModel::block_factor`]; NaN = unfilled.
+    /// [`BerModel::block_factor`]; 0.0 = unfilled.
     block: f64,
     /// [`FaultInjector::ber_multiplier`]; valid once `block` is.
     weak: f64,
     /// P/E count `wear` was computed at.
     pe: u32,
-    /// [`BerModel::wear_factor`] at `pe`; NaN = unfilled.
+    /// [`BerModel::wear_factor`] at `pe`; 0.0 = unfilled.
     wear: f64,
+}
+
+/// `table`, allocated zero-filled with `len` entries on first use.
+fn sized<T: Clone + Default>(table: &mut Vec<T>, len: usize) -> &mut Vec<T> {
+    if table.is_empty() {
+        *table = vec![T::default(); len];
+    }
+    table
 }
 
 impl LatencyCache {
     /// An empty cache sized for `geo`'s dense block/word-line/page index
-    /// space.
+    /// space. Allocates nothing until the first query.
     #[must_use]
     pub fn new(geo: &Geometry) -> Self {
-        let blocks = geo.total_blocks() as usize;
-        let lwls_per_block = geo.lwls_per_block() as usize;
-        let pages_per_block = geo.pages_per_block() as usize;
-        let unfilled = BlockBer { block: f64::NAN, weak: f64::NAN, pe: 0, wear: f64::NAN };
         LatencyCache {
-            prog_prefix: vec![f64::NAN; blocks * lwls_per_block],
-            ers_prefix: vec![f64::NAN; blocks],
-            lwls_per_block,
-            read_us: RefCell::new(vec![0.0; blocks * pages_per_block]),
-            pages_per_block,
-            ber: RefCell::new(vec![unfilled; blocks]),
+            prog_prefix: Vec::new(),
+            ers_prefix: Vec::new(),
+            blocks: geo.total_blocks() as usize,
+            lwls_per_block: geo.lwls_per_block() as usize,
+            read_us: RefCell::new(Vec::new()),
+            pages_per_block: geo.pages_per_block() as usize,
+            ber: RefCell::new(Vec::new()),
+            disturb: RefCell::new(Vec::new()),
         }
     }
 
-    /// Memoized equivalent of [`LatencyModel::read_latency_us`]; bit-identical
-    /// to it as long as `pe` is the block's P/E count and the owner
-    /// invalidated the block when that count last changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range for the model's geometry.
-    pub fn read_latency_us(&self, model: &LatencyModel, page: PageAddr, pe: u32) -> f64 {
-        let idx = model.geometry().page_index(page);
+    /// Memoized equivalent of [`LatencyModel::read_latency_us`] for the
+    /// page at [`Geometry::page_index`] `index`; bit-identical to it as
+    /// long as `pe` is the block's P/E count and the owner invalidated the
+    /// block when that count last changed.
+    pub(crate) fn read_latency_at(
+        &self,
+        model: &LatencyModel,
+        index: usize,
+        page: PageAddr,
+        pe: u32,
+    ) -> f64 {
         let mut table = self.read_us.borrow_mut();
-        if table[idx] == 0.0 {
-            table[idx] = model.read_latency_us(page, pe);
+        let table = sized(&mut table, self.blocks * self.pages_per_block);
+        if table[index] == 0.0 {
+            table[index] = model.read_latency_us(page, pe);
         }
-        table[idx]
+        table[index]
     }
 
     /// Drops the memoized read latencies of the block at dense index
     /// `block_index` ([`Geometry::block_index`]); call whenever its P/E
     /// count changes.
+    ///
+    /// The first call allocates the read table, so it is in place before
+    /// a replay's large buffers grow: allocating it at the first read
+    /// instead measured about 7 MiB more peak RSS on a 1,600-block replay.
     pub fn invalidate_block(&mut self, block_index: usize) {
         let start = block_index * self.pages_per_block;
-        self.read_us.get_mut()[start..start + self.pages_per_block].fill(0.0);
+        let reads = sized(self.read_us.get_mut(), self.blocks * self.pages_per_block);
+        reads[start..start + self.pages_per_block].fill(0.0);
     }
 
     /// Drops every memoized read latency; call when every block's P/E count
     /// changes.
     pub fn invalidate_reads(&mut self) {
-        let table = self.read_us.get_mut();
-        *table = vec![0.0; table.len()];
+        *self.read_us.get_mut() = Vec::new();
     }
 
     /// Memoized [`RberFactors`] of `addr` at `pe`, plus its
@@ -557,16 +586,30 @@ impl LatencyCache {
         pe: u32,
     ) -> (RberFactors, f64) {
         let mut table = self.ber.borrow_mut();
-        let entry = &mut table[geo.block_index(addr)];
-        if entry.block.is_nan() {
+        let entry = &mut sized(&mut table, self.blocks)[geo.block_index(addr)];
+        if entry.block == 0.0 {
             entry.block = ber.block_factor(addr);
             entry.weak = fault.ber_multiplier(addr);
         }
-        if entry.pe != pe || entry.wear.is_nan() {
+        if entry.pe != pe || entry.wear == 0.0 {
             entry.pe = pe;
             entry.wear = ber.wear_factor(pe);
         }
         (RberFactors { wear: entry.wear, block: entry.block }, entry.weak)
+    }
+
+    /// Memoized `BerModel::disturb_factor`; bit-identical to it.
+    pub(crate) fn disturb_factor(&self, ber: &BerModel, read_disturbs: u64) -> f64 {
+        let n = match usize::try_from(read_disturbs) {
+            Ok(n) if n < DISTURB_MEMO_LEN => n,
+            _ => return ber.disturb_factor(read_disturbs),
+        };
+        let mut table = self.disturb.borrow_mut();
+        let table = sized(&mut table, DISTURB_MEMO_LEN);
+        if table[n] == 0.0 {
+            table[n] = ber.disturb_factor(read_disturbs);
+        }
+        table[n]
     }
 
     /// Cached-prefix equivalent of [`LatencyModel::program_latency_us`];
@@ -577,12 +620,21 @@ impl LatencyCache {
     /// Panics if the address is out of range for the model's geometry.
     pub fn program_latency_us(&mut self, model: &LatencyModel, wl: WlAddr, pe: u32) -> f64 {
         let idx = model.geometry().block_index(wl.block) * self.lwls_per_block + wl.lwl.0 as usize;
-        let mut prefix = self.prog_prefix[idx];
-        if prefix.is_nan() {
-            prefix = model.program_prefix_us(wl);
-            self.prog_prefix[idx] = prefix;
+        let slot = &mut sized(&mut self.prog_prefix, self.blocks * self.lwls_per_block)[idx];
+        if *slot == 0 {
+            *slot = !model.program_prefix_us(wl).to_bits();
         }
-        model.program_latency_from_prefix_us(prefix, wl, pe)
+        model.program_latency_from_prefix_us(f64::from_bits(!*slot), wl, pe)
+    }
+
+    /// Entries allocated across every table.
+    #[cfg(test)]
+    pub(crate) fn allocated_entries(&self) -> usize {
+        self.prog_prefix.len()
+            + self.ers_prefix.len()
+            + self.read_us.borrow().len()
+            + self.ber.borrow().len()
+            + self.disturb.borrow().len()
     }
 
     /// Cached-prefix equivalent of [`LatencyModel::erase_latency_us`];
@@ -593,12 +645,11 @@ impl LatencyCache {
     /// Panics if the address is out of range for the model's geometry.
     pub fn erase_latency_us(&mut self, model: &LatencyModel, addr: BlockAddr, pe: u32) -> f64 {
         let idx = model.geometry().block_index(addr);
-        let mut prefix = self.ers_prefix[idx];
-        if prefix.is_nan() {
-            prefix = model.erase_prefix_us(addr);
-            self.ers_prefix[idx] = prefix;
+        let slot = &mut sized(&mut self.ers_prefix, self.blocks)[idx];
+        if *slot == 0 {
+            *slot = !model.erase_prefix_us(addr).to_bits();
         }
-        model.erase_latency_from_prefix_us(prefix, addr, pe)
+        model.erase_latency_from_prefix_us(f64::from_bits(!*slot), addr, pe)
     }
 }
 

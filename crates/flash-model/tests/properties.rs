@@ -2,9 +2,44 @@
 
 use flash_model::{
     BlockAddr, BlockId, CellType, ChipId, FaultConfig, FlashArray, FlashConfig, Geometry, LwlId,
-    PageType, PlaneId, PwlLayer, Sampler, VariationConfig,
+    PageAddr, PageOob, PageType, PlaneId, PwlLayer, Sampler, VariationConfig,
 };
 use proptest::prelude::*;
+
+/// Page-type spread plus frequent weak blocks: every page-granular and
+/// block-granular error multiplier is live.
+fn mixed_faults() -> FaultConfig {
+    FaultConfig {
+        page_type_ber_spread: 0.35,
+        weak_block_prob: 0.3,
+        weak_ber_multiplier: 300.0,
+        ..FaultConfig::default()
+    }
+}
+
+/// `FlashArray::expected_error_bits` from the uncached formulas: the
+/// `BerModel` at the block's P/E count and the page's disturb count, times
+/// the weak-block and (when not exactly 1) page-type multipliers.
+fn model_error_bits(array: &FlashArray, page: PageAddr, retention_hours: f64) -> f64 {
+    let geo = array.geometry();
+    let addr = page.wl.block;
+    let fault = array.fault_injector();
+    let bits = array.ber_model().expected_error_bits(
+        geo,
+        addr,
+        geo.layer_of(page.wl.lwl),
+        array.pe_cycles(addr).unwrap(),
+        retention_hours,
+        array.read_disturbs(page),
+        16 * 1024,
+    ) * fault.ber_multiplier(addr);
+    let page_type = fault.page_type_ber_mult(page.page.slot(geo.cell()), geo.pages_per_lwl());
+    if page_type == 1.0 {
+        bits
+    } else {
+        bits * page_type
+    }
+}
 
 fn arb_geometry() -> impl Strategy<Value = Geometry> {
     (1u16..5, 1u16..3, 1u32..20, 1u16..12, prop_oneof![Just(2u16), Just(4u16)]).prop_map(
@@ -101,64 +136,151 @@ proptest! {
         seed in any::<u64>(),
         ops in collection::vec((0u8..10, 0usize..4, any::<u32>(), 0usize..4), 1..160),
     ) {
-        // Two arrays replay the same random interleaving of programs, reads,
-        // erases and aging with read disturb tracked and page-type spread on;
-        // only one memoizes. Every latency and error-bit answer must agree
-        // to the bit, which pins the cache's invalidation on every P/E change.
+        // One array replays a random interleaving of programs, reads,
+        // erases and aging with read disturb tracked, page-type spread and
+        // weak blocks on. Every latency and error-bit answer of its memo
+        // must equal the uncached `LatencyModel` / `BerModel` formulas
+        // evaluated on the array's own P/E and disturb state, to the bit,
+        // which pins the memo's invalidation on every P/E change.
         let geo = Geometry::new(2, 1, 2, 3, 2, CellType::Tlc);
         let config = FlashConfig { geometry: geo.clone(), variation: VariationConfig::default() };
-        let fault = FaultConfig {
-            page_type_ber_spread: 0.35,
-            weak_block_prob: 0.3,
-            weak_ber_multiplier: 300.0,
-            ..FaultConfig::default()
-        };
-        let mut plain = FlashArray::with_faults(config.clone(), seed, fault.clone());
-        let mut memo = FlashArray::with_faults(config, seed, fault);
-        memo.set_fast_latency(true);
-        plain.set_track_disturb(true);
-        memo.set_track_disturb(true);
+        let mut array = FlashArray::with_faults(config, seed, mixed_faults());
+        array.set_track_disturb(true);
         let blocks: Vec<BlockAddr> = geo.blocks().collect();
         let per_lwl = geo.pages_per_lwl();
         for (kind, b, pick, age) in ops {
             let addr = blocks[b];
             // A page on a word-line the block has already programmed, when
             // it has any.
-            let written = plain.next_lwl(addr).unwrap().0.max(1);
+            let written = array.next_lwl(addr).unwrap().0.max(1);
             let pt = PageType::from_index(geo.cell(), pick % per_lwl).unwrap();
             let page = addr.wl(LwlId((pick / per_lwl) % written)).page(pt);
+            let pe = array.pe_cycles(addr).unwrap();
+            let model = array.latency_model().clone();
             match kind {
                 0 | 1 => {
-                    let (a, b) = (plain.erase_block(addr), memo.erase_block(addr));
-                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+                    let t = array.erase_block(addr).unwrap();
+                    prop_assert_eq!(t.to_bits(), model.erase_latency_us(addr, pe).to_bits());
                 }
                 2 | 3 => {
-                    let wl = addr.wl(plain.next_lwl(addr).unwrap());
+                    let wl = addr.wl(array.next_lwl(addr).unwrap());
                     let data = vec![u64::from(pick); per_lwl as usize];
-                    let (a, b) = (plain.program_wl(wl, &data), memo.program_wl(wl, &data));
-                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+                    if let Ok(t) = array.program_wl(wl, &data) {
+                        prop_assert_eq!(t.to_bits(), model.program_latency_us(wl, pe).to_bits());
+                    }
                 }
                 4..=7 => {
-                    let (a, b) = (plain.read_page(page), memo.read_page(page));
-                    prop_assert_eq!(
-                        a.map(|(d, t)| (d, t.to_bits())),
-                        b.map(|(d, t)| (d, t.to_bits()))
-                    );
+                    if let Ok((_, t)) = array.read_page(page) {
+                        prop_assert_eq!(t.to_bits(), model.read_latency_us(page, pe).to_bits());
+                    }
                 }
-                8 => {
-                    plain.age_block(addr, 1 + pick % 500).unwrap();
-                    memo.age_block(addr, 1 + pick % 500).unwrap();
-                }
-                _ => {
-                    plain.age_all(1 + pick % 50);
-                    memo.age_all(1 + pick % 50);
-                }
+                8 => array.age_block(addr, 1 + pick % 500).unwrap(),
+                _ => array.age_all(1 + pick % 50),
             }
             let retention = [0.0, 0.0, 3.5, 2000.0][age];
             prop_assert_eq!(
-                plain.expected_error_bits(page, retention).to_bits(),
-                memo.expected_error_bits(page, retention).to_bits()
+                array.expected_error_bits(page, retention).to_bits(),
+                model_error_bits(&array, page, retention).to_bits()
             );
+        }
+    }
+
+    #[test]
+    fn word_line_view_answers_what_per_page_reads_answer(
+        seed in any::<u64>(),
+        cell in prop_oneof![Just(CellType::Mlc), Just(CellType::Tlc), Just(CellType::Qlc)],
+        ops in collection::vec((0u8..12, 0usize..4, any::<u32>(), 0usize..4), 1..160),
+    ) {
+        // Twin arrays replay the same random stream of erases, programs
+        // (some failing), torn word-lines, aging and scans. One scans each
+        // word-line through a `WordLine` view, the other with per-page
+        // `read_oob` / `read_page` / `expected_error_bits` calls in the
+        // same order. Every answer, error and disturb count must agree to
+        // the bit, on readable, unwritten, torn and program-failed
+        // word-lines alike.
+        let geo = Geometry::new(2, 1, 2, 3, 2, cell);
+        let config = FlashConfig { geometry: geo.clone(), variation: VariationConfig::default() };
+        let faults = FaultConfig { program_fail_prob: 0.04, ..mixed_faults() };
+        let mut view = FlashArray::with_faults(config.clone(), seed, faults.clone());
+        let mut paged = FlashArray::with_faults(config, seed, faults);
+        view.set_track_disturb(true);
+        paged.set_track_disturb(true);
+        let blocks: Vec<BlockAddr> = geo.blocks().collect();
+        let per_lwl = geo.pages_per_lwl();
+        for (kind, b, pick, age) in ops {
+            let addr = blocks[b];
+            let lwls = geo.lwls_per_block();
+            let wl = addr.wl(LwlId(pick % lwls));
+            let next = addr.wl(view.next_lwl(addr).unwrap());
+            let data: Vec<u64> = (0..u64::from(per_lwl)).map(|k| u64::from(pick) + k).collect();
+            let retention = [0.0, 0.0, 3.5, 2000.0][age];
+            match kind {
+                0 => {
+                    let (a, b) = (view.erase_block(addr), paged.erase_block(addr));
+                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+                }
+                1 => {
+                    let (a, b) = (view.program_wl(next, &data), paged.program_wl(next, &data));
+                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+                }
+                2 | 3 => {
+                    // With a distinct OOB record per page, so a view that
+                    // mixed up its slots would show.
+                    let oob: Vec<PageOob> = data
+                        .iter()
+                        .map(|&lpn| PageOob { lpn, seq: lpn ^ 0x5a, sb_id: 3, member_slot: b as u16 })
+                        .collect();
+                    let (a, b) = (
+                        view.program_wl_with_oob(next, &data, &oob),
+                        paged.program_wl_with_oob(next, &data, &oob),
+                    );
+                    prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits));
+                }
+                4 => {
+                    if next.lwl.0 < lwls {
+                        view.mark_torn(next).unwrap();
+                        paged.mark_torn(next).unwrap();
+                    }
+                }
+                5 => {
+                    view.age_block(addr, 1 + pick % 300).unwrap();
+                    paged.age_block(addr, 1 + pick % 300).unwrap();
+                }
+                _ => {
+                    // A patrol-style scan: each page's OOB, then its read,
+                    // then its error bits (which see that read's disturb).
+                    let first = wl.page(PageType::for_cell(cell)[0]);
+                    match view.word_line(wl) {
+                        Ok(line) => {
+                            prop_assert_eq!(line.pages(), per_lwl);
+                            for k in 0..line.pages() {
+                                let page = line.page(k);
+                                prop_assert_eq!(Ok(line.oob(k)), paged.read_oob(page));
+                                let (d, t) = line.read(k);
+                                let (pd, pt) = paged.read_page(page).unwrap();
+                                prop_assert_eq!((d, t.to_bits()), (pd, pt.to_bits()));
+                                prop_assert_eq!(
+                                    line.expected_error_bits(k, retention).to_bits(),
+                                    paged.expected_error_bits(page, retention).to_bits()
+                                );
+                            }
+                        }
+                        Err(e) => {
+                            prop_assert_eq!(Err(e.clone()), paged.read_oob(first));
+                            prop_assert_eq!(Err(e), paged.read_page(first).map(|_| ()));
+                        }
+                    }
+                }
+            }
+            for page in geo.lwls().flat_map(|l| {
+                PageType::for_cell(cell).iter().map(move |&pt| addr.wl(l).page(pt))
+            }) {
+                prop_assert_eq!(view.read_disturbs(page), paged.read_disturbs(page));
+                prop_assert_eq!(
+                    view.expected_error_bits(page, retention).to_bits(),
+                    paged.expected_error_bits(page, retention).to_bits()
+                );
+            }
         }
     }
 

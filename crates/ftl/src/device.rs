@@ -17,8 +17,8 @@ use crate::timing::{
 use crate::wear_level::WearTracker;
 use crate::Result;
 use flash_model::{
-    BlockAddr, BlockSummaryRecord, FlashArray, FlashError, LwlId, MpOutcome, PageAddr, PageType,
-    SealRecord,
+    BlockAddr, BlockSummaryRecord, FlashArray, FlashError, LwlId, MpOutcome, PageAddr, SealRecord,
+    WlAddr, WordLine,
 };
 use pvcheck::{BlockSummary, Characterizer, EigenSequence, SpeedClass};
 use std::collections::HashSet;
@@ -141,6 +141,19 @@ fn logical_capacity(physical_pages: u64, overprovision: f64) -> u64 {
     }
 }
 
+/// The device's one word-line reader: a checked flash view of `wl`, or
+/// `None` when the word-line holds nothing readable (never programmed, or
+/// torn by a power loss). A free function so the view borrows only the
+/// array, leaving the rest of the device free for stats and clock updates
+/// while it lives.
+fn readable_word_line(array: &FlashArray, wl: WlAddr) -> Result<Option<WordLine<'_>>> {
+    match array.word_line(wl) {
+        Ok(line) => Ok(Some(line)),
+        Err(FlashError::ReadUnwritten { .. } | FlashError::TornWordLine { .. }) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
 impl Ssd {
     /// Builds the device, optionally pre-characterizing every block so
     /// QSTR-MED starts warm (the paper's steady-state setting).
@@ -153,12 +166,6 @@ impl Ssd {
         let mut array = FlashArray::with_faults(config.flash.clone(), seed, config.fault.clone());
         if config.integrity.track {
             array.set_track_disturb(true);
-        }
-        if config.engine == EngineMode::Batched {
-            // Bit-identical memoization of static latency and RBER terms;
-            // kept off under the stepper so the oracle stays on the original
-            // code path.
-            array.set_fast_latency(true);
         }
         let geo = array.geometry().clone();
         let physical_pages = geo.total_blocks() * u64::from(geo.pages_per_block());
@@ -196,7 +203,7 @@ impl Ssd {
             logical_pages,
             wear: WearTracker::new(config_wear_threshold),
             seal_seq: 0,
-            touches: TouchLog::default(),
+            touches: TouchLog::new(geo.chip_plane_groups()),
             scratch: Vec::new(),
             seed,
             sb_seq: 0,
@@ -311,9 +318,6 @@ impl Ssd {
                 }
                 EngineState::PerChip {
                     busy: vec![0.0f64; groups + 1],
-                    agg: vec![0.0f64; groups + 1],
-                    touched: Vec::with_capacity(groups + 1),
-                    buf: Vec::new(),
                     in_flight: InFlight::default(),
                     makespan: 0.0,
                 }
@@ -335,9 +339,6 @@ impl Ssd {
                 }
                 EngineState::BatchedPerChip {
                     busy: vec![0.0f64; groups + 1],
-                    agg: vec![0.0f64; groups + 1],
-                    touched: Vec::with_capacity(groups + 1),
-                    buf: Vec::new(),
                     in_flight: DepthTracker::new(),
                     makespan: 0.0,
                     samples: BatchedSamples::default(),
@@ -383,23 +384,13 @@ impl Ssd {
             EngineState::Single { device_free_at, in_flight } => {
                 self.timed_step_single(arrival, r, class, device_free_at, in_flight)
             }
-            EngineState::PerChip { busy, agg, touched, buf, in_flight, makespan } => self
-                .timed_step_per_chip(
-                    arrival, r, class, busy, agg, touched, buf, in_flight, makespan,
-                ),
+            EngineState::PerChip { busy, in_flight, makespan } => {
+                self.timed_step_per_chip(arrival, r, class, busy, in_flight, makespan)
+            }
             EngineState::BatchedSingle { device_free_at, in_flight, samples } => self
                 .timed_step_batched_single(arrival, r, class, device_free_at, in_flight, samples),
-            EngineState::BatchedPerChip {
-                busy,
-                agg,
-                touched,
-                buf,
-                in_flight,
-                makespan,
-                samples,
-            } => self.timed_step_batched_per_chip(
-                arrival, r, class, busy, agg, touched, buf, in_flight, makespan, samples,
-            ),
+            EngineState::BatchedPerChip { busy, in_flight, makespan, samples } => self
+                .timed_step_batched_per_chip(arrival, r, class, busy, in_flight, makespan, samples),
         };
         self.engine = Some(engine);
         result
@@ -549,13 +540,9 @@ impl Ssd {
         r: IoRequest,
         class: QosClass,
         busy: &mut [f64],
-        agg: &mut [f64],
-        touched: &mut Vec<usize>,
-        buf: &mut Vec<(usize, f64)>,
         in_flight: &mut InFlight,
         makespan: &mut f64,
     ) -> Result<TimedOutcome> {
-        let groups = busy.len() - 1;
         if self.config.idle_gc {
             match self.config.gc_budget {
                 GcBudget::Unbounded => {
@@ -568,14 +555,7 @@ impl Ssd {
                         match self.gc_once()? {
                             Some(t) => {
                                 self.stats.idle_gc_us += t;
-                                self.touches.take_into(buf);
-                                Self::aggregate_touches(buf, groups, agg, touched);
-                                let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                                for &g in touched.iter() {
-                                    busy[g] = start + agg[g];
-                                    self.stats.chip_busy_us[g] += agg[g];
-                                    agg[g] = 0.0;
-                                }
+                                self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
                             }
                             None => break,
                         }
@@ -587,14 +567,7 @@ impl Ssd {
                         let t = self.gc_slice(arrival - now)?;
                         if t > 0.0 {
                             self.stats.idle_gc_us += t;
-                            self.touches.take_into(buf);
-                            Self::aggregate_touches(buf, groups, agg, touched);
-                            let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                            for &g in touched.iter() {
-                                busy[g] = start + agg[g];
-                                self.stats.chip_busy_us[g] += agg[g];
-                                agg[g] = 0.0;
-                            }
+                            self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
                         }
                     }
                 }
@@ -609,14 +582,7 @@ impl Ssd {
                 let t = self.patrol_slice(arrival - now)?;
                 if t > 0.0 {
                     self.stats.patrol_us += t;
-                    self.touches.take_into(buf);
-                    Self::aggregate_touches(buf, groups, agg, touched);
-                    let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                    for &g in touched.iter() {
-                        busy[g] = start + agg[g];
-                        self.stats.chip_busy_us[g] += agg[g];
-                        agg[g] = 0.0;
-                    }
+                    self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
                 }
             }
         }
@@ -628,15 +594,8 @@ impl Ssd {
                 0.0
             }
         };
-        self.touches.take_into(buf);
-        Self::aggregate_touches(buf, groups, agg, touched);
-        let start = touched.iter().fold(arrival, |a, &g| a.max(busy[g]));
+        let start = self.touches.charge(arrival, busy, &mut self.stats.chip_busy_us);
         let wait = start - arrival;
-        for &g in touched.iter() {
-            busy[g] = start + agg[g];
-            self.stats.chip_busy_us[g] += agg[g];
-            agg[g] = 0.0;
-        }
         self.record_timed_latency(r.op, wait, service);
         let depth = in_flight.arrive(arrival) as u64 + 1;
         self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
@@ -758,14 +717,10 @@ impl Ssd {
         r: IoRequest,
         class: QosClass,
         busy: &mut [f64],
-        agg: &mut [f64],
-        touched: &mut Vec<usize>,
-        buf: &mut Vec<(usize, f64)>,
         in_flight: &mut DepthTracker,
         makespan: &mut f64,
         samples: &mut BatchedSamples,
     ) -> Result<TimedOutcome> {
-        let groups = busy.len() - 1;
         if self.config.idle_gc {
             match self.config.gc_budget {
                 GcBudget::Unbounded => {
@@ -775,14 +730,7 @@ impl Ssd {
                         match self.gc_once()? {
                             Some(t) => {
                                 self.stats.idle_gc_us += t;
-                                self.touches.take_into(buf);
-                                Self::aggregate_touches(buf, groups, agg, touched);
-                                let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                                for &g in touched.iter() {
-                                    busy[g] = start + agg[g];
-                                    self.stats.chip_busy_us[g] += agg[g];
-                                    agg[g] = 0.0;
-                                }
+                                self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
                             }
                             None => break,
                         }
@@ -794,14 +742,7 @@ impl Ssd {
                         let t = self.gc_slice(arrival - now)?;
                         if t > 0.0 {
                             self.stats.idle_gc_us += t;
-                            self.touches.take_into(buf);
-                            Self::aggregate_touches(buf, groups, agg, touched);
-                            let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                            for &g in touched.iter() {
-                                busy[g] = start + agg[g];
-                                self.stats.chip_busy_us[g] += agg[g];
-                                agg[g] = 0.0;
-                            }
+                            self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
                         }
                     }
                 }
@@ -815,14 +756,7 @@ impl Ssd {
                 let t = self.patrol_slice(arrival - now)?;
                 if t > 0.0 {
                     self.stats.patrol_us += t;
-                    self.touches.take_into(buf);
-                    Self::aggregate_touches(buf, groups, agg, touched);
-                    let start = touched.iter().fold(0.0f64, |a, &g| a.max(busy[g]));
-                    for &g in touched.iter() {
-                        busy[g] = start + agg[g];
-                        self.stats.chip_busy_us[g] += agg[g];
-                        agg[g] = 0.0;
-                    }
+                    self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
                 }
             }
         }
@@ -834,15 +768,8 @@ impl Ssd {
                 0.0
             }
         };
-        self.touches.take_into(buf);
-        Self::aggregate_touches(buf, groups, agg, touched);
-        let start = touched.iter().fold(arrival, |a, &g| a.max(busy[g]));
+        let start = self.touches.charge(arrival, busy, &mut self.stats.chip_busy_us);
         let wait = start - arrival;
-        for &g in touched.iter() {
-            busy[g] = start + agg[g];
-            self.stats.chip_busy_us[g] += agg[g];
-            agg[g] = 0.0;
-        }
         self.record_timed_latency_deferred(r.op, wait, service, samples);
         let depth = in_flight.arrive(arrival) as u64 + 1;
         self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
@@ -855,25 +782,6 @@ impl Ssd {
             start_us: start,
             completion_us: completion,
         })
-    }
-
-    /// Folds raw touch-log entries into per-group occupancy: `agg[g]` gets
-    /// the summed duration and `touched` lists each group once. `CONTROLLER`
-    /// touches map to slot `groups`.
-    fn aggregate_touches(
-        buf: &[(usize, f64)],
-        groups: usize,
-        agg: &mut [f64],
-        touched: &mut Vec<usize>,
-    ) {
-        touched.clear();
-        for &(g, d) in buf {
-            let g = if g == CONTROLLER { groups } else { g };
-            if !touched.contains(&g) {
-                touched.push(g);
-            }
-            agg[g] += d;
-        }
     }
 
     /// Executes a request stream.
@@ -1114,9 +1022,6 @@ impl Ssd {
         // Stripe siblings were programmed in the same instant as the lost
         // page, so its retention age is theirs.
         let age = self.data_age_hours(lpn);
-        let geo = self.array.geometry();
-        let cell = geo.cell();
-        let pages_per_lwl = geo.pages_per_lwl();
         let mut acc = 0u64;
         let mut intact = true;
         let mut saw_parity = false;
@@ -1124,15 +1029,14 @@ impl Ssd {
         let mut fanout_us = 0.0f64;
         for &member in &members {
             let mut member_us = 0.0;
-            for k in 0..pages_per_lwl {
-                let pt = PageType::from_index(cell, k).expect("k < pages_per_lwl");
-                let page = member.wl(ppa.wl.lwl).page(pt);
-                if page == ppa {
-                    continue;
-                }
-                match self.array.read_page(page) {
-                    Ok((tag, t)) => {
-                        let bits = self.array.expected_error_bits(page, age);
+            match readable_word_line(&self.array, member.wl(ppa.wl.lwl))? {
+                // An unwritten or torn sibling word-line: the stripe is
+                // short of tags.
+                None => intact = false,
+                Some(line) => {
+                    for k in (0..line.pages()).filter(|&k| line.page(k) != ppa) {
+                        let (tag, t) = line.read(k);
+                        let bits = line.expected_error_bits(k, age);
                         member_us += self.config.retry.read_latency_us(t, bits);
                         self.stats.rebuild_reads += 1;
                         if self.config.retry.is_uncorrectable(bits) {
@@ -1140,15 +1044,9 @@ impl Ssd {
                             intact = false;
                         } else {
                             acc ^= tag;
-                            if self.array.read_oob(page).is_ok_and(|o| o.is_parity()) {
-                                saw_parity = true;
-                            }
+                            saw_parity |= line.oob(k).is_parity();
                         }
                     }
-                    Err(FlashError::ReadUnwritten { .. } | FlashError::TornWordLine { .. }) => {
-                        intact = false;
-                    }
-                    Err(e) => return Err(e.into()),
                 }
             }
             if member_us > 0.0 {
@@ -1805,13 +1703,12 @@ impl Ssd {
                 job.lwl_cursor = 0;
                 continue;
             }
+            let pages_per_lwl = geo.pages_per_lwl();
             let lwl = LwlId(job.lwl_cursor);
             job.lwl_cursor += 1;
             let mut members = std::mem::take(&mut self.patrol_bufs.members);
             members.clear();
             members.extend_from_slice(&sb.members);
-            let cell = geo.cell();
-            let pages_per_lwl = geo.pages_per_lwl();
             let mut time = 0.0;
             // Parity verification rides the existing scan for free: the OOB
             // reads below already visit every page of the stripe, so the
@@ -1824,48 +1721,58 @@ impl Ssd {
             let mut unrefreshed_live = std::mem::take(&mut self.patrol_bufs.unrefreshed_live);
             unrefreshed_live.clear();
             for &member in &members {
-                for k in 0..pages_per_lwl {
-                    let pt = PageType::from_index(cell, k).expect("k < pages_per_lwl");
-                    let page = member.wl(lwl).page(pt);
-                    let oob = match self.array.read_oob(page) {
-                        Ok(oob) => oob,
-                        Err(FlashError::ReadUnwritten { .. } | FlashError::TornWordLine { .. }) => {
-                            continue;
-                        }
-                        Err(e) => return Err(e.into()),
+                let group = self.array.geometry().chip_plane_index(member);
+                // Pages are scanned in slot order through one view of the
+                // member word-line. A refresh ends the view: its staging
+                // (and the emergency collection before it) may program,
+                // erase or collect this very block, so the remaining pages
+                // are read through a fresh, re-checked view.
+                let mut k = 0;
+                while k < pages_per_lwl {
+                    let Some(line) = readable_word_line(&self.array, member.wl(lwl))? else {
+                        break;
                     };
-                    if parity_on {
-                        if oob.is_parity() {
-                            parity_page = Some(page);
+                    let mut refresh = None;
+                    while k < pages_per_lwl && refresh.is_none() {
+                        let slot = k;
+                        k += 1;
+                        let (page, oob) = (line.page(slot), line.oob(slot));
+                        if parity_on {
+                            if oob.is_parity() {
+                                parity_page = Some(page);
+                                continue;
+                            }
+                            // Every data/filler tag — live or stale — is
+                            // part of the stripe XOR (payload tag == OOB lpn
+                            // for both).
+                            lwl_xor ^= oob.lpn;
+                        }
+                        if oob.is_filler() || self.mapping.lookup(oob.lpn) != Some(page) {
+                            // Filler or a stale copy: nothing to protect.
                             continue;
                         }
-                        // Every data/filler tag — live or stale — is part of
-                        // the stripe XOR (payload tag == OOB lpn for both).
-                        lwl_xor ^= oob.lpn;
-                    }
-                    if oob.is_filler() || self.mapping.lookup(oob.lpn) != Some(page) {
-                        // Filler or a stale copy: nothing to protect.
-                        continue;
-                    }
-                    let (tag, t_read) = self.array.read_page(page)?;
-                    debug_assert_eq!(tag, oob.lpn);
-                    self.touch_block(page.wl.block, t_read);
-                    time += t_read;
-                    self.stats.patrol_scanned_pages += 1;
-                    live_pages += 1;
-                    let bits = self.array.expected_error_bits(page, self.data_age_hours(oob.lpn));
-                    if bits >= refresh_at {
-                        if self.manager.assemblable() <= 1 {
-                            // Same emergency floor as the read path: a
-                            // refresh-heavy pass through aged media must
-                            // not outrun collection and drain the pool.
-                            time += self.gc_slice_toward(f64::INFINITY, 2)?;
+                        let (tag, t_read) = line.read(slot);
+                        debug_assert_eq!(tag, oob.lpn);
+                        self.touches.record(group, t_read);
+                        time += t_read;
+                        self.stats.patrol_scanned_pages += 1;
+                        live_pages += 1;
+                        let bits = line.expected_error_bits(slot, self.data_age_hours(oob.lpn));
+                        if bits >= refresh_at {
+                            refresh = Some(oob.lpn);
+                        } else if parity_on {
+                            unrefreshed_live.push(oob.lpn);
                         }
-                        time += self.stage_write(oob.lpn, Purpose::Gc)?;
-                        self.stats.patrol_refreshes += 1;
-                    } else if parity_on {
-                        unrefreshed_live.push(oob.lpn);
                     }
+                    let Some(lpn) = refresh else { break };
+                    if self.manager.assemblable() <= 1 {
+                        // Same emergency floor as the read path: a
+                        // refresh-heavy pass through aged media must not
+                        // outrun collection and drain the pool.
+                        time += self.gc_slice_toward(f64::INFINITY, 2)?;
+                    }
+                    time += self.stage_write(lpn, Purpose::Gc)?;
+                    self.stats.patrol_refreshes += 1;
                 }
             }
             if parity_on && live_pages > 0 {
@@ -2236,7 +2143,6 @@ impl Ssd {
             torn_writes_discarded: 0,
             scan_us: 0.0,
         };
-        let cell = geo.cell();
         for (sb_id, members) in &dirty {
             // The super word-line that was mid-program at power loss: the
             // interrupted member reports it torn; members whose individual
@@ -2249,19 +2155,15 @@ impl Ssd {
                 }
             }
             for &member in members {
-                'lwls: for lwl in 0..geo.lwls_per_block() {
-                    let lwl = LwlId(lwl);
-                    for k in 0..geo.pages_per_lwl() {
-                        let pt = PageType::from_index(cell, k).expect("k < pages_per_lwl");
-                        let page = member.wl(lwl).page(pt);
-                        let oob = match self.array.read_oob(page) {
-                            Ok(oob) => oob,
-                            Err(
-                                FlashError::ReadUnwritten { .. } | FlashError::TornWordLine { .. },
-                            ) => break 'lwls,
-                            Err(e) => return Err(e.into()),
-                        };
-                        let (_, t_read) = self.array.read_page(page)?;
+                for lwl in geo.lwls() {
+                    // The scan stops at the member's first word-line with
+                    // nothing readable: its write pointer, or the torn one.
+                    let Some(line) = readable_word_line(&self.array, member.wl(lwl))? else {
+                        break;
+                    };
+                    for k in 0..line.pages() {
+                        let (page, oob) = (line.page(k), line.oob(k));
+                        let (_, t_read) = line.read(k);
                         report.scanned_pages += 1;
                         report.scan_us += t_read;
                         if !oob.is_mapped() {

@@ -12,9 +12,10 @@
 //!   proceed. This is the overlap QSTR-MED's superpage striping exploits.
 //!
 //! During a `PerChip` replay the device records every flash command into a
-//! [`TouchLog`] as `(chip/plane group, duration)`; the replay loop turns the
-//! log into per-group occupancy. The log is disabled outside `PerChip`
-//! replays so the `Single` path stays untouched.
+//! [`TouchLog`] as `(chip/plane group, duration)`, which sums each group's
+//! occupancy as it records; the replay loop then charges those sums to the
+//! group clocks. The log is disabled outside `PerChip` replays so the
+//! `Single` path stays untouched.
 
 /// Which timing model [`crate::Ssd::run_timed`] uses. See the
 /// [module docs](self) for the two models.
@@ -39,8 +40,7 @@ pub enum EngineMode {
     #[default]
     Stepper,
     /// Event-driven core: sorted-ring completion tracking, batched
-    /// admission, prefix-cached latency synthesis, SoA stat accumulators
-    /// folded at `timed_end`.
+    /// admission, SoA stat accumulators folded at `timed_end`.
     Batched,
 }
 
@@ -93,12 +93,6 @@ pub(crate) enum EngineState {
     PerChip {
         /// Busy-until clock per group; the last slot is the controller.
         busy: Vec<f64>,
-        /// Scratch: summed occupancy per group for the current request.
-        agg: Vec<f64>,
-        /// Scratch: groups the current request touched.
-        touched: Vec<usize>,
-        /// Scratch: raw touch-log entries.
-        buf: Vec<(usize, f64)>,
         /// Open-loop depth tracker.
         in_flight: InFlight,
         /// Latest completion seen so far.
@@ -122,12 +116,6 @@ pub(crate) enum EngineState {
     BatchedPerChip {
         /// Busy-until clock per group; the last slot is the controller.
         busy: Vec<f64>,
-        /// Scratch: summed occupancy per group for the current request.
-        agg: Vec<f64>,
-        /// Scratch: groups the current request touched.
-        touched: Vec<usize>,
-        /// Scratch: raw touch-log entries.
-        buf: Vec<(usize, f64)>,
         /// Sorted-ring completion tracker (same counts as [`InFlight`]).
         in_flight: crate::sched::DepthTracker,
         /// Latest completion seen so far.
@@ -157,31 +145,60 @@ pub(crate) struct BatchedSamples {
 ///
 /// Recording is off by default; [`crate::Ssd::run_timed`] enables it only
 /// for `PerChip` replays, so untimed runs and the `Single` model pay one
-/// branch per flash command and nothing else.
-#[derive(Debug, Default)]
+/// branch per flash command and nothing else. While on, each group's
+/// occupancy is summed in record order starting from 0, and the groups are
+/// listed in first-touch order, until [`TouchLog::charge`] consumes them.
+#[derive(Debug)]
 pub(crate) struct TouchLog {
     enabled: bool,
-    entries: Vec<(usize, f64)>,
+    /// Summed occupancy per group since the last charge; [`CONTROLLER`]
+    /// sums in the last slot.
+    sums: Vec<f64>,
+    /// Groups with a recorded touch since the last charge, in first-touch
+    /// order.
+    touched: Vec<usize>,
 }
 
 impl TouchLog {
+    /// A disabled log over `groups` chip/plane groups plus the controller.
+    pub(crate) fn new(groups: usize) -> Self {
+        TouchLog { enabled: false, sums: vec![0.0; groups + 1], touched: Vec::new() }
+    }
+
     pub(crate) fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
-        self.entries.clear();
+        for &g in &self.touched {
+            self.sums[g] = 0.0;
+        }
+        self.touched.clear();
     }
 
     /// Records `us` of occupancy on a group (or [`CONTROLLER`]).
     pub(crate) fn record(&mut self, group: usize, us: f64) {
         if self.enabled {
-            self.entries.push((group, us));
+            let g = if group == CONTROLLER { self.sums.len() - 1 } else { group };
+            if !self.touched.contains(&g) {
+                self.touched.push(g);
+            }
+            self.sums[g] += us;
         }
     }
 
-    /// Moves the recorded entries into `buf` (cleared first), leaving the
-    /// log empty; buffers swap so neither side reallocates.
-    pub(crate) fn take_into(&mut self, buf: &mut Vec<(usize, f64)>) {
-        buf.clear();
-        std::mem::swap(buf, &mut self.entries);
+    /// Charges everything recorded since the last charge to the busy-until
+    /// clocks `busy` (one per group, the controller last) and the running
+    /// totals `busy_us`, then empties the log. The work starts once every
+    /// touched group is free and no earlier than `not_before`; each touched
+    /// group then stays busy for its own summed occupancy. Returns the
+    /// start time.
+    pub(crate) fn charge(&mut self, not_before: f64, busy: &mut [f64], busy_us: &mut [f64]) -> f64 {
+        let start = self.touched.iter().fold(not_before, |a, &g| a.max(busy[g]));
+        for &g in &self.touched {
+            busy[g] = start + self.sums[g];
+            busy_us[g] += self.sums[g];
+            self.sums[g] = 0.0;
+        }
+        self.touched.clear();
+        start
     }
 }
 
@@ -233,25 +250,37 @@ mod tests {
 
     #[test]
     fn disabled_log_records_nothing() {
-        let mut log = TouchLog::default();
+        let mut log = TouchLog::new(2);
         log.record(0, 5.0);
-        let mut buf = Vec::new();
-        log.take_into(&mut buf);
-        assert!(buf.is_empty());
+        let (mut busy, mut total) = (vec![1.0; 3], vec![0.0; 3]);
+        assert_eq!(log.charge(0.5, &mut busy, &mut total), 0.5, "nothing touched, no wait");
+        assert_eq!((busy, total), (vec![1.0; 3], vec![0.0; 3]));
     }
 
     #[test]
     fn enabled_log_round_trips_entries() {
-        let mut log = TouchLog::default();
+        let mut log = TouchLog::new(3);
         log.set_enabled(true);
         log.record(2, 5.0);
         log.record(CONTROLLER, 1.0);
-        let mut buf = Vec::new();
-        log.take_into(&mut buf);
-        assert_eq!(buf, vec![(2, 5.0), (CONTROLLER, 1.0)]);
+        log.record(2, 0.25);
+        assert_eq!(log.touched, vec![2, 3], "first-touch order, controller last slot");
+        assert_eq!(log.sums, vec![0.0, 0.0, 5.25, 1.0]);
+        let mut busy = vec![0.0, 0.0, 7.0, 2.0];
+        let mut total = vec![0.0; 4];
+        // Starts once group 2 frees at 7.0; each group stays busy for its
+        // own sum.
+        assert_eq!(log.charge(3.0, &mut busy, &mut total), 7.0);
+        assert_eq!(busy, vec![0.0, 0.0, 12.25, 8.0]);
+        assert_eq!(total, vec![0.0, 0.0, 5.25, 1.0]);
         log.record(1, 3.0);
-        log.take_into(&mut buf);
-        assert_eq!(buf, vec![(1, 3.0)], "take_into drains the log");
+        assert_eq!(log.charge(20.0, &mut busy, &mut total), 20.0, "charge drains the log");
+        assert_eq!(busy, vec![0.0, 23.0, 12.25, 8.0]);
+        assert_eq!(total, vec![0.0, 3.0, 5.25, 1.0]);
+        // Disabling drops anything recorded but not charged.
+        log.record(0, 9.0);
+        log.set_enabled(false);
+        assert!(log.touched.is_empty() && log.sums.iter().all(|&s| s == 0.0));
     }
 
     #[test]

@@ -234,3 +234,139 @@ fn blind_and_slow_first_orders_both_complete_passes() {
     let ratio = blind.max(slow) / blind.min(slow).max(1.0);
     assert!(ratio < 1.5, "orders scan comparable populations: blind {blind} vs slow-first {slow}");
 }
+
+/// The refresh-dense regime: parity on, page-type spread, fast retention
+/// aging and refreshes at a tenth of the correction limit, so most patrol
+/// steps refresh a page while more pages of the same member word-line are
+/// still to be scanned. Collection runs only on writes and only below one
+/// assemblable superblock (idle GC off, watermarks 1/2), so refresh
+/// staging regularly drains the pool and patrol's emergency floor collects
+/// in the middle of a super word-line scan.
+fn refresh_dense_config(queue_model: QueueModel, engine: EngineMode) -> FtlConfig {
+    let mut config = FtlConfig::small_test();
+    config.queue_model = queue_model;
+    config.engine = engine;
+    config.gc_low_watermark = 1;
+    config.gc_high_watermark = 2;
+    config.parity = ParityConfig::On;
+    config.fault.page_type_ber_spread = 0.35;
+    config.integrity = IntegrityConfig {
+        track: true,
+        retention_hours_per_us: 0.01,
+        patrol: PatrolConfig::On {
+            interval_us: 10_000.0,
+            slice_us: 2_000.0,
+            refresh_fraction: 0.1,
+            order: PatrolOrder::SlowPoolFirst,
+        },
+    };
+    config
+}
+
+/// Counters verbatim and floats as bit patterns; `chip_busy_us` folds
+/// every per-group clock into one word.
+fn fingerprint(dev: &Ssd) -> Vec<(&'static str, u64)> {
+    let s = dev.stats();
+    let chip_busy = s.chip_busy_us.iter().fold(0u64, |acc, b| acc.rotate_left(7) ^ b.to_bits());
+    vec![
+        ("host_writes", s.host_writes),
+        ("host_reads", s.host_reads),
+        ("gc_runs", s.gc_runs),
+        ("gc_relocations", s.gc_relocations),
+        ("gc_slices", s.gc_slices),
+        ("superwl_programs", s.superwl_programs),
+        ("uncorrectable_reads", s.uncorrectable_reads),
+        ("refresh_relocations", s.refresh_relocations),
+        ("patrol_scanned_pages", s.patrol_scanned_pages),
+        ("patrol_refreshes", s.patrol_refreshes),
+        ("patrol_passes", s.patrol_passes),
+        ("parity_verified", s.parity_verified),
+        ("parity_mismatch", s.parity_mismatch),
+        ("rebuilds_ok", s.rebuilds_ok),
+        ("rebuilds_failed", s.rebuilds_failed),
+        ("busy_us", s.busy_us.to_bits()),
+        ("idle_gc_us", s.idle_gc_us.to_bits()),
+        ("patrol_us", s.patrol_us.to_bits()),
+        ("refresh_us", s.refresh_us.to_bits()),
+        ("makespan_us", s.makespan_us.to_bits()),
+        ("chip_busy_us", chip_busy),
+        ("write_mean", s.write_latency.mean_us().to_bits()),
+        ("read_mean", s.read_latency.mean_us().to_bits()),
+        ("read_p99", s.read_latency.quantile_us(0.99).to_bits()),
+    ]
+}
+
+/// Recorded with the page-at-a-time patrol scan (one `read_oob`,
+/// `read_page` and `expected_error_bits` call per page, no latency memo
+/// under the stepper). Any change to the order of reads, disturb
+/// increments, refreshes and collections inside a super word-line flips
+/// bits here.
+const REFRESH_DENSE_SINGLE: &[(&str, u64)] = &[
+    ("host_writes", 12220),
+    ("host_reads", 1878),
+    ("gc_runs", 55),
+    ("gc_relocations", 323),
+    ("gc_slices", 51),
+    ("superwl_programs", 2441),
+    ("uncorrectable_reads", 1306),
+    ("refresh_relocations", 1012),
+    ("patrol_scanned_pages", 110917),
+    ("patrol_refreshes", 12940),
+    ("patrol_passes", 46),
+    ("parity_verified", 21668),
+    ("parity_mismatch", 0),
+    ("rebuilds_ok", 1),
+    ("rebuilds_failed", 1305),
+    ("busy_us", 0x41512adcd3c8e8f7),
+    ("idle_gc_us", 0x0000000000000000),
+    ("patrol_us", 0x416677b2c31a5ad1),
+    ("refresh_us", 0x4102165666666667),
+    ("makespan_us", 0x416d29706d97986c),
+    ("chip_busy_us", 0x0000000000000000),
+    ("write_mean", 0x408b9771cd515c9d),
+    ("read_mean", 0x4089bf4c75d1ade8),
+    ("read_p99", 0x40b2eaac716f1a30),
+];
+
+/// [`REFRESH_DENSE_SINGLE`]'s run under per-chip clocks.
+const REFRESH_DENSE_PER_CHIP: &[(&str, u64)] = &[
+    ("host_writes", 12220),
+    ("host_reads", 1878),
+    ("gc_runs", 66),
+    ("gc_relocations", 323),
+    ("gc_slices", 57),
+    ("superwl_programs", 2801),
+    ("uncorrectable_reads", 1394),
+    ("refresh_relocations", 1091),
+    ("patrol_scanned_pages", 151138),
+    ("patrol_refreshes", 16700),
+    ("patrol_passes", 45),
+    ("parity_verified", 28608),
+    ("parity_mismatch", 0),
+    ("rebuilds_ok", 0),
+    ("rebuilds_failed", 1394),
+    ("busy_us", 0x41519392cd8b26c7),
+    ("idle_gc_us", 0x0000000000000000),
+    ("patrol_us", 0x416e33eea53fa04b),
+    ("refresh_us", 0x4100b85ccccccccc),
+    ("makespan_us", 0x416d295403a17e32),
+    ("chip_busy_us", 0x839576978f919821),
+    ("write_mean", 0x408e4f338ca69744),
+    ("read_mean", 0x4080d0a7d0d99184),
+    ("read_p99", 0x40d018c8711df159),
+];
+
+#[test]
+fn refresh_dense_patrol_reproduces_the_page_at_a_time_golden() {
+    for (queue_model, golden) in
+        [(QueueModel::Single, REFRESH_DENSE_SINGLE), (QueueModel::PerChip, REFRESH_DENSE_PER_CHIP)]
+    {
+        for engine in [EngineMode::Stepper, EngineMode::Batched] {
+            let got = fingerprint(&run_config(refresh_dense_config(queue_model, engine)));
+            assert_eq!(got.len(), golden.len());
+            for ((name, have), (_, want)) in got.iter().zip(golden) {
+                assert_eq!(have, want, "{queue_model:?} {engine:?} {name}: {have:#x} vs {want:#x}");
+            }
+        }
+    }
+}
