@@ -1,15 +1,14 @@
 //! Micro-benchmarks of the event core: the sorted-ring depth tracker behind
-//! the batched device replay, and the host frontend's 16-tenant dispatch
+//! the timed device replay, and the host frontend's 16-tenant dispatch
 //! loop.
 //!
-//! These isolate the pieces behind `perf_events` so a regression in the
-//! batched engine's throughput can be attributed: is the tracker slower,
-//! is the frontend's admission and arbitration slower, or is it the device
-//! step around them?
+//! These isolate the pieces of a timed replay so a throughput regression
+//! can be attributed: is the tracker slower, is the frontend's admission
+//! and arbitration slower, or is it the device step around them?
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use ftl::sched::DepthTracker;
-use ftl::{EngineMode, FtlConfig, IoRequest, QosClass, Ssd};
+use ftl::{FtlConfig, IoRequest, QosClass, Ssd};
 use host::{Arbitration, HostFrontend, TenantSpec};
 
 /// Near-sorted completion times the way a replay produces them: a
@@ -20,14 +19,13 @@ fn near_sorted_times(n: u32) -> Vec<f64> {
 
 /// Sixteen tenants shaped like the benchmark's `tenants_read_mostly`
 /// (LC/Std/BG cycling, weights 1-4, depths 8/16/24, WRR) over an empty
-/// batched device, each with `per_tenant` reads of unwritten pages. A miss
+/// device, each with `per_tenant` reads of unwritten pages. A miss
 /// costs the device almost nothing, so the time is the frontend's own:
 /// admission, the due-arrival tree, arbitration and dispatch bookkeeping.
 /// Arrivals sit on a coarse grid so tenants fall due at the same instant,
 /// and bursts overrun the shallow queues.
 fn dispatch_frontend(per_tenant: u64) -> HostFrontend {
-    let config = FtlConfig { engine: EngineMode::Batched, ..FtlConfig::small_test() };
-    let ssd = Ssd::new(config, 11).expect("valid config");
+    let ssd = Ssd::new(FtlConfig::small_test(), 11).expect("valid config");
     let pages = ssd.geometry_info().logical_pages;
     let specs = (0..16)
         .map(|i| {
@@ -56,7 +54,7 @@ fn bench_events(c: &mut Criterion) {
 
     c.bench_function("depth_tracker_replay_4096", |b| {
         // One complete_at + one arrive per op, near-sorted input — the
-        // exact access pattern of the batched device replay.
+        // exact access pattern of the timed device replay.
         b.iter(|| {
             let mut dt = DepthTracker::new();
             let mut depth = 0usize;

@@ -1,7 +1,7 @@
 //! Fleet replay throughput vs worker count (BENCH_4).
 //!
 //! Replays one sharded multi-user fleet workload — the `repro fleet`
-//! shape: GC-active batched devices behind the three-tenant QoS frontend —
+//! shape: GC-active devices behind the three-tenant QoS frontend —
 //! at several worker-pool sizes and reports fleet ops/sec for each. The
 //! determinism contract is asserted before any number counts: every
 //! worker count must produce a bit-identical [`fleet::FleetReport`]
@@ -16,17 +16,16 @@
 //! Usage: `cargo run --release -p repro-bench --bin perf_fleet [--quick] [--out BENCH_4.json]`
 
 use fleet::{run_fleet, FleetConfig, FleetReport, FleetWorkload};
-use ftl::{EngineMode, FtlConfig, GcBudget, OrganizationScheme, QueueModel};
+use ftl::{FtlConfig, GcBudget, OrganizationScheme, QueueModel};
 use host::Arbitration;
 use std::time::Instant;
 
-/// The `repro fleet` device shape: GC-active sliced collection on the
-/// batched engine with QSTR-MED placement.
+/// The `repro fleet` device shape: GC-active sliced collection with
+/// QSTR-MED placement.
 fn device_config() -> FtlConfig {
     FtlConfig {
         scheme: OrganizationScheme::QstrMed { candidates: 4 },
         queue_model: QueueModel::PerChip,
-        engine: EngineMode::Batched,
         idle_gc: true,
         gc_budget: GcBudget::Sliced { slice_us: 300.0 },
         overprovision: 0.45,

@@ -12,7 +12,6 @@
 //! * `--groups N`    independent 4-pool groups to average (default 3; the paper's 24 chips correspond to 6)
 //! * `--blocks N`    blocks per pool (default 1600)
 //! * `--pe-step N`   P/E sweep step for table experiments (default 1500)
-//! * `--engine E`    replay engine for `queueing`/`tenants`: `stepper` (default) or `batched` (bit-identical rows, faster)
 //! * `--gc MODE`     `tenants` collector: `off` (default; volume below the GC watermarks) or `on` (GC-active volume + sliced preemptive collection)
 //! * `--out DIR`     output directory (default `results`)
 //!
@@ -20,7 +19,7 @@
 //! experiment runs.
 
 use flash_model::{CellType, Geometry};
-use ftl::{EngineMode, GcBudget};
+use ftl::GcBudget;
 use repro_bench::experiments as exp;
 use repro_bench::report::{pct, us, TextTable};
 use repro_bench::runner::ExperimentParams;
@@ -31,12 +30,11 @@ struct Cli {
     params: ExperimentParams,
     out: PathBuf,
     quick: bool,
-    engine: EngineMode,
     gc: bool,
 }
 
 const USAGE: &str = "usage: repro [COMMAND...] [--quick] [--groups N] [--blocks N] \
-[--pe-step N] [--engine stepper|batched] [--gc on|off] [--out DIR]";
+[--pe-step N] [--gc on|off] [--out DIR]";
 
 /// Every command `repro` runs; `all` runs the whole evaluation.
 const KNOWN: [&str; 24] = [
@@ -86,7 +84,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut blocks = 1600u32;
     let mut pe_step = 1500u32;
     let mut quick = false;
-    let mut engine = EngineMode::Stepper;
     let mut gc = false;
     let mut out = PathBuf::from("results");
     let mut it = args.iter();
@@ -94,15 +91,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--quick" => quick = true,
-            "--engine" => {
-                engine = match value("--engine")?.as_str() {
-                    "stepper" => EngineMode::Stepper,
-                    "batched" => EngineMode::Batched,
-                    other => {
-                        return Err(format!("--engine takes 'stepper' or 'batched', got {other:?}"))
-                    }
-                };
-            }
             "--gc" => {
                 gc = match value("--gc")?.as_str() {
                     "on" => true,
@@ -132,7 +120,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         ..ExperimentParams::default()
     };
     params.config.geometry = Geometry::new(4, 1, blocks, 96, 4, CellType::Tlc);
-    Ok(Cli { commands, params, out, quick, engine, gc })
+    Ok(Cli { commands, params, out, quick, gc })
 }
 
 fn comparison_table(title: &str, r: &exp::ComparisonResult, out: &Path, file: &str) {
@@ -624,7 +612,7 @@ fn main() {
             // service time) so the serial and per-chip clocks separate.
             let geo = Geometry::new(4, 1, 48, 24, 4, CellType::Tlc);
             let writes = if cli.quick { 20_000 } else { 60_000 };
-            let rows = exp::queueing_experiment(&geo, writes, 7, 30.0, cli.engine);
+            let rows = exp::queueing_experiment(&geo, writes, 7, 30.0);
             let mut t = TextTable::new([
                 "Scheme",
                 "Model",
@@ -670,8 +658,7 @@ fn main() {
                 );
                 (if cli.quick { 1_200 } else { 2_000 }, GcBudget::Unbounded)
             };
-            let (rows, gc) =
-                exp::tenants_experiment(&geo, per_tenant, 7, 2500.0, cli.engine, budget);
+            let (rows, gc) = exp::tenants_experiment(&geo, per_tenant, 7, 2500.0, budget);
             let gc_label = if cli.gc { "on" } else { "off" };
             let mut t = TextTable::new([
                 "Scheme",

@@ -12,7 +12,7 @@ const DEVICE_SEED_SALT: u64 = 0x4445_5649_4345_5f53; // "DEVICE_S"
 /// One fleet run: N identical devices, a sharded workload, and a worker
 /// pool size. Every device replays through the host frontend with three
 /// QoS tenants (latency-critical, standard, background) under the given
-/// arbitration, on the engine/GC configuration of `device_config`.
+/// arbitration, on the timing/GC configuration of `device_config`.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Per-device FTL configuration (shared by every shard — a

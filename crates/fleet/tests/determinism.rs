@@ -5,17 +5,15 @@
 
 use fleet::{run_fleet, FleetConfig, FleetReport, FleetWorkload};
 use ftl::{
-    EngineMode, FtlConfig, GcBudget, IntegrityConfig, ParityConfig, PatrolConfig, PatrolOrder,
-    QueueModel,
+    FtlConfig, GcBudget, IntegrityConfig, ParityConfig, PatrolConfig, PatrolOrder, QueueModel,
 };
 use host::Arbitration;
 
-/// GC-active batched device — frontend QoS, sliced collection and per-chip
+/// GC-active device — frontend QoS, sliced collection and per-chip
 /// clocks all on, so the determinism claim covers the full stack.
 fn device_config() -> FtlConfig {
     let mut config = FtlConfig::small_test();
     config.queue_model = QueueModel::PerChip;
-    config.engine = EngineMode::Batched;
     config.idle_gc = true;
     config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
     config.overprovision = 0.45;

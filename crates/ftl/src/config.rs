@@ -217,13 +217,10 @@ pub struct FtlConfig {
     /// operations on other chips proceed. Untimed [`crate::Ssd::run`] is
     /// unaffected.
     pub queue_model: QueueModel,
-    /// Replay engine for [`crate::Ssd::run_timed`] and the host frontend.
-    /// `Stepper` (the default) is the original one-op-at-a-time loop and
-    /// stays byte-for-byte untouched; `Batched` drives the same request
-    /// sequence through the event-driven core (sorted-ring completion
-    /// tracking, batched admission, prefix-cached latency synthesis,
-    /// struct-of-arrays stat accumulators folded at `timed_end`). Every statistic the two engines produce is bit-identical
-    /// — the stepper is the batched engine's golden oracle.
+    /// Selects nothing: timed replays and the host frontend have one
+    /// engine. The field stays only because the benchmark package's
+    /// workloads set `engine: EngineMode::Batched`; it goes with
+    /// [`EngineMode`] in the next change to the benchmark.
     pub engine: EngineMode,
     /// Media fault injection (disabled by default: perfect media, and the
     /// read path skips its ECC consult entirely so results stay
@@ -268,7 +265,7 @@ impl FtlConfig {
             precharacterize: true,
             idle_gc: false,
             queue_model: QueueModel::Single,
-            engine: EngineMode::Stepper,
+            engine: EngineMode::Batched,
             fault: FaultConfig::default(),
             retry: RetryModel::default(),
             spor: SporConfig::default(),
@@ -404,7 +401,7 @@ impl Default for FtlConfig {
             precharacterize: true,
             idle_gc: false,
             queue_model: QueueModel::Single,
-            engine: EngineMode::Stepper,
+            engine: EngineMode::Batched,
             fault: FaultConfig::default(),
             retry: RetryModel::default(),
             spor: SporConfig::default(),

@@ -10,10 +10,7 @@ use crate::recovery::{JournalEntry, RecoveryReport, SporState, NO_PAGE};
 use crate::request::{IoOp, IoRequest};
 use crate::sched::DepthTracker;
 use crate::stats::SsdStats;
-use crate::timing::{
-    BatchedSamples, EngineMode, EngineState, InFlight, QueueModel, TimedOutcome, TouchLog,
-    CONTROLLER,
-};
+use crate::timing::{Clocks, QueueModel, Replay, TimedOutcome, TouchLog, CONTROLLER};
 use crate::wear_level::WearTracker;
 use crate::Result;
 use flash_model::{
@@ -73,13 +70,9 @@ pub struct Ssd {
     sb_seq: u64,
     /// SPOR machinery: crash countdown, journal, checkpoint, sequences.
     spor: SporState,
-    /// Clock state of an in-progress incremental timed replay
+    /// Clocks and depth tracker of an in-progress incremental timed replay
     /// ([`Ssd::timed_begin`] … [`Ssd::timed_end`]); `None` outside one.
-    engine: Option<EngineState>,
-    /// True while a batched replay is live: the write/read paths skip their
-    /// per-op histogram `record` and the replay step collects the sample in
-    /// its struct-of-arrays accumulator instead (folded at `timed_end`).
-    defer_hist: bool,
+    replay: Option<Replay>,
     /// Reused buffer for the LPNs a checkpoint drains from the mapping's
     /// change record.
     changed_lpns: Vec<u64>,
@@ -208,8 +201,7 @@ impl Ssd {
             seed,
             sb_seq: 0,
             spor,
-            engine: None,
-            defer_hist: false,
+            replay: None,
             changed_lpns: Vec::new(),
             gc_job: None,
             gc_allowance_us: f64::INFINITY,
@@ -263,14 +255,6 @@ impl Ssd {
         self.manager.distance_checks()
     }
 
-    /// Which replay engine this device was configured with. External
-    /// dispatchers (the host frontend) use this to pick their matching
-    /// drain loop.
-    #[must_use]
-    pub fn engine(&self) -> EngineMode {
-        self.config.engine
-    }
-
     /// Executes an open-loop request stream with arrival times: recorded
     /// latencies include queueing delay, so GC pauses and slow superblocks
     /// show up in the tail percentiles. [`FtlConfig::queue_model`] selects
@@ -296,62 +280,42 @@ impl Ssd {
         Ok(())
     }
 
-    /// Starts an incremental timed replay: initializes the clock state for
-    /// the configured [`FtlConfig::queue_model`] so individual requests can
-    /// be fed through [`Ssd::timed_step`]. [`Ssd::run_timed`] is exactly
+    /// Starts an incremental timed replay: initializes the clocks for the
+    /// configured [`FtlConfig::queue_model`] so individual requests can be
+    /// fed through [`Ssd::timed_step`]. [`Ssd::run_timed`] is exactly
     /// `timed_begin` + one `timed_step` per request + [`Ssd::timed_end`];
     /// external dispatchers (a multi-queue host frontend arbitrating
     /// between tenants) use the same API so their single-queue degenerate
     /// case is structurally identical to the serial replay.
     ///
-    /// Beginning a new replay while one is in progress resets the clocks.
+    /// Beginning a new replay while one is in progress ends that one first
+    /// (folding its makespan into the stats), then resets the clocks.
     pub fn timed_begin(&mut self) {
-        let engine = match (self.config.engine, self.config.queue_model) {
-            (EngineMode::Stepper, QueueModel::Single) => {
-                EngineState::Single { device_free_at: 0.0, in_flight: InFlight::default() }
-            }
-            (EngineMode::Stepper, QueueModel::PerChip) => {
+        self.timed_end();
+        let clocks = match self.config.queue_model {
+            QueueModel::Single => Clocks::Single { free_at: 0.0 },
+            QueueModel::PerChip => {
                 self.touches.set_enabled(true);
                 let groups = self.array.geometry().chip_plane_groups();
                 if self.stats.chip_busy_us.len() != groups + 1 {
                     self.stats.chip_busy_us = vec![0.0; groups + 1];
                 }
-                EngineState::PerChip {
-                    busy: vec![0.0f64; groups + 1],
-                    in_flight: InFlight::default(),
-                    makespan: 0.0,
-                }
-            }
-            (EngineMode::Batched, QueueModel::Single) => {
-                self.defer_hist = true;
-                EngineState::BatchedSingle {
-                    device_free_at: 0.0,
-                    in_flight: DepthTracker::new(),
-                    samples: BatchedSamples::default(),
-                }
-            }
-            (EngineMode::Batched, QueueModel::PerChip) => {
-                self.defer_hist = true;
-                self.touches.set_enabled(true);
-                let groups = self.array.geometry().chip_plane_groups();
-                if self.stats.chip_busy_us.len() != groups + 1 {
-                    self.stats.chip_busy_us = vec![0.0; groups + 1];
-                }
-                EngineState::BatchedPerChip {
-                    busy: vec![0.0f64; groups + 1],
-                    in_flight: DepthTracker::new(),
-                    makespan: 0.0,
-                    samples: BatchedSamples::default(),
-                }
+                Clocks::PerChip { busy: vec![0.0; groups + 1], makespan: 0.0 }
             }
         };
-        self.engine = Some(engine);
+        self.replay = Some(Replay { clocks, in_flight: DepthTracker::new() });
     }
 
     /// Executes one request of an incremental timed replay: the request
     /// arrives at `arrival` µs, waits for the device clocks per the
     /// configured queue model, and executes with its writes placed by
     /// `class`. Returns where the request landed on the clocks.
+    ///
+    /// Background work goes first: idle-gap GC (when
+    /// [`FtlConfig::idle_gc`] is on), then patrol scrubbing, each charged
+    /// to the clocks only while they drain before `arrival`. The request's
+    /// queue-inclusive latency (`wait + service`, or the bare wait of a read
+    /// miss) is its one histogram sample.
     ///
     /// Arrivals should be non-decreasing across calls (queue-depth
     /// accounting assumes it, like [`Ssd::run_timed`]'s sorted input).
@@ -379,403 +343,98 @@ impl Ssd {
         if arrival > wall {
             self.idle_wall_us += arrival - wall;
         }
-        let mut engine = self.engine.take().expect("timed_step requires timed_begin");
-        let result = match &mut engine {
-            EngineState::Single { device_free_at, in_flight } => {
-                self.timed_step_single(arrival, r, class, device_free_at, in_flight)
-            }
-            EngineState::PerChip { busy, in_flight, makespan } => {
-                self.timed_step_per_chip(arrival, r, class, busy, in_flight, makespan)
-            }
-            EngineState::BatchedSingle { device_free_at, in_flight, samples } => self
-                .timed_step_batched_single(arrival, r, class, device_free_at, in_flight, samples),
-            EngineState::BatchedPerChip { busy, in_flight, makespan, samples } => self
-                .timed_step_batched_per_chip(arrival, r, class, busy, in_flight, makespan, samples),
-        };
-        self.engine = Some(engine);
+        let mut replay = self.replay.take().expect("timed_step requires timed_begin");
+        let result = self.replay_step(&mut replay, arrival, r, class);
+        self.replay = Some(replay);
         result
     }
 
     /// Finishes an incremental timed replay: folds the final clock state
-    /// into [`SsdStats::makespan_us`] and drops the engine. No-op when no
+    /// into [`SsdStats::makespan_us`] and drops the clocks. No-op when no
     /// replay is in progress.
     pub fn timed_end(&mut self) {
-        match self.engine.take() {
-            Some(EngineState::Single { device_free_at, .. }) => {
-                self.stats.makespan_us = self.stats.makespan_us.max(device_free_at);
-            }
-            Some(EngineState::PerChip { busy, makespan, .. }) => {
-                let busiest = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-                self.stats.makespan_us = self.stats.makespan_us.max(makespan.max(busiest));
-                self.touches.set_enabled(false);
-            }
-            Some(EngineState::BatchedSingle { device_free_at, samples, .. }) => {
-                self.stats.makespan_us = self.stats.makespan_us.max(device_free_at);
-                self.fold_samples(samples);
-            }
-            Some(EngineState::BatchedPerChip { busy, makespan, samples, .. }) => {
-                let busiest = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-                self.stats.makespan_us = self.stats.makespan_us.max(makespan.max(busiest));
-                self.touches.set_enabled(false);
-                self.fold_samples(samples);
-            }
-            None => {}
+        if let Some(replay) = self.replay.take() {
+            self.stats.makespan_us = self.stats.makespan_us.max(replay.clocks.makespan());
+            self.touches.set_enabled(false);
         }
     }
 
-    /// Folds a batched replay's struct-of-arrays latency samples into the
-    /// histograms (one bulk append per histogram, same values in the same
-    /// order the stepper would have recorded them) and re-arms per-op
-    /// recording.
-    fn fold_samples(&mut self, samples: BatchedSamples) {
-        self.stats.write_latency.extend(&samples.write);
-        self.stats.read_latency.extend(&samples.read);
-        self.defer_hist = false;
-    }
-
-    /// Upgrades the service-only latency sample of a timed request to the
-    /// queue-inclusive one and maintains the wait counters. Reads that miss
-    /// take zero service but the host still waited `wait` for the answer,
-    /// so that wait is recorded as a read latency sample; trim waits land in
-    /// [`SsdStats::trim_wait_us`] (trims record no histogram sample).
-    fn record_timed_latency(&mut self, op: IoOp, wait: f64, service: f64) {
-        self.stats.queue_wait_us += wait;
-        match op {
-            IoOp::Write => self.stats.write_latency.replace_last(wait + service),
-            IoOp::Read if service > 0.0 => {
-                self.stats.read_latency.replace_last(wait + service);
-            }
-            IoOp::Read => self.stats.read_latency.record(wait),
-            IoOp::Trim => self.stats.trim_wait_us += wait,
-        }
-    }
-
-    /// One step of the original scalar-clock replay: one device-wide
-    /// command queue.
-    fn timed_step_single(
+    /// The body of [`Ssd::timed_step`] on the live replay's clocks. Under
+    /// `PerChip` the request starts once its arrival has passed and every
+    /// resource it touched (member chips of its flash commands, plus the
+    /// host channel for page transfers) is free; each touched resource then
+    /// stays busy for its own recorded duration, so fast member chips free
+    /// early and independent requests overlap. Host-visible latency has the
+    /// same wait + service shape under both models — only the wait changes.
+    fn replay_step(
         &mut self,
+        replay: &mut Replay,
         arrival: f64,
         r: IoRequest,
         class: QosClass,
-        device_free_at: &mut f64,
-        in_flight: &mut InFlight,
     ) -> Result<TimedOutcome> {
-        // Idle-time GC: use gaps before the next arrival to pre-free
-        // space, shrinking foreground pauses.
+        let clocks = &mut replay.clocks;
+        // Idle-time GC: use gaps before the next arrival to pre-free space,
+        // shrinking foreground pauses. Background work is accounted
+        // separately so utilization reflects foreground service only.
         if self.config.idle_gc {
             match self.config.gc_budget {
                 GcBudget::Unbounded => {
-                    while *device_free_at < arrival
+                    while clocks.drained_at() < arrival
                         && self.manager.assemblable() < self.config.gc_high_watermark
                     {
-                        match self.gc_once()? {
-                            Some(t) => {
-                                *device_free_at += t;
-                                // Background work: accounted separately so
-                                // utilization reflects foreground service
-                                // only.
-                                self.stats.idle_gc_us += t;
-                            }
-                            None => break,
-                        }
+                        let Some(t) = self.gc_once()? else { break };
+                        self.stats.idle_gc_us += t;
+                        clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
                     }
                 }
                 GcBudget::Sliced { .. } => {
                     // The whole idle gap is the budget; the slice parks the
                     // victim when the gap runs out.
-                    if *device_free_at < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        let t = self.gc_slice(arrival - *device_free_at)?;
+                    let now = clocks.drained_at();
+                    if now < arrival && self.manager.assemblable() < self.config.gc_high_watermark {
+                        let t = self.gc_slice(arrival - now)?;
                         if t > 0.0 {
-                            *device_free_at += t;
                             self.stats.idle_gc_us += t;
+                            clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
                         }
                     }
                 }
             }
         }
         // Patrol scrubbing rides whatever idle gap is left after GC.
-        if *device_free_at < arrival && self.patrol_due() {
-            let t = self.patrol_slice(arrival - *device_free_at)?;
+        let now = clocks.drained_at();
+        if now < arrival && self.patrol_due() {
+            let t = self.patrol_slice(arrival - now)?;
             if t > 0.0 {
-                *device_free_at += t;
                 self.stats.patrol_us += t;
+                clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
             }
         }
-        let start = device_free_at.max(arrival);
-        let wait = start - arrival;
         let service = match r.op {
-            IoOp::Write => self.write_with_class(r.lpn, class)?,
-            IoOp::Read => self.read(r.lpn)?.unwrap_or(0.0),
+            IoOp::Write => self.serve_write(r.lpn, class)?,
+            IoOp::Read => self.serve_read(r.lpn)?.unwrap_or(0.0),
             IoOp::Trim => {
                 self.trim(r.lpn)?;
                 0.0
             }
         };
-        self.record_timed_latency(r.op, wait, service);
-        let depth = in_flight.arrive(arrival) as u64 + 1;
-        self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
-        *device_free_at = start + service;
-        in_flight.complete_at(*device_free_at);
-        Ok(TimedOutcome {
-            wait_us: wait,
-            service_us: service,
-            start_us: start,
-            completion_us: *device_free_at,
-        })
-    }
-
-    /// One step of the event-driven replay with per-chip busy-until clocks:
-    /// the request starts once its arrival has passed and every resource it
-    /// touches (member chips of its flash commands, plus the host channel
-    /// for page transfers) is free; each touched resource then stays busy
-    /// for its own recorded duration, so fast member chips free early and
-    /// independent requests overlap. Host-visible latency keeps the same
-    /// wait + service shape as the `Single` model — only the wait changes.
-    #[allow(clippy::too_many_arguments)]
-    fn timed_step_per_chip(
-        &mut self,
-        arrival: f64,
-        r: IoRequest,
-        class: QosClass,
-        busy: &mut [f64],
-        in_flight: &mut InFlight,
-        makespan: &mut f64,
-    ) -> Result<TimedOutcome> {
-        if self.config.idle_gc {
-            match self.config.gc_budget {
-                GcBudget::Unbounded => {
-                    // A gap exists when every clock runs out before the next
-                    // arrival; background GC then charges only the groups it
-                    // actually touches.
-                    while busy.iter().fold(0.0f64, |a, &b| a.max(b)) < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        match self.gc_once()? {
-                            Some(t) => {
-                                self.stats.idle_gc_us += t;
-                                self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                GcBudget::Sliced { .. } => {
-                    let now = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-                    if now < arrival && self.manager.assemblable() < self.config.gc_high_watermark {
-                        let t = self.gc_slice(arrival - now)?;
-                        if t > 0.0 {
-                            self.stats.idle_gc_us += t;
-                            self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
-                        }
-                    }
-                }
-            }
-        }
-        // Patrol scrubbing rides whatever idle gap is left after GC,
-        // charging only the chip/plane groups its reads and refresh
-        // programs actually touch.
-        {
-            let now = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-            if now < arrival && self.patrol_due() {
-                let t = self.patrol_slice(arrival - now)?;
-                if t > 0.0 {
-                    self.stats.patrol_us += t;
-                    self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
-                }
-            }
-        }
-        let service = match r.op {
-            IoOp::Write => self.write_with_class(r.lpn, class)?,
-            IoOp::Read => self.read(r.lpn)?.unwrap_or(0.0),
-            IoOp::Trim => {
-                self.trim(r.lpn)?;
-                0.0
-            }
-        };
-        let start = self.touches.charge(arrival, busy, &mut self.stats.chip_busy_us);
+        let start = clocks.start(arrival, &mut self.touches, &mut self.stats.chip_busy_us);
         let wait = start - arrival;
-        self.record_timed_latency(r.op, wait, service);
-        let depth = in_flight.arrive(arrival) as u64 + 1;
-        self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
-        let completion = start + service;
-        in_flight.complete_at(completion);
-        *makespan = makespan.max(completion);
-        Ok(TimedOutcome {
-            wait_us: wait,
-            service_us: service,
-            start_us: start,
-            completion_us: completion,
-        })
-    }
-
-    /// Deferred twin of [`Ssd::record_timed_latency`]: scalar wait counters
-    /// update inline (their running-sum order must match the stepper's), but
-    /// the histogram sample lands in the replay's struct-of-arrays
-    /// accumulator instead of the histogram — the write/read paths skipped
-    /// their `record` under [`Ssd::defer_hist`], so pushing the final
-    /// queue-inclusive value here reproduces the stepper's
-    /// `record`-then-`replace_last` sequence exactly.
-    fn record_timed_latency_deferred(
-        &mut self,
-        op: IoOp,
-        wait: f64,
-        service: f64,
-        samples: &mut BatchedSamples,
-    ) {
+        // A read that misses takes no service, but the host still waited
+        // for the answer, so the wait is its sample; trims record no sample
+        // and their waits land in `trim_wait_us`.
         self.stats.queue_wait_us += wait;
-        match op {
-            IoOp::Write => samples.write.push(wait + service),
-            IoOp::Read if service > 0.0 => samples.read.push(wait + service),
-            IoOp::Read => samples.read.push(wait),
+        match r.op {
+            IoOp::Write => self.stats.write_latency.record(wait + service),
+            IoOp::Read => self.stats.read_latency.record(wait + service),
             IoOp::Trim => self.stats.trim_wait_us += wait,
         }
-    }
-
-    /// One step of the batched scalar-clock replay. The clock arithmetic is
-    /// the stepper's ([`Ssd::timed_step_single`]) operation for operation;
-    /// only the bookkeeping around it changes (sorted-ring completions,
-    /// deferred histogram samples), so every stat folds out bit-identical.
-    fn timed_step_batched_single(
-        &mut self,
-        arrival: f64,
-        r: IoRequest,
-        class: QosClass,
-        device_free_at: &mut f64,
-        in_flight: &mut DepthTracker,
-        samples: &mut BatchedSamples,
-    ) -> Result<TimedOutcome> {
-        if self.config.idle_gc {
-            match self.config.gc_budget {
-                GcBudget::Unbounded => {
-                    while *device_free_at < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        match self.gc_once()? {
-                            Some(t) => {
-                                *device_free_at += t;
-                                self.stats.idle_gc_us += t;
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                GcBudget::Sliced { .. } => {
-                    if *device_free_at < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        let t = self.gc_slice(arrival - *device_free_at)?;
-                        if t > 0.0 {
-                            *device_free_at += t;
-                            self.stats.idle_gc_us += t;
-                        }
-                    }
-                }
-            }
-        }
-        // Patrol scrubbing rides whatever idle gap is left after GC —
-        // identical clock arithmetic to the stepper's hook.
-        if *device_free_at < arrival && self.patrol_due() {
-            let t = self.patrol_slice(arrival - *device_free_at)?;
-            if t > 0.0 {
-                *device_free_at += t;
-                self.stats.patrol_us += t;
-            }
-        }
-        let start = device_free_at.max(arrival);
-        let wait = start - arrival;
-        let service = match r.op {
-            IoOp::Write => self.write_with_class(r.lpn, class)?,
-            IoOp::Read => self.read(r.lpn)?.unwrap_or(0.0),
-            IoOp::Trim => {
-                self.trim(r.lpn)?;
-                0.0
-            }
-        };
-        self.record_timed_latency_deferred(r.op, wait, service, samples);
-        let depth = in_flight.arrive(arrival) as u64 + 1;
-        self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
-        *device_free_at = start + service;
-        in_flight.complete_at(*device_free_at);
-        Ok(TimedOutcome {
-            wait_us: wait,
-            service_us: service,
-            start_us: start,
-            completion_us: *device_free_at,
-        })
-    }
-
-    /// One step of the batched per-chip replay; clock math mirrors
-    /// [`Ssd::timed_step_per_chip`] exactly (including the direct per-op
-    /// `chip_busy_us` adds — folding those at `timed_end` would reassociate
-    /// the float sums and change bits).
-    #[allow(clippy::too_many_arguments)]
-    fn timed_step_batched_per_chip(
-        &mut self,
-        arrival: f64,
-        r: IoRequest,
-        class: QosClass,
-        busy: &mut [f64],
-        in_flight: &mut DepthTracker,
-        makespan: &mut f64,
-        samples: &mut BatchedSamples,
-    ) -> Result<TimedOutcome> {
-        if self.config.idle_gc {
-            match self.config.gc_budget {
-                GcBudget::Unbounded => {
-                    while busy.iter().fold(0.0f64, |a, &b| a.max(b)) < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
-                    {
-                        match self.gc_once()? {
-                            Some(t) => {
-                                self.stats.idle_gc_us += t;
-                                self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                GcBudget::Sliced { .. } => {
-                    let now = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-                    if now < arrival && self.manager.assemblable() < self.config.gc_high_watermark {
-                        let t = self.gc_slice(arrival - now)?;
-                        if t > 0.0 {
-                            self.stats.idle_gc_us += t;
-                            self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
-                        }
-                    }
-                }
-            }
-        }
-        // Patrol scrubbing rides whatever idle gap is left after GC —
-        // identical clock arithmetic to the stepper's per-chip hook.
-        {
-            let now = busy.iter().fold(0.0f64, |a, &b| a.max(b));
-            if now < arrival && self.patrol_due() {
-                let t = self.patrol_slice(arrival - now)?;
-                if t > 0.0 {
-                    self.stats.patrol_us += t;
-                    self.touches.charge(0.0, busy, &mut self.stats.chip_busy_us);
-                }
-            }
-        }
-        let service = match r.op {
-            IoOp::Write => self.write_with_class(r.lpn, class)?,
-            IoOp::Read => self.read(r.lpn)?.unwrap_or(0.0),
-            IoOp::Trim => {
-                self.trim(r.lpn)?;
-                0.0
-            }
-        };
-        let start = self.touches.charge(arrival, busy, &mut self.stats.chip_busy_us);
-        let wait = start - arrival;
-        self.record_timed_latency_deferred(r.op, wait, service, samples);
-        let depth = in_flight.arrive(arrival) as u64 + 1;
+        let depth = replay.in_flight.arrive(arrival) as u64 + 1;
         self.stats.queue_depth_max = self.stats.queue_depth_max.max(depth);
         let completion = start + service;
-        in_flight.complete_at(completion);
-        *makespan = makespan.max(completion);
+        replay.in_flight.complete_at(completion);
+        clocks.complete(completion);
         Ok(TimedOutcome {
             wait_us: wait,
             service_us: service,
@@ -869,6 +528,15 @@ impl Ssd {
     ///
     /// Returns [`FtlError::LpnOutOfRange`] or [`FtlError::OutOfSpace`].
     pub fn write_with_class(&mut self, lpn: u64, class: QosClass) -> Result<f64> {
+        let latency = self.serve_write(lpn, class)?;
+        self.stats.write_latency.record(latency);
+        Ok(latency)
+    }
+
+    /// The write path of [`Ssd::write_with_class`] and [`Ssd::timed_step`]:
+    /// returns the service latency without recording it, so each caller
+    /// records the one sample its host sees.
+    fn serve_write(&mut self, lpn: u64, class: QosClass) -> Result<f64> {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
         self.touch_controller(self.config.transfer_us);
@@ -886,9 +554,6 @@ impl Ssd {
         latency += self.stage_write(lpn, Purpose::Host(class))?;
         self.stats.host_writes += 1;
         self.stats.host_writes_by_class[class.index()] += 1;
-        if !self.defer_hist {
-            self.stats.write_latency.record(latency);
-        }
         self.stats.busy_us += latency;
         self.maybe_checkpoint()?;
         Ok(latency)
@@ -901,6 +566,16 @@ impl Ssd {
     ///
     /// Returns [`FtlError::LpnOutOfRange`] for out-of-range pages.
     pub fn read(&mut self, lpn: u64) -> Result<Option<f64>> {
+        let latency = self.serve_read(lpn)?;
+        if let Some(us) = latency {
+            self.stats.read_latency.record(us);
+        }
+        Ok(latency)
+    }
+
+    /// The read path of [`Ssd::read`] and [`Ssd::timed_step`]: returns the
+    /// service latency of a hit (`None` for a miss) without recording it.
+    fn serve_read(&mut self, lpn: u64) -> Result<Option<f64>> {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
         // Serve from the staging buffers first (write-back cache).
@@ -970,9 +645,6 @@ impl Ssd {
             }
         };
         self.stats.host_reads += 1;
-        if !self.defer_hist {
-            self.stats.read_latency.record(latency);
-        }
         self.stats.busy_us += latency;
         // Refresh relocations on the fault path may have programmed.
         self.maybe_checkpoint()?;
@@ -1546,9 +1218,8 @@ impl Ssd {
     /// plus idle wall time credited by timed replays (retention charge
     /// leaks whether or not the device is working, so an idle device still
     /// ages its data — and background scrubbing merely *uses* idle time
-    /// rather than extending the clock). Monotone, simulated (never
-    /// host wall-clock), and accumulated identically by the stepper and
-    /// batched engines, so ages — and therefore every integrity decision —
+    /// rather than extending the clock). Monotone and simulated (never
+    /// host wall-clock), so ages — and therefore every integrity decision —
     /// replay bit-identically.
     pub fn device_clock_us(&self) -> f64 {
         self.stats.busy_us + self.stats.idle_gc_us + self.stats.patrol_us + self.idle_wall_us
@@ -2940,96 +2611,92 @@ mod tests {
         use crate::config::IntegrityConfig;
         use crate::recovery::CrashPoint;
         use crate::workload::poisson_arrivals;
-        let mut case = 0u64;
-        for engine in [EngineMode::Stepper, EngineMode::Batched] {
-            for interval in [1u64, 8, 256] {
-                case += 1;
-                let mut config = FtlConfig::small_test();
-                config.scheme = OrganizationScheme::QstrMed { candidates: 4 };
-                config.engine = engine;
-                config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
-                config.integrity = IntegrityConfig {
-                    track: true,
-                    retention_hours_per_us: 0.05,
-                    patrol: PatrolConfig::On {
-                        interval_us: 10_000.0,
-                        slice_us: 300.0,
-                        refresh_fraction: 0.5,
-                        order: PatrolOrder::SlowPoolFirst,
-                    },
+        // Six seeds: every interval twice, crashing on odd cases.
+        for (case, interval) in (1u64..).zip([1u64, 8, 256, 1, 8, 256]) {
+            let mut config = FtlConfig::small_test();
+            config.scheme = OrganizationScheme::QstrMed { candidates: 4 };
+            config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
+            config.integrity = IntegrityConfig {
+                track: true,
+                retention_hours_per_us: 0.05,
+                patrol: PatrolConfig::On {
+                    interval_us: 10_000.0,
+                    slice_us: 300.0,
+                    refresh_fraction: 0.5,
+                    order: PatrolOrder::SlowPoolFirst,
+                },
+            };
+            config.spor.checkpoint_interval = interval;
+            // Odd cases lose power mid-stream; even ones power-cycle
+            // cleanly halfway through.
+            if case % 2 == 1 {
+                config.spor.crash = Some(CrashPoint::from_seed(case, 2500));
+            }
+            let mut dev = Ssd::new(config, case).unwrap();
+            let info = dev.geometry_info();
+            let mut reqs = Workload::RandomWrite { span: 0.8, read_fraction: 0.2 }.generate(
+                &info,
+                (info.logical_pages * 3) as usize,
+                case,
+            );
+            for (i, r) in reqs.iter_mut().enumerate() {
+                if i % 13 == 5 {
+                    *r = IoRequest::trim(r.lpn);
+                }
+            }
+            let timed = poisson_arrivals(&reqs, 300.0, case);
+            let tag = format!("case {case} interval {interval}");
+            let mut power_cycled = false;
+            let mut fresh_checks = 0;
+            dev.timed_begin();
+            for (i, &(arrival, r)) in timed.iter().enumerate() {
+                let lost = match dev.timed_step(arrival, r, QosClass::Standard) {
+                    Ok(_) => false,
+                    Err(FtlError::PowerLoss) => true,
+                    Err(e) => panic!("{tag}: unexpected error {e}"),
                 };
-                config.spor.checkpoint_interval = interval;
-                // Odd cases lose power mid-stream; even ones power-cycle
-                // cleanly halfway through.
-                if case % 2 == 1 {
-                    config.spor.crash = Some(CrashPoint::from_seed(case, 2500));
-                }
-                let mut dev = Ssd::new(config, case).unwrap();
-                let info = dev.geometry_info();
-                let mut reqs = Workload::RandomWrite { span: 0.8, read_fraction: 0.2 }.generate(
-                    &info,
-                    (info.logical_pages * 3) as usize,
-                    case,
-                );
-                for (i, r) in reqs.iter_mut().enumerate() {
-                    if i % 13 == 5 {
-                        *r = IoRequest::trim(r.lpn);
-                    }
-                }
-                let timed = poisson_arrivals(&reqs, 300.0, case);
-                let tag = format!("{engine:?} interval {interval}");
-                let mut power_cycled = false;
-                let mut fresh_checks = 0;
-                dev.timed_begin();
-                for (i, &(arrival, r)) in timed.iter().enumerate() {
-                    let lost = match dev.timed_step(arrival, r, QosClass::Standard) {
-                        Ok(_) => false,
-                        Err(FtlError::PowerLoss) => true,
-                        Err(e) => panic!("{tag}: unexpected error {e}"),
-                    };
-                    if lost || (i == timed.len() / 2 && !power_cycled) {
-                        dev.timed_end();
-                        let ckpt_seq = dev.spor.checkpoint.seq.clone();
-                        let birth = dev.birth_us.clone().unwrap();
-                        dev.recover().unwrap();
-                        assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: after recover"));
-                        // A recovered page the old checkpoint covered keeps
-                        // its write time; one written after it reports 0.
-                        let (seq, _, recovered) = full_rescan_checkpoint(&dev);
-                        for lpn in 0..seq.len() {
-                            if dev.mapping.lookup(lpn as u64).is_some() {
-                                let covered = ckpt_seq.get(lpn) == Some(&seq[lpn]);
-                                let want = if covered { birth[lpn] } else { 0.0 };
-                                assert_eq!(recovered[lpn], want, "{tag}: recovered age {lpn}");
-                            }
+                if lost || (i == timed.len() / 2 && !power_cycled) {
+                    dev.timed_end();
+                    let ckpt_seq = dev.spor.checkpoint.seq.clone();
+                    let birth = dev.birth_us.clone().unwrap();
+                    dev.recover().unwrap();
+                    assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: after recover"));
+                    // A recovered page the old checkpoint covered keeps
+                    // its write time; one written after it reports 0.
+                    let (seq, _, recovered) = full_rescan_checkpoint(&dev);
+                    for lpn in 0..seq.len() {
+                        if dev.mapping.lookup(lpn as u64).is_some() {
+                            let covered = ckpt_seq.get(lpn) == Some(&seq[lpn]);
+                            let want = if covered { birth[lpn] } else { 0.0 };
+                            assert_eq!(recovered[lpn], want, "{tag}: recovered age {lpn}");
                         }
-                        power_cycled = true;
-                        dev.timed_begin();
-                        continue;
                     }
-                    // A checkpoint drawn after the last sequence is current:
-                    // nothing was programmed or trimmed since it was taken.
-                    let ckpt = &dev.spor.checkpoint;
-                    if i % 64 == 0 && !ckpt.seq.is_empty() && ckpt.write_seq == dev.spor.write_seq {
-                        assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: op {i}"));
-                        fresh_checks += 1;
-                    }
-                    // Extra checkpoints at arbitrary points stress the
-                    // change record between interval-driven ones.
-                    if i % 509 == 0 {
-                        dev.take_checkpoint().unwrap();
-                        assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: forced at op {i}"));
-                    }
+                    power_cycled = true;
+                    dev.timed_begin();
+                    continue;
                 }
-                dev.timed_end();
-                dev.flush().unwrap();
-                dev.take_checkpoint().unwrap();
-                assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: end"));
-                assert!(power_cycled, "{tag}: the stream power-cycles the device");
-                assert!(dev.stats().gc_relocations > 0, "{tag}: GC relocated pages");
-                if interval < 256 {
-                    assert!(fresh_checks > 0, "{tag}: some interval checkpoint was checked");
+                // A checkpoint drawn after the last sequence is current:
+                // nothing was programmed or trimmed since it was taken.
+                let ckpt = &dev.spor.checkpoint;
+                if i % 64 == 0 && !ckpt.seq.is_empty() && ckpt.write_seq == dev.spor.write_seq {
+                    assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: op {i}"));
+                    fresh_checks += 1;
                 }
+                // Extra checkpoints at arbitrary points stress the
+                // change record between interval-driven ones.
+                if i % 509 == 0 {
+                    dev.take_checkpoint().unwrap();
+                    assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: forced at op {i}"));
+                }
+            }
+            dev.timed_end();
+            dev.flush().unwrap();
+            dev.take_checkpoint().unwrap();
+            assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: end"));
+            assert!(power_cycled, "{tag}: the stream power-cycles the device");
+            assert!(dev.stats().gc_relocations > 0, "{tag}: GC relocated pages");
+            if interval < 256 {
+                assert!(fresh_checks > 0, "{tag}: some interval checkpoint was checked");
             }
         }
     }

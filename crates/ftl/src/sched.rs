@@ -1,5 +1,5 @@
-//! Event-core primitives for the batched replay engine
-//! ([`crate::EngineMode::Batched`]) and the host frontend's event drain.
+//! Event-core primitives for the timed replay engine
+//! ([`crate::Ssd::timed_step`]) and the host frontend's event drain.
 //!
 //! * [`DepthTracker`] — a sorted ring of chip-completion times. The device's
 //!   in-flight window is near-sorted by construction, so both insert and
@@ -189,7 +189,6 @@ mod tests {
 
     #[test]
     fn depth_tracker_matches_heap_semantics() {
-        // Mirrors timing.rs::in_flight_depth_tracks_overlapping_requests.
         let mut q = DepthTracker::new();
         assert_eq!(q.arrive(0.0), 0);
         q.complete_at(10.0);

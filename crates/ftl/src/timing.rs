@@ -1,8 +1,9 @@
 //! Timing models for open-loop trace replay ([`crate::Ssd::run_timed`]).
 //!
-//! The device can be clocked two ways:
+//! One replay step serves both models; only the [`Clocks`] it advances
+//! differ. The device can be clocked two ways:
 //!
-//! * [`QueueModel::Single`] — one scalar `device_free_at` clock: every
+//! * [`QueueModel::Single`] — one scalar `free_at` clock: every
 //!   request serializes behind every other, as if the SSD had a single
 //!   command queue. This is the original model and stays bit-identical.
 //! * [`QueueModel::PerChip`] — one busy-until clock per chip/plane group
@@ -13,7 +14,7 @@
 //!
 //! During a `PerChip` replay the device records every flash command into a
 //! [`TouchLog`] as `(chip/plane group, duration)`, which sums each group's
-//! occupancy as it records; the replay loop then charges those sums to the
+//! occupancy as it records; the replay step then charges those sums to the
 //! group clocks. The log is disabled outside `PerChip` replays so the
 //! `Single` path stays untouched.
 
@@ -28,31 +29,17 @@ pub enum QueueModel {
     PerChip,
 }
 
-/// Which replay engine drives timed replays (orthogonal to [`QueueModel`]:
-/// both engines implement both queue models).
+/// Which replay engine drives timed replays. There is one engine, so this
+/// selects nothing.
 ///
-/// `Stepper` is the original per-op loop, kept untouched as the golden
-/// oracle; `Batched` is the event-driven core (see [`crate::sched`]) whose
-/// entire stat set is asserted bit-identical to the stepper's.
+/// [`crate::FtlConfig::engine`] keeps the type alive only because the
+/// benchmark package's device, tenant and fleet workloads name
+/// `EngineMode::Batched`; both go in the next change to the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
-    /// Original one-op-at-a-time replay loop (golden oracle).
+    /// The one timed replay engine.
     #[default]
-    Stepper,
-    /// Event-driven core: sorted-ring completion tracking, batched
-    /// admission, SoA stat accumulators folded at `timed_end`.
     Batched,
-}
-
-impl EngineMode {
-    /// Short machine-readable label (used in CSV output and CLI flags).
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Stepper => "stepper",
-            EngineMode::Batched => "batched",
-        }
-    }
 }
 
 /// Sentinel group index for the host channel/controller resource (page
@@ -76,69 +63,82 @@ pub struct TimedOutcome {
     pub completion_us: f64,
 }
 
-/// Live clock state of an in-progress timed replay — one variant per
-/// [`QueueModel`]. Created by [`crate::Ssd::timed_begin`], advanced by
-/// [`crate::Ssd::timed_step`], folded into the stats by
+/// An in-progress timed replay: created by [`crate::Ssd::timed_begin`],
+/// advanced by [`crate::Ssd::timed_step`], folded into the stats by
 /// [`crate::Ssd::timed_end`].
 #[derive(Debug)]
-pub(crate) enum EngineState {
-    /// One scalar device-wide clock.
-    Single {
-        /// When the single command queue drains.
-        device_free_at: f64,
-        /// Open-loop depth tracker.
-        in_flight: InFlight,
-    },
-    /// Per chip/plane group busy-until clocks plus the host channel.
-    PerChip {
-        /// Busy-until clock per group; the last slot is the controller.
-        busy: Vec<f64>,
-        /// Open-loop depth tracker.
-        in_flight: InFlight,
-        /// Latest completion seen so far.
-        makespan: f64,
-    },
-    /// Event-driven scalar clock ([`EngineMode::Batched`] +
-    /// [`QueueModel::Single`]): same math as `Single`, but completions live
-    /// in a sorted-ring depth tracker and latency samples defer to SoA
-    /// accumulators.
-    BatchedSingle {
-        /// When the single command queue drains.
-        device_free_at: f64,
-        /// Sorted-ring completion tracker (same counts as [`InFlight`]).
-        in_flight: crate::sched::DepthTracker,
-        /// Deferred latency samples, folded into the histograms at
-        /// `timed_end`.
-        samples: BatchedSamples,
-    },
-    /// Event-driven per-chip clocks ([`EngineMode::Batched`] +
-    /// [`QueueModel::PerChip`]).
-    BatchedPerChip {
-        /// Busy-until clock per group; the last slot is the controller.
-        busy: Vec<f64>,
-        /// Sorted-ring completion tracker (same counts as [`InFlight`]).
-        in_flight: crate::sched::DepthTracker,
-        /// Latest completion seen so far.
-        makespan: f64,
-        /// Deferred latency samples, folded into the histograms at
-        /// `timed_end`.
-        samples: BatchedSamples,
-    },
+pub(crate) struct Replay {
+    /// The device clocks of the configured [`QueueModel`].
+    pub(crate) clocks: Clocks,
+    /// Completions still in flight, for the open-loop queue depth.
+    pub(crate) in_flight: crate::sched::DepthTracker,
 }
 
-/// Struct-of-arrays latency accumulators of a batched replay: per-op
-/// samples pile up here in op order and fold into
-/// [`crate::LatencyHistogram`]s in one `extend` at `timed_end`, skipping a
-/// per-op cache invalidation and a `record`/`replace_last` pair while
-/// keeping the final sample vectors — and so every derived statistic —
-/// bit-identical to the stepper's.
-#[derive(Debug, Default)]
-pub(crate) struct BatchedSamples {
-    /// Queue-inclusive write latencies, in write order.
-    pub(crate) write: Vec<f64>,
-    /// Queue-inclusive read latencies (hits) and bare waits (misses), in
-    /// read order.
-    pub(crate) read: Vec<f64>,
+/// The device clocks of a replay, one variant per [`QueueModel`].
+#[derive(Debug)]
+pub(crate) enum Clocks {
+    /// One scalar clock: when the single command queue drains.
+    Single { free_at: f64 },
+    /// Busy-until clock per chip/plane group, the controller last, plus the
+    /// latest completion seen so far.
+    PerChip { busy: Vec<f64>, makespan: f64 },
+}
+
+impl Clocks {
+    /// When every clock has drained: the start of the idle gap before the
+    /// next arrival.
+    pub(crate) fn drained_at(&self) -> f64 {
+        match self {
+            Clocks::Single { free_at } => *free_at,
+            Clocks::PerChip { busy, .. } => busy.iter().fold(0.0f64, |a, &b| a.max(b)),
+        }
+    }
+
+    /// Charges `us` of idle-gap background work. The scalar clock advances
+    /// by `us`; per-chip clocks charge only the groups the work touched.
+    pub(crate) fn charge_idle(
+        &mut self,
+        us: f64,
+        touches: &mut TouchLog,
+        chip_busy_us: &mut [f64],
+    ) {
+        match self {
+            Clocks::Single { free_at } => *free_at += us,
+            Clocks::PerChip { busy, .. } => {
+                touches.charge(0.0, busy, chip_busy_us);
+            }
+        }
+    }
+
+    /// When a request arriving at `arrival` starts. Per-chip clocks wait for
+    /// every group the request touched and charge it to them.
+    pub(crate) fn start(
+        &mut self,
+        arrival: f64,
+        touches: &mut TouchLog,
+        chip_busy_us: &mut [f64],
+    ) -> f64 {
+        match self {
+            Clocks::Single { free_at } => free_at.max(arrival),
+            Clocks::PerChip { busy, .. } => touches.charge(arrival, busy, chip_busy_us),
+        }
+    }
+
+    /// Registers the request's completion at `at`.
+    pub(crate) fn complete(&mut self, at: f64) {
+        match self {
+            Clocks::Single { free_at } => *free_at = at,
+            Clocks::PerChip { makespan, .. } => *makespan = makespan.max(at),
+        }
+    }
+
+    /// When the replay's last work finishes.
+    pub(crate) fn makespan(&self) -> f64 {
+        match self {
+            Clocks::Single { free_at } => *free_at,
+            Clocks::PerChip { makespan, .. } => makespan.max(self.drained_at()),
+        }
+    }
 }
 
 /// Records which chip/plane groups each request occupies and for how long.
@@ -202,48 +202,6 @@ impl TouchLog {
     }
 }
 
-/// Completion-time heap tracking how many requests are queued or in service
-/// at each arrival (open-loop queue depth).
-#[derive(Debug, Default)]
-pub(crate) struct InFlight {
-    /// Min-heap of completion times (reversed max-heap over total order).
-    completions: std::collections::BinaryHeap<std::cmp::Reverse<TotalF64>>,
-}
-
-impl InFlight {
-    /// Retires requests completed by `arrival`; returns how many are still
-    /// in flight (excluding the arriving one).
-    pub(crate) fn arrive(&mut self, arrival: f64) -> usize {
-        while self.completions.peek().is_some_and(|c| c.0 .0 <= arrival) {
-            self.completions.pop();
-        }
-        self.completions.len()
-    }
-
-    /// Registers a request completing at `at`.
-    pub(crate) fn complete_at(&mut self, at: f64) {
-        self.completions.push(std::cmp::Reverse(TotalF64(at)));
-    }
-}
-
-/// `f64` wrapper ordered by `total_cmp` so it can live in a heap.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TotalF64(f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,16 +239,5 @@ mod tests {
         log.record(0, 9.0);
         log.set_enabled(false);
         assert!(log.touched.is_empty() && log.sums.iter().all(|&s| s == 0.0));
-    }
-
-    #[test]
-    fn in_flight_depth_tracks_overlapping_requests() {
-        let mut q = InFlight::default();
-        assert_eq!(q.arrive(0.0), 0);
-        q.complete_at(10.0);
-        q.complete_at(20.0);
-        assert_eq!(q.arrive(5.0), 2, "both still running at t=5");
-        assert_eq!(q.arrive(10.0), 1, "first completed exactly at t=10");
-        assert_eq!(q.arrive(25.0), 0);
     }
 }

@@ -4,15 +4,19 @@
 //!
 //! * **Off is free** — with patrol off and aging disabled, the integrity
 //!   plumbing (birth timestamps, the clock, the idle-gap hooks) must leave
-//!   every stat of every engine/queue-model combination bit-identical to a
-//!   device that never heard of integrity.
-//! * **Engines agree** — with patrol active (tracking, acceleration,
-//!   refreshes, the works) the batched engine must reproduce the stepper's
-//!   full stat set bit for bit, patrol counters included.
+//!   every stat of either queue model bit-identical to a device that never
+//!   heard of integrity.
+//! * **Pinned with patrol active** — with patrol active (tracking,
+//!   acceleration, refreshes, the works) the replay reproduces full-stat
+//!   fingerprints recorded from the original one-op-at-a-time replay loop,
+//!   back when that loop was the batched engine's oracle.
+
+#[path = "support/fingerprint.rs"]
+mod fingerprint;
 
 use ftl::{
-    poisson_arrivals, EngineMode, FtlConfig, IntegrityConfig, IoOp, IoRequest, ParityConfig,
-    PatrolConfig, PatrolOrder, QueueModel, Ssd, Workload,
+    poisson_arrivals, FtlConfig, IntegrityConfig, IoOp, IoRequest, ParityConfig, PatrolConfig,
+    PatrolOrder, QueueModel, Ssd, Workload,
 };
 
 /// The timed-golden mixed workload: 3x-capacity random writes over half
@@ -95,30 +99,27 @@ fn assert_stats_bit_identical(a: &Ssd, b: &Ssd, tag: &str) {
 #[test]
 fn patrol_off_and_zero_aging_is_bit_identical_to_the_seed_config() {
     // An explicitly spelled-out "everything off" integrity block must be
-    // indistinguishable from the default — across both engines and both
-    // queue models, with idle GC on so every background hook runs.
-    for engine in [EngineMode::Stepper, EngineMode::Batched] {
-        for queue_model in [QueueModel::Single, QueueModel::PerChip] {
-            let mut seed_config = FtlConfig::small_test();
-            seed_config.idle_gc = true;
-            seed_config.engine = engine;
-            seed_config.queue_model = queue_model;
-            let mut explicit = seed_config.clone();
-            explicit.integrity = IntegrityConfig {
-                track: false,
-                retention_hours_per_us: 0.0,
-                patrol: PatrolConfig::Off,
-            };
-            let a = run_config(seed_config);
-            let b = run_config(explicit);
-            let tag = format!("engine={engine:?} queue={queue_model:?}");
-            assert_stats_bit_identical(&a, &b, &tag);
-            let s = b.stats();
-            assert_eq!(s.uncorrectable_reads, 0, "{tag}: no ECC model consulted");
-            assert_eq!(s.patrol_scanned_pages, 0, "{tag}: patrol never ran");
-            assert_eq!(s.refresh_us.to_bits(), 0.0f64.to_bits(), "{tag}: no refresh time");
-            assert_eq!(s.patrol_us.to_bits(), 0.0f64.to_bits(), "{tag}: no patrol time");
-        }
+    // indistinguishable from the default — across both queue models, with
+    // idle GC on so every background hook runs.
+    for queue_model in [QueueModel::Single, QueueModel::PerChip] {
+        let mut seed_config = FtlConfig::small_test();
+        seed_config.idle_gc = true;
+        seed_config.queue_model = queue_model;
+        let mut explicit = seed_config.clone();
+        explicit.integrity = IntegrityConfig {
+            track: false,
+            retention_hours_per_us: 0.0,
+            patrol: PatrolConfig::Off,
+        };
+        let a = run_config(seed_config);
+        let b = run_config(explicit);
+        let tag = format!("queue={queue_model:?}");
+        assert_stats_bit_identical(&a, &b, &tag);
+        let s = b.stats();
+        assert_eq!(s.uncorrectable_reads, 0, "{tag}: no ECC model consulted");
+        assert_eq!(s.patrol_scanned_pages, 0, "{tag}: patrol never ran");
+        assert_eq!(s.refresh_us.to_bits(), 0.0f64.to_bits(), "{tag}: no refresh time");
+        assert_eq!(s.patrol_us.to_bits(), 0.0f64.to_bits(), "{tag}: no patrol time");
     }
 }
 
@@ -156,9 +157,8 @@ fn batched_engine_matches_stepper_with_patrol_active() {
     // * fleet — the `fleet_integrity` benchmark device: parity on, page-type
     //   spread, no retention aging and refreshes at 0.1 of the limit, so
     //   read disturb alone drives refreshes while patrol verifies stripes.
-    // The batched engine memoizes latency and RBER terms and the stepper
-    // does not, so every stat agreeing bit for bit pins the memo against
-    // the uncached model.
+    // The table was recorded from the stepper replay while it was the
+    // batched engine's oracle.
     let mut aging = FtlConfig::small_test();
     aging.integrity = IntegrityConfig {
         track: true,
@@ -183,28 +183,62 @@ fn batched_engine_matches_stepper_with_patrol_active() {
             order: PatrolOrder::SlowPoolFirst,
         },
     };
-    for (regime, base) in [("aging", aging), ("fleet", fleet)] {
-        for queue_model in [QueueModel::Single, QueueModel::PerChip] {
-            let mut config = base.clone();
-            config.idle_gc = true;
-            config.queue_model = queue_model;
-            let mut stepper_config = config.clone();
-            stepper_config.engine = EngineMode::Stepper;
-            let mut batched_config = config;
-            batched_config.engine = EngineMode::Batched;
-            let stepper = run_config(stepper_config);
-            let batched = run_config(batched_config);
-            let tag = format!("regime={regime} queue={queue_model:?}");
-            let s = stepper.stats();
-            assert!(s.patrol_scanned_pages > 0, "{tag}: the regime must exercise patrol");
-            assert!(s.patrol_refreshes > 0, "{tag}: the regime must refresh proactively");
-            if regime == "fleet" {
-                assert!(s.parity_verified > 0, "{tag}: patrol must verify parity stripes");
-            }
-            assert_stats_bit_identical(&stepper, &batched, &tag);
+    let regimes = [("aging", aging), ("fleet", fleet)];
+    let runs = regimes.iter().flat_map(|r| [(r, QueueModel::Single), (r, QueueModel::PerChip)]);
+    for (((regime, base), queue_model), want) in runs.zip(PATROL_ACTIVE) {
+        let mut config = base.clone();
+        config.idle_gc = true;
+        config.queue_model = queue_model;
+        let dev = run_config(config);
+        let tag = format!("regime={regime} queue={queue_model:?}");
+        let s = dev.stats();
+        assert!(s.patrol_scanned_pages > 0, "{tag}: the regime must exercise patrol");
+        assert!(s.patrol_refreshes > 0, "{tag}: the regime must refresh proactively");
+        if *regime == "fleet" {
+            assert!(s.parity_verified > 0, "{tag}: patrol must verify parity stripes");
         }
+        fingerprint::assert_pinned(&fingerprint::device(&dev), want, &tag);
     }
 }
+
+/// Fingerprints of [`batched_engine_matches_stepper_with_patrol_active`]:
+/// aging on `Single`, aging on `PerChip`, fleet on `Single`, fleet on
+/// `PerChip`.
+#[rustfmt::skip]
+const PATROL_ACTIVE: [&[u64]; 4] = [
+    &[
+        13331, 0, 13331, 0, 2026, 1481, 323, 42, 0, 0, 0xcbf29ce484222325, 0, 0xcbf29ce484222325,
+        1984, 63, 35, 28, 0x40f25d3333333361, 0x40a7400000000000, 0x414641e154eeb39e,
+        0x40ff42055a1fc9c9, 0, 0, 1084, 1084, 0x410317d99999999c, 0x41613ee3366c080f, 105352, 8858,
+        23, 0, 0x41624b67f1a1e2b6, 0x4120eadd3b64e7c8, 17, 0x416fc92c85eb2e9d, 0xcbf29ce484222325,
+        0xbb114d2eb270c4d2, 0x64ce8e00b6fda448, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0x90af831f967741a0,
+    ],
+    &[
+        13331, 0, 13331, 0, 2026, 1481, 259, 44, 0, 0, 0xcbf29ce484222325, 0x409d099999999999,
+        0xaa55bf9985fe4d74, 2069, 65, 35, 30, 0x40f2d719999999dc, 0x40a7f40000000000,
+        0x414624f14541e376, 0x40fdce1e8a87325b, 0, 0, 1056, 1056, 0x41021c5fffffffff,
+        0x4166c200fc636a4d, 143044, 9901, 24, 0, 0x41327785533c61fc, 0, 13, 0x416fc9b5673ec01f,
+        0xff5e7c78a2439e4f, 0xd0f9096025e7a7e2, 0x36b57eb0c4bfbc79, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0x64a58221e539453c,
+    ],
+    &[
+        12220, 0, 12220, 0, 1878, 1358, 555, 20, 0, 0, 0xcbf29ce484222325, 0x40b0576d310d024b,
+        0xe1c394d993df582a, 1285, 41, 35, 6, 0x40e74999999999dc, 0x409f380000000000,
+        0x41421b5e7ecb2580, 0x4104040a71388470, 0, 0, 0, 0, 0, 0x41665e3ba1430832, 111729, 1249,
+        40, 0, 0x415b08a60cbdc8e5, 0x41192b5cc4ee0987, 19, 0x416d2976797cf45f, 0xcbf29ce484222325,
+        0x2e33a01c3a3903ae, 0x3d4df6932c24c4cf, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 42797, 0,
+        0xc7b795a9302f3f86,
+    ],
+    &[
+        12220, 0, 12220, 0, 1878, 1358, 604, 23, 0, 0, 0xcbf29ce484222325, 0x40b12cd934041b9e,
+        0xc79e444a2f7e4066, 1370, 44, 35, 9, 0x40e900e6666666c1, 0x40a05c0000000000,
+        0x41421c9e2ceafca0, 0x4105c839a38f5616, 0, 0, 0, 0, 0, 0x416fd6ce65e045db, 159664, 2113,
+        40, 0, 0x412a6c08846f4d67, 0, 8, 0x416d295403a17e32, 0x5e071d5696b961b8,
+        0xd033f87eb30938cd, 0xe40d064c471f2f5b, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 58606, 0,
+        0xdef577ef7d43ce94,
+    ],
+];
 
 #[test]
 fn blind_and_slow_first_orders_both_complete_passes() {
@@ -242,10 +276,9 @@ fn blind_and_slow_first_orders_both_complete_passes() {
 /// assemblable superblock (idle GC off, watermarks 1/2), so refresh
 /// staging regularly drains the pool and patrol's emergency floor collects
 /// in the middle of a super word-line scan.
-fn refresh_dense_config(queue_model: QueueModel, engine: EngineMode) -> FtlConfig {
+fn refresh_dense_config(queue_model: QueueModel) -> FtlConfig {
     let mut config = FtlConfig::small_test();
     config.queue_model = queue_model;
-    config.engine = engine;
     config.gc_low_watermark = 1;
     config.gc_high_watermark = 2;
     config.parity = ParityConfig::On;
@@ -265,7 +298,7 @@ fn refresh_dense_config(queue_model: QueueModel, engine: EngineMode) -> FtlConfi
 
 /// Counters verbatim and floats as bit patterns; `chip_busy_us` folds
 /// every per-group clock into one word.
-fn fingerprint(dev: &Ssd) -> Vec<(&'static str, u64)> {
+fn refresh_dense_summary(dev: &Ssd) -> Vec<(&'static str, u64)> {
     let s = dev.stats();
     let chip_busy = s.chip_busy_us.iter().fold(0u64, |acc, b| acc.rotate_left(7) ^ b.to_bits());
     vec![
@@ -361,12 +394,10 @@ fn refresh_dense_patrol_reproduces_the_page_at_a_time_golden() {
     for (queue_model, golden) in
         [(QueueModel::Single, REFRESH_DENSE_SINGLE), (QueueModel::PerChip, REFRESH_DENSE_PER_CHIP)]
     {
-        for engine in [EngineMode::Stepper, EngineMode::Batched] {
-            let got = fingerprint(&run_config(refresh_dense_config(queue_model, engine)));
-            assert_eq!(got.len(), golden.len());
-            for ((name, have), (_, want)) in got.iter().zip(golden) {
-                assert_eq!(have, want, "{queue_model:?} {engine:?} {name}: {have:#x} vs {want:#x}");
-            }
+        let got = refresh_dense_summary(&run_config(refresh_dense_config(queue_model)));
+        assert_eq!(got.len(), golden.len());
+        for ((name, have), (_, want)) in got.iter().zip(golden) {
+            assert_eq!(have, want, "{queue_model:?} {name}: {have:#x} vs {want:#x}");
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use flash_model::FaultConfig;
 use ftl::{
-    CrashPoint, EngineMode, FtlConfig, FtlError, GcBudget, IntegrityConfig, IoOp, IoRequest,
+    CrashPoint, FtlConfig, FtlError, GcBudget, IntegrityConfig, IoOp, IoRequest,
     OrganizationScheme, ParityConfig, PatrolConfig, PatrolOrder, QosClass, Ssd, Workload,
 };
 use proptest::prelude::*;
@@ -24,9 +24,8 @@ fn apply(dev: &mut Ssd, req: &IoRequest) -> Result<(), FtlError> {
 
 /// Drives both devices in lockstep until either the stream ends or power
 /// is lost on both at the same op. With `timed`, requests go through the
-/// configured timed replay engine (one arrival every 200 µs) instead of the
-/// untimed per-request API — the only path on which `EngineMode` matters.
-/// Returns the index to resume from.
+/// timed replay (one arrival every 200 µs) instead of the untimed
+/// per-request API. Returns the index to resume from.
 fn drive_lockstep(
     dense: &mut Ssd,
     naive: &mut Ssd,
@@ -75,15 +74,15 @@ fn schemes() -> [OrganizationScheme; 3] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The Batched engine only differs on timed replays, so it is driven
-    /// through one; integrity tracking adds the checkpointed write times.
+    /// Driven either untimed or through the timed replay; integrity
+    /// tracking adds the checkpointed write times.
     #[test]
     fn recovery_rebuilds_exactly_the_ram_mapping_at_any_crash_point(
         crash_seed in any::<u64>(),
         workload_seed in any::<u64>(),
         scheme_idx in 0usize..3,
         interval_idx in 0usize..3,
-        batched in any::<bool>(),
+        timed in any::<bool>(),
         track in any::<bool>(),
     ) {
         let intervals = [0u64, 8, 128];
@@ -91,9 +90,6 @@ proptest! {
         config.scheme = schemes()[scheme_idx];
         config.spor.checkpoint_interval = intervals[interval_idx];
         config.spor.crash = Some(CrashPoint::from_seed(crash_seed, 2500));
-        if batched {
-            config.engine = EngineMode::Batched;
-        }
         config.integrity.track = track;
         let mut dense = Ssd::new(config.clone(), 11).unwrap();
         let mut naive = Ssd::new(config, 11).unwrap();
@@ -106,7 +102,7 @@ proptest! {
                 *r = IoRequest::trim(r.lpn);
             }
         }
-        let resume = drive_lockstep(&mut dense, &mut naive, &reqs, batched)?;
+        let resume = drive_lockstep(&mut dense, &mut naive, &reqs, timed)?;
         // Snapshot RAM at the crash: this IS the set of acknowledged data.
         let ram: Vec<_> = (0..info.logical_pages).map(|l| dense.mapping().lookup(l)).collect();
         let ram_valid = dense.valid_pages();
@@ -131,7 +127,7 @@ proptest! {
         }
         // The device keeps working past the crash, and the dense store
         // keeps agreeing with the oracle.
-        let done = drive_lockstep(&mut dense, &mut naive, &reqs[resume..], batched)?;
+        let done = drive_lockstep(&mut dense, &mut naive, &reqs[resume..], timed)?;
         prop_assert_eq!(done, reqs.len() - resume, "no second crash");
         dense.flush().unwrap();
         naive.flush().unwrap();

@@ -17,8 +17,8 @@ proptest! {
     fn sorted_ring_depth_tracker_matches_the_same_oracle(
         gaps in proptest::collection::vec((0u32..500, 1u32..900), 1..200),
     ) {
-        // The batched device path's sorted-ring tracker must honor the
-        // busy-until contract of the stepper's heap, including completions
+        // The device replay's sorted-ring tracker must honor the
+        // busy-until contract of a completion heap, including completions
         // landing out of order when per-chip clocks interleave (the
         // `service < gap` case). Oracle: a plain vector of completion
         // times, scanned per arrival.

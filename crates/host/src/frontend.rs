@@ -4,7 +4,10 @@ use crate::arbiter::{Arbiter, Arbitration};
 use crate::queue::{Queued, TenantSpec, TenantState, TenantStats};
 use ftl::sched::{from_total_key, total_key, Tournament};
 use ftl::trace::TracedRequest;
-use ftl::{EngineMode, IoOp, IoRequest, QosClass, Ssd, TimedOutcome};
+use ftl::{IoOp, IoRequest, QosClass, Ssd, TimedOutcome};
+
+#[cfg(test)]
+mod rescan;
 
 /// A multi-queue host frontend: one submission queue per tenant, feeding
 /// a single [`Ssd`] through a deterministic event loop.
@@ -101,40 +104,15 @@ impl HostFrontend {
     }
 
     /// Routes parsed trace requests to their queues by tenant id (the
-    /// trace's optional fourth column), pairing each with its arrival.
-    ///
-    /// Legacy per-request path: each request is a one-element [`submit`],
-    /// which re-sorts the tenant's whole stream — O(n²·log n) over a long
-    /// trace. Kept as the reference the batched path is measured against;
-    /// new callers want [`submit_traced_batched`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a tenant id is out of range for this frontend.
-    ///
-    /// [`submit`]: HostFrontend::submit
-    /// [`submit_traced_batched`]: HostFrontend::submit_traced_batched
-    pub fn submit_traced(&mut self, requests: &[(f64, TracedRequest)]) {
-        let n = self.tenants.len();
-        for &(arrival, traced) in requests {
-            let tenant = traced.tenant as usize;
-            assert!(tenant < n, "trace tenant {tenant} but frontend has {n} queues");
-            self.submit(tenant, &[(arrival, traced.request)]);
-        }
-    }
-
-    /// Batched twin of [`submit_traced`]: one routing pass plus a single
-    /// stable sort per tenant. Repeated stable sorting of a growing stream
-    /// equals one stable sort of the fully-appended stream, so the
-    /// resulting per-tenant streams — and every downstream stat — are
-    /// identical to the legacy path's; only the admission cost drops from
-    /// quadratic to O(n log n).
+    /// trace's optional fourth column), pairing each with its arrival: one
+    /// routing pass, then one stable sort per tenant, so equal arrivals keep
+    /// trace order and the streams equal per-request [`submit`] calls.
     ///
     /// # Panics
     ///
     /// Panics if a tenant id is out of range or called after [`run`].
     ///
-    /// [`submit_traced`]: HostFrontend::submit_traced
+    /// [`submit`]: HostFrontend::submit
     /// [`run`]: HostFrontend::run
     pub fn submit_traced_batched(&mut self, requests: &[(f64, TracedRequest)]) {
         assert!(self.dispatch_log.is_empty() && self.now == 0.0, "submit before run");
@@ -151,16 +129,12 @@ impl HostFrontend {
 
     /// Replays every submitted stream to completion.
     ///
-    /// The drain loop follows the device's configured [`EngineMode`]. The
-    /// stepper drain re-admits every tenant and rebuilds a `Vec<bool>`
-    /// readiness mask before each dispatch; it is the golden oracle. The
-    /// batched drain keeps its bookkeeping constant per command: a winner
-    /// tree holds each tenant's next arrival, readiness is a packed bitmask
+    /// The drain keeps its bookkeeping constant per command: a winner tree
+    /// holds each tenant's next arrival, readiness is a packed bitmask
     /// updated on queue transitions, and a tenant is admitted only when its
-    /// next arrival falls due or its own dispatch frees a slot. Both drains
-    /// share the arbiter, [`TenantState`]'s queues and admission, and the
-    /// dispatch step, and produce bit-identical stats
-    /// (`tests/engine_identity.rs`, `tests/dispatch_oracle.rs`).
+    /// next arrival falls due or its own dispatch frees a slot. A test-only
+    /// rescan drain, which re-admits every tenant before each dispatch,
+    /// holds it to the same dispatches bit for bit.
     ///
     /// # Errors
     ///
@@ -168,75 +142,32 @@ impl HostFrontend {
     /// power loss). The device keeps its partial state and stats.
     pub fn run(&mut self) -> ftl::Result<()> {
         self.ssd.timed_begin();
-        let result = if self.ssd.engine() == EngineMode::Batched {
-            self.drain_batched()
-        } else {
-            self.drain()
-        };
+        let result = self.drain();
         // Fold partial clocks into the stats even on the error path.
         self.ssd.timed_end();
         result
     }
 
+    /// Event-driven drain over [`Events`]. A tenant's admission can only
+    /// change its queue when the clock reaches its next arrival or when its
+    /// own dispatch frees a slot in a full queue, so those are the only
+    /// times it is admitted; which of several tenants due at one instant is
+    /// admitted first cannot show, since each admission reads only that
+    /// tenant's stream and queue.
     fn drain(&mut self) -> ftl::Result<()> {
+        let mut ev = Events::new(&self.tenants);
+        for i in 0..self.tenants.len() {
+            self.admit_event(&mut ev, i);
+        }
         loop {
-            let now = self.now;
-            for tenant in &mut self.tenants {
-                tenant.admit(now);
-            }
-            let mut ready: Vec<bool> = self.tenants.iter().map(|t| !t.sq.is_empty()).collect();
             // When the device wants a GC slice — or patrol scrubbing has
             // starved past a full interval and will bill foreground
             // commands — drain latency-critical queues first: their
             // commands skip both payments device-side, and granting a
             // lower class first would sandwich the waiting LC command
             // behind that command's slice. Work-conserving — the mask only
-            // applies while a latency-critical queue is ready.
-            if self.ssd.gc_slice_pending()
-                && self
-                    .tenants
-                    .iter()
-                    .zip(&ready)
-                    .any(|(t, &r)| r && t.spec.qos == QosClass::LatencyCritical)
-            {
-                for (t, r) in self.tenants.iter().zip(ready.iter_mut()) {
-                    *r = *r && t.spec.qos == QosClass::LatencyCritical;
-                }
-            }
-            let Some(k) = self.arbiter.pick(&ready) else {
-                // Every queue is empty: jump to the next arrival, or stop
-                // once all streams are drained.
-                let next = self
-                    .tenants
-                    .iter()
-                    .filter_map(TenantState::next_arrival)
-                    .fold(f64::INFINITY, f64::min);
-                if !next.is_finite() {
-                    return Ok(());
-                }
-                self.now = self.now.max(next);
-                continue;
-            };
-            self.dispatch(k)?;
-        }
-    }
-
-    /// Event-driven drain over [`Events`]: the same admissions, picks and
-    /// dispatches as [`HostFrontend::drain`], found without rescanning the
-    /// tenants. A tenant's admission can only change its queue when the
-    /// clock reaches its next arrival or when its own dispatch frees a slot
-    /// in a full queue, so those are the only times it is admitted; which
-    /// of several tenants due at one instant is admitted first cannot
-    /// show, since each admission reads only that tenant's stream and
-    /// queue.
-    fn drain_batched(&mut self) -> ftl::Result<()> {
-        let mut ev = Events::new(&self.tenants);
-        for i in 0..self.tenants.len() {
-            self.admit_event(&mut ev, i);
-        }
-        loop {
-            // The stepper drain's latency-critical-first mask, tested in
-            // the cheaper order (`gc_slice_pending` is a pure query).
+            // applies while a latency-critical queue is ready, tested first
+            // because `gc_slice_pending` costs more.
             let lc_ready = ev.ready.iter().zip(&ev.lc).any(|(&r, &l)| r & l != 0);
             let pick = if lc_ready && self.ssd.gc_slice_pending() {
                 for (m, (&r, &l)) in ev.masked.iter_mut().zip(ev.ready.iter().zip(&ev.lc)) {
@@ -299,8 +230,7 @@ impl HostFrontend {
     }
 
     /// Dispatches the front of tenant `k`'s queue, moves the clock to its
-    /// completion and records it in the tenant's stats; both drains
-    /// dispatch through here.
+    /// completion and records it in the tenant's stats.
     fn dispatch(&mut self, k: usize) -> ftl::Result<()> {
         let state = &mut self.tenants[k];
         let was_full = state.sq.len() >= state.spec.queue_depth;
@@ -533,7 +463,7 @@ mod tests {
             ],
             Arbitration::RoundRobin,
         );
-        front.submit_traced(&timed);
+        front.submit_traced_batched(&timed);
         front.run().unwrap();
         assert_eq!(front.tenant_stats(0).completed, 2, "W,1 and R,1");
         assert_eq!(front.tenant_stats(1).completed, 3, "W,2 and the 2-page run W,3");
@@ -548,7 +478,7 @@ mod tests {
             vec![TenantSpec::new("only", QosClass::Standard)],
             Arbitration::RoundRobin,
         );
-        front.submit_traced(&[(0.0, parsed[0])]);
+        front.submit_traced_batched(&[(0.0, parsed[0])]);
     }
 
     #[test]
@@ -556,10 +486,9 @@ mod tests {
         // An arrival at +inf is never due: the rescan drain stops when the
         // next arrival is not finite, and the event drain must stop there
         // too rather than jump its clock to infinity.
-        let run = |engine: ftl::EngineMode| {
-            let config = FtlConfig { engine, ..FtlConfig::small_test() };
+        let run = |rescan: bool| {
             let mut front = HostFrontend::new(
-                Ssd::new(config, 7).unwrap(),
+                small_ssd(),
                 vec![
                     TenantSpec::new("a", QosClass::Standard),
                     TenantSpec::new("b", QosClass::Background).queue_depth(1),
@@ -568,13 +497,13 @@ mod tests {
             );
             front.submit(0, &[(0.0, IoRequest::write(1)), (f64::INFINITY, IoRequest::write(2))]);
             front.submit(1, &[(5.0, IoRequest::write(3)), (5.0, IoRequest::write(4))]);
-            front.run().unwrap();
-            assert!(!front.drained(), "{engine:?}: the infinite arrival stays pending");
+            if rescan { front.run_rescan() } else { front.run() }.unwrap();
+            assert!(!front.drained(), "rescan={rescan}: the infinite arrival stays pending");
             (front.dispatch_log().to_vec(), front.device().stats().makespan_us.to_bits())
         };
-        let stepper = run(ftl::EngineMode::Stepper);
-        assert_eq!(stepper.0, [0, 1, 1]);
-        assert_eq!(run(ftl::EngineMode::Batched), stepper);
+        let rescan = run(true);
+        assert_eq!(rescan.0, [0, 1, 1]);
+        assert_eq!(run(false), rescan);
     }
 
     #[test]
