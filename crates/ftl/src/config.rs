@@ -195,8 +195,6 @@ pub struct FtlConfig {
     /// before yielding ([`GcBudget::Unbounded`], the default, reproduces
     /// the legacy run-to-completion collector bit for bit).
     pub gc_budget: GcBudget,
-    /// Wear-leveling alarm threshold (max-min erase count).
-    pub wear_threshold: u32,
     /// Superblock organization strategy.
     pub scheme: OrganizationScheme,
     /// Data placement policy.
@@ -258,7 +256,6 @@ impl FtlConfig {
             gc_high_watermark: 3,
             gc_policy: GcPolicy::Greedy,
             gc_budget: GcBudget::Unbounded,
-            wear_threshold: 32,
             scheme: OrganizationScheme::Random,
             placement: PlacementPolicy::FunctionBased,
             transfer_us: 10.0,
@@ -394,7 +391,6 @@ impl Default for FtlConfig {
             gc_high_watermark: 8,
             gc_policy: GcPolicy::Greedy,
             gc_budget: GcBudget::Unbounded,
-            wear_threshold: 32,
             scheme: OrganizationScheme::Random,
             placement: PlacementPolicy::FunctionBased,
             transfer_us: 10.0,

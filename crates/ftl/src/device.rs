@@ -11,7 +11,6 @@ use crate::request::{IoOp, IoRequest};
 use crate::sched::DepthTracker;
 use crate::stats::SsdStats;
 use crate::timing::{Clocks, QueueModel, Replay, TimedOutcome, TouchLog, CONTROLLER};
-use crate::wear_level::WearTracker;
 use crate::Result;
 use flash_model::{
     BlockAddr, BlockSummaryRecord, FlashArray, FlashError, LwlId, MpOutcome, PageAddr, SealRecord,
@@ -59,7 +58,6 @@ pub struct Ssd {
     sealed: Vec<SealedSuperblock>,
     stats: SsdStats,
     logical_pages: u64,
-    wear: WearTracker,
     seal_seq: u64,
     touches: TouchLog,
     scratch: Vec<(u64, PageAddr)>,
@@ -76,16 +74,17 @@ pub struct Ssd {
     /// Reused buffer for the LPNs a checkpoint drains from the mapping's
     /// change record.
     changed_lpns: Vec<u64>,
-    /// Partially collected victim parked between GC slices
-    /// ([`GcBudget::Sliced`] only); `None` when no collection is mid-flight.
+    /// Partially collected victim parked between GC slices (sliced
+    /// collection and the emergency floor; [`Ssd::gc_once`] never parks);
+    /// `None` when no collection is mid-flight.
     gc_job: Option<GcJob>,
-    /// Per-command cap on budgeted collection work, µs
+    /// Per-command cap on ladder work, µs, shared by collection and patrol
     /// ([`Ssd::set_gc_allowance`]). Defaults to `INFINITY` (no cap), which
     /// leaves every code path bit-identical to a device without the field.
     /// Frontends with per-tenant SLO budgets set this before each command
     /// to the tenant's remaining debt for the current window; `0` skips the
-    /// ladder slice entirely. The emergency floor ignores it — running out
-    /// of assemblable superblocks trumps any SLO.
+    /// ladder entirely. The emergency floor ignores it — running out of
+    /// assemblable superblocks trumps any SLO.
     gc_allowance_us: f64,
     /// Per-LPN write time on the device clock, µs
     /// ([`Ssd::device_clock_us`]); `Some` only when integrity tracking is
@@ -166,7 +165,6 @@ impl Ssd {
         // per super word-line) is raw capacity the host can never address.
         let usable_pages = physical_pages - config.parity_reserve_pages(physical_pages);
         let logical_pages = logical_capacity(usable_pages, config.overprovision);
-        let config_wear_threshold = config.wear_threshold;
         let mut manager = BlockManager::new(&geo, config.scheme, seed ^ 0x5eed);
         if config.precharacterize {
             let pool = Characterizer::new(&config.flash).snapshot(array.latency_model(), 0);
@@ -194,7 +192,6 @@ impl Ssd {
             sealed: Vec::new(),
             stats: SsdStats::default(),
             logical_pages,
-            wear: WearTracker::new(config_wear_threshold),
             seal_seq: 0,
             touches: TouchLog::new(geo.chip_plane_groups()),
             scratch: Vec::new(),
@@ -215,8 +212,9 @@ impl Ssd {
 
     /// Swaps the page mapping for the original `HashMap`-backed reference
     /// implementation. Semantics are identical; per-block validity queries
-    /// go back to scanning every mapped page, which is exactly what the
-    /// before/after GC benchmarks (`perf_replay`, `benches/gc.rs`) measure.
+    /// go back to scanning every mapped page. The recovery lockstep tests
+    /// and `naive_mapping_reproduces_dense_results_bit_for_bit` run a naive
+    /// device beside a dense one as their oracle.
     ///
     /// # Panics
     ///
@@ -541,11 +539,10 @@ impl Ssd {
         self.check_lpn(lpn)?;
         self.touch_controller(self.config.transfer_us);
         let mut latency = self.config.transfer_us;
-        let mut stall = self.maybe_gc(class)?;
-        // Overdue patrol work is paid down the same QoS ladder and folded
-        // into the same stall, so per-tenant GC-SLO frontends charge it to
-        // the tenant's debt ledger without any extra plumbing.
-        stall += self.maybe_patrol(class)?;
+        // Collection and overdue patrol work land in one stall, so
+        // per-tenant GC-SLO frontends charge both to the tenant's debt
+        // ledger without any extra plumbing.
+        let stall = self.pay_background(class)?;
         if stall > 0.0 {
             self.stats.gc_stall_us += stall;
             self.stats.gc_stall.record(stall);
@@ -609,15 +606,10 @@ impl Ssd {
                             if self.config.parity.enabled() {
                                 self.rebuild_page(lpn, ppa, None)?;
                             }
-                            let mut slice = 0.0;
-                            if self.manager.assemblable() <= 1 {
-                                // A read-heavy phase stages refreshes with
-                                // no host write in sight to trigger
-                                // collection — reclaim the emergency floor
-                                // so reactive refreshes can't drain the
-                                // free pool into OutOfSpace.
-                                slice = self.gc_slice_toward(f64::INFINITY, 2)?;
-                            }
+                            // A read-heavy phase stages refreshes with no
+                            // host write in sight to trigger collection, so
+                            // the refresh pays the emergency floor itself.
+                            let slice = self.reclaim_floor()?;
                             let restage = self.stage_write(lpn, Purpose::Gc)?;
                             if self.config.parity.enabled() && slice > 0.0 {
                                 // Rebuild-triggered emergency collection is
@@ -768,56 +760,6 @@ impl Ssd {
         Ok(self.config.retry.read_latency_us(t_read, bits))
     }
 
-    /// Reads a batch of logical pages exploiting chip parallelism: reads on
-    /// different chips proceed concurrently (the superpage read of Figure 2),
-    /// reads on the same chip serialize. Returns the batch completion
-    /// latency; unwritten pages are skipped.
-    ///
-    /// Sequentially written pages stripe page-major across the superblock
-    /// members, so reading `chips` consecutive LPNs costs roughly one page
-    /// read, not `chips` of them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtlError::LpnOutOfRange`] if any page is out of range.
-    pub fn read_batch(&mut self, lpns: &[u64]) -> Result<f64> {
-        self.ensure_powered()?;
-        for &lpn in lpns {
-            self.check_lpn(lpn)?;
-        }
-        let mut per_chip: std::collections::HashMap<(u16, u16), f64> =
-            std::collections::HashMap::new();
-        let mut transfer = 0.0;
-        let mut served = 0u64;
-        for &lpn in lpns {
-            let staged = self.actives.any_staged(lpn);
-            if staged {
-                self.touch_controller(self.config.transfer_us);
-                transfer += self.config.transfer_us;
-                served += 1;
-                continue;
-            }
-            if let Some(ppa) = self.mapping.lookup(lpn) {
-                let (tag, t) = self.array.read_page(ppa)?;
-                debug_assert_eq!(tag, lpn);
-                self.touch_block(ppa.wl.block, t);
-                self.touch_controller(self.config.transfer_us);
-                let chip = (ppa.wl.block.chip.0, ppa.wl.block.plane.0);
-                *per_chip.entry(chip).or_insert(0.0) += t;
-                transfer += self.config.transfer_us;
-                served += 1;
-            }
-        }
-        let flash_us = per_chip.values().copied().fold(0.0, f64::max);
-        let latency = flash_us + transfer;
-        self.stats.host_reads += served;
-        if served > 0 {
-            self.stats.read_latency.record(latency);
-        }
-        self.stats.busy_us += latency;
-        Ok(latency)
-    }
-
     /// Invalidates one logical page.
     ///
     /// # Errors
@@ -844,18 +786,6 @@ impl Ssd {
     #[must_use]
     pub fn valid_pages(&self) -> usize {
         self.mapping.valid_pages()
-    }
-
-    /// Wear statistics: `(min, max)` per-block erase counts so far.
-    #[must_use]
-    pub fn wear_spread(&self) -> (u32, u32) {
-        self.wear.spread()
-    }
-
-    /// Whether wear imbalance exceeds the configured threshold.
-    #[must_use]
-    pub fn needs_wear_leveling(&self) -> bool {
-        self.wear.needs_leveling()
     }
 
     fn class_for(&self, purpose: Purpose) -> SpeedClass {
@@ -918,9 +848,6 @@ impl Ssd {
             self.touch_block(m, t);
         }
         let outcome = MpOutcome::from_members(member_us);
-        for &m in &ok_members {
-            self.wear.record_erase(m);
-        }
         self.stats.superblock_erases += 1;
         self.stats.extra_erase_us += outcome.extra_us;
         match class {
@@ -950,22 +877,33 @@ impl Ssd {
         self.stats.retired_blocks += 1;
     }
 
+    /// Programs `active`'s staged super word-line and accounts for it once:
+    /// member occupancy, the new mappings and the program counters.
+    /// Returns the program time and the members whose program failed.
+    fn program_superwl(
+        &mut self,
+        active: &mut ActiveSuperblock,
+    ) -> Result<(f64, Vec<FailedMember>)> {
+        let result = active.program_superwl(&mut self.array, &mut self.spor)?;
+        for (&b, &t) in result.member_blocks.iter().zip(&result.outcome.member_us) {
+            self.touch_block(b, t);
+        }
+        self.apply_assignments(&result.assignments);
+        self.stats.superwl_programs += 1;
+        self.spor.superwls_since_ckpt += 1;
+        self.stats.extra_program_us += result.outcome.extra_us;
+        Ok((result.outcome.total_us, result.failures))
+    }
+
     /// Stages one page and programs/seals as needed; returns time spent.
     fn stage_write(&mut self, lpn: u64, purpose: Purpose) -> Result<f64> {
         let mut time = self.ensure_active(purpose)?;
         let mut active = self.slot(purpose).take().expect("ensure_active filled the slot");
         let mut failures = Vec::new();
         if active.stage(lpn) {
-            let result = active.program_superwl(&mut self.array, &mut self.spor)?;
-            for (&b, &t) in result.member_blocks.iter().zip(&result.outcome.member_us) {
-                self.touch_block(b, t);
-            }
-            self.apply_assignments(&result.assignments);
-            self.stats.superwl_programs += 1;
-            self.spor.superwls_since_ckpt += 1;
-            self.stats.extra_program_us += result.outcome.extra_us;
-            time += result.outcome.total_us;
-            failures = result.failures;
+            let (t, failed) = self.program_superwl(&mut active)?;
+            time += t;
+            failures = failed;
         }
         // Restore the slot before recovery: the remap writes recurse into
         // stage_write and must find the (possibly degraded) superblock open.
@@ -986,16 +924,9 @@ impl Ssd {
         let mut failures = Vec::new();
         if active.has_staged_pages() {
             active.pad();
-            let result = active.program_superwl(&mut self.array, &mut self.spor)?;
-            for (&b, &t) in result.member_blocks.iter().zip(&result.outcome.member_us) {
-                self.touch_block(b, t);
-            }
-            self.apply_assignments(&result.assignments);
-            self.stats.superwl_programs += 1;
-            self.spor.superwls_since_ckpt += 1;
-            self.stats.extra_program_us += result.outcome.extra_us;
-            time += result.outcome.total_us;
-            failures = result.failures;
+            let (t, failed) = self.program_superwl(&mut active)?;
+            time += t;
+            failures = failed;
         }
         self.retire_or_restore(active, purpose);
         if !failures.is_empty() {
@@ -1121,94 +1052,122 @@ impl Ssd {
         }
     }
 
-    /// Runs garbage collection if free space is low; returns time spent,
-    /// which the caller charges to the triggering command as its GC stall.
-    fn maybe_gc(&mut self, class: QosClass) -> Result<f64> {
-        match self.config.gc_budget {
+    /// Background work a foreground command carries: collection first,
+    /// then overdue patrol, both paid down the one QoS ladder
+    /// ([`Ssd::ladder_budget`]) out of the one per-command allowance.
+    /// Returns the command's stall, µs, which the caller folds into its
+    /// own latency — that is what advances `busy_us`, so nothing is
+    /// counted twice here.
+    fn pay_background(&mut self, class: QosClass) -> Result<f64> {
+        let mut spent = match self.config.gc_budget {
             GcBudget::Unbounded => {
-                if self.manager.assemblable() >= self.config.gc_low_watermark {
-                    return Ok(0.0);
-                }
                 let mut time = 0.0;
-                while self.manager.assemblable() < self.config.gc_high_watermark {
-                    match self.gc_once()? {
-                        Some(t) => time += t,
-                        None => break,
+                if self.manager.assemblable() < self.config.gc_low_watermark {
+                    while self.manager.assemblable() < self.config.gc_high_watermark {
+                        let Some(t) = self.gc_once()? else { break };
+                        time += t;
                     }
                 }
-                // The caller (the triggering write) folds this time into its
-                // own latency, which is what updates busy_us — no double
-                // counting here.
-                Ok(time)
+                time
             }
             GcBudget::Sliced { slice_us } => {
-                let mut time = 0.0;
-                if self.gc_backlog() {
-                    // Collection pressure maps onto the QoS ladder:
-                    // background commands pay a slice on any backlog,
-                    // standard ones only once free space dips under the low
-                    // watermark, latency-critical ones never (beyond the
-                    // emergency below).
-                    let pays = match class {
-                        QosClass::Background => true,
-                        QosClass::Standard => {
-                            self.manager.assemblable() < self.config.gc_low_watermark
-                        }
-                        QosClass::LatencyCritical => false,
-                    };
-                    // A per-tenant SLO allowance caps the budgeted slice:
-                    // an exhausted window (`allowance == 0`) skips ladder
-                    // payment entirely, a partial one shortens the slice.
-                    // The default `INFINITY` allowance reduces both
-                    // expressions to the plain ladder, bit for bit.
-                    if pays && self.gc_allowance_us > 0.0 {
-                        time += self.gc_slice(slice_us.min(self.gc_allowance_us))?;
-                    }
-                }
-                if self.manager.assemblable() <= 1 {
-                    // Pool nearly empty (GC staging itself may have taken a
-                    // superblock): every class — latency-critical included —
-                    // reclaims toward two, because relocation needs one
-                    // assemblable superblock in reserve whenever the GC slot
-                    // seals mid-victim, and the triggering write consumes
-                    // another. No further: the budgeted ladder resumes from
-                    // there instead of running a multi-victim burst to the
-                    // high watermark.
-                    time += self.gc_slice_toward(f64::INFINITY, 2)?;
-                }
-                Ok(time)
+                let (due, overdue) = self.gc_pressure();
+                let mut time = match self.ladder_budget(class, due, overdue, slice_us, 0.0) {
+                    Some(budget) => self.gc_slice(budget)?,
+                    None => 0.0,
+                };
+                // The slice's own staging may have taken a superblock.
+                time += self.reclaim_floor()?;
+                time
             }
+        };
+        if let PatrolConfig::On { slice_us, .. } = self.config.integrity.patrol {
+            let (due, overdue) = self.patrol_pressure();
+            if let Some(budget) = self.ladder_budget(class, due, overdue, slice_us, spent) {
+                spent += self.patrol_slice(budget)?;
+            }
+        }
+        Ok(spent)
+    }
+
+    /// The QoS ladder, one rule for every kind of background work a
+    /// foreground command may pay for: background commands pay once the
+    /// work is `due`, standard ones once it is `overdue`, latency-critical
+    /// ones never. The payment is `slice_us`, capped by what the
+    /// per-command allowance ([`Ssd::set_gc_allowance`]) has left after
+    /// the `spent` µs the command was already charged; `None` when the
+    /// class does not pay or nothing is left. `INFINITY - spent` is still
+    /// `INFINITY`, so the default allowance pays the plain ladder bit for
+    /// bit.
+    fn ladder_budget(
+        &self,
+        class: QosClass,
+        due: bool,
+        overdue: bool,
+        slice_us: f64,
+        spent: f64,
+    ) -> Option<f64> {
+        let pays = match class {
+            QosClass::Background => due,
+            QosClass::Standard => overdue,
+            QosClass::LatencyCritical => false,
+        };
+        let budget = slice_us.min(self.gc_allowance_us - spent);
+        (pays && budget > 0.0).then_some(budget)
+    }
+
+    /// The emergency floor, paid by every class whatever its allowance:
+    /// with at most one assemblable superblock left, collect toward two,
+    /// because relocation needs one in reserve whenever the GC slot seals
+    /// mid-victim and the staging write consumes another. No further: the
+    /// budgeted ladder resumes from there instead of running a
+    /// multi-victim burst to the high watermark. Sliced collection's
+    /// command payment, reactive refresh, patrol refresh and
+    /// parity-mismatch restaging all take it, so none of them drains the
+    /// pool into `OutOfSpace`. Returns the reclaim time (`0` when the pool
+    /// is not that low).
+    fn reclaim_floor(&mut self) -> Result<f64> {
+        if self.manager.assemblable() <= 1 {
+            self.gc_slice_toward(f64::INFINITY, 2)
+        } else {
+            Ok(0.0)
         }
     }
 
-    /// Whether sliced collection wants a slice: free space under the low
-    /// watermark, or a parked victim still short of the high one.
-    fn gc_backlog(&self) -> bool {
+    /// Collection's rungs on the QoS ladder, `(due, overdue)`: due on any
+    /// backlog — free space under the low watermark, or a parked victim
+    /// still short of the high one — and overdue under the low watermark.
+    fn gc_pressure(&self) -> (bool, bool) {
         let assemblable = self.manager.assemblable();
-        assemblable < self.config.gc_low_watermark
-            || (self.gc_job.is_some() && assemblable < self.config.gc_high_watermark)
+        let low = assemblable < self.config.gc_low_watermark;
+        let parked = self.gc_job.is_some() && assemblable < self.config.gc_high_watermark;
+        (low || parked, low)
     }
 
-    /// Whether the device will run collection or overdue-patrol work on
-    /// upcoming writes (sliced-GC backlog, or patrol starved past one full
-    /// interval — the unbounded collector never reports pending). Frontends
-    /// use this to drain latency-critical queues before granting
-    /// lower-priority commands that would carry a slice.
+    /// Whether upcoming writes will carry ladder work: the ladder's `due`
+    /// predicate holds for sliced collection (the unbounded collector never
+    /// reports pending) or for patrol. Frontends use this to drain
+    /// latency-critical queues before granting lower-priority commands that
+    /// would carry a slice.
     #[must_use]
     pub fn gc_slice_pending(&self) -> bool {
-        (matches!(self.config.gc_budget, GcBudget::Sliced { .. }) && self.gc_backlog())
-            || self.patrol_payment_pending()
+        (matches!(self.config.gc_budget, GcBudget::Sliced { .. }) && self.gc_pressure().0)
+            || self.patrol_pressure().0
     }
 
-    /// Caps the budgeted collection work the *next* commands may be charged
-    /// ([`GcBudget::Sliced`] only): each ladder slice runs for at most
-    /// `min(slice_us, allowance)` µs, and an allowance of `0` skips ladder
-    /// payment outright. Frontends enforcing per-tenant GC SLOs call this
-    /// before each dispatch with the tenant's remaining debt budget for the
-    /// current window. Negative and NaN values clamp to `0` (no slice);
-    /// the default is `INFINITY` (uncapped — identical to pre-SLO
-    /// behavior). The emergency floor (pool nearly empty) is exempt: media
-    /// safety outranks an SLO.
+    /// Caps the total ladder work the *next* commands may be charged,
+    /// collection then patrol, under either [`GcBudget`]: one command's
+    /// ladder slices together run for at most `allowance_us` (each also
+    /// capped by its own `slice_us`, and each may overrun by one
+    /// word-line step), and an allowance of `0` skips ladder payment
+    /// outright. Unbounded collection is not ladder work and runs to
+    /// completion, but its time counts against what patrol may use.
+    /// Frontends enforcing per-tenant GC SLOs call this before each
+    /// dispatch with the tenant's remaining debt budget for the current
+    /// window. Negative and NaN values clamp to `0` (no slice); the default
+    /// is `INFINITY` (uncapped — identical to pre-SLO behavior). The
+    /// emergency floor (pool nearly empty) is exempt, since media safety
+    /// outranks an SLO, but its time counts as spent.
     pub fn set_gc_allowance(&mut self, allowance_us: f64) {
         self.gc_allowance_us = if allowance_us.is_nan() { 0.0 } else { allowance_us.max(0.0) };
     }
@@ -1246,36 +1205,18 @@ impl Ssd {
             && (self.patrol_job.is_some() || self.device_clock_us() >= self.patrol_due_at)
     }
 
-    /// Whether patrol is starved badly enough (a full interval past due)
-    /// that foreground commands start paying for it down the QoS ladder.
-    fn patrol_payment_pending(&self) -> bool {
+    /// Patrol's rungs on the QoS ladder, `(due, overdue)`: one and two full
+    /// intervals past its due time on the device clock.
+    fn patrol_pressure(&self) -> (bool, bool) {
         match self.config.integrity.patrol {
             PatrolConfig::On { interval_us, .. } => {
-                self.device_clock_us() >= self.patrol_due_at + interval_us
+                let clock = self.device_clock_us();
+                (
+                    clock >= self.patrol_due_at + interval_us,
+                    clock >= self.patrol_due_at + 2.0 * interval_us,
+                )
             }
-            PatrolConfig::Off => false,
-        }
-    }
-
-    /// Runs overdue patrol work on a foreground command's time, down the
-    /// same QoS ladder as sliced GC: background commands pay once patrol is
-    /// one interval past due, standard ones at two intervals, and
-    /// latency-critical ones never. The per-tenant GC allowance caps the
-    /// slice exactly as it caps GC slices; the caller folds the returned
-    /// time into the command's GC stall so SLO ledgers see it.
-    fn maybe_patrol(&mut self, class: QosClass) -> Result<f64> {
-        let PatrolConfig::On { interval_us, slice_us, .. } = self.config.integrity.patrol else {
-            return Ok(0.0);
-        };
-        let pays = match class {
-            QosClass::Background => self.patrol_payment_pending(),
-            QosClass::Standard => self.device_clock_us() >= self.patrol_due_at + 2.0 * interval_us,
-            QosClass::LatencyCritical => false,
-        };
-        if pays && self.gc_allowance_us > 0.0 {
-            self.patrol_slice(slice_us.min(self.gc_allowance_us))
-        } else {
-            Ok(0.0)
+            PatrolConfig::Off => (false, false),
         }
     }
 
@@ -1436,12 +1377,9 @@ impl Ssd {
                         }
                     }
                     let Some(lpn) = refresh else { break };
-                    if self.manager.assemblable() <= 1 {
-                        // Same emergency floor as the read path: a
-                        // refresh-heavy pass through aged media must not
-                        // outrun collection and drain the pool.
-                        time += self.gc_slice_toward(f64::INFINITY, 2)?;
-                    }
+                    // A refresh-heavy pass through aged media must not
+                    // outrun collection and drain the pool.
+                    time += self.reclaim_floor()?;
                     time += self.stage_write(lpn, Purpose::Gc)?;
                     self.stats.patrol_refreshes += 1;
                 }
@@ -1470,9 +1408,7 @@ impl Ssd {
                     // replace the exposed ones.
                     self.stats.parity_mismatch += 1;
                     for &lpn in &unrefreshed_live {
-                        if self.manager.assemblable() <= 1 {
-                            time += self.gc_slice_toward(f64::INFINITY, 2)?;
-                        }
+                        time += self.reclaim_floor()?;
                         time += self.stage_write(lpn, Purpose::Gc)?;
                         self.stats.refresh_relocations += 1;
                     }
@@ -1493,7 +1429,7 @@ impl Ssd {
     }
 
     /// [`Ssd::gc_slice`] with an explicit free-space target (the emergency
-    /// path reclaims toward 1, not the high watermark).
+    /// floor reclaims toward 2, not the high watermark).
     fn gc_slice_toward(&mut self, budget_us: f64, target: usize) -> Result<f64> {
         let mut time = 0.0;
         let mut yielded = false;
@@ -1530,19 +1466,25 @@ impl Ssd {
         }
     }
 
+    /// The victim the configured policy picks among the sealed
+    /// superblocks, as an index into the sealed list; `None` when nothing
+    /// is sealed.
+    fn pick_victim(&self) -> Option<usize> {
+        select_victim(
+            self.config.gc_policy,
+            &self.sealed,
+            &self.mapping,
+            self.data_pages_per_superblock(),
+            self.seal_seq,
+        )
+    }
+
     /// Selects a victim and parks it as the resumable job. The victim stays
     /// in the sealed list — and therefore in every checkpoint — until the
     /// final flush + free, so a crash mid-collection recovers it under its
     /// old identity. Returns false when nothing is sealed.
     fn gc_start_job(&mut self) -> bool {
-        let pages_per_sb = self.data_pages_per_superblock();
-        let Some(victim_idx) = select_victim(
-            self.config.gc_policy,
-            &self.sealed,
-            &self.mapping,
-            pages_per_sb,
-            self.seal_seq,
-        ) else {
+        let Some(victim_idx) = self.pick_victim() else {
             return false;
         };
         let victim = &self.sealed[victim_idx];
@@ -1564,16 +1506,10 @@ impl Ssd {
                 if self.mapping.lookup(lpn) != Some(ppa) {
                     continue;
                 }
-                let (tag, t_read) = self.array.read_page(ppa)?;
-                debug_assert_eq!(tag, lpn);
-                let t_read = self.gc_read_with_parity_check(lpn, ppa, t_read, &job.members)?;
-                self.touch_block(ppa.wl.block, t_read);
-                let mut t = t_read;
-                t += self.stage_write(lpn, Purpose::Gc)?;
-                self.stats.gc_relocations += 1;
+                let (read, program) = self.relocate(lpn, ppa, &job.members)?;
                 job.staged.insert(lpn);
                 self.gc_job = Some(job);
-                return Ok(t);
+                return Ok(read + program);
             }
             if let Some(&member) = job.members.get(job.member_cursor) {
                 job.member_cursor += 1;
@@ -1588,37 +1524,26 @@ impl Ssd {
                 );
                 continue;
             }
-            // All members drained: make the staged copies durable, then free
-            // the victim and retire its identity. Journaled only now — had
-            // power died earlier, the victim still held its data and is
-            // still recovered under its old identity.
-            let t = self.flush_purpose(Purpose::Gc)?;
-            for &member in &job.members {
-                self.mapping.invalidate_block(member);
-                self.manager.free(member, None);
-            }
+            // All members drained: free the victim, then drop it from the
+            // sealed list — only now, after the flush may have sealed new
+            // superblocks behind it.
+            let t = self.free_victim(job.sb_id, &job.members)?;
             let idx = self
                 .sealed
                 .iter()
                 .position(|s| s.sb_id == job.sb_id)
                 .expect("victim stays sealed until freed");
             self.sealed.swap_remove(idx);
-            self.spor.journal(JournalEntry::Freed { sb_id: job.sb_id });
-            self.stats.gc_runs += 1;
             return Ok(t);
         }
     }
 
-    /// Collects one victim superblock; `None` when no sealed victim exists.
+    /// Collects one victim superblock to completion; `None` when no sealed
+    /// victim exists. Unlike [`Ssd::gc_job_step`] the victim leaves the
+    /// sealed list when it is selected (see [`GcBudget`] for why both
+    /// lifecycles stay).
     fn gc_once(&mut self) -> Result<Option<f64>> {
-        let pages_per_sb = self.data_pages_per_superblock();
-        let Some(victim_idx) = select_victim(
-            self.config.gc_policy,
-            &self.sealed,
-            &self.mapping,
-            pages_per_sb,
-            self.seal_seq,
-        ) else {
+        let Some(victim_idx) = self.pick_victim() else {
             return Ok(None);
         };
         let victim = self.sealed.swap_remove(victim_idx);
@@ -1630,29 +1555,44 @@ impl Ssd {
             scratch.clear();
             scratch.extend(self.mapping.valid_in_block(member));
             for &(lpn, ppa) in &scratch {
-                let (tag, t_read) = self.array.read_page(ppa)?;
-                debug_assert_eq!(tag, lpn);
-                let t_read = self.gc_read_with_parity_check(lpn, ppa, t_read, &victim.members)?;
-                self.touch_block(ppa.wl.block, t_read);
-                time += t_read;
-                time += self.stage_write(lpn, Purpose::Gc)?;
-                self.stats.gc_relocations += 1;
+                let (read, program) = self.relocate(lpn, ppa, &victim.members)?;
+                time += read;
+                time += program;
             }
         }
         scratch.clear();
         self.scratch = scratch;
-        // Everything staged must be durable before the old copies vanish.
-        time += self.flush_purpose(Purpose::Gc)?;
-        for &member in &victim.members {
+        time += self.free_victim(victim.sb_id, &victim.members)?;
+        Ok(Some(time))
+    }
+
+    /// Relocates one valid victim page into the GC slot: the read (through
+    /// the parity check) and the restage. Returns `(read_us, program_us)`
+    /// unsummed, so each collector keeps its own float order.
+    fn relocate(&mut self, lpn: u64, ppa: PageAddr, stripe: &[BlockAddr]) -> Result<(f64, f64)> {
+        let (tag, t_read) = self.array.read_page(ppa)?;
+        debug_assert_eq!(tag, lpn);
+        let t_read = self.gc_read_with_parity_check(lpn, ppa, t_read, stripe)?;
+        self.touch_block(ppa.wl.block, t_read);
+        let t_program = self.stage_write(lpn, Purpose::Gc)?;
+        self.stats.gc_relocations += 1;
+        Ok((t_read, t_program))
+    }
+
+    /// Frees a drained victim: makes the staged copies durable (the old
+    /// copies must not vanish first), returns its members to the free pools
+    /// and journals it freed. Journaled only now — had power died earlier,
+    /// the victim still held its data and is recovered under its old
+    /// identity. Returns the flush time.
+    fn free_victim(&mut self, sb_id: u64, members: &[BlockAddr]) -> Result<f64> {
+        let t = self.flush_purpose(Purpose::Gc)?;
+        for &member in members {
             self.mapping.invalidate_block(member);
             self.manager.free(member, None);
         }
-        // Journaled only now: had power died mid-relocation, the victim
-        // would still hold its data and must still be recovered under its
-        // old identity.
-        self.spor.journal(JournalEntry::Freed { sb_id: victim.sb_id });
+        self.spor.journal(JournalEntry::Freed { sb_id });
         self.stats.gc_runs += 1;
-        Ok(Some(time))
+        Ok(t)
     }
 
     /// Takes a checkpoint when the configured interval of super word-line
@@ -1720,8 +1660,7 @@ impl Ssd {
     /// journal over the last checkpoint, scans the OOB metadata of every
     /// superblock dirtied since that checkpoint (highest write sequence
     /// wins; pages of a torn super word-line are discarded), restores the
-    /// gathered QSTR-MED summaries from the persisted seal records, and
-    /// re-seeds wear tracking from the media's P/E counters.
+    /// gathered QSTR-MED summaries from the persisted seal records.
     ///
     /// The durability contract: a write is acknowledged durable only once
     /// its super word-line program completes, so the recovered mapping is
@@ -1926,12 +1865,7 @@ impl Ssd {
         }
         manager.promote_known();
         self.manager = manager;
-        // 7. Wear: the media's P/E counters are the ground truth.
-        self.wear = WearTracker::new(self.config.wear_threshold);
-        for addr in geo.blocks() {
-            self.wear.set_erases(addr, self.array.pe_cycles(addr)?);
-        }
-        // 8. Back to life: sequences continue past everything ever durably
+        // 7. Back to life: sequences continue past everything ever durably
         // assigned, and a fresh checkpoint bounds the next recovery's scan.
         // The merge columns already are that checkpoint's per-LPN state —
         // each winner's sequence is its page's OOB sequence, each loser
@@ -2077,39 +2011,6 @@ mod tests {
         let chips: std::collections::HashSet<u16> =
             (0..4).map(|lpn| dev.mapping.lookup(lpn).unwrap().wl.block.chip.0).collect();
         assert_eq!(chips.len(), 4, "page-major striping spreads chips");
-    }
-
-    #[test]
-    fn batch_read_is_cheaper_than_serial_reads() {
-        let mut dev = ssd(OrganizationScheme::Random);
-        for lpn in 0..4 {
-            dev.write(lpn).unwrap();
-        }
-        dev.flush().unwrap();
-        let batch = dev.read_batch(&[0, 1, 2, 3]).unwrap();
-        let serial: f64 = (0..4).map(|l| dev.read(l).unwrap().unwrap()).sum();
-        assert!(batch < serial, "batch {batch} vs serial {serial}");
-    }
-
-    #[test]
-    fn batch_read_skips_unwritten_pages() {
-        let mut dev = ssd(OrganizationScheme::Random);
-        dev.write(0).unwrap();
-        let before = dev.stats().host_reads;
-        dev.read_batch(&[0, 1, 2]).unwrap();
-        assert_eq!(dev.stats().host_reads, before + 1);
-    }
-
-    #[test]
-    fn wear_spread_is_tracked() {
-        let mut dev = ssd(OrganizationScheme::Random);
-        let info = dev.geometry_info();
-        let reqs =
-            Workload::random_write(0.5).generate(&info, (info.logical_pages * 3) as usize, 7);
-        dev.run(&reqs).unwrap();
-        let (min, max) = dev.wear_spread();
-        assert!(max >= 1, "some block must have been erased");
-        assert!(max >= min);
     }
 
     #[test]
@@ -2480,8 +2381,7 @@ mod tests {
     #[test]
     fn naive_mapping_reproduces_dense_results_bit_for_bit() {
         // The HashMap reference implementation must make identical decisions
-        // — this is what lets perf_replay time a genuine before/after on the
-        // same binary.
+        // — this is what makes it an oracle for the dense store.
         let run = |naive: bool| {
             let mut dev = ssd(OrganizationScheme::QstrMed { candidates: 4 });
             if naive {

@@ -28,6 +28,28 @@ pub enum GcPolicy {
 /// and parks the in-progress victim as a resumable [`GcJob`] on the device;
 /// later slices (foreground or idle-gap) continue where the last one
 /// stopped, yielding between word-line programs.
+///
+/// Both budgets share the relocation and free code; they keep two victim
+/// lifecycles on purpose. `Unbounded` swap-removes its victim from the
+/// sealed list when it selects it; the job swap-removes its victim only
+/// when it frees it, after the GC slot may have sealed new superblocks, so
+/// greedy's lowest-index tie-break then sees another sealed-list order.
+/// Running `Unbounded` as a job driven to completion was measured on the
+/// collector at commit bee3941, and it moves reported results:
+///
+/// - `disabled_faults_reproduce_prefault_goldens_bit_for_bit` drifts (the
+///   Random write mean goes from 190.51934 to 190.51922 µs), and so do
+///   three engine fingerprint tests;
+/// - in `repro --quick parity`, QSTR-MED at fault rate 0.02 with parity on
+///   falls from 116 to 65 uncorrectable reads;
+/// - the `repro --quick resilience` rebuild-straggler headline moves from
+///   "14.48% lower" to "6.60% lower" than Sequential.
+///
+/// Re-pinning those for a refactor would move a result, so `Unbounded`
+/// keeps its own lifecycle. Summing its per-page time the way the job does
+/// (`read + program`, then added) also drifts `gc_stall_us` and
+/// `idle_gc_us` in the last bit, so it adds the read and the program to
+/// its running total one at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GcBudget {
     /// Run every triggered collection to completion (legacy behavior,

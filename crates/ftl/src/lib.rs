@@ -47,7 +47,6 @@ pub mod sched;
 mod stats;
 mod timing;
 pub mod trace;
-mod wear_level;
 mod workload;
 
 pub use config::{
@@ -63,7 +62,6 @@ pub use recovery::{CrashPoint, RecoveryReport, SporConfig};
 pub use request::{IoOp, IoRequest};
 pub use stats::{LatencyHistogram, SsdStats};
 pub use timing::{EngineMode, QueueModel, TimedOutcome};
-pub use wear_level::WearTracker;
 pub use workload::{mean_interarrival_us, poisson_arrivals, Workload};
 
 /// Convenient result alias.

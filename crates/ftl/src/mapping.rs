@@ -10,9 +10,10 @@
 //!   range, so garbage collection stops rescanning the whole device.
 //! * **Naive** ([`Mapping::new_naive`]) — the original `HashMap`-backed
 //!   reverse map whose per-block queries scan every mapped page. Retained as
-//!   the reference implementation for oracle tests and the before/after
-//!   benchmarks (`perf_replay`, `benches/gc.rs`); both stores make identical
-//!   decisions, the dense one just answers in O(1).
+//!   the reference implementation for oracle tests (the recovery lockstep
+//!   tests, the mapping property tests) and the dense-vs-naive microbench
+//!   (`benches/gc.rs`); both stores make identical decisions, the dense one
+//!   just answers in O(1).
 //!
 //! Either store can also record which logical pages changed
 //! ([`Mapping::track_changes`], [`Mapping::take_changed`]); the SPOR
@@ -96,8 +97,8 @@ impl Mapping {
     /// The `HashMap`-backed reference mapping (original implementation).
     ///
     /// Semantically identical to [`Mapping::new`] but every per-block query
-    /// scans all mapped pages. Kept for oracle tests and the before/after
-    /// GC benchmarks; not meant for production paths.
+    /// scans all mapped pages. Kept for oracle tests and the dense-vs-naive
+    /// GC microbench; not meant for production paths.
     #[must_use]
     pub fn new_naive(capacity: u64) -> Self {
         Mapping {

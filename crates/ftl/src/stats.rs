@@ -225,18 +225,23 @@ pub struct SsdStats {
     pub gc_relocations: u64,
     /// Garbage-collection passes.
     pub gc_runs: u64,
-    /// Foreground GC slices executed (non-empty invocations that did
-    /// relocation work under [`crate::GcBudget::Sliced`]). Stays zero under
-    /// `Unbounded`.
+    /// GC slices that did relocation work: the ladder and idle-gap slices
+    /// of [`crate::GcBudget::Sliced`], plus every emergency-floor reclaim.
+    /// Reactive and patrol refreshes take the floor under either budget,
+    /// so this is not always zero under `Unbounded`: the `repro --quick
+    /// resilience` cell at fault rate 0.02 under Sequential records one.
     pub gc_slices: u64,
     /// Slices that hit their budget and parked the in-progress victim as a
     /// resumable job instead of running it to completion.
     pub gc_yield_count: u64,
-    /// Distribution of per-slice relocation time, µs (sliced mode only).
+    /// Distribution of per-slice relocation time, µs, over the slices
+    /// `gc_slices` counts.
     pub gc_slice_us: LatencyHistogram,
-    /// Total GC time charged to foreground commands, µs — the collection
-    /// component of write latencies. Recorded in both budget modes, so
-    /// `write_latency` minus this is pure service + transfer time.
+    /// Total background time charged to foreground commands, µs: the
+    /// collection and overdue-patrol stalls of writes, plus the emergency
+    /// floor a parity rebuild's refresh pays on a read. Recorded in both
+    /// budget modes; with parity off, `write_latency` minus this is pure
+    /// service + transfer time.
     pub gc_stall_us: f64,
     /// Per-command GC stalls (only commands that actually paid one). Under
     /// `Unbounded` each sample is a full multi-victim collection; under

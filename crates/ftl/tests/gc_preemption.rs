@@ -1,16 +1,19 @@
 //! Preemptive-GC contract.
 //!
-//! Three properties of the sliced collector that the bench numbers rest on:
-//! the worst single-command collection stall shrinks by at least the
+//! Properties of the sliced collector that the bench numbers rest on: the
+//! worst single-command collection stall shrinks by at least the
 //! configured budget ratio versus the run-to-completion collector; the
 //! default `GcBudget::Unbounded` leaves every slice statistic untouched
-//! (so the goldens cannot have moved); and a program failure landing on a
+//! (so the goldens cannot have moved); one per-command allowance caps
+//! collection and patrol together; and a program failure landing on a
 //! relocated page while the job is parked restages the payload without
 //! losing any of the victim's live data.
 
 use std::collections::HashSet;
 
-use ftl::{FtlConfig, GcBudget, IoOp, Ssd, Workload};
+use ftl::{
+    FtlConfig, GcBudget, IntegrityConfig, IoOp, PatrolConfig, PatrolOrder, QosClass, Ssd, Workload,
+};
 
 /// Overwrite-heavy workload sized to keep the collector busy: three times
 /// the logical capacity of pure random writes.
@@ -141,6 +144,44 @@ fn gc_allowance_gates_ladder_slices_but_not_the_emergency_floor() {
         assert_eq!(c.gc_slices, s.gc_slices, "allowance {bogus} must behave like 0");
         assert_eq!(c.gc_stall_us.to_bits(), s.gc_stall_us.to_bits());
     }
+}
+
+#[test]
+fn one_allowance_caps_collection_and_patrol_together() {
+    // Background commands pay both kinds of ladder work, and a 1 µs
+    // allowance is less than any one word-line step: whichever kind pays
+    // first spends the whole allowance, so no command may also run the
+    // other kind's slice.
+    let mut config = FtlConfig::small_test();
+    config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
+    config.integrity = IntegrityConfig {
+        track: true,
+        retention_hours_per_us: 0.0,
+        patrol: PatrolConfig::On {
+            interval_us: 2_000.0,
+            slice_us: 300.0,
+            refresh_fraction: 0.5,
+            order: PatrolOrder::Blind,
+        },
+    };
+    let mut dev = Ssd::new(config, 3).unwrap();
+    let info = dev.geometry_info();
+    let reqs = Workload::random_write(0.6).generate(&info, (info.logical_pages * 3) as usize, 7);
+    let (mut collected, mut scrubbed, mut both) = (0, 0, 0);
+    for req in &reqs {
+        let (yields, scanned) = (dev.stats().gc_yield_count, dev.stats().patrol_scanned_pages);
+        dev.set_gc_allowance(1.0);
+        dev.write_with_class(req.lpn, QosClass::Background).unwrap();
+        // A yield is a ladder slice: the emergency floor never parks.
+        let gc = dev.stats().gc_yield_count > yields;
+        let patrol = dev.stats().patrol_scanned_pages > scanned;
+        collected += u32::from(gc);
+        scrubbed += u32::from(patrol);
+        both += u32::from(gc && patrol);
+    }
+    assert!(collected > 0, "the workload must pay collection slices");
+    assert!(scrubbed > 0, "the workload must pay patrol slices");
+    assert_eq!(both, 0, "a command spent its allowance on both kinds of ladder work");
 }
 
 #[test]
