@@ -5,9 +5,7 @@
 //! Usage: `cargo run --release -p repro-bench --bin calibrate [--quick]`
 
 use repro_bench::report::{pct, us, TextTable};
-use repro_bench::runner::{
-    run_scheme_with, run_schemes_parallel_with, ExperimentParams, SchemeKind,
-};
+use repro_bench::runner::{run_scheme, run_schemes_parallel, ExperimentParams, SchemeKind};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -45,10 +43,10 @@ fn main() {
 
     let t0 = std::time::Instant::now();
     let cache = params.cache();
-    let baseline = run_scheme_with(&params, &cache, SchemeKind::Random);
+    let baseline = run_scheme(&params, &cache, SchemeKind::Random);
     eprintln!("baseline done in {:?}", t0.elapsed());
     let kinds: Vec<SchemeKind> = targets.iter().skip(1).map(|t| t.1).collect();
-    let results = run_schemes_parallel_with(&params, &cache, &kinds);
+    let results = run_schemes_parallel(&params, &cache, &kinds);
     eprintln!("all schemes done in {:?}", t0.elapsed());
 
     let mut table = TextTable::new([

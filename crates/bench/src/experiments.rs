@@ -2,8 +2,8 @@
 //! experiment index and `EXPERIMENTS.md` for paper-vs-measured numbers.
 
 use crate::runner::{
-    measure_each, run_scheme, run_scheme_with, run_schemes_parallel_with, ExperimentParams,
-    PoolCache, SchemeKind, SchemeStats,
+    measure_each, run_scheme, run_schemes_parallel, ExperimentParams, PoolCache, SchemeKind,
+    SchemeStats,
 };
 use flash_model::{FlashArray, FlashConfig, Geometry, PwlLayer, StringId};
 use ftl::{
@@ -13,7 +13,7 @@ use ftl::{
 };
 use host::{Arbitration, HostFrontend, TenantSpec};
 use pvcheck::assembly::Assembler;
-use pvcheck::{overhead, Characterizer};
+use pvcheck::overhead;
 
 /// Result rows of Table I-style comparisons: every scheme with its
 /// reduction and improvement percentage against the random baseline.
@@ -26,24 +26,17 @@ pub struct ComparisonResult {
 }
 
 impl ComparisonResult {
-    /// Runs the given roster against the random baseline with a private
-    /// cache (see [`ComparisonResult::run_with`]).
-    #[must_use]
-    pub fn run(params: &ExperimentParams, roster: &[SchemeKind]) -> Self {
-        Self::run_with(params, &params.cache(), roster)
-    }
-
     /// Runs the given roster against the random baseline over a shared
     /// characterization cache.
     ///
     /// The baseline is prepended to the roster so all scheme cells —
     /// baseline included — drain from one work queue.
     #[must_use]
-    pub fn run_with(params: &ExperimentParams, cache: &PoolCache, roster: &[SchemeKind]) -> Self {
+    pub fn run(params: &ExperimentParams, cache: &PoolCache, roster: &[SchemeKind]) -> Self {
         let mut kinds = Vec::with_capacity(roster.len() + 1);
         kinds.push(SchemeKind::Random);
         kinds.extend_from_slice(roster);
-        let mut all = run_schemes_parallel_with(params, cache, &kinds);
+        let mut all = run_schemes_parallel(params, cache, &kinds);
         let schemes = all.split_off(1);
         let baseline = all.pop().expect("roster always contains the baseline");
         ComparisonResult { baseline, schemes }
@@ -52,51 +45,33 @@ impl ComparisonResult {
 
 /// Table I: the eight organization directions.
 #[must_use]
-pub fn table1(params: &ExperimentParams) -> ComparisonResult {
-    table1_with(params, &params.cache())
-}
-
-/// [`table1`] over a shared characterization cache.
-#[must_use]
-pub fn table1_with(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
-    ComparisonResult::run_with(params, cache, &SchemeKind::table1_roster())
+pub fn table1(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
+    ComparisonResult::run(params, cache, &SchemeKind::table1_roster())
 }
 
 /// Table II: STR-RANK under window sizes 8, 6, 4, 2.
 #[must_use]
-pub fn table2(params: &ExperimentParams) -> ComparisonResult {
-    table2_with(params, &params.cache())
-}
-
-/// [`table2`] over a shared characterization cache.
-#[must_use]
-pub fn table2_with(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
+pub fn table2(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
     let roster = [
         SchemeKind::StrRank(8),
         SchemeKind::StrRank(6),
         SchemeKind::StrRank(4),
         SchemeKind::StrRank(2),
     ];
-    ComparisonResult::run_with(params, cache, &roster)
+    ComparisonResult::run(params, cache, &roster)
 }
 
 /// Table V / Figure 12: the headline comparison (random, sequential,
 /// optimal, QSTR-MED(4), STR-MED(4)).
 #[must_use]
-pub fn table5(params: &ExperimentParams) -> ComparisonResult {
-    table5_with(params, &params.cache())
-}
-
-/// [`table5`] over a shared characterization cache.
-#[must_use]
-pub fn table5_with(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
+pub fn table5(params: &ExperimentParams, cache: &PoolCache) -> ComparisonResult {
     let roster = [
         SchemeKind::Sequential,
         SchemeKind::Optimal(8),
         SchemeKind::QstrMed(4),
         SchemeKind::StrMed(4),
     ];
-    ComparisonResult::run_with(params, cache, &roster)
+    ComparisonResult::run(params, cache, &roster)
 }
 
 /// Figure 5 data: characterization curves.
@@ -152,13 +127,7 @@ pub struct Fig6Data {
 /// Figure 6: the random baseline's extra latency per superblock, and its
 /// trend across P/E cycles.
 #[must_use]
-pub fn fig6(params: &ExperimentParams) -> Fig6Data {
-    fig6_with(params, &params.cache())
-}
-
-/// [`fig6`] over a shared characterization cache.
-#[must_use]
-pub fn fig6_with(params: &ExperimentParams, cache: &PoolCache) -> Fig6Data {
+pub fn fig6(params: &ExperimentParams, cache: &PoolCache) -> Fig6Data {
     let pool = cache.pool(params.group_seeds[0], params.pe_points[0]);
     let sbs = SchemeKind::Random.assembler(params.group_seeds[0]).assemble(&pool);
     let per_superblock = measure_each(&pool, &sbs)
@@ -169,7 +138,7 @@ pub fn fig6_with(params: &ExperimentParams, cache: &PoolCache) -> Fig6Data {
     let mut per_pe = Vec::new();
     for &pe in &params.pe_points {
         let single = ExperimentParams { pe_points: vec![pe], ..params.clone() };
-        let stats = run_scheme_with(&single, cache, SchemeKind::Random);
+        let stats = run_scheme(&single, cache, SchemeKind::Random);
         per_pe.push((pe, stats.extra_pgm_us, stats.extra_ers_us));
     }
     Fig6Data { per_superblock, per_pe }
@@ -188,13 +157,7 @@ pub struct Histogram {
 
 /// Figure 13: distribution of extra program latency per scheme.
 #[must_use]
-pub fn fig13(params: &ExperimentParams, bin_us: f64) -> Vec<Histogram> {
-    fig13_with(params, &params.cache(), bin_us)
-}
-
-/// [`fig13`] over a shared characterization cache.
-#[must_use]
-pub fn fig13_with(params: &ExperimentParams, cache: &PoolCache, bin_us: f64) -> Vec<Histogram> {
+pub fn fig13(params: &ExperimentParams, cache: &PoolCache, bin_us: f64) -> Vec<Histogram> {
     let kinds = [
         SchemeKind::Random,
         SchemeKind::Sequential,
@@ -232,13 +195,7 @@ pub struct Fig14Data {
 
 /// Figure 14: all superblocks, STR-MED(4) vs QSTR-MED(4).
 #[must_use]
-pub fn fig14(params: &ExperimentParams) -> Fig14Data {
-    fig14_with(params, &params.cache())
-}
-
-/// [`fig14`] over a shared characterization cache.
-#[must_use]
-pub fn fig14_with(params: &ExperimentParams, cache: &PoolCache) -> Fig14Data {
+pub fn fig14(params: &ExperimentParams, cache: &PoolCache) -> Fig14Data {
     let pool = cache.pool(params.group_seeds[0], params.pe_points[0]);
     let sorted_extras = |kind: SchemeKind| -> Vec<f64> {
         let sbs = kind.assembler(params.group_seeds[0]).assemble(&pool);
@@ -268,19 +225,13 @@ pub struct Fig15Data {
 
 /// Figure 15: QSTR-MED's extra latencies vs. the baseline across wear.
 #[must_use]
-pub fn fig15(params: &ExperimentParams, pe_points: &[u32]) -> Fig15Data {
-    fig15_with(params, &params.cache(), pe_points)
-}
-
-/// [`fig15`] over a shared characterization cache.
-#[must_use]
-pub fn fig15_with(params: &ExperimentParams, cache: &PoolCache, pe_points: &[u32]) -> Fig15Data {
+pub fn fig15(params: &ExperimentParams, cache: &PoolCache, pe_points: &[u32]) -> Fig15Data {
     let rows = pe_points
         .iter()
         .map(|&pe| {
             let single = ExperimentParams { pe_points: vec![pe], ..params.clone() };
-            let rnd = run_scheme_with(&single, cache, SchemeKind::Random);
-            let qstr = run_scheme_with(&single, cache, SchemeKind::QstrMed(4));
+            let rnd = run_scheme(&single, cache, SchemeKind::Random);
+            let qstr = run_scheme(&single, cache, SchemeKind::QstrMed(4));
             (pe, rnd.extra_pgm_us, qstr.extra_pgm_us, rnd.extra_ers_us, qstr.extra_ers_us)
         })
         .collect();
@@ -304,13 +255,7 @@ pub struct OverheadData {
 
 /// Computing- and space-overhead analysis.
 #[must_use]
-pub fn overhead_analysis(params: &ExperimentParams) -> OverheadData {
-    overhead_analysis_with(params, &params.cache())
-}
-
-/// [`overhead_analysis`] over a shared characterization cache.
-#[must_use]
-pub fn overhead_analysis_with(params: &ExperimentParams, cache: &PoolCache) -> OverheadData {
+pub fn overhead_analysis(params: &ExperimentParams, cache: &PoolCache) -> OverheadData {
     let pool = cache.pool(params.group_seeds[0], params.pe_points[0]);
     let mut qstr = pvcheck::assembly::QstrMed::with_candidates(4);
     let sbs = qstr.assemble(&pool);
@@ -326,6 +271,35 @@ pub fn overhead_analysis_with(params: &ExperimentParams, cache: &PoolCache) -> O
         reduction_pct: overhead::check_reduction_percent(4, 4, 4),
         space_rows,
         measured_checks_per_superblock: measured,
+    }
+}
+
+/// The device sweeps' roster: the random baseline, PV-blind sequential
+/// assembly and QSTR-MED.
+const DEVICE_SCHEMES: [OrganizationScheme; 3] = [
+    OrganizationScheme::Random,
+    OrganizationScheme::Sequential,
+    OrganizationScheme::QstrMed { candidates: 4 },
+];
+
+/// PV-blind sequential assembly against QSTR-MED: the pair the QoS,
+/// parity, fleet and integrity sweeps compare.
+const PV_SCHEMES: [OrganizationScheme; 2] =
+    [OrganizationScheme::Sequential, OrganizationScheme::QstrMed { candidates: 4 }];
+
+/// Both arbitration mechanisms, swept by the QoS and fleet experiments.
+const ARBITRATIONS: [Arbitration; 2] = [Arbitration::RoundRobin, Arbitration::WeightedRoundRobin];
+
+/// The base every device sweep varies: the small-test device over
+/// `geometry` with default process variation, organized by `scheme`.
+fn device_config(geometry: &Geometry, scheme: OrganizationScheme) -> FtlConfig {
+    FtlConfig {
+        flash: FlashConfig {
+            geometry: geometry.clone(),
+            variation: flash_model::VariationConfig::default(),
+        },
+        scheme,
+        ..FtlConfig::small_test()
     }
 }
 
@@ -358,22 +332,10 @@ pub struct SsdRow {
 /// Panics if the simulated device rejects the workload (an internal bug).
 #[must_use]
 pub fn ssd_experiment(geometry: &Geometry, writes: usize, seed: u64) -> Vec<SsdRow> {
-    let schemes = [
-        OrganizationScheme::Random,
-        OrganizationScheme::Sequential,
-        OrganizationScheme::QstrMed { candidates: 4 },
-    ];
-    schemes
-        .iter()
-        .map(|&scheme| {
-            let config = FtlConfig {
-                flash: FlashConfig {
-                    geometry: geometry.clone(),
-                    variation: flash_model::VariationConfig::default(),
-                },
-                scheme,
-                ..FtlConfig::small_test()
-            };
+    DEVICE_SCHEMES
+        .into_iter()
+        .map(|scheme| {
+            let config = device_config(geometry, scheme);
             let mut ssd = Ssd::new(config, seed).expect("experiment config is valid");
             let reqs =
                 Workload::hot_cold_80_20().generate(&ssd.geometry_info(), writes, seed ^ 0xabc);
@@ -437,24 +399,11 @@ pub fn queueing_experiment(
     seed: u64,
     mean_gap_us: f64,
 ) -> Vec<QueueingRow> {
-    let schemes = [
-        OrganizationScheme::Random,
-        OrganizationScheme::Sequential,
-        OrganizationScheme::QstrMed { candidates: 4 },
-    ];
     let models = [QueueModel::Single, QueueModel::PerChip];
     let mut rows = Vec::new();
-    for &scheme in &schemes {
+    for scheme in DEVICE_SCHEMES {
         for &queue_model in &models {
-            let config = FtlConfig {
-                flash: FlashConfig {
-                    geometry: geometry.clone(),
-                    variation: flash_model::VariationConfig::default(),
-                },
-                scheme,
-                queue_model,
-                ..FtlConfig::small_test()
-            };
+            let config = FtlConfig { queue_model, ..device_config(geometry, scheme) };
             let mut ssd = Ssd::new(config, seed).expect("experiment config is valid");
             let mut reqs =
                 Workload::hot_cold_80_20().generate(&ssd.geometry_info(), writes, seed ^ 0xabc);
@@ -576,21 +525,14 @@ pub fn tenants_experiment(
     gc_budget: GcBudget,
 ) -> (Vec<TenantRow>, GcActivity) {
     const REPLICATES: u64 = 5;
-    let schemes = [OrganizationScheme::Sequential, OrganizationScheme::QstrMed { candidates: 4 }];
-    let arbitrations = [Arbitration::RoundRobin, Arbitration::WeightedRoundRobin];
     let mut rows = Vec::new();
     let mut gc = GcActivity::default();
-    for &scheme in &schemes {
-        for &arbitration in &arbitrations {
+    for scheme in PV_SCHEMES {
+        for arbitration in ARBITRATIONS {
             let mut cell: Vec<TenantRow> = Vec::new();
             for rep in 0..REPLICATES {
                 let rep_seed = seed.wrapping_add(rep.wrapping_mul(0x9e37_79b9_7f4a_7c15));
                 let config = FtlConfig {
-                    flash: FlashConfig {
-                        geometry: geometry.clone(),
-                        variation: flash_model::VariationConfig::default(),
-                    },
-                    scheme,
                     queue_model: QueueModel::PerChip,
                     // Collect in arrival gaps if the workload ever does
                     // outgrow the free pool.
@@ -616,7 +558,7 @@ pub fn tenants_experiment(
                         GcBudget::Sliced { .. } => 5,
                         GcBudget::Unbounded => 3,
                     },
-                    ..FtlConfig::small_test()
+                    ..device_config(geometry, scheme)
                 };
                 let ssd = Ssd::new(config, rep_seed).expect("experiment config is valid");
                 let info = ssd.geometry_info();
@@ -743,22 +685,12 @@ pub fn resilience_experiment(
     seed: u64,
     rates: &[f64],
 ) -> Vec<ResilienceRow> {
-    let schemes = [
-        OrganizationScheme::Random,
-        OrganizationScheme::Sequential,
-        OrganizationScheme::QstrMed { candidates: 4 },
-    ];
     let mut rows = Vec::new();
     for &rate in rates {
-        for &scheme in &schemes {
+        for scheme in DEVICE_SCHEMES {
             let config = FtlConfig {
-                flash: FlashConfig {
-                    geometry: geometry.clone(),
-                    variation: flash_model::VariationConfig::default(),
-                },
-                scheme,
                 fault: flash_model::FaultConfig::with_rate(rate),
-                ..FtlConfig::small_test()
+                ..device_config(geometry, scheme)
             };
             let mut ssd = Ssd::new(config, seed).expect("experiment config is valid");
             let info = ssd.geometry_info();
@@ -819,8 +751,6 @@ pub struct ParityRow {
     /// sweep uncorrectable is a loss; with parity on only the failed
     /// rebuilds are.
     pub sweep_lost: u64,
-    /// Sibling pages read while rebuilding.
-    pub rebuild_reads: u64,
     /// Mean rebuild critical path over all attempts, µs — the slowest
     /// member's sibling-read chain, since members fan out across chips.
     pub mean_rebuild_us: f64,
@@ -867,10 +797,9 @@ pub fn parity_experiment(
     seed: u64,
     rates: &[f64],
 ) -> Vec<ParityRow> {
-    let schemes = [OrganizationScheme::Sequential, OrganizationScheme::QstrMed { candidates: 4 }];
     let mut rows = Vec::new();
     for &rate in rates {
-        for &scheme in &schemes {
+        for scheme in PV_SCHEMES {
             let mut off_logical = 0u64;
             for parity in [ParityConfig::Off, ParityConfig::On] {
                 let mut fault = flash_model::FaultConfig::with_rate(rate);
@@ -947,7 +876,6 @@ pub fn parity_experiment(
                     } else {
                         sweep_uncorrectable
                     },
-                    rebuild_reads: stats.rebuild_reads,
                     mean_rebuild_us: stats.rebuild_us / attempts.max(1) as f64,
                     mean_rebuild_ok_us: stats.rebuild_ok_us / stats.rebuilds_ok.max(1) as f64,
                     mean_rebuild_straggler_us: (stats.rebuild_ok_us
@@ -1013,25 +941,13 @@ pub fn recovery_experiment(
     seed: u64,
     intervals: &[u64],
 ) -> Vec<RecoveryRow> {
-    let schemes = [
-        OrganizationScheme::Random,
-        OrganizationScheme::Sequential,
-        OrganizationScheme::QstrMed { candidates: 4 },
-    ];
     // One crash point for the whole sweep: every cell dies at the same
     // flash op, so the interval axis isolates the checkpoint effect.
     let crash = ftl::CrashPoint::from_seed(seed, (writes as u64 / 4).max(1));
     let mut rows = Vec::new();
-    for &scheme in &schemes {
+    for scheme in DEVICE_SCHEMES {
         for &interval in intervals {
-            let mut config = FtlConfig {
-                flash: FlashConfig {
-                    geometry: geometry.clone(),
-                    variation: flash_model::VariationConfig::default(),
-                },
-                scheme,
-                ..FtlConfig::small_test()
-            };
+            let mut config = device_config(geometry, scheme);
             config.precharacterize = false;
             config.spor.checkpoint_interval = interval;
             config.spor.crash = Some(crash);
@@ -1085,29 +1001,29 @@ pub fn recovery_experiment(
 #[must_use]
 pub fn ablation(params: &ExperimentParams) -> Vec<(String, f64, f64)> {
     let mut rows = Vec::new();
-    let run_with = |cfg: flash_model::VariationConfig, name: &str| {
+    let random_under = |cfg: flash_model::VariationConfig, name: &str| {
         let p = ExperimentParams {
             config: FlashConfig { geometry: params.config.geometry.clone(), variation: cfg },
             ..params.clone()
         };
-        let s = run_scheme(&p, SchemeKind::Random);
+        let s = run_scheme(&p, &p.cache(), SchemeKind::Random);
         (name.to_string(), s.extra_pgm_us, s.extra_ers_us)
     };
     let base = params.config.variation.clone();
-    rows.push(run_with(base.clone(), "full model"));
-    rows.push(run_with(
+    rows.push(random_under(base.clone(), "full model"));
+    rows.push(random_under(
         flash_model::VariationConfig { pattern_penalty_us: 0.0, ..base.clone() },
         "no string patterns",
     ));
-    rows.push(run_with(
+    rows.push(random_under(
         flash_model::VariationConfig { block_sigma_us: 0.0, outlier_prob: 0.0, ..base.clone() },
         "no block speed variation",
     ));
-    rows.push(run_with(
+    rows.push(random_under(
         flash_model::VariationConfig { noise_sigma_us: 0.0, ..base.clone() },
         "no per-WL noise",
     ));
-    rows.push(run_with(
+    rows.push(random_under(
         flash_model::VariationConfig {
             layer_group_sigma_us: 0.0,
             chip_offset_sigma_us: 0.0,
@@ -1122,13 +1038,7 @@ pub fn ablation(params: &ExperimentParams) -> Vec<(String, f64, f64)> {
 /// 1..=8 to show the knee). Returns `(candidates, extra PGM µs, checks per
 /// superblock)`.
 #[must_use]
-pub fn qstr_candidate_sweep(params: &ExperimentParams) -> Vec<(usize, f64, f64)> {
-    qstr_candidate_sweep_with(params, &params.cache())
-}
-
-/// [`qstr_candidate_sweep`] over a shared characterization cache.
-#[must_use]
-pub fn qstr_candidate_sweep_with(
+pub fn qstr_candidate_sweep(
     params: &ExperimentParams,
     cache: &PoolCache,
 ) -> Vec<(usize, f64, f64)> {
@@ -1172,8 +1082,8 @@ pub fn ers_corr_ablation(params: &ExperimentParams) -> Vec<(f64, f64, f64)> {
             // Each correlation variant is a different model, so it gets its
             // own cache — but random and QSTR-MED share it.
             let cache = p.cache();
-            let rnd = run_scheme_with(&p, &cache, SchemeKind::Random);
-            let qstr = run_scheme_with(&p, &cache, SchemeKind::QstrMed(4));
+            let rnd = run_scheme(&p, &cache, SchemeKind::Random);
+            let qstr = run_scheme(&p, &cache, SchemeKind::QstrMed(4));
             (corr, rnd.extra_ers_us, qstr.extra_ers_us)
         })
         .collect()
@@ -1182,13 +1092,7 @@ pub fn ers_corr_ablation(params: &ExperimentParams) -> Vec<(f64, f64, f64)> {
 /// §III characterization statistics: per-pool means/spreads, the
 /// erase-program correlation and the same-offset similarity premise.
 #[must_use]
-pub fn pool_stats(params: &ExperimentParams) -> pvcheck::analysis::PoolStatistics {
-    pool_stats_with(params, &params.cache())
-}
-
-/// [`pool_stats`] over a shared characterization cache.
-#[must_use]
-pub fn pool_stats_with(
+pub fn pool_stats(
     params: &ExperimentParams,
     cache: &PoolCache,
 ) -> pvcheck::analysis::PoolStatistics {
@@ -1348,8 +1252,6 @@ pub fn fleet_experiment(
     seed: u64,
     workers: usize,
 ) -> Vec<FleetRow> {
-    let schemes = [OrganizationScheme::Sequential, OrganizationScheme::QstrMed { candidates: 4 }];
-    let arbitrations = [Arbitration::RoundRobin, Arbitration::WeightedRoundRobin];
     let mut workload = fleet::FleetWorkload::new(users, devices);
     workload.mean_ops_per_user = mean_ops_per_user;
     // Per-user pacing is derived from a per-*device* aggregate gap so the
@@ -1363,8 +1265,8 @@ pub fn fleet_experiment(
     // that opening burst alone would saturate every shard for minutes).
     workload.start_spread_us = workload.mean_gap_us * workload.mean_ops_per_user.max(1.0);
     let mut rows = Vec::new();
-    for &scheme in &schemes {
-        for &arbitration in &arbitrations {
+    for scheme in PV_SCHEMES {
+        for arbitration in ARBITRATIONS {
             let config = fleet::FleetConfig {
                 device_config: fleet_device_config(scheme),
                 workload: workload.clone(),
@@ -1437,18 +1339,13 @@ fn integrity_config(
     patrol: PatrolConfig,
 ) -> FtlConfig {
     FtlConfig {
-        flash: FlashConfig {
-            geometry: geometry.clone(),
-            variation: flash_model::VariationConfig::default(),
-        },
-        scheme,
         integrity: IntegrityConfig { track: true, retention_hours_per_us: accel, patrol },
         // Generous spare area keeps GC cheap: refresh relocations must not
         // cascade into collection storms that dominate the aging signal.
         overprovision: 0.45,
         gc_low_watermark: 3,
         gc_high_watermark: 5,
-        ..FtlConfig::small_test()
+        ..device_config(geometry, scheme)
     }
 }
 
@@ -1555,7 +1452,6 @@ pub fn integrity_experiment(
     accels: &[f64],
     intervals: &[f64],
 ) -> Vec<IntegrityRow> {
-    let schemes = [OrganizationScheme::Sequential, OrganizationScheme::QstrMed { candidates: 4 }];
     let mut variants: Vec<(String, f64, PatrolConfig)> =
         vec![("off".to_string(), 0.0, PatrolConfig::Off)];
     for &interval_us in intervals {
@@ -1573,7 +1469,7 @@ pub fn integrity_experiment(
         }
     }
     let mut rows = Vec::new();
-    for &scheme in &schemes {
+    for scheme in PV_SCHEMES {
         for &accel in accels {
             for (label, interval_us, patrol) in &variants {
                 rows.push(run_integrity_cell(
@@ -1616,16 +1512,7 @@ pub fn soak_experiment(users: u64, devices: usize, seed: u64, workers: usize) ->
             order: PatrolOrder::SlowPoolFirst,
         },
     };
-    let mut workload = fleet::FleetWorkload::new(users, devices);
-    workload.mean_gap_us = 20_000.0;
-    let config = fleet::FleetConfig {
-        device_config,
-        workload,
-        fleet_seed: seed,
-        arbitration: Arbitration::WeightedRoundRobin,
-        workers,
-    };
-    fleet::run_fleet_soak(&config).expect("fleet soak fits the devices")
+    run_soak(device_config, users, devices, seed, workers)
 }
 
 /// The fleet soak of [`soak_experiment`] with the superpage parity stripe
@@ -1668,6 +1555,19 @@ pub fn parity_soak_experiment(
             order: PatrolOrder::SlowPoolFirst,
         },
     };
+    run_soak(device_config, users, devices, seed, workers)
+}
+
+/// The workload both fleet soaks replay: `users`, each with a 20 ms mean
+/// gap, sharded over `devices` copies of `device_config` under weighted
+/// round-robin, ending in a read-back sweep of every shard.
+fn run_soak(
+    device_config: FtlConfig,
+    users: u64,
+    devices: usize,
+    seed: u64,
+    workers: usize,
+) -> fleet::SoakReport {
     let mut workload = fleet::FleetWorkload::new(users, devices);
     workload.mean_gap_us = 20_000.0;
     let config = fleet::FleetConfig {
@@ -1680,13 +1580,6 @@ pub fn parity_soak_experiment(
     fleet::run_fleet_soak(&config).expect("fleet soak fits the devices")
 }
 
-/// The quick pool used by doc examples and smoke tests.
-#[must_use]
-pub fn quick_pool(params: &ExperimentParams) -> pvcheck::BlockPool {
-    let array = FlashArray::new(params.config.clone(), params.group_seeds[0]);
-    Characterizer::new(&params.config).snapshot(array.latency_model(), params.pe_points[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1694,7 +1587,7 @@ mod tests {
     #[test]
     fn table2_runs_quickly_on_small_params() {
         let params = ExperimentParams::quick();
-        let r = table2(&params);
+        let r = table2(&params, &params.cache());
         assert_eq!(r.schemes.len(), 4);
         for s in &r.schemes {
             assert!(s.extra_pgm_us <= r.baseline.extra_pgm_us * 1.05, "{s:?}");
@@ -1712,7 +1605,7 @@ mod tests {
     #[test]
     fn fig6_reports_every_superblock() {
         let params = ExperimentParams::quick();
-        let d = fig6(&params);
+        let d = fig6(&params, &params.cache());
         assert_eq!(d.per_superblock.len(), 96);
         assert_eq!(d.per_pe.len(), 1);
     }
@@ -1720,7 +1613,7 @@ mod tests {
     #[test]
     fn fig13_histograms_cover_all_superblocks() {
         let params = ExperimentParams::quick();
-        let hists = fig13(&params, 1000.0);
+        let hists = fig13(&params, &params.cache(), 1000.0);
         for h in &hists {
             let total: u32 = h.counts.iter().sum();
             assert_eq!(total, 96, "{}", h.name);
@@ -1730,7 +1623,7 @@ mod tests {
     #[test]
     fn fig14_curves_align() {
         let params = ExperimentParams::quick();
-        let d = fig14(&params);
+        let d = fig14(&params, &params.cache());
         assert_eq!(d.rows.len(), 96);
         // Sorted ascending.
         assert!(d.rows.windows(2).all(|w| w[0].1 <= w[1].1));
@@ -1739,7 +1632,7 @@ mod tests {
     #[test]
     fn overhead_matches_paper_constants() {
         let params = ExperimentParams::quick();
-        let o = overhead_analysis(&params);
+        let o = overhead_analysis(&params, &params.cache());
         assert_eq!(o.str_med_checks, 1536);
         assert_eq!(o.qstr_med_checks, 12);
         assert!((o.reduction_pct - 99.22).abs() < 0.01);
@@ -1755,7 +1648,7 @@ mod tests {
     #[test]
     fn candidate_sweep_improves_then_plateaus() {
         let params = ExperimentParams::quick();
-        let rows = qstr_candidate_sweep(&params);
+        let rows = qstr_candidate_sweep(&params, &params.cache());
         assert_eq!(rows.len(), 8);
         // Deeper candidate lists never cost accuracy catastrophically and
         // check counts grow linearly.
@@ -1776,7 +1669,7 @@ mod tests {
     #[test]
     fn pool_stats_reflect_model_structure() {
         let params = ExperimentParams::quick();
-        let stats = pool_stats(&params);
+        let stats = pool_stats(&params, &params.cache());
         assert!(stats.bers_pgm_correlation > 0.2);
         assert!(stats.offset_similarity_holds());
     }

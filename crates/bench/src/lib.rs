@@ -1,8 +1,10 @@
 //! # repro-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation. Each `run_*` function returns typed rows; the `repro` binary
-//! renders them as text tables and CSV files under `results/`.
+//! evaluation. Each experiment is one function in [`experiments`] returning
+//! typed rows; those that assemble superblocks take the [`PoolCache`] the
+//! caller shares. The `repro` binary runs them from one table of commands
+//! and renders the rows as text tables and CSV files under `results/`.
 //!
 //! The paper's platform has 24 chips measured as groups of four pools
 //! (§VI-A); we mirror that by averaging several independently seeded 4-pool

@@ -2,10 +2,10 @@
 //! extra-latency statistics every table reports.
 //!
 //! Characterization is the expensive part, so it lives behind a
-//! [`PoolCache`]: every `_with` entry point takes a cache and the plain
-//! variants are convenience wrappers that build a private one. A whole
-//! Table-I-shaped run — nine schemes over the same groups and P/E points —
-//! then characterizes each `(group_seed, pe)` pool exactly once.
+//! [`PoolCache`] that every entry point takes. A whole Table-I-shaped run —
+//! nine schemes over the same groups and P/E points — then characterizes
+//! each `(group_seed, pe)` pool exactly once; callers that want a private
+//! cache pass [`ExperimentParams::cache`].
 
 mod cache;
 
@@ -271,11 +271,7 @@ fn reduce_cells(kind: SchemeKind, results: &[CellResult]) -> SchemeStats {
 /// Runs one scheme over many groups and P/E points, averaging everything,
 /// reusing `cache` for characterization.
 #[must_use]
-pub fn run_scheme_with(
-    params: &ExperimentParams,
-    cache: &PoolCache,
-    kind: SchemeKind,
-) -> SchemeStats {
+pub fn run_scheme(params: &ExperimentParams, cache: &PoolCache, kind: SchemeKind) -> SchemeStats {
     let mut results = Vec::with_capacity(params.pe_points.len() * params.group_seeds.len());
     for &pe in &params.pe_points {
         for gi in 0..params.group_seeds.len() {
@@ -283,14 +279,6 @@ pub fn run_scheme_with(
         }
     }
     reduce_cells(kind, &results)
-}
-
-/// Runs one scheme with a private, throwaway cache.
-///
-/// Batch callers share one cache via [`run_scheme_with`] instead.
-#[must_use]
-pub fn run_scheme(params: &ExperimentParams, kind: SchemeKind) -> SchemeStats {
-    run_scheme_with(params, &params.cache(), kind)
 }
 
 /// Runs several schemes in parallel over a shared characterization cache.
@@ -302,7 +290,7 @@ pub fn run_scheme(params: &ExperimentParams, kind: SchemeKind) -> SchemeStats {
 /// cells are then reduced in the canonical sequential order, which keeps
 /// the returned [`SchemeStats`] bit-identical to [`run_scheme`].
 #[must_use]
-pub fn run_schemes_parallel_with(
+pub fn run_schemes_parallel(
     params: &ExperimentParams,
     cache: &PoolCache,
     kinds: &[SchemeKind],
@@ -346,12 +334,6 @@ pub fn run_schemes_parallel_with(
         .collect()
 }
 
-/// Runs several schemes in parallel with a private, throwaway cache.
-#[must_use]
-pub fn run_schemes_parallel(params: &ExperimentParams, kinds: &[SchemeKind]) -> Vec<SchemeStats> {
-    run_schemes_parallel_with(params, &params.cache(), kinds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,8 +356,8 @@ mod tests {
     #[test]
     fn run_scheme_is_deterministic() {
         let p = ExperimentParams::quick();
-        let a = run_scheme(&p, SchemeKind::Sequential);
-        let b = run_scheme(&p, SchemeKind::Sequential);
+        let a = run_scheme(&p, &p.cache(), SchemeKind::Sequential);
+        let b = run_scheme(&p, &p.cache(), SchemeKind::Sequential);
         assert_eq!(a, b);
     }
 
@@ -401,8 +383,8 @@ mod tests {
     #[test]
     fn qstr_beats_random_in_quick_run() {
         let p = ExperimentParams::quick();
-        let rnd = run_scheme(&p, SchemeKind::Random);
-        let q = run_scheme(&p, SchemeKind::QstrMed(4));
+        let rnd = run_scheme(&p, &p.cache(), SchemeKind::Random);
+        let q = run_scheme(&p, &p.cache(), SchemeKind::QstrMed(4));
         assert!(q.extra_pgm_us < rnd.extra_pgm_us);
     }
 }

@@ -7,8 +7,7 @@
 use flash_model::FlashConfig;
 use repro_bench::experiments::ComparisonResult;
 use repro_bench::runner::{
-    measure, run_scheme, run_scheme_with, run_schemes_parallel_with, ExperimentParams, SchemeKind,
-    SchemeStats,
+    measure, run_scheme, run_schemes_parallel, ExperimentParams, SchemeKind, SchemeStats,
 };
 
 /// Parameters small enough to afford several fresh characterizations but
@@ -55,10 +54,8 @@ fn cached_run_scheme_equals_fresh_sequential() {
     let cache = params.cache();
     for kind in ROSTER_A.into_iter().chain(ROSTER_B) {
         let fresh = reference_sequential(&params, kind);
-        let cached = run_scheme_with(&params, &cache, kind);
+        let cached = run_scheme(&params, &cache, kind);
         assert_eq!(fresh, cached, "{kind:?}");
-        // The convenience wrapper (private cache) agrees too.
-        assert_eq!(fresh, run_scheme(&params, kind), "{kind:?}");
     }
 }
 
@@ -69,7 +66,7 @@ fn work_queue_equals_fresh_sequential_for_both_rosters() {
         let expected: Vec<SchemeStats> =
             roster.iter().map(|&k| reference_sequential(&params, k)).collect();
         let cache = params.cache();
-        let got = run_schemes_parallel_with(&params, &cache, roster);
+        let got = run_schemes_parallel(&params, &cache, roster);
         assert_eq!(expected, got);
     }
 }
@@ -78,7 +75,7 @@ fn work_queue_equals_fresh_sequential_for_both_rosters() {
 fn comparison_run_equals_fresh_sequential() {
     let params = small_params();
     let cache = params.cache();
-    let r = ComparisonResult::run_with(&params, &cache, &ROSTER_A);
+    let r = ComparisonResult::run(&params, &cache, &ROSTER_A);
     assert_eq!(r.baseline, reference_sequential(&params, SchemeKind::Random));
     for (kind, stats) in ROSTER_A.into_iter().zip(&r.schemes) {
         assert_eq!(*stats, reference_sequential(&params, kind), "{kind:?}");
@@ -90,11 +87,11 @@ fn table_shaped_batch_characterizes_each_pool_exactly_once() {
     let params = small_params();
     let cache = params.cache();
     let roster = SchemeKind::table1_roster();
-    let _ = ComparisonResult::run_with(&params, &cache, &roster);
+    let _ = ComparisonResult::run(&params, &cache, &roster);
     let pools = params.group_seeds.len() * params.pe_points.len();
     assert_eq!(cache.builds(), pools, "one characterization per (group, pe)");
     assert_eq!(cache.len(), pools);
     // A second table over the same cache re-characterizes nothing.
-    let _ = ComparisonResult::run_with(&params, &cache, &roster);
+    let _ = ComparisonResult::run(&params, &cache, &roster);
     assert_eq!(cache.builds(), pools);
 }

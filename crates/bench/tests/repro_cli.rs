@@ -1,6 +1,8 @@
 //! `repro` rejects bad command lines with a usage error (exit status 2)
-//! instead of panicking, and does so before running anything.
+//! instead of panicking, and does so before running anything; a good one
+//! runs each experiment it names once.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 /// Runs `repro` with `args` and asserts the usage-error contract; returns
@@ -71,4 +73,30 @@ fn bad_engine_is_a_usage_error() {
 #[test]
 fn bad_gc_mode_is_a_usage_error() {
     assert!(usage_error(&["tenants", "--gc", "maybe"]).contains("--gc takes"));
+}
+
+#[test]
+fn out_dir_that_cannot_be_created_is_a_usage_error() {
+    let file = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("repro_cli_out_is_a_file");
+    std::fs::write(&file, "").expect("create the blocking file");
+    let sub = file.join("sub");
+    for out in [&file, &sub] {
+        let out = out.to_str().expect("UTF-8 temp path");
+        let stderr = usage_error(&["--quick", "fig5", "--out", out]);
+        assert!(stderr.contains("cannot create output directory"), "{stderr}");
+    }
+}
+
+#[test]
+fn repeated_commands_run_once() {
+    let out_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("repro_cli_repeated");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "fig5", "fig5", "retry", "retry", "--out"])
+        .arg(&out_dir)
+        .output()
+        .expect("repro runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(stdout.matches("== Figure 5 ==").count(), 1, "{stdout}");
+    assert_eq!(stdout.matches("== Read-retry sensitivity").count(), 1, "{stdout}");
 }
