@@ -104,7 +104,13 @@ mod tests {
 
     #[test]
     fn flash_error_converts() {
-        let fe = flash_model::FlashError::EmptyMultiPlane;
+        let fe = flash_model::FlashError::BlockFull {
+            addr: flash_model::BlockAddr::new(
+                flash_model::ChipId(0),
+                flash_model::PlaneId(0),
+                flash_model::BlockId(0),
+            ),
+        };
         let pe: PvError = fe.clone().into();
         assert_eq!(pe, PvError::Flash(fe));
     }

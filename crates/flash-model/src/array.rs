@@ -1,5 +1,6 @@
 //! The stateful flash array: legal-operation enforcement plus latency
-//! reporting, including multi-plane (MP) command semantics.
+//! reporting, and the outcome of a multi-plane (MP) command folded from
+//! its members.
 
 use crate::ber::{BerModel, RberFactors};
 use crate::chip::{BlockPhase, BlockState};
@@ -31,10 +32,10 @@ pub struct MpOutcome {
 }
 
 impl MpOutcome {
-    /// Builds an outcome from individual member latencies. Exposed so an
-    /// FTL issuing per-member operations (e.g. around a failed member) can
-    /// report the identical command-level numbers. An empty slice yields an
-    /// all-zero outcome.
+    /// Builds an outcome from individual member latencies: an FTL issues
+    /// one operation per member (real MP commands fail per plane, so one
+    /// failed member does not abort the others) and folds the results
+    /// here. An empty slice yields an all-zero outcome.
     #[must_use]
     pub fn from_members(member_us: Vec<f64>) -> Self {
         if member_us.is_empty() {
@@ -53,14 +54,16 @@ impl MpOutcome {
 /// latencies that depend on each block's process-variation traits and wear.
 ///
 /// ```
-/// use flash_model::{FlashArray, FlashConfig, BlockAddr, ChipId, PlaneId, BlockId, LwlId};
+/// use flash_model::{BlockAddr, BlockId, ChipId, FlashArray, FlashConfig, MpOutcome, PlaneId};
 ///
 /// # fn main() -> flash_model::Result<()> {
 /// let mut array = FlashArray::new(FlashConfig::small_test(), 1);
 /// // A multi-chip erase completes when its slowest member finishes.
-/// let members: Vec<BlockAddr> =
-///     (0..4).map(|c| BlockAddr::new(ChipId(c), PlaneId(0), BlockId(0))).collect();
-/// let outcome = array.mp_erase(&members)?;
+/// let mut member_us = Vec::new();
+/// for c in 0..4 {
+///     member_us.push(array.erase_block(BlockAddr::new(ChipId(c), PlaneId(0), BlockId(0)))?);
+/// }
+/// let outcome = MpOutcome::from_members(member_us);
 /// assert_eq!(outcome.total_us, outcome.member_us.iter().copied().fold(f64::MIN, f64::max));
 /// assert!(outcome.extra_us >= 0.0);
 /// # Ok(())
@@ -422,68 +425,6 @@ impl FlashArray {
         self.blocks[idx].read_disturbs(pidx)
     }
 
-    fn check_mp_distinct(addrs: impl Iterator<Item = BlockAddr>) -> Result<()> {
-        let mut seen = Vec::new();
-        for a in addrs {
-            let key = (a.chip, a.plane);
-            if seen.contains(&key) {
-                return Err(FlashError::MultiPlaneConflict { addr: a });
-            }
-            seen.push(key);
-        }
-        Ok(())
-    }
-
-    /// Multi-plane / multi-chip erase: erases every block and reports the
-    /// command outcome (completion = slowest member).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the list is empty, addresses a plane twice, or any
-    /// member address is invalid. On error no state is modified.
-    pub fn mp_erase(&mut self, blocks: &[BlockAddr]) -> Result<MpOutcome> {
-        if blocks.is_empty() {
-            return Err(FlashError::EmptyMultiPlane);
-        }
-        Self::check_mp_distinct(blocks.iter().copied())?;
-        for &b in blocks {
-            self.check(b)?;
-        }
-        let mut member = Vec::with_capacity(blocks.len());
-        for &b in blocks {
-            member.push(self.erase_block(b)?);
-        }
-        Ok(MpOutcome::from_members(member))
-    }
-
-    /// Multi-plane / multi-chip word-line program (the super word-line
-    /// operation of the paper's Figure 2). `data` is one payload slice per
-    /// member word-line.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the list is empty or mismatched with `data`,
-    /// addresses a plane twice, or any member program is illegal. Members
-    /// before the failing one remain programmed (matching real MP commands,
-    /// which fail per-plane).
-    pub fn mp_program(&mut self, wls: &[WlAddr], data: &[&[u64]]) -> Result<MpOutcome> {
-        if wls.is_empty() {
-            return Err(FlashError::EmptyMultiPlane);
-        }
-        if wls.len() != data.len() {
-            return Err(FlashError::DataLengthMismatch {
-                expected: wls.len() as u32,
-                got: data.len(),
-            });
-        }
-        Self::check_mp_distinct(wls.iter().map(|w| w.block))?;
-        let mut member = Vec::with_capacity(wls.len());
-        for (&wl, &d) in wls.iter().zip(data) {
-            member.push(self.program_wl(wl, d)?);
-        }
-        Ok(MpOutcome::from_members(member))
-    }
-
     /// Reads one page including read-retry overhead for a page aged by
     /// `retention_hours` of data retention: returns
     /// `(payload tag, latency µs, retry rounds)`.
@@ -558,27 +499,6 @@ impl FlashArray {
         } else {
             bits * slot_mult
         }
-    }
-
-    /// Multi-plane / multi-chip page read.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the list is empty, addresses a plane twice, or any
-    /// page is unwritten.
-    pub fn mp_read(&self, pages: &[PageAddr]) -> Result<(Vec<u64>, MpOutcome)> {
-        if pages.is_empty() {
-            return Err(FlashError::EmptyMultiPlane);
-        }
-        Self::check_mp_distinct(pages.iter().map(|p| p.wl.block))?;
-        let mut member = Vec::with_capacity(pages.len());
-        let mut payloads = Vec::with_capacity(pages.len());
-        for &p in pages {
-            let (d, t) = self.read_page(p)?;
-            payloads.push(d);
-            member.push(t);
-        }
-        Ok((payloads, MpOutcome::from_members(member)))
     }
 
     /// Adds accelerated wear to one block without data operations — the
@@ -775,45 +695,17 @@ mod tests {
     }
 
     #[test]
-    fn mp_erase_total_is_max_of_members() {
+    fn mp_outcome_total_is_max_of_members() {
         let mut a = array();
-        let blocks = [blk(0, 0), blk(1, 0), blk(2, 0), blk(3, 0)];
-        let out = a.mp_erase(&blocks).unwrap();
+        let member_us: Vec<f64> = (0..4).map(|c| a.erase_block(blk(c, 0)).unwrap()).collect();
+        let out = MpOutcome::from_members(member_us);
         assert_eq!(out.member_us.len(), 4);
         let max = out.member_us.iter().copied().fold(f64::MIN, f64::max);
         let min = out.member_us.iter().copied().fold(f64::MAX, f64::min);
         assert_eq!(out.total_us, max);
         assert!((out.extra_us - (max - min)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mp_rejects_same_plane_twice() {
-        let mut a = array();
-        let err = a.mp_erase(&[blk(0, 0), blk(0, 1)]).unwrap_err();
-        assert!(matches!(err, FlashError::MultiPlaneConflict { .. }));
-    }
-
-    #[test]
-    fn mp_rejects_empty() {
-        let mut a = array();
-        assert_eq!(a.mp_erase(&[]).unwrap_err(), FlashError::EmptyMultiPlane);
-    }
-
-    #[test]
-    fn mp_program_roundtrip_across_chips() {
-        let mut a = array();
-        let blocks = [blk(0, 1), blk(1, 1), blk(2, 1), blk(3, 1)];
-        for &b in &blocks {
-            a.erase_block(b).unwrap();
-        }
-        let wls: Vec<_> = blocks.iter().map(|b| b.wl(LwlId(0))).collect();
-        let payloads = [[1u64, 2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 12]];
-        let refs: Vec<&[u64]> = payloads.iter().map(|p| p.as_slice()).collect();
-        let out = a.mp_program(&wls, &refs).unwrap();
-        assert!(out.extra_us >= 0.0);
-        let pages: Vec<_> = wls.iter().map(|w| w.page(PageType::Lsb)).collect();
-        let (data, _) = a.mp_read(&pages).unwrap();
-        assert_eq!(data, vec![1, 4, 7, 10]);
+        let none = MpOutcome::from_members(Vec::new());
+        assert_eq!((none.total_us, none.extra_us), (0.0, 0.0));
     }
 
     #[test]

@@ -48,13 +48,6 @@ pub enum FlashError {
         /// Length of the provided slice.
         got: usize,
     },
-    /// A multi-plane command was issued with no operations.
-    EmptyMultiPlane,
-    /// A multi-plane command addressed the same plane twice.
-    MultiPlaneConflict {
-        /// Address that collided with an earlier one in the same command.
-        addr: BlockAddr,
-    },
     /// The word-line program reported status fail (media fault); the block
     /// must be retired.
     ProgramFailed {
@@ -107,10 +100,6 @@ impl fmt::Display for FlashError {
             }
             FlashError::DataLengthMismatch { expected, got } => {
                 write!(f, "word-line takes {expected} pages of data but {got} were provided")
-            }
-            FlashError::EmptyMultiPlane => write!(f, "multi-plane command with no operations"),
-            FlashError::MultiPlaneConflict { addr } => {
-                write!(f, "multi-plane command addresses plane of {addr} more than once")
             }
             FlashError::ProgramFailed { wl } => {
                 write!(f, "program status fail on {wl}: block must be retired")

@@ -14,8 +14,8 @@
 //!   independent of the op streams, so changing the device count only
 //!   *moves* users between devices; it never changes what any user does.
 //! * **Reduction determinism** — devices are claimed from a shared work
-//!   queue (PR 1's pattern) but reduced strictly in device-id order, so
-//!   fleet aggregates are bit-identical regardless of worker count.
+//!   queue but reduced strictly in device-id order, so fleet aggregates
+//!   are bit-identical regardless of worker count.
 //!
 //! The fleet aggregates target *tail-of-tails* latency: p99/p999/p9999
 //! over every command on every device (via [`LatencyHistogram::fold`]'s

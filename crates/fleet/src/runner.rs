@@ -1,7 +1,7 @@
 //! Parallel fleet replay with deterministic canonical-order reduction.
 
 use crate::workload::FleetWorkload;
-use ftl::{FtlConfig, LatencyHistogram, QosClass, Ssd};
+use ftl::{FtlConfig, FtlError, LatencyHistogram, QosClass, Ssd};
 use host::{Arbitration, HostFrontend, TenantSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -192,9 +192,10 @@ fn fleet_tenants() -> Vec<TenantSpec> {
     ]
 }
 
-/// Replays one device: seed and stream are pure functions of
-/// `(fleet_seed, device)`, so the report is too.
-fn run_device(config: &FleetConfig, device: usize) -> ftl::Result<DeviceReport> {
+/// Replays one device's shard through the host frontend: the construction
+/// seed and the stream are pure functions of `(fleet_seed, device)`, so
+/// the replayed frontend is too.
+fn replay_shard(config: &FleetConfig, device: usize) -> ftl::Result<HostFrontend> {
     let seed = (config.fleet_seed ^ DEVICE_SEED_SALT)
         .wrapping_add((device as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let ssd = Ssd::new(config.device_config.clone(), seed)?;
@@ -203,6 +204,56 @@ fn run_device(config: &FleetConfig, device: usize) -> ftl::Result<DeviceReport> 
     let mut front = HostFrontend::new(ssd, fleet_tenants(), config.arbitration);
     front.submit_traced_batched(&stream);
     front.run()?;
+    Ok(front)
+}
+
+/// Runs `per_device` on every device of the fleet: workers claim device
+/// ids from a shared cursor (so a slow shard never idles the pool),
+/// results land in per-device slots, and the slots are read strictly in
+/// device-id order, which makes the result bit-identical for any worker
+/// count.
+///
+/// # Errors
+///
+/// Returns [`FtlError::InvalidConfig`] for a fleet of zero devices;
+/// otherwise propagates the first device error in device-id order (every
+/// device still runs; errors don't cancel the fleet).
+fn run_shards<R: Send + Sync>(
+    config: &FleetConfig,
+    per_device: fn(&FleetConfig, usize) -> ftl::Result<R>,
+) -> ftl::Result<Vec<R>> {
+    let n = config.workload.devices;
+    if n == 0 {
+        return Err(FtlError::InvalidConfig {
+            reason: "a fleet needs at least one device".to_string(),
+        });
+    }
+    let results: Vec<OnceLock<ftl::Result<R>>> = (0..n).map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    let workers = if config.workers == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        config.workers
+    }
+    .min(n);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
+                    break;
+                }
+                let report = per_device(config, idx);
+                results[idx].set(report).map_err(drop).expect("each device runs exactly once");
+            });
+        }
+    });
+    results.into_iter().map(|slot| slot.into_inner().expect("scope joined every worker")).collect()
+}
+
+/// Replays one device and summarizes its tail latency and background work.
+fn run_device(config: &FleetConfig, device: usize) -> ftl::Result<DeviceReport> {
+    let front = replay_shard(config, device)?;
     let all = front.all_stats();
     let parts: Vec<&LatencyHistogram> =
         all.iter().flat_map(|t| [&t.write_latency, &t.read_latency]).collect();
@@ -230,16 +281,10 @@ fn run_device(config: &FleetConfig, device: usize) -> ftl::Result<DeviceReport> 
 /// every live logical page, reading each back through the full ECC/aging
 /// path.
 fn soak_device(config: &FleetConfig, device: usize) -> ftl::Result<SoakDeviceReport> {
-    let seed = (config.fleet_seed ^ DEVICE_SEED_SALT)
-        .wrapping_add((device as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let ssd = Ssd::new(config.device_config.clone(), seed)?;
-    let info = ssd.geometry_info();
-    let stream = config.workload.device_stream(config.fleet_seed, device, info.logical_pages);
-    let mut front = HostFrontend::new(ssd, fleet_tenants(), config.arbitration);
-    front.submit_traced_batched(&stream);
-    front.run()?;
+    let front = replay_shard(config, device)?;
     let completed = front.all_stats().iter().map(|t| t.completed).sum();
     let mut ssd = front.into_device();
+    let info = ssd.geometry_info();
     let run_uncorrectable = ssd.stats().uncorrectable_reads;
     let refreshes_before = ssd.stats().refresh_relocations;
     let mut live_lpns = 0u64;
@@ -289,35 +334,10 @@ fn soak_device(config: &FleetConfig, device: usize) -> ftl::Result<SoakDeviceRep
 ///
 /// # Errors
 ///
-/// Propagates the first device error in device-id order.
+/// Returns [`FtlError::InvalidConfig`] for a fleet of zero devices;
+/// otherwise propagates the first device error in device-id order.
 pub fn run_fleet_soak(config: &FleetConfig) -> ftl::Result<SoakReport> {
-    let n = config.workload.devices;
-    let results: Vec<OnceLock<ftl::Result<SoakDeviceReport>>> =
-        (0..n).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let workers = if config.workers == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        config.workers
-    }
-    .min(n)
-    .max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let report = soak_device(config, idx);
-                results[idx].set(report).map_err(drop).expect("each device soaks exactly once");
-            });
-        }
-    });
-    let mut devices = Vec::with_capacity(n);
-    for slot in results {
-        devices.push(slot.into_inner().expect("scope joined every worker")?);
-    }
+    let devices = run_shards(config, soak_device)?;
     Ok(SoakReport {
         live_lpns: devices.iter().map(|d| d.live_lpns).sum(),
         unreadable_lpns: devices.iter().map(|d| d.unreadable_lpns).sum(),
@@ -333,43 +353,16 @@ pub fn run_fleet_soak(config: &FleetConfig) -> ftl::Result<SoakReport> {
 
 /// Runs the whole fleet: workers claim device ids from a shared cursor
 /// (so a slow shard never idles the pool), results land in per-device
-/// slots, and the reduction walks the slots strictly in device-id order —
-/// the PR 1 work-queue pattern, which makes the report bit-identical for
-/// 1, 2 or any number of workers.
+/// slots, and the reduction walks the slots strictly in device-id order,
+/// which makes the report bit-identical for 1, 2 or any number of workers.
 ///
 /// # Errors
 ///
-/// Propagates the first device error in device-id order (every device
-/// still runs; errors don't cancel the fleet).
+/// Returns [`FtlError::InvalidConfig`] for a fleet of zero devices;
+/// otherwise propagates the first device error in device-id order (every
+/// device still runs; errors don't cancel the fleet).
 pub fn run_fleet(config: &FleetConfig) -> ftl::Result<FleetReport> {
-    let n = config.workload.devices;
-    let results: Vec<OnceLock<ftl::Result<DeviceReport>>> =
-        (0..n).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    let workers = if config.workers == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        config.workers
-    }
-    .min(n)
-    .max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let report = run_device(config, idx);
-                results[idx].set(report).map_err(drop).expect("each device runs exactly once");
-            });
-        }
-    });
-    // Canonical-order reduction: device 0 first, always.
-    let mut devices = Vec::with_capacity(n);
-    for slot in results {
-        devices.push(slot.into_inner().expect("scope joined every worker")?);
-    }
+    let devices = run_shards(config, run_device)?;
     let latency = LatencyHistogram::fold(devices.iter().map(|d| &d.latency));
     let mut device_p99s: Vec<f64> = devices.iter().map(|d| d.p99_us).collect();
     device_p99s.sort_by(f64::total_cmp);
@@ -384,4 +377,24 @@ pub fn run_fleet(config: &FleetConfig) -> ftl::Result<FleetReport> {
         devices,
         latency,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_device_fleet_is_an_error_not_a_panic() {
+        let mut workload = FleetWorkload::new(10, 1);
+        workload.devices = 0;
+        let config = FleetConfig {
+            device_config: FtlConfig::small_test(),
+            workload,
+            fleet_seed: 1,
+            arbitration: Arbitration::RoundRobin,
+            workers: 2,
+        };
+        assert!(matches!(run_fleet(&config), Err(FtlError::InvalidConfig { .. })));
+        assert!(matches!(run_fleet_soak(&config), Err(FtlError::InvalidConfig { .. })));
+    }
 }

@@ -2,7 +2,7 @@
 //! write pointer and runtime gathering — plus the placement hook that maps
 //! a write's purpose (tenant QoS class or GC) to its open-superblock slot.
 
-use crate::config::{PlacementPolicy, QosClass};
+use crate::config::QosClass;
 use crate::error::FtlError;
 use crate::recovery::SporState;
 use crate::Result;
@@ -44,31 +44,24 @@ pub(crate) const PURPOSES: [Purpose; 4] = [
 /// process-variation ranking that superblock is assembled from.
 #[derive(Debug, Default)]
 pub(crate) struct ActiveSlots {
-    /// `Standard` host writes — and, under [`PlacementPolicy::Unified`],
-    /// every write (the pre-QoS `host_active`).
+    /// `Standard` host writes (the pre-QoS `host_active`).
     host: Option<ActiveSuperblock>,
-    /// GC relocations under function-based placement.
+    /// GC relocations.
     gc: Option<ActiveSuperblock>,
-    /// `LatencyCritical` host writes under function-based placement.
+    /// `LatencyCritical` host writes.
     latency_critical: Option<ActiveSuperblock>,
-    /// `Background` host writes under function-based placement.
+    /// `Background` host writes.
     background: Option<ActiveSuperblock>,
 }
 
 impl ActiveSlots {
-    /// The slot a write of `purpose` streams into under `placement`.
-    pub(crate) fn slot(
-        &mut self,
-        placement: PlacementPolicy,
-        purpose: Purpose,
-    ) -> &mut Option<ActiveSuperblock> {
-        match (placement, purpose) {
-            (PlacementPolicy::Unified, _) | (_, Purpose::Host(QosClass::Standard)) => {
-                &mut self.host
-            }
-            (_, Purpose::Gc) => &mut self.gc,
-            (_, Purpose::Host(QosClass::LatencyCritical)) => &mut self.latency_critical,
-            (_, Purpose::Host(QosClass::Background)) => &mut self.background,
+    /// The slot a write of `purpose` streams into.
+    pub(crate) fn slot(&mut self, purpose: Purpose) -> &mut Option<ActiveSuperblock> {
+        match purpose {
+            Purpose::Host(QosClass::Standard) => &mut self.host,
+            Purpose::Gc => &mut self.gc,
+            Purpose::Host(QosClass::LatencyCritical) => &mut self.latency_critical,
+            Purpose::Host(QosClass::Background) => &mut self.background,
         }
     }
 
@@ -249,13 +242,13 @@ impl ActiveSuperblock {
     /// The staging buffer must hold exactly one super word-line (use
     /// [`Self::pad`]).
     ///
-    /// When SPOR is on, every page carries OOB metadata (LPN, a sequence
-    /// number drawn here in assignment order, the superblock identity)
-    /// programmed atomically with the payload, and `spor`'s crash countdown
-    /// ticks once per member program. A firing crash marks the current
-    /// member's word-line *torn* — completed members of this super
-    /// word-line stay readable, the torn one exposes nothing — and returns
-    /// [`FtlError::PowerLoss`] before any assignment is applied.
+    /// Every page carries OOB metadata (LPN, a sequence number drawn here
+    /// in assignment order, the superblock identity) programmed atomically
+    /// with the payload, and `spor`'s crash countdown ticks once per member
+    /// program. A firing crash marks the current member's word-line *torn*
+    /// — completed members of this super word-line stay readable, the torn
+    /// one exposes nothing — and returns [`FtlError::PowerLoss`] before any
+    /// assignment is applied.
     ///
     /// # Errors
     ///
@@ -300,35 +293,30 @@ impl ActiveSuperblock {
                 array.mark_torn(wls[m])?;
                 return Err(FtlError::PowerLoss);
             }
-            let programmed = if spor.enabled {
-                let oob: Vec<PageOob> = payload
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &lpn)| {
-                        // The parity slot is identified by position, never by
-                        // value: its XOR payload can collide with any tag.
-                        if self.parity && m == members - 1 && k == ppl - 1 {
-                            PageOob {
-                                lpn: PageOob::PARITY_LPN,
-                                seq: 0,
-                                sb_id: self.sb_id,
-                                member_slot: m as u16,
-                            }
-                        } else {
-                            PageOob {
-                                lpn,
-                                seq: if lpn == FILLER { 0 } else { spor.next_seq() },
-                                sb_id: self.sb_id,
-                                member_slot: m as u16,
-                            }
+            let oob: Vec<PageOob> = payload
+                .iter()
+                .enumerate()
+                .map(|(k, &lpn)| {
+                    // The parity slot is identified by position, never by
+                    // value: its XOR payload can collide with any tag.
+                    if self.parity && m == members - 1 && k == ppl - 1 {
+                        PageOob {
+                            lpn: PageOob::PARITY_LPN,
+                            seq: 0,
+                            sb_id: self.sb_id,
+                            member_slot: m as u16,
                         }
-                    })
-                    .collect();
-                array.program_wl_with_oob(wls[m], payload, &oob)
-            } else {
-                array.program_wl(wls[m], payload)
-            };
-            match programmed {
+                    } else {
+                        PageOob {
+                            lpn,
+                            seq: if lpn == FILLER { 0 } else { spor.next_seq() },
+                            sb_id: self.sb_id,
+                            member_slot: m as u16,
+                        }
+                    }
+                })
+                .collect();
+            match array.program_wl_with_oob(wls[m], payload, &oob) {
                 Ok(t) => {
                     member_us.push(t);
                     survived.push(m);
@@ -396,7 +384,12 @@ impl ActiveSuperblock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::SporConfig;
     use flash_model::{BlockId, ChipId, FlashConfig, PlaneId};
+
+    fn spor() -> SporState {
+        SporState::new(&SporConfig::default())
+    }
 
     fn setup() -> (FlashArray, ActiveSuperblock) {
         let config =
@@ -442,7 +435,7 @@ mod tests {
         }
         a.stage(FILLER);
         a.pad();
-        let result = a.program_superwl(&mut array, &mut SporState::disabled()).unwrap();
+        let result = a.program_superwl(&mut array, &mut spor()).unwrap();
         assert_eq!(result.assignments.len(), 11);
         assert_eq!(result.outcome.member_us.len(), 4);
         assert!(result.outcome.extra_us >= 0.0);
@@ -471,7 +464,7 @@ mod tests {
                 }
             }
             let mut a = ActiveSuperblock::new(members.clone(), 0, 4, 2, 3, false);
-            let mut spor = SporState::disabled();
+            let mut spor = spor();
             for wl in 0..8u64 {
                 for p in 0..a.superwl_pages() as u64 {
                     a.stage(wl * 100 + p);
@@ -497,7 +490,7 @@ mod tests {
     #[test]
     fn full_superblock_finishes_with_summaries() {
         let (mut array, mut a) = setup();
-        let mut spor = SporState::disabled();
+        let mut spor = spor();
         let wls = 8; // 2 layers x 4 strings
         for wl in 0..wls as u64 {
             for p in 0..12 {
@@ -516,7 +509,6 @@ mod tests {
 
     #[test]
     fn spor_programs_carry_oob_identity() {
-        use crate::recovery::SporConfig;
         let config =
             FlashConfig::builder().chips(4).blocks_per_plane(4).pwl_layers(2).strings(4).build();
         let mut array = FlashArray::new(config, 1);
@@ -526,8 +518,7 @@ mod tests {
             array.erase_block(m).unwrap();
         }
         let mut a = ActiveSuperblock::new(members, 7, 4, 2, 3, false);
-        let mut spor =
-            SporState::new(&SporConfig { enabled: true, checkpoint_interval: 0, crash: None });
+        let mut spor = spor();
         for i in 0..11 {
             a.stage(i);
         }
@@ -556,11 +547,10 @@ mod tests {
 
     #[test]
     fn crash_mid_superwl_tears_the_interrupted_member() {
-        use crate::recovery::{CrashPoint, SporConfig};
+        use crate::recovery::CrashPoint;
         let (mut array, mut a) = setup();
         // A 1-op fuse always fires on the first member program.
         let mut spor = SporState::new(&SporConfig {
-            enabled: true,
             checkpoint_interval: 0,
             crash: Some(CrashPoint { seed: 0, max_ops: 1 }),
         });
@@ -585,10 +575,8 @@ mod tests {
 
     #[test]
     fn parity_stripe_xors_to_zero_and_parity_page_is_unmapped() {
-        use crate::recovery::SporConfig;
         let (mut array, mut a) = setup_parity();
-        let mut spor =
-            SporState::new(&SporConfig { enabled: true, checkpoint_interval: 0, crash: None });
+        let mut spor = spor();
         assert_eq!(a.superwl_pages(), 12);
         assert_eq!(a.data_pages(), 11);
         for i in 0..10 {
@@ -624,7 +612,7 @@ mod tests {
         let (mut array, mut a) = setup_parity();
         a.stage(5);
         a.pad();
-        let result = a.program_superwl(&mut array, &mut SporState::disabled()).unwrap();
+        let result = a.program_superwl(&mut array, &mut spor()).unwrap();
         assert_eq!(result.assignments.len(), 1);
         // 1 data + 10 filler XOR to 5^(10 fillers): fillers cancel pairwise,
         // so the stored parity is FILLER-count-parity dependent — just check

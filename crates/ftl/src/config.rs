@@ -1,6 +1,6 @@
 //! FTL configuration.
 
-use crate::gc::{GcBudget, GcPolicy};
+use crate::gc::GcBudget;
 use crate::recovery::SporConfig;
 use crate::timing::{EngineMode, QueueModel};
 use flash_model::{FaultConfig, FlashConfig, RetryModel};
@@ -20,17 +20,6 @@ pub enum OrganizationScheme {
     },
 }
 
-/// Where written data is placed (§V-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PlacementPolicy {
-    /// All writes share one open superblock class.
-    Unified,
-    /// Function-based placement: host writes → fast superblocks,
-    /// garbage-collection relocations → slow superblocks.
-    #[default]
-    FunctionBased,
-}
-
 /// Latency class of a host write (multi-tenant QoS).
 ///
 /// Generalizes the paper's host/GC allocation split (§V-D): instead of one
@@ -39,9 +28,7 @@ pub enum PlacementPolicy {
 /// from. `LatencyCritical` and `Standard` writes land on fast-ranked
 /// superblocks (each in its own open superblock); `Background` writes share
 /// the slow end of the ranking with garbage-collection relocations, which
-/// stay pinned to the slowest pool as in the paper. Under
-/// [`PlacementPolicy::Unified`] the class is ignored and every write shares
-/// one open superblock.
+/// stay pinned to the slowest pool as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QosClass {
     /// Tail-latency-sensitive tenant: fast superblocks, its own open
@@ -189,18 +176,12 @@ pub struct FtlConfig {
     pub gc_low_watermark: usize,
     /// Stop garbage collection once this many superblocks are assemblable.
     pub gc_high_watermark: usize,
-    /// Garbage-collection victim selection policy.
-    pub gc_policy: GcPolicy,
     /// How much relocation work each foreground GC invocation may do
     /// before yielding ([`GcBudget::Unbounded`], the default, reproduces
     /// the legacy run-to-completion collector bit for bit).
     pub gc_budget: GcBudget,
     /// Superblock organization strategy.
     pub scheme: OrganizationScheme,
-    /// Data placement policy.
-    pub placement: PlacementPolicy,
-    /// Per-page host transfer time, µs (bus + controller overhead).
-    pub transfer_us: f64,
     /// Seed QSTR-MED with profiles from a pre-characterization pass instead
     /// of warming up from runtime gathering only.
     pub precharacterize: bool,
@@ -227,9 +208,10 @@ pub struct FtlConfig {
     /// Read-retry/ECC model consulted by the read path when fault injection
     /// is enabled (uncorrectable pages trigger refresh relocation).
     pub retry: RetryModel,
-    /// Sudden-power-off recovery: OOB metadata, checkpoints and optional
-    /// crash injection. Enabled by default; it costs zero simulated time
-    /// and zero RNG draws, so every result stays bit-identical.
+    /// Sudden-power-off recovery: the checkpoint interval and optional
+    /// crash injection. OOB metadata, seal records, the journal and
+    /// checkpoints are always kept; they cost zero simulated time and zero
+    /// RNG draws.
     pub spor: SporConfig,
     /// Data integrity: retention aging, read disturb and patrol scrubbing.
     /// Disabled by default (bit-identical to a build without it).
@@ -254,11 +236,8 @@ impl FtlConfig {
             overprovision: 0.25,
             gc_low_watermark: 2,
             gc_high_watermark: 3,
-            gc_policy: GcPolicy::Greedy,
             gc_budget: GcBudget::Unbounded,
             scheme: OrganizationScheme::Random,
-            placement: PlacementPolicy::FunctionBased,
-            transfer_us: 10.0,
             precharacterize: true,
             idle_gc: false,
             queue_model: QueueModel::Single,
@@ -310,9 +289,6 @@ impl FtlConfig {
         if self.gc_high_watermark <= self.gc_low_watermark {
             return Err("gc_high_watermark must exceed gc_low_watermark".to_string());
         }
-        if self.transfer_us < 0.0 {
-            return Err("transfer_us must be non-negative".to_string());
-        }
         for (name, p) in [
             ("fault.program_fail_prob", self.fault.program_fail_prob),
             ("fault.erase_fail_prob", self.fault.erase_fail_prob),
@@ -324,9 +300,6 @@ impl FtlConfig {
         }
         if self.fault.program_fail_prob > 0.2 || self.fault.erase_fail_prob > 0.2 {
             return Err("fault rates above 20% starve the free pools; lower them".to_string());
-        }
-        if self.spor.crash.is_some() && !self.spor.enabled {
-            return Err("crash injection requires spor.enabled".to_string());
         }
         if let GcBudget::Sliced { slice_us } = self.gc_budget {
             if !slice_us.is_finite() || slice_us <= 0.0 {
@@ -389,11 +362,8 @@ impl Default for FtlConfig {
             overprovision: 0.15,
             gc_low_watermark: 4,
             gc_high_watermark: 8,
-            gc_policy: GcPolicy::Greedy,
             gc_budget: GcBudget::Unbounded,
             scheme: OrganizationScheme::Random,
-            placement: PlacementPolicy::FunctionBased,
-            transfer_us: 10.0,
             precharacterize: true,
             idle_gc: false,
             queue_model: QueueModel::Single,
@@ -443,17 +413,6 @@ mod tests {
         assert!(cfg.validate().is_err(), "50% fault rate is unserviceable");
         let mut cfg = FtlConfig::small_test();
         cfg.fault = FaultConfig::with_rate(0.02);
-        cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn crash_without_spor_rejected() {
-        use crate::recovery::CrashPoint;
-        let mut cfg = FtlConfig::small_test();
-        cfg.spor.enabled = false;
-        cfg.spor.crash = Some(CrashPoint::from_seed(1, 100));
-        assert!(cfg.validate().is_err());
-        cfg.spor.enabled = true;
         cfg.validate().unwrap();
     }
 

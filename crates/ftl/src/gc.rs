@@ -1,22 +1,10 @@
-//! Garbage-collection victim selection policies and the preemptible
+//! Greedy garbage-collection victim selection and the preemptible
 //! collection budget/job machinery.
 
 use crate::mapping::Mapping;
 use flash_model::{BlockAddr, PageAddr};
 use pvcheck::SpeedClass;
 use std::collections::HashSet;
-
-/// How GC picks its victim superblock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum GcPolicy {
-    /// Fewest valid pages (cheapest relocation, most space reclaimed now).
-    #[default]
-    Greedy,
-    /// Cost-benefit: weigh reclaimed space against relocation cost and age,
-    /// preferring older superblocks whose data has had time to go cold —
-    /// `(1 - u) * age / (1 + u)` with `u` the valid-page ratio.
-    CostBenefit,
-}
 
 /// How much relocation work a foreground-triggered GC invocation may do
 /// before yielding back to host commands.
@@ -160,45 +148,26 @@ impl SealedSuperblock {
     }
 }
 
-/// Picks a victim index under the policy; `None` when nothing is sealed.
+/// Picks the greedy victim — fewest valid pages, the cheapest relocation
+/// that reclaims the most space now — as an index into `sealed`; `None`
+/// when nothing is sealed.
 ///
-/// Greedy takes the min over `(valid_pages, index)` and stops early at the
-/// first fully-invalid superblock — nothing can beat zero valid pages, and
-/// the first zero has the smallest index among zeros, so the early exit
+/// Takes the min over `(valid_pages, index)` and stops early at the first
+/// fully-invalid superblock — nothing can beat zero valid pages, and the
+/// first zero has the smallest index among zeros, so the early exit
 /// returns exactly what the full scan would.
-pub(crate) fn select_victim(
-    policy: GcPolicy,
-    sealed: &[SealedSuperblock],
-    mapping: &Mapping,
-    pages_per_superblock: usize,
-    now: u64,
-) -> Option<usize> {
-    match policy {
-        GcPolicy::Greedy => {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, sb) in sealed.iter().enumerate() {
-                let valid = sb.valid_pages(mapping);
-                if valid == 0 {
-                    return Some(i);
-                }
-                if best.is_none_or(|(b, _)| valid < b) {
-                    best = Some((valid, i));
-                }
-            }
-            best.map(|(_, i)| i)
+pub(crate) fn select_victim(sealed: &[SealedSuperblock], mapping: &Mapping) -> Option<usize> {
+    let mut best: Option<(usize, usize)> = None;
+    for (i, sb) in sealed.iter().enumerate() {
+        let valid = sb.valid_pages(mapping);
+        if valid == 0 {
+            return Some(i);
         }
-        GcPolicy::CostBenefit => sealed
-            .iter()
-            .enumerate()
-            .map(|(i, sb)| {
-                let u = sb.valid_pages(mapping) as f64 / pages_per_superblock.max(1) as f64;
-                let age = (now.saturating_sub(sb.sealed_at)) as f64 + 1.0;
-                let score = (1.0 - u) * age / (1.0 + u);
-                (score, i)
-            })
-            .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(_, i)| i),
+        if best.is_none_or(|(b, _)| valid < b) {
+            best = Some((valid, i));
+        }
     }
+    best.map(|(_, i)| i)
 }
 
 #[cfg(test)]
@@ -230,7 +199,7 @@ mod tests {
         mapping.map(2, blk(1, 0).wl(LwlId(0)).page(PageType::Lsb));
         mapping.map(3, blk(0, 1).wl(LwlId(0)).page(PageType::Lsb));
         let sbs = vec![sealed(0, 0), sealed(1, 1)];
-        assert_eq!(select_victim(GcPolicy::Greedy, &sbs, &mapping, 48, 2), Some(1));
+        assert_eq!(select_victim(&sbs, &mapping), Some(1));
         assert_eq!(sbs[0].valid_pages(&mapping), 2);
     }
 
@@ -242,7 +211,7 @@ mod tests {
         mapping.map(1, blk(0, 0).wl(LwlId(0)).page(PageType::Lsb));
         mapping.map(2, blk(0, 1).wl(LwlId(0)).page(PageType::Lsb));
         let sbs = vec![sealed(0, 0), sealed(1, 1)];
-        assert_eq!(select_victim(GcPolicy::Greedy, &sbs, &mapping, 48, 2), Some(0));
+        assert_eq!(select_victim(&sbs, &mapping), Some(0));
     }
 
     #[test]
@@ -251,36 +220,12 @@ mod tests {
         // Superblock 0 holds data, 1 and 2 are empty: the first zero wins.
         mapping.map(1, blk(0, 0).wl(LwlId(0)).page(PageType::Lsb));
         let sbs = vec![sealed(0, 0), sealed(1, 1), sealed(2, 2)];
-        assert_eq!(select_victim(GcPolicy::Greedy, &sbs, &mapping, 48, 3), Some(1));
-    }
-
-    #[test]
-    fn cost_benefit_prefers_old_empty_superblocks() {
-        let mut mapping = Mapping::new(100, &geo());
-        // Both equally empty; the older one must win.
-        mapping.map(1, blk(0, 0).wl(LwlId(0)).page(PageType::Lsb));
-        mapping.map(2, blk(0, 1).wl(LwlId(0)).page(PageType::Lsb));
-        let sbs = vec![sealed(0, 5), sealed(1, 1)];
-        assert_eq!(select_victim(GcPolicy::CostBenefit, &sbs, &mapping, 48, 10), Some(1));
-    }
-
-    #[test]
-    fn cost_benefit_avoids_full_superblocks() {
-        let mut mapping = Mapping::new(1000, &geo());
-        // Superblock 0: old but completely full. Superblock 1: young, empty.
-        for lwl in 0..24 {
-            mapping.map(u64::from(lwl) * 2, blk(0, 0).wl(LwlId(lwl)).page(PageType::Lsb));
-            mapping.map(u64::from(lwl) * 2 + 1, blk(1, 0).wl(LwlId(lwl)).page(PageType::Lsb));
-        }
-        let sbs = vec![sealed(0, 0), sealed(1, 99)];
-        assert_eq!(select_victim(GcPolicy::CostBenefit, &sbs, &mapping, 48, 100), Some(1));
+        assert_eq!(select_victim(&sbs, &mapping), Some(1));
     }
 
     #[test]
     fn no_sealed_superblocks_means_no_victim() {
         let mapping = Mapping::new(10, &geo());
-        for policy in [GcPolicy::Greedy, GcPolicy::CostBenefit] {
-            assert_eq!(select_victim(policy, &[], &mapping, 48, 0), None);
-        }
+        assert_eq!(select_victim(&[], &mapping), None);
     }
 }

@@ -51,11 +51,11 @@ mod workload;
 
 pub use config::{
     FtlConfig, IntegrityConfig, OrganizationScheme, ParityConfig, PatrolConfig, PatrolOrder,
-    PlacementPolicy, QosClass,
+    QosClass,
 };
 pub use device::{GeometryInfo, Ssd};
 pub use error::FtlError;
-pub use gc::{GcBudget, GcPolicy};
+pub use gc::GcBudget;
 pub use manager::BlockManager;
 pub use mapping::Mapping;
 pub use recovery::{CrashPoint, RecoveryReport, SporConfig};

@@ -1,7 +1,7 @@
 //! Free-block pools and superblock organization strategies.
 
 use crate::active::Purpose;
-use crate::config::{OrganizationScheme, PlacementPolicy, QosClass};
+use crate::config::{OrganizationScheme, QosClass};
 use flash_model::{BlockAddr, Geometry};
 use pvcheck::assembly::QstrMed;
 use pvcheck::{BlockSummary, SpeedClass};
@@ -13,17 +13,14 @@ use std::collections::{HashMap, HashSet};
 /// process-variation-sorted free lists a write's open superblock is
 /// assembled from ([`BlockManager::allocate`] takes the result).
 ///
-/// Under function-based placement (§V-D generalized per tenant):
+/// Function-based placement (§V-D generalized per tenant):
 /// `LatencyCritical` and `Standard` host writes take fast-ranked
 /// superblocks, `Background` host writes and GC relocations take the slow
 /// end — GC stays pinned to the slowest pool exactly as in the paper.
-/// Under [`PlacementPolicy::Unified`] everything is fast-ranked, matching
-/// the single shared open superblock.
-pub(crate) fn speed_class_for(placement: PlacementPolicy, purpose: Purpose) -> SpeedClass {
-    match (placement, purpose) {
-        (PlacementPolicy::FunctionBased, Purpose::Gc)
-        | (PlacementPolicy::FunctionBased, Purpose::Host(QosClass::Background)) => SpeedClass::Slow,
-        _ => SpeedClass::Fast,
+pub(crate) fn speed_class_for(purpose: Purpose) -> SpeedClass {
+    match purpose {
+        Purpose::Gc | Purpose::Host(QosClass::Background) => SpeedClass::Slow,
+        Purpose::Host(QosClass::LatencyCritical | QosClass::Standard) => SpeedClass::Fast,
     }
 }
 
@@ -289,27 +286,12 @@ mod tests {
 
     #[test]
     fn qos_placement_maps_classes_onto_the_ranking_ends() {
-        use PlacementPolicy::{FunctionBased, Unified};
-        // Function-based: latency-critical and standard host writes take the
-        // fast end; background host writes share the slow end with GC.
-        assert_eq!(
-            speed_class_for(FunctionBased, Purpose::Host(QosClass::LatencyCritical)),
-            SpeedClass::Fast
-        );
-        assert_eq!(
-            speed_class_for(FunctionBased, Purpose::Host(QosClass::Standard)),
-            SpeedClass::Fast
-        );
-        assert_eq!(
-            speed_class_for(FunctionBased, Purpose::Host(QosClass::Background)),
-            SpeedClass::Slow
-        );
-        assert_eq!(speed_class_for(FunctionBased, Purpose::Gc), SpeedClass::Slow);
-        // Unified placement ignores class entirely.
-        for class in QosClass::ALL {
-            assert_eq!(speed_class_for(Unified, Purpose::Host(class)), SpeedClass::Fast);
-        }
-        assert_eq!(speed_class_for(Unified, Purpose::Gc), SpeedClass::Fast);
+        // Latency-critical and standard host writes take the fast end;
+        // background host writes share the slow end with GC.
+        assert_eq!(speed_class_for(Purpose::Host(QosClass::LatencyCritical)), SpeedClass::Fast);
+        assert_eq!(speed_class_for(Purpose::Host(QosClass::Standard)), SpeedClass::Fast);
+        assert_eq!(speed_class_for(Purpose::Host(QosClass::Background)), SpeedClass::Slow);
+        assert_eq!(speed_class_for(Purpose::Gc), SpeedClass::Slow);
     }
 
     #[test]

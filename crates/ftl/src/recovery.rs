@@ -55,25 +55,23 @@ impl CrashPoint {
     }
 }
 
-/// Sudden-power-off-recovery configuration.
+/// Sudden-power-off-recovery configuration. OOB metadata, seal records,
+/// the journal and checkpoints are always maintained; the machinery costs
+/// zero simulated time and zero RNG draws, so it leaves every latency
+/// result bit-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SporConfig {
-    /// Whether OOB metadata, seal records, the journal and checkpoints are
-    /// maintained. Enabled by default; the machinery costs zero simulated
-    /// time and zero RNG draws, so enabling it leaves every latency result
-    /// bit-identical.
-    pub enabled: bool,
     /// Take a checkpoint every this many super word-line programs
     /// (`0` = only the initial empty checkpoint, so recovery scans
     /// everything written since power-on).
     pub checkpoint_interval: u64,
-    /// Optional injected crash (requires `enabled`).
+    /// Optional injected crash.
     pub crash: Option<CrashPoint>,
 }
 
 impl Default for SporConfig {
     fn default() -> Self {
-        SporConfig { enabled: true, checkpoint_interval: 256, crash: None }
+        SporConfig { checkpoint_interval: 256, crash: None }
     }
 }
 
@@ -154,12 +152,10 @@ pub(crate) struct Checkpoint {
 
 /// Live SPOR state inside the device: countdown to the injected crash, the
 /// journal since the last checkpoint, and that checkpoint. The mapping's
-/// change record (`Mapping::track_changes`, on whenever SPOR is) names the
-/// LPNs the next checkpoint must refresh.
+/// change record (`Mapping::track_changes`) names the LPNs the next
+/// checkpoint must refresh.
 #[derive(Debug)]
 pub(crate) struct SporState {
-    /// Whether OOB/journal/checkpoint maintenance is on.
-    pub enabled: bool,
     /// Flash ops remaining until the injected crash fires (`None` = never).
     countdown: Option<u64>,
     /// Whether power has been lost; cleared by recovery.
@@ -185,7 +181,6 @@ pub(crate) struct SporState {
 impl SporState {
     pub(crate) fn new(config: &SporConfig) -> SporState {
         SporState {
-            enabled: config.enabled,
             countdown: config.crash.map(|c| c.op_index()),
             crashed: false,
             journal: Vec::new(),
@@ -204,13 +199,6 @@ impl SporState {
         s
     }
 
-    /// A disabled state for unit tests that drive `ActiveSuperblock`
-    /// directly.
-    #[cfg(test)]
-    pub(crate) fn disabled() -> SporState {
-        SporState::new(&SporConfig { enabled: false, checkpoint_interval: 0, crash: None })
-    }
-
     /// Ticks the crash countdown before one flash program/erase op. Returns
     /// `true` when power is lost *now*: the op must not execute.
     pub(crate) fn op_fires(&mut self) -> bool {
@@ -226,13 +214,6 @@ impl SporState {
                 }
             }
             None => false,
-        }
-    }
-
-    /// Appends a journal entry (no-op when SPOR is disabled).
-    pub(crate) fn journal(&mut self, entry: JournalEntry) {
-        if self.enabled {
-            self.journal.push(entry);
         }
     }
 }
@@ -273,11 +254,8 @@ mod tests {
 
     #[test]
     fn countdown_fires_exactly_once() {
-        let config = SporConfig {
-            enabled: true,
-            checkpoint_interval: 0,
-            crash: Some(CrashPoint { seed: 0, max_ops: 1 }),
-        };
+        let config =
+            SporConfig { checkpoint_interval: 0, crash: Some(CrashPoint { seed: 0, max_ops: 1 }) };
         let mut s = SporState::new(&config);
         assert!(s.op_fires(), "op index 1 fires on the first op");
         assert!(s.crashed);

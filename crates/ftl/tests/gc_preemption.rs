@@ -4,26 +4,24 @@
 //! worst single-command collection stall shrinks by at least the
 //! configured budget ratio versus the run-to-completion collector; the
 //! default `GcBudget::Unbounded` leaves every slice statistic untouched
-//! (so the goldens cannot have moved); one per-command allowance caps
-//! collection and patrol together; and a program failure landing on a
-//! relocated page while the job is parked restages the payload without
-//! losing any of the victim's live data.
+//! (so the goldens cannot have moved); latency-critical writes, which never
+//! pay a ladder slice, still collect through the emergency floor; and a
+//! program failure landing on a relocated page while the job is parked
+//! restages the payload without losing any of the victim's live data.
 
 use std::collections::HashSet;
 
-use ftl::{
-    FtlConfig, GcBudget, IntegrityConfig, IoOp, PatrolConfig, PatrolOrder, QosClass, Ssd, Workload,
-};
+use ftl::{FtlConfig, GcBudget, IoOp, QosClass, Ssd, Workload};
 
 /// Overwrite-heavy workload sized to keep the collector busy: three times
-/// the logical capacity of pure random writes.
-fn drive(config: FtlConfig, seed: u64) -> Ssd {
+/// the logical capacity of random writes, each of class `class`.
+fn drive(config: FtlConfig, seed: u64, class: QosClass) -> Ssd {
     let mut dev = Ssd::new(config, 3).unwrap();
     let info = dev.geometry_info();
     let reqs = Workload::random_write(0.6).generate(&info, (info.logical_pages * 3) as usize, seed);
     for req in &reqs {
         match req.op {
-            IoOp::Write => drop(dev.write(req.lpn).unwrap()),
+            IoOp::Write => drop(dev.write_with_class(req.lpn, class).unwrap()),
             IoOp::Read => drop(dev.read(req.lpn).unwrap()),
             IoOp::Trim => dev.trim(req.lpn).unwrap(),
         }
@@ -34,10 +32,10 @@ fn drive(config: FtlConfig, seed: u64) -> Ssd {
 #[test]
 fn sliced_collector_bounds_the_worst_per_command_stall() {
     const SLICE_US: f64 = 300.0;
-    let unbounded = drive(FtlConfig::small_test(), 7);
+    let unbounded = drive(FtlConfig::small_test(), 7, QosClass::Standard);
     let mut config = FtlConfig::small_test();
     config.gc_budget = GcBudget::Sliced { slice_us: SLICE_US };
-    let sliced = drive(config, 7);
+    let sliced = drive(config, 7, QosClass::Standard);
 
     let u = unbounded.stats();
     let s = sliced.stats();
@@ -71,7 +69,7 @@ fn sliced_collector_bounds_the_worst_per_command_stall() {
 
 #[test]
 fn unbounded_default_keeps_slice_stats_at_zero() {
-    let dev = drive(FtlConfig::small_test(), 11);
+    let dev = drive(FtlConfig::small_test(), 11, QosClass::Standard);
     let s = dev.stats();
     assert!(s.gc_runs > 0, "workload must trigger collection");
     // The slice machinery must be fully inert under the default budget —
@@ -88,100 +86,26 @@ fn unbounded_default_keeps_slice_stats_at_zero() {
 }
 
 #[test]
-fn gc_allowance_gates_ladder_slices_but_not_the_emergency_floor() {
-    const SLICE_US: f64 = 300.0;
-    let drive_with_allowance = |allowance: Option<f64>| {
-        let mut config = FtlConfig::small_test();
-        config.gc_budget = GcBudget::Sliced { slice_us: SLICE_US };
-        let mut dev = Ssd::new(config, 3).unwrap();
-        if let Some(a) = allowance {
-            dev.set_gc_allowance(a);
-        }
-        let info = dev.geometry_info();
-        let reqs =
-            Workload::random_write(0.6).generate(&info, (info.logical_pages * 3) as usize, 7);
-        for req in &reqs {
-            match req.op {
-                IoOp::Write => drop(dev.write(req.lpn).unwrap()),
-                IoOp::Read => drop(dev.read(req.lpn).unwrap()),
-                IoOp::Trim => dev.trim(req.lpn).unwrap(),
-            }
-        }
-        dev
-    };
+fn latency_critical_writes_collect_through_the_emergency_floor_alone() {
+    let mut config = FtlConfig::small_test();
+    config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
+    let standard = drive(config.clone(), 7, QosClass::Standard);
+    assert!(standard.stats().gc_yield_count > 0, "standard writes must park ladder slices");
 
-    // The default (no allowance set) and an explicit INFINITY allowance are
-    // the same device, bit for bit — the cap only exists once finite.
-    let plain = drive_with_allowance(None);
-    let uncapped = drive_with_allowance(Some(f64::INFINITY));
-    let (p, u) = (plain.stats(), uncapped.stats());
-    assert!(p.gc_yield_count > 0, "workload must park ladder slices");
-    assert_eq!(p.gc_slices, u.gc_slices);
-    assert_eq!(p.gc_yield_count, u.gc_yield_count);
-    assert_eq!(p.gc_stall_us.to_bits(), u.gc_stall_us.to_bits());
-    assert_eq!(p.gc_relocations, u.gc_relocations);
-
-    // A zero allowance suppresses every ladder slice: collection then runs
+    // Latency-critical writes never pay a ladder slice, so collection runs
     // only through the emergency floor, whose unbudgeted reclaim never
     // yields. Data integrity must survive the starved collector.
-    let starved = drive_with_allowance(Some(0.0));
-    let s = starved.stats();
+    let critical = drive(config, 7, QosClass::LatencyCritical);
+    let s = critical.stats();
     assert_eq!(s.gc_yield_count, 0, "no ladder slices means nothing ever parks");
     assert!(s.gc_runs > 0, "the emergency floor must still reclaim space");
-    for lpn in 0..plain.geometry_info().logical_pages {
+    for lpn in 0..standard.geometry_info().logical_pages {
         assert_eq!(
-            plain.mapping().lookup(lpn).is_some(),
-            starved.mapping().lookup(lpn).is_some(),
+            standard.mapping().lookup(lpn).is_some(),
+            critical.mapping().lookup(lpn).is_some(),
             "liveness diverged at lpn {lpn}"
         );
     }
-
-    // NaN and negative allowances clamp to zero rather than poisoning the
-    // budget comparison.
-    for bogus in [f64::NAN, -1.0] {
-        let clamped = drive_with_allowance(Some(bogus));
-        let c = clamped.stats();
-        assert_eq!(c.gc_slices, s.gc_slices, "allowance {bogus} must behave like 0");
-        assert_eq!(c.gc_stall_us.to_bits(), s.gc_stall_us.to_bits());
-    }
-}
-
-#[test]
-fn one_allowance_caps_collection_and_patrol_together() {
-    // Background commands pay both kinds of ladder work, and a 1 µs
-    // allowance is less than any one word-line step: whichever kind pays
-    // first spends the whole allowance, so no command may also run the
-    // other kind's slice.
-    let mut config = FtlConfig::small_test();
-    config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
-    config.integrity = IntegrityConfig {
-        track: true,
-        retention_hours_per_us: 0.0,
-        patrol: PatrolConfig::On {
-            interval_us: 2_000.0,
-            slice_us: 300.0,
-            refresh_fraction: 0.5,
-            order: PatrolOrder::Blind,
-        },
-    };
-    let mut dev = Ssd::new(config, 3).unwrap();
-    let info = dev.geometry_info();
-    let reqs = Workload::random_write(0.6).generate(&info, (info.logical_pages * 3) as usize, 7);
-    let (mut collected, mut scrubbed, mut both) = (0, 0, 0);
-    for req in &reqs {
-        let (yields, scanned) = (dev.stats().gc_yield_count, dev.stats().patrol_scanned_pages);
-        dev.set_gc_allowance(1.0);
-        dev.write_with_class(req.lpn, QosClass::Background).unwrap();
-        // A yield is a ladder slice: the emergency floor never parks.
-        let gc = dev.stats().gc_yield_count > yields;
-        let patrol = dev.stats().patrol_scanned_pages > scanned;
-        collected += u32::from(gc);
-        scrubbed += u32::from(patrol);
-        both += u32::from(gc && patrol);
-    }
-    assert!(collected > 0, "the workload must pay collection slices");
-    assert!(scrubbed > 0, "the workload must pay patrol slices");
-    assert_eq!(both, 0, "a command spent its allowance on both kinds of ladder work");
 }
 
 #[test]

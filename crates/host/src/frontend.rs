@@ -1,10 +1,10 @@
 //! The multi-queue host frontend event loop.
 
 use crate::arbiter::{Arbiter, Arbitration};
-use crate::queue::{Queued, TenantSpec, TenantState, TenantStats};
+use crate::queue::{TenantSpec, TenantState, TenantStats};
 use ftl::sched::{from_total_key, total_key, Tournament};
 use ftl::trace::TracedRequest;
-use ftl::{IoOp, IoRequest, QosClass, Ssd, TimedOutcome};
+use ftl::{IoOp, IoRequest, QosClass, Ssd};
 
 #[cfg(test)]
 mod rescan;
@@ -19,8 +19,7 @@ mod rescan;
 /// its incremental timed engine — so device-side queueing, garbage
 /// collection and per-chip clocks all behave exactly as in
 /// [`Ssd::run_timed`]. The tenant's QoS class rides along with every
-/// write and picks the superblock speed class under function-based
-/// placement.
+/// write and picks the superblock speed class.
 ///
 /// **Determinism contract**: a single tenant with unit weight and an
 /// unbounded queue replays its stream in arrival order with unmodified
@@ -240,7 +239,7 @@ impl HostFrontend {
             state.freed_at = self.now;
         }
         let qos = state.spec.qos;
-        let out = self.step_with_slo(k, item, qos)?;
+        let out = self.ssd.timed_step(item.submit, item.req, qos)?;
         self.now = self.now.max(out.completion_us);
         self.dispatch_log.push(k);
         let stats = &mut self.tenants[k].stats;
@@ -261,41 +260,6 @@ impl HostFrontend {
         }
         stats.completed += 1;
         Ok(())
-    }
-
-    /// One device step under tenant `k`'s GC SLO. For a tenant with a
-    /// [`crate::GcSlo`], the device's per-command allowance is set
-    /// to the window's remaining debt budget before the step, the
-    /// collection stall the command was actually charged (the device's
-    /// `gc_stall_us` delta — foreground GC slices, overdue patrol-scrub
-    /// payments down the same QoS ladder, plus any emergency-floor
-    /// reclaim, never idle-gap work) is folded back into the window after
-    /// it, and the allowance is restored to `INFINITY` so other tenants
-    /// stay uncapped. Tenants without an SLO take the plain step — the
-    /// device field never moves off its default, keeping SLO-free runs
-    /// bit-identical to builds without this feature.
-    fn step_with_slo(
-        &mut self,
-        k: usize,
-        item: Queued,
-        qos: QosClass,
-    ) -> ftl::Result<TimedOutcome> {
-        let Some(allowance) = self.tenants[k].gc_allowance(item.submit) else {
-            return self.ssd.timed_step(item.submit, item.req, qos);
-        };
-        self.ssd.set_gc_allowance(allowance);
-        let before = self.ssd.stats().gc_stall_us;
-        let result = self.ssd.timed_step(item.submit, item.req, qos);
-        // Charge the debt even on the error path, mirroring how partial
-        // clocks are folded by `run`.
-        let debt = self.ssd.stats().gc_stall_us - before;
-        self.ssd.set_gc_allowance(f64::INFINITY);
-        let state = &mut self.tenants[k];
-        state.charge_gc_debt(debt);
-        if allowance <= 0.0 {
-            state.stats.gc_throttled += 1;
-        }
-        result
     }
 
     /// Whether every submitted request has been dispatched and completed.

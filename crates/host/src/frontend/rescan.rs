@@ -119,9 +119,6 @@ fn scenario(seed: u64) -> Scenario {
             if d.range(0, 3) != 0 {
                 spec = spec.queue_depth(d.range(1, 32) as usize);
             }
-            if d.range(0, 7) == 0 {
-                spec = spec.gc_slo(d.range(0, 400) as f64, 5_000.0);
-            }
             spec
         })
         .collect();
@@ -165,8 +162,8 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 fn tenant_view(t: &TenantStats) -> impl PartialEq + std::fmt::Debug {
     (
-        (t.completed, t.backpressured, t.depth_high_water, t.gc_throttled),
-        (t.queue_wait_us.to_bits(), t.gc_debt_us.to_bits(), t.gc_window_peak_us.to_bits()),
+        (t.completed, t.backpressured, t.depth_high_water),
+        t.queue_wait_us.to_bits(),
         bits(t.write_latency.samples_us()),
         bits(t.read_latency.samples_us()),
     )

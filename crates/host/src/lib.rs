@@ -45,4 +45,4 @@ mod queue;
 
 pub use arbiter::{Arbiter, Arbitration};
 pub use frontend::HostFrontend;
-pub use queue::{GcSlo, TenantSpec, TenantStats};
+pub use queue::{TenantSpec, TenantStats};

@@ -3,48 +3,26 @@
 use ftl::{IoRequest, LatencyHistogram, QosClass};
 use std::collections::VecDeque;
 
-/// Per-tenant garbage-collection SLO: at most `debt_us` µs of budgeted
-/// collection work may be charged to this tenant's commands inside any
-/// `window_us`-long wall-clock window. Windows are fixed (aligned at
-/// multiples of `window_us` from time zero, selected by a command's
-/// submission time), and debt resets at each window boundary. When a
-/// window's budget is exhausted the frontend dispatches the tenant's
-/// commands with a zero device-side allowance — ladder slices are
-/// suppressed until the next window, though the device's emergency floor
-/// still runs (media safety outranks the SLO).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GcSlo {
-    /// Collection-debt budget per window, µs.
-    pub debt_us: f64,
-    /// Window length, µs.
-    pub window_us: f64,
-}
-
 /// Static description of one tenant: its QoS class, its arbitration
-/// weight, the depth of its submission queue, and an optional GC SLO.
+/// weight and the depth of its submission queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     /// Human-readable tenant name (carried into stats and CSV rows).
     pub name: String,
-    /// QoS class — picks the superblock speed class its writes land in
-    /// under function-based placement.
+    /// QoS class — picks the superblock speed class its writes land in.
     pub qos: QosClass,
     /// Weighted-round-robin weight (ignored by plain round-robin).
     pub weight: u32,
     /// Submission-queue depth; arrivals beyond it are backpressured in
     /// host memory until a slot frees.
     pub queue_depth: usize,
-    /// Per-window collection-debt budget; `None` (the default) leaves the
-    /// tenant on the device's global per-command budget alone.
-    pub gc_slo: Option<GcSlo>,
 }
 
 impl TenantSpec {
-    /// A tenant with unit weight, an unbounded submission queue and no GC
-    /// SLO.
+    /// A tenant with unit weight and an unbounded submission queue.
     #[must_use]
     pub fn new(name: &str, qos: QosClass) -> Self {
-        TenantSpec { name: name.to_string(), qos, weight: 1, queue_depth: usize::MAX, gc_slo: None }
+        TenantSpec { name: name.to_string(), qos, weight: 1, queue_depth: usize::MAX }
     }
 
     /// Sets the weighted-round-robin weight (must be at least 1).
@@ -60,17 +38,6 @@ impl TenantSpec {
     pub fn queue_depth(mut self, depth: usize) -> Self {
         assert!(depth >= 1, "queue depth must be at least 1");
         self.queue_depth = depth;
-        self
-    }
-
-    /// Caps the collection debt this tenant's commands may be charged to
-    /// `debt_us` µs per `window_us`-long window (both must be positive and
-    /// finite).
-    #[must_use]
-    pub fn gc_slo(mut self, debt_us: f64, window_us: f64) -> Self {
-        assert!(debt_us >= 0.0 && debt_us.is_finite(), "debt budget must be finite and >= 0");
-        assert!(window_us > 0.0 && window_us.is_finite(), "window must be finite and positive");
-        self.gc_slo = Some(GcSlo { debt_us, window_us });
         self
     }
 }
@@ -98,17 +65,6 @@ pub struct TenantStats {
     /// Arrivals that found the submission queue full and had to wait in
     /// host memory for a slot.
     pub backpressured: u64,
-    /// Total budgeted collection work charged to this tenant's commands,
-    /// µs (the tenant's share of the device's `gc_stall_us`). Tracked only
-    /// for tenants with a [`GcSlo`]; stays 0 otherwise.
-    pub gc_debt_us: f64,
-    /// Highest collection debt accumulated inside any single SLO window,
-    /// µs. The SLO holds when this stays at or under the budget plus one
-    /// slice overrun (a slice yields only between word-line steps).
-    pub gc_window_peak_us: f64,
-    /// Commands dispatched while the window's debt budget was exhausted
-    /// (their device-side allowance was zero, suppressing ladder slices).
-    pub gc_throttled: u64,
 }
 
 impl TenantStats {
@@ -122,9 +78,6 @@ impl TenantStats {
             queue_wait_us: 0.0,
             depth_high_water: 0,
             backpressured: 0,
-            gc_debt_us: 0.0,
-            gc_window_peak_us: 0.0,
-            gc_throttled: 0,
         }
     }
 
@@ -171,51 +124,12 @@ pub(crate) struct TenantState {
     /// instant a backpressured arrival can enter the queue.
     pub freed_at: f64,
     pub stats: TenantStats,
-    /// Index (`floor(submit / window_us)`, kept as f64 so huge clocks never
-    /// overflow a cast) of the SLO window the debt below belongs to.
-    gc_window: f64,
-    /// Collection debt accumulated inside the current SLO window, µs.
-    gc_window_debt: f64,
 }
 
 impl TenantState {
     pub(crate) fn new(spec: TenantSpec) -> Self {
         let stats = TenantStats::new(&spec);
-        TenantState {
-            spec,
-            stream: Vec::new(),
-            next: 0,
-            sq: VecDeque::new(),
-            freed_at: 0.0,
-            stats,
-            gc_window: 0.0,
-            gc_window_debt: 0.0,
-        }
-    }
-
-    /// Rolls the SLO window forward to the one containing `submit` and
-    /// returns the remaining debt allowance for a command dispatched now —
-    /// `None` when the tenant has no SLO (allowance stays uncapped). A
-    /// returned `0.0` means the window budget is spent; the caller counts
-    /// the dispatch as throttled.
-    pub(crate) fn gc_allowance(&mut self, submit: f64) -> Option<f64> {
-        let slo = self.spec.gc_slo?;
-        let window = (submit / slo.window_us).floor();
-        if window != self.gc_window {
-            self.gc_window = window;
-            self.gc_window_debt = 0.0;
-        }
-        Some((slo.debt_us - self.gc_window_debt).max(0.0))
-    }
-
-    /// Charges `debt_us` of collection work to the current SLO window and
-    /// folds it into the tenant's totals. Call only for SLO tenants, after
-    /// the dispatch whose [`TenantState::gc_allowance`] selected the
-    /// window.
-    pub(crate) fn charge_gc_debt(&mut self, debt_us: f64) {
-        self.gc_window_debt += debt_us;
-        self.stats.gc_debt_us += debt_us;
-        self.stats.gc_window_peak_us = self.stats.gc_window_peak_us.max(self.gc_window_debt);
+        TenantState { spec, stream: Vec::new(), next: 0, sq: VecDeque::new(), freed_at: 0.0, stats }
     }
 
     /// Arrival time of the next not-yet-admitted request, if any.

@@ -241,7 +241,7 @@ fn batched_drain_matches_stepper_drain_with_sliced_gc() {
 fn batched_drain_matches_stepper_drain_with_patrol_active() {
     // Full integrity stack under multi-tenant arbitration: every idle-gap
     // patrol slice, every overdue-patrol ladder payment (folded into
-    // gc_stall_us and the SLO ledgers) and every reactive refresh.
+    // gc_stall_us) and every reactive refresh.
     let mut config = sliced_config();
     config.integrity = IntegrityConfig {
         track: true,
@@ -262,8 +262,8 @@ fn batched_drain_matches_stepper_drain_with_patrol_active() {
 fn batched_drain_matches_stepper_drain_with_active_parity() {
     // Parity on + faulty media under multi-tenant arbitration: stripe
     // rebuilds fire mid-drain and their emergency-GC slices land in
-    // gc_stall_us, which the SLO frontends charge per tenant. Parity off on
-    // the same media must stay inert: no stripe reads.
+    // gc_stall_us. Parity off on the same media must stay inert: no stripe
+    // reads.
     for (parity, want) in [(ParityConfig::On, PARITY_ON), (ParityConfig::Off, PARITY_OFF)] {
         let mut config = FtlConfig::small_test();
         config.queue_model = QueueModel::PerChip;
