@@ -1,7 +1,7 @@
 //! Parallel fleet replay with deterministic canonical-order reduction.
 
 use crate::workload::FleetWorkload;
-use ftl::{FtlConfig, FtlError, LatencyHistogram, QosClass, Ssd};
+use ftl::{FtlConfig, LatencyHistogram, QosClass, Ssd};
 use host::{Arbitration, HostFrontend, TenantSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -215,19 +215,13 @@ fn replay_shard(config: &FleetConfig, device: usize) -> ftl::Result<HostFrontend
 ///
 /// # Errors
 ///
-/// Returns [`FtlError::InvalidConfig`] for a fleet of zero devices;
-/// otherwise propagates the first device error in device-id order (every
-/// device still runs; errors don't cancel the fleet).
+/// Propagates the first device error in device-id order (every device
+/// still runs; errors don't cancel the fleet).
 fn run_shards<R: Send + Sync>(
     config: &FleetConfig,
     per_device: fn(&FleetConfig, usize) -> ftl::Result<R>,
 ) -> ftl::Result<Vec<R>> {
-    let n = config.workload.devices;
-    if n == 0 {
-        return Err(FtlError::InvalidConfig {
-            reason: "a fleet needs at least one device".to_string(),
-        });
-    }
+    let n = config.workload.devices();
     let results: Vec<OnceLock<ftl::Result<R>>> = (0..n).map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
     let workers = if config.workers == 0 {
@@ -334,8 +328,7 @@ fn soak_device(config: &FleetConfig, device: usize) -> ftl::Result<SoakDeviceRep
 ///
 /// # Errors
 ///
-/// Returns [`FtlError::InvalidConfig`] for a fleet of zero devices;
-/// otherwise propagates the first device error in device-id order.
+/// Propagates the first device error in device-id order.
 pub fn run_fleet_soak(config: &FleetConfig) -> ftl::Result<SoakReport> {
     let devices = run_shards(config, soak_device)?;
     Ok(SoakReport {
@@ -358,9 +351,8 @@ pub fn run_fleet_soak(config: &FleetConfig) -> ftl::Result<SoakReport> {
 ///
 /// # Errors
 ///
-/// Returns [`FtlError::InvalidConfig`] for a fleet of zero devices;
-/// otherwise propagates the first device error in device-id order (every
-/// device still runs; errors don't cancel the fleet).
+/// Propagates the first device error in device-id order (every device
+/// still runs; errors don't cancel the fleet).
 pub fn run_fleet(config: &FleetConfig) -> ftl::Result<FleetReport> {
     let devices = run_shards(config, run_device)?;
     let latency = LatencyHistogram::fold(devices.iter().map(|d| &d.latency));
@@ -377,24 +369,4 @@ pub fn run_fleet(config: &FleetConfig) -> ftl::Result<FleetReport> {
         devices,
         latency,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn zero_device_fleet_is_an_error_not_a_panic() {
-        let mut workload = FleetWorkload::new(10, 1);
-        workload.devices = 0;
-        let config = FleetConfig {
-            device_config: FtlConfig::small_test(),
-            workload,
-            fleet_seed: 1,
-            arbitration: Arbitration::RoundRobin,
-            workers: 2,
-        };
-        assert!(matches!(run_fleet(&config), Err(FtlError::InvalidConfig { .. })));
-        assert!(matches!(run_fleet_soak(&config), Err(FtlError::InvalidConfig { .. })));
-    }
 }

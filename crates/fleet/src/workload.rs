@@ -63,8 +63,9 @@ pub struct UserOp {
 pub struct FleetWorkload {
     /// Number of logical users across the fleet.
     pub users: u64,
-    /// Number of simulated devices (shards).
-    pub devices: usize,
+    /// Number of simulated devices (shards); private so it keeps the
+    /// nonzero count [`FleetWorkload::new`] checked.
+    devices: usize,
     /// Mean ops per user; actual counts are Pareto-distributed (α = 1.5)
     /// around this mean, so a small fraction of whales dominates volume.
     pub mean_ops_per_user: f64,
@@ -124,6 +125,12 @@ impl FleetWorkload {
             diurnal_period_us: 2_000_000.0,
             start_spread_us: 2_000_000.0,
         }
+    }
+
+    /// Number of simulated devices (shards), at least one.
+    #[must_use]
+    pub fn devices(&self) -> usize {
+        self.devices
     }
 
     /// The device a user's traffic lands on: a seeded hash, independent of
@@ -296,6 +303,12 @@ mod tests {
             // First op must be a write (nothing readable yet).
             assert_eq!(x[0].request.op, IoOp::Write);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet needs at least one device")]
+    fn zero_device_fleet_is_rejected_at_construction() {
+        let _ = FleetWorkload::new(10, 0);
     }
 
     #[test]

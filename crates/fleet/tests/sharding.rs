@@ -20,7 +20,7 @@ fn workload(users: u64, devices: usize) -> FleetWorkload {
 /// keyed by user id.
 fn per_user_subsequences(w: &FleetWorkload, seed: u64) -> Vec<(u64, Vec<UserOp>)> {
     let mut by_user: Vec<(u64, Vec<UserOp>)> = Vec::new();
-    for device in 0..w.devices {
+    for device in 0..w.devices() {
         for op in w.shard_ops(seed, device, LOGICAL_PAGES) {
             match by_user.iter_mut().find(|(u, _)| *u == op.user) {
                 Some((_, ops)) => ops.push(op),

@@ -4,7 +4,7 @@
 
 use crate::config::QosClass;
 use crate::error::FtlError;
-use crate::recovery::SporState;
+use crate::recovery::Spor;
 use crate::Result;
 use flash_model::{BlockAddr, FlashArray, MpOutcome, PageAddr, PageOob, PageType, WlAddr};
 use pvcheck::gather::BlockGatherer;
@@ -35,7 +35,8 @@ pub(crate) const PURPOSES: [Purpose; 4] = [
     Purpose::Host(QosClass::Background),
 ];
 
-/// The open-superblock slots, one per placement target.
+/// The open-superblock slots, one per placement target, in [`PURPOSES`]
+/// order.
 ///
 /// This is the per-tenant half of the placement hook: [`ActiveSlots::slot`]
 /// picks which open superblock a write streams into (so tenants of
@@ -43,63 +44,31 @@ pub(crate) const PURPOSES: [Purpose; 4] = [
 /// [`crate::manager::speed_class_for`] picks which end of the
 /// process-variation ranking that superblock is assembled from.
 #[derive(Debug, Default)]
-pub(crate) struct ActiveSlots {
-    /// `Standard` host writes (the pre-QoS `host_active`).
-    host: Option<ActiveSuperblock>,
-    /// GC relocations.
-    gc: Option<ActiveSuperblock>,
-    /// `LatencyCritical` host writes.
-    latency_critical: Option<ActiveSuperblock>,
-    /// `Background` host writes.
-    background: Option<ActiveSuperblock>,
-}
+pub(crate) struct ActiveSlots([Option<ActiveSuperblock>; PURPOSES.len()]);
 
 impl ActiveSlots {
     /// The slot a write of `purpose` streams into.
     pub(crate) fn slot(&mut self, purpose: Purpose) -> &mut Option<ActiveSuperblock> {
-        match purpose {
-            Purpose::Host(QosClass::Standard) => &mut self.host,
-            Purpose::Gc => &mut self.gc,
-            Purpose::Host(QosClass::LatencyCritical) => &mut self.latency_critical,
-            Purpose::Host(QosClass::Background) => &mut self.background,
-        }
+        let index = match purpose {
+            Purpose::Host(QosClass::Standard) => 0,
+            Purpose::Gc => 1,
+            Purpose::Host(QosClass::LatencyCritical) => 2,
+            Purpose::Host(QosClass::Background) => 3,
+        };
+        &mut self.0[index]
     }
 
     /// Open superblocks in the fixed [`PURPOSES`] order (checkpoints
     /// iterate this).
     pub(crate) fn iter(&self) -> impl Iterator<Item = &ActiveSuperblock> {
-        [&self.host, &self.gc, &self.latency_critical, &self.background].into_iter().flatten()
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut ActiveSuperblock> {
-        [&mut self.host, &mut self.gc, &mut self.latency_critical, &mut self.background]
-            .into_iter()
-            .flatten()
-    }
-
-    /// Whether any slot holds a staged (not yet programmed) copy of `lpn`.
-    pub(crate) fn any_staged(&self, lpn: u64) -> bool {
-        self.iter().any(|a| a.has_staged(lpn))
+        self.0.iter().flatten()
     }
 
     /// Replaces staged copies of `lpn` with filler in every slot (trim).
     pub(crate) fn discard_staged(&mut self, lpn: u64) {
-        for a in self.iter_mut() {
+        for a in self.0.iter_mut().flatten() {
             a.discard_staged(lpn);
         }
-    }
-
-    /// Drops every open superblock (RAM loss on power failure).
-    pub(crate) fn clear(&mut self) {
-        self.host = None;
-        self.gc = None;
-        self.latency_critical = None;
-        self.background = None;
-    }
-
-    /// Whether no superblock is open in any slot.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.iter().next().is_none()
     }
 }
 
@@ -257,7 +226,7 @@ impl ActiveSuperblock {
     pub(crate) fn program_superwl(
         &mut self,
         array: &mut FlashArray,
-        spor: &mut SporState,
+        spor: &mut Spor,
     ) -> Result<SuperwlProgram> {
         debug_assert_eq!(self.staging.len(), self.data_pages());
         debug_assert!(!self.is_full());
@@ -387,8 +356,8 @@ mod tests {
     use crate::recovery::SporConfig;
     use flash_model::{BlockId, ChipId, FlashConfig, PlaneId};
 
-    fn spor() -> SporState {
-        SporState::new(&SporConfig::default())
+    fn spor() -> Spor {
+        Spor::new(&SporConfig::default())
     }
 
     fn setup() -> (FlashArray, ActiveSuperblock) {
@@ -550,7 +519,7 @@ mod tests {
         use crate::recovery::CrashPoint;
         let (mut array, mut a) = setup();
         // A 1-op fuse always fires on the first member program.
-        let mut spor = SporState::new(&SporConfig {
+        let mut spor = Spor::new(&SporConfig {
             checkpoint_interval: 0,
             crash: Some(CrashPoint { seed: 0, max_ops: 1 }),
         });
@@ -559,7 +528,7 @@ mod tests {
         }
         let err = a.program_superwl(&mut array, &mut spor).unwrap_err();
         assert!(matches!(err, FtlError::PowerLoss));
-        assert!(spor.crashed);
+        assert!(spor.crashed());
         // Member 0 was interrupted: its word-line is torn and unreadable,
         // and the block takes no further programs until erased.
         let torn = array.torn_lwl(a.members[0]).unwrap();

@@ -1,23 +1,23 @@
 //! The SSD facade: request dispatch, write path, foreground GC and timing.
 
 use crate::active::{ActiveSlots, ActiveSuperblock, FailedMember, Purpose, FILLER, PURPOSES};
-use crate::config::{FtlConfig, PatrolConfig, PatrolOrder, QosClass};
+use crate::config::{FtlConfig, PatrolConfig, QosClass};
 use crate::error::FtlError;
-use crate::gc::{select_victim, GcBudget, GcJob, PatrolBuffers, PatrolJob, SealedSuperblock};
+use crate::gc::{Collector, GcBudget, GcStep, SealedSuperblock};
+use crate::integrity::Integrity;
 use crate::manager::{speed_class_for, BlockManager};
 use crate::mapping::Mapping;
-use crate::recovery::{JournalEntry, RecoveryReport, SporState, NO_PAGE};
+use crate::recovery::{RecoveryReport, Spor};
 use crate::request::{IoOp, IoRequest};
 use crate::sched::DepthTracker;
 use crate::stats::SsdStats;
 use crate::timing::{Clocks, QueueModel, Replay, TimedOutcome, TouchLog, CONTROLLER};
 use crate::Result;
 use flash_model::{
-    BlockAddr, BlockSummaryRecord, FlashArray, FlashError, LwlId, MpOutcome, PageAddr, SealRecord,
-    WlAddr, WordLine,
+    BlockAddr, BlockSummaryRecord, FlashArray, FlashError, MpOutcome, PageAddr, SealRecord, WlAddr,
+    WordLine,
 };
 use pvcheck::{BlockSummary, Characterizer, EigenSequence, SpeedClass};
-use std::collections::HashSet;
 
 /// Shape summary handed to workload generators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,42 +55,21 @@ pub struct Ssd {
     mapping: Mapping,
     manager: BlockManager,
     actives: ActiveSlots,
-    sealed: Vec<SealedSuperblock>,
     stats: SsdStats,
-    logical_pages: u64,
-    seal_seq: u64,
     touches: TouchLog,
     scratch: Vec<(u64, PageAddr)>,
     /// Construction seed, kept so recovery can rebuild the block manager
     /// with the identical derived RNG stream.
     seed: u64,
-    /// Next superblock identity to hand out.
-    sb_seq: u64,
-    /// SPOR machinery: crash countdown, journal, checkpoint, sequences.
-    spor: SporState,
+    /// SPOR: crash countdown, journal, checkpoint and sequences.
+    spor: Spor,
+    /// Sealed superblocks, victim choice and the parked GC job.
+    collector: Collector,
+    /// Write times ([`Ssd::device_clock_us`]) and the patrol pass.
+    integrity: Integrity,
     /// Clocks and depth tracker of an in-progress incremental timed replay
     /// ([`Ssd::timed_begin`] … [`Ssd::timed_end`]); `None` outside one.
     replay: Option<Replay>,
-    /// Reused buffer for the LPNs a checkpoint drains from the mapping's
-    /// change record.
-    changed_lpns: Vec<u64>,
-    /// Partially collected victim parked between GC slices (sliced
-    /// collection and the emergency floor; [`Ssd::gc_once`] never parks);
-    /// `None` when no collection is mid-flight.
-    gc_job: Option<GcJob>,
-    /// Per-LPN write time on the device clock, µs
-    /// ([`Ssd::device_clock_us`]); `Some` only when integrity tracking is
-    /// on. Reset on every program of the LPN (a relocation rewrites the
-    /// physical charge, so its retention clock restarts).
-    birth_us: Option<Vec<f64>>,
-    /// Partially completed patrol pass parked between slices; `None` when
-    /// no pass is mid-flight. Cursors live only in RAM (crash-safe to drop:
-    /// the pass merely restarts).
-    patrol_job: Option<PatrolJob>,
-    /// The pass's scan order plus scratch buffers reused by every step.
-    patrol_bufs: PatrolBuffers,
-    /// Device-clock time at which the next patrol pass is due, µs.
-    patrol_due_at: f64,
     /// Wall time the device spent idle during timed replays, µs: the sum of
     /// gaps where the next arrival lay beyond all accrued work. Charge
     /// trapped in flash cells leaks during idle time exactly as during
@@ -144,12 +123,49 @@ fn ladder_pays(class: QosClass, (due, overdue): (bool, bool)) -> bool {
 /// torn by a power loss). A free function so the view borrows only the
 /// array, leaving the rest of the device free for stats and clock updates
 /// while it lives.
-fn readable_word_line(array: &FlashArray, wl: WlAddr) -> Result<Option<WordLine<'_>>> {
+pub(crate) fn readable_word_line(array: &FlashArray, wl: WlAddr) -> Result<Option<WordLine<'_>>> {
     match array.word_line(wl) {
         Ok(line) => Ok(Some(line)),
         Err(FlashError::ReadUnwritten { .. } | FlashError::TornWordLine { .. }) => Ok(None),
         Err(e) => Err(e.into()),
     }
+}
+
+/// The block manager over `array` as it stands: a fresh one on `seed`'s
+/// derived stream with the bad blocks in `retired` out and every member
+/// of `sealed` claimed, then every summary the device knows learned — the
+/// pre-characterization pass when configured, then each persisted seal
+/// record — so QSTR-MED resumes without re-characterizing anything.
+fn build_manager(
+    config: &FtlConfig,
+    array: &FlashArray,
+    seed: u64,
+    retired: &[BlockAddr],
+    sealed: &[SealedSuperblock],
+) -> BlockManager {
+    let geo = array.geometry();
+    let mut manager = BlockManager::new(geo, config.scheme, seed ^ 0x5eed);
+    for &addr in retired {
+        manager.retire(addr);
+    }
+    for &m in sealed.iter().flat_map(SealedSuperblock::members) {
+        manager.claim(m);
+    }
+    if config.precharacterize {
+        let pool = Characterizer::new(&config.flash).snapshot(array.latency_model(), 0);
+        for profile in pool.iter() {
+            manager.learn(profile.summary(geo.strings()));
+        }
+    }
+    for s in array.seal_records().iter().flat_map(|record| &record.summaries) {
+        manager.learn(BlockSummary {
+            addr: s.addr,
+            pgm_sum_us: s.pgm_sum_us,
+            eigen: EigenSequence::from_bits(s.eigen_bits.iter().copied()),
+        });
+    }
+    manager.promote_known();
+    manager
 }
 
 impl Ssd {
@@ -171,45 +187,21 @@ impl Ssd {
         // per super word-line) is raw capacity the host can never address.
         let usable_pages = physical_pages - config.parity_reserve_pages(physical_pages);
         let logical_pages = logical_capacity(usable_pages, config.overprovision);
-        let mut manager = BlockManager::new(&geo, config.scheme, seed ^ 0x5eed);
-        if config.precharacterize {
-            let pool = Characterizer::new(&config.flash).snapshot(array.latency_model(), 0);
-            let strings = geo.strings();
-            for profile in pool.iter() {
-                manager.learn(profile.summary(strings));
-            }
-            manager.promote_known();
-        }
-        let spor = SporState::new(&config.spor);
-        let birth_us = config
-            .integrity
-            .track
-            .then(|| vec![0.0f64; usize::try_from(logical_pages).expect("capacity fits usize")]);
-        let mut mapping = Mapping::new(logical_pages, &geo);
-        mapping.track_changes();
         Ok(Ssd {
-            config,
-            array,
-            mapping,
-            manager,
+            mapping: Mapping::new(logical_pages, &geo),
+            manager: build_manager(&config, &array, seed, &[], &[]),
             actives: ActiveSlots::default(),
-            sealed: Vec::new(),
             stats: SsdStats::default(),
-            logical_pages,
-            seal_seq: 0,
             touches: TouchLog::new(geo.chip_plane_groups()),
             scratch: Vec::new(),
             seed,
-            sb_seq: 0,
-            spor,
+            spor: Spor::new(&config.spor),
+            collector: Collector::default(),
+            integrity: Integrity::new(&config.integrity, logical_pages),
             replay: None,
-            changed_lpns: Vec::new(),
-            gc_job: None,
-            birth_us,
-            patrol_job: None,
-            patrol_bufs: PatrolBuffers::default(),
-            patrol_due_at: 0.0,
             idle_wall_us: 0.0,
+            config,
+            array,
         })
     }
 
@@ -225,9 +217,8 @@ impl Ssd {
     /// state would be lost).
     pub fn use_naive_mapping_for_benchmarks(&mut self) {
         assert_eq!(self.mapping.valid_pages(), 0, "switch mappings only on a fresh device");
-        assert!(self.actives.is_empty(), "switch mappings only on a fresh device");
-        self.mapping = Mapping::new_naive(self.logical_pages);
-        self.mapping.track_changes();
+        assert!(self.actives.iter().next().is_none(), "switch mappings only on a fresh device");
+        self.mapping = Mapping::new_naive(self.mapping.capacity());
     }
 
     /// Shape summary for workload generation.
@@ -236,7 +227,7 @@ impl Ssd {
         let geo = self.array.geometry();
         let pools = u64::from(geo.chips()) * u64::from(geo.planes_per_chip());
         GeometryInfo {
-            logical_pages: self.logical_pages,
+            logical_pages: self.mapping.capacity(),
             physical_pages: geo.total_blocks() * u64::from(geo.pages_per_block()),
             pages_per_superblock: pools * u64::from(geo.pages_per_block()),
         }
@@ -392,7 +383,7 @@ impl Ssd {
                     // victim when the gap runs out.
                     let now = clocks.drained_at();
                     if now < arrival && self.manager.assemblable() < self.config.gc_high_watermark {
-                        let t = self.gc_slice(arrival - now)?;
+                        let t = self.gc_slice(arrival - now, self.config.gc_high_watermark)?;
                         if t > 0.0 {
                             self.stats.idle_gc_us += t;
                             clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
@@ -403,7 +394,7 @@ impl Ssd {
         }
         // Patrol scrubbing rides whatever idle gap is left after GC.
         let now = clocks.drained_at();
-        if now < arrival && self.patrol_due() {
+        if now < arrival && self.integrity.patrol_due(self.device_clock_us()) {
             let t = self.patrol_slice(arrival - now)?;
             if t > 0.0 {
                 self.stats.patrol_us += t;
@@ -450,12 +441,8 @@ impl Ssd {
     pub fn run(&mut self, requests: &[IoRequest]) -> Result<()> {
         for r in requests {
             match r.op {
-                IoOp::Write => {
-                    self.write(r.lpn)?;
-                }
-                IoOp::Read => {
-                    self.read(r.lpn)?;
-                }
+                IoOp::Write => self.write(r.lpn).map(drop)?,
+                IoOp::Read => self.read(r.lpn).map(drop)?,
                 IoOp::Trim => self.trim(r.lpn)?,
             }
         }
@@ -469,21 +456,17 @@ impl Ssd {
         self.touches.record(group, us);
     }
 
-    /// Records host-channel occupancy (a page transfer).
-    fn touch_controller(&mut self, us: f64) {
-        self.touches.record(CONTROLLER, us);
-    }
-
     fn check_lpn(&self, lpn: u64) -> Result<()> {
-        if lpn >= self.logical_pages {
-            return Err(FtlError::LpnOutOfRange { lpn, capacity: self.logical_pages });
+        let capacity = self.mapping.capacity();
+        if lpn >= capacity {
+            return Err(FtlError::LpnOutOfRange { lpn, capacity });
         }
         Ok(())
     }
 
     /// Rejects requests on a crashed device until [`Ssd::recover`] runs.
     fn ensure_powered(&self) -> Result<()> {
-        if self.spor.crashed {
+        if self.spor.crashed() {
             return Err(FtlError::PowerLoss);
         }
         Ok(())
@@ -493,7 +476,7 @@ impl Ssd {
     /// been called.
     #[must_use]
     pub fn has_crashed(&self) -> bool {
-        self.spor.crashed
+        self.spor.crashed()
     }
 
     /// The page mapping (read access for verification and tests).
@@ -538,7 +521,7 @@ impl Ssd {
     fn serve_write(&mut self, lpn: u64, class: QosClass) -> Result<f64> {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
-        self.touch_controller(TRANSFER_US);
+        self.touches.record(CONTROLLER, TRANSFER_US);
         let mut latency = TRANSFER_US;
         // Collection and overdue patrol work land in one stall.
         let stall = self.pay_background(class)?;
@@ -575,62 +558,55 @@ impl Ssd {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
         // Serve from the staging buffers first (write-back cache).
-        let staged = self.actives.any_staged(lpn);
-        let latency = if staged {
-            self.touch_controller(TRANSFER_US);
+        let latency = if self.actives.iter().any(|a| a.has_staged(lpn)) {
+            self.touches.record(CONTROLLER, TRANSFER_US);
             TRANSFER_US
         } else {
-            match self.mapping.lookup(lpn) {
-                None => return Ok(None),
-                Some(ppa) => {
-                    let (tag, t) = self.array.read_page(ppa)?;
-                    debug_assert_eq!(tag, lpn, "mapping points at the right payload");
-                    self.touch_controller(TRANSFER_US);
-                    if self.config.fault.enabled() || self.config.integrity.track {
-                        // Consult the ECC model at the page's true data age;
-                        // pages past the retry ladder are refreshed
-                        // (rewritten elsewhere) before they rot into data
-                        // loss. Without integrity tracking the age is 0 and
-                        // the disturb count is 0, reproducing the fault-only
-                        // path bit for bit.
-                        let bits = self.array.expected_error_bits(ppa, self.data_age_hours(lpn));
-                        let flash_us = self.config.retry.read_latency_us(t, bits);
-                        self.touch_block(ppa.wl.block, flash_us);
-                        if self.config.retry.is_uncorrectable(bits) {
-                            // The relocation is background work: the host
-                            // sees only the sensing + retry + transfer time,
-                            // and the rewrite lands in `refresh_us` (still
-                            // advancing `busy_us`).
-                            self.stats.uncorrectable_reads += 1;
-                            if self.config.parity.enabled() {
-                                self.rebuild_page(lpn, ppa, None)?;
-                            }
-                            // A read-heavy phase stages refreshes with no
-                            // host write in sight to trigger collection, so
-                            // the refresh pays the emergency floor itself.
-                            let slice = self.reclaim_floor()?;
-                            let restage = self.stage_write(lpn, Purpose::Gc)?;
-                            if self.config.parity.enabled() && slice > 0.0 {
-                                // Rebuild-triggered emergency collection is
-                                // paid like a foreground GC stall.
-                                self.stats.gc_stall_us += slice;
-                                self.stats.gc_stall.record(slice);
-                                self.stats.busy_us += slice;
-                                self.stats.refresh_us += restage;
-                                self.stats.busy_us += restage;
-                            } else {
-                                let refresh = slice + restage;
-                                self.stats.refresh_us += refresh;
-                                self.stats.busy_us += refresh;
-                            }
-                            self.stats.refresh_relocations += 1;
-                        }
-                        flash_us + TRANSFER_US
-                    } else {
-                        self.touch_block(ppa.wl.block, t);
-                        t + TRANSFER_US
+            let Some(ppa) = self.mapping.lookup(lpn) else { return Ok(None) };
+            let (tag, t) = self.array.read_page(ppa)?;
+            debug_assert_eq!(tag, lpn, "mapping points at the right payload");
+            self.touches.record(CONTROLLER, TRANSFER_US);
+            if self.consults_ecc() {
+                // Consult the ECC model at the page's true data age; pages
+                // past the retry ladder are refreshed (rewritten elsewhere)
+                // before they rot into data loss. Without integrity tracking
+                // the age is 0 and the disturb count is 0, reproducing the
+                // fault-only path bit for bit.
+                let bits = self.array.expected_error_bits(ppa, self.data_age_hours(lpn));
+                let flash_us = self.config.retry.read_latency_us(t, bits);
+                self.touch_block(ppa.wl.block, flash_us);
+                if self.config.retry.is_uncorrectable(bits) {
+                    // The relocation is background work: the host sees only
+                    // the sensing + retry + transfer time, and the rewrite
+                    // lands in `refresh_us` (still advancing `busy_us`).
+                    self.stats.uncorrectable_reads += 1;
+                    if self.config.parity.enabled() {
+                        self.rebuild_page(lpn, ppa, None)?;
                     }
+                    // A read-heavy phase stages refreshes with no host write
+                    // in sight to trigger collection, so the refresh pays
+                    // the emergency floor itself.
+                    let slice = self.reclaim_floor()?;
+                    let restage = self.stage_write(lpn, Purpose::Gc)?;
+                    if self.config.parity.enabled() && slice > 0.0 {
+                        // Rebuild-triggered emergency collection is paid
+                        // like a foreground GC stall.
+                        self.stats.gc_stall_us += slice;
+                        self.stats.gc_stall.record(slice);
+                        self.stats.busy_us += slice;
+                        self.stats.refresh_us += restage;
+                        self.stats.busy_us += restage;
+                    } else {
+                        let refresh = slice + restage;
+                        self.stats.refresh_us += refresh;
+                        self.stats.busy_us += refresh;
+                    }
+                    self.stats.refresh_relocations += 1;
                 }
+                flash_us + TRANSFER_US
+            } else {
+                self.touch_block(ppa.wl.block, t);
+                t + TRANSFER_US
             }
         };
         self.stats.host_reads += 1;
@@ -660,22 +636,16 @@ impl Ssd {
         stripe: Option<&[BlockAddr]>,
     ) -> Result<()> {
         debug_assert!(self.config.parity.enabled());
-        // A GC caller hands the victim's members directly (the victim may
-        // already be off the sealed list); otherwise locate the stripe.
-        let members: Option<Vec<BlockAddr>> = match stripe {
-            Some(m) => Some(m.to_vec()),
-            None => self
-                .sealed
-                .iter()
-                .find(|s| s.members.contains(&ppa.wl.block))
-                .map(|s| s.members.clone())
-                .or_else(|| {
-                    self.actives
-                        .iter()
-                        .find(|a| a.members.contains(&ppa.wl.block))
-                        .map(|a| a.members.clone())
-                }),
-        };
+        // A GC caller may hand the victim's members directly (the victim
+        // may already be off the sealed list); otherwise locate the stripe.
+        let block = ppa.wl.block;
+        let members = stripe
+            .or_else(|| self.collector.stripe_of(block))
+            .or_else(|| {
+                let open = self.actives.iter().find(|a| a.members.contains(&block));
+                open.map(|a| &a.members[..])
+            })
+            .map(<[BlockAddr]>::to_vec);
         let Some(members) = members else {
             self.stats.rebuilds_failed += 1;
             return Ok(());
@@ -732,29 +702,11 @@ impl Ssd {
         Ok(())
     }
 
-    /// ECC check on a GC relocation read. With parity off this is the
-    /// historical relocation path bit for bit (raw sense time, no ECC
-    /// consult); with parity on the relocation pays the retry ladder and an
-    /// uncorrectable source page is rebuilt from its stripe before the
-    /// relocation's own restage replaces it. Returns the charged read time.
-    fn gc_read_with_parity_check(
-        &mut self,
-        lpn: u64,
-        ppa: PageAddr,
-        t_read: f64,
-        stripe: &[BlockAddr],
-    ) -> Result<f64> {
-        if !self.config.parity.enabled()
-            || !(self.config.fault.enabled() || self.config.integrity.track)
-        {
-            return Ok(t_read);
-        }
-        let bits = self.array.expected_error_bits(ppa, self.data_age_hours(lpn));
-        if self.config.retry.is_uncorrectable(bits) {
-            self.stats.uncorrectable_reads += 1;
-            self.rebuild_page(lpn, ppa, Some(stripe))?;
-        }
-        Ok(self.config.retry.read_latency_us(t_read, bits))
+    /// Whether reads consult the ECC model at the page's data age: with
+    /// media faults injected or integrity tracked. Otherwise a read costs
+    /// its raw sense time, bit for bit the fault-free path.
+    fn consults_ecc(&self) -> bool {
+        self.config.fault.enabled() || self.config.integrity.track
     }
 
     /// Invalidates one logical page.
@@ -767,12 +719,7 @@ impl Ssd {
         self.check_lpn(lpn)?;
         self.mapping.unmap(lpn);
         self.actives.discard_staged(lpn);
-        // Tombstone: any on-flash copy with a lower sequence number is dead
-        // to recovery, even if its superblock is never scanned again before
-        // the next checkpoint.
-        let seq = self.spor.next_seq();
-        self.spor.trim_seqs.insert(lpn, seq);
-        self.spor.journal.push(JournalEntry::Trimmed { lpn, seq });
+        self.spor.trim(lpn);
         self.stats.host_trims += 1;
         Ok(())
     }
@@ -800,11 +747,7 @@ impl Ssd {
         let mut degraded = false;
         for m in members {
             let mut candidate = Some(m);
-            loop {
-                let Some(addr) = candidate else {
-                    degraded = true;
-                    break;
-                };
+            while let Some(addr) = candidate {
                 if self.spor.op_fires() {
                     // Power died before this erase: the claimed blocks were
                     // never journaled as a superblock, so recovery simply
@@ -824,6 +767,7 @@ impl Ssd {
                     Err(e) => return Err(e.into()),
                 }
             }
+            degraded |= candidate.is_none();
         }
         if ok_members.is_empty() {
             return Err(FtlError::OutOfSpace);
@@ -841,9 +785,7 @@ impl Ssd {
             SpeedClass::Fast => self.stats.superblocks_assembled.0 += 1,
             SpeedClass::Slow => self.stats.superblocks_assembled.1 += 1,
         }
-        let sb_id = self.sb_seq;
-        self.sb_seq += 1;
-        self.spor.journal.push(JournalEntry::Opened { sb_id, members: ok_members.clone() });
+        let sb_id = self.spor.open_superblock(&ok_members);
         let geo = self.array.geometry();
         let active = ActiveSuperblock::new(
             ok_members,
@@ -860,7 +802,7 @@ impl Ssd {
     /// Moves a block to the bad-block table.
     fn retire_block(&mut self, addr: BlockAddr) {
         self.manager.retire(addr);
-        self.spor.journal.push(JournalEntry::Retired { addr });
+        self.spor.retire(addr);
         self.stats.retired_blocks += 1;
     }
 
@@ -875,9 +817,13 @@ impl Ssd {
         for (&b, &t) in result.member_blocks.iter().zip(&result.outcome.member_us) {
             self.touch_block(b, t);
         }
-        self.apply_assignments(&result.assignments);
+        for &(lpn, ppa) in &result.assignments {
+            debug_assert_ne!(lpn, FILLER);
+            self.mapping.map(lpn, ppa);
+        }
+        self.integrity.programmed(&result.assignments, self.device_clock_us());
         self.stats.superwl_programs += 1;
-        self.spor.superwls_since_ckpt += 1;
+        self.spor.count_superwl();
         self.stats.extra_program_us += result.outcome.extra_us;
         Ok((result.outcome.total_us, result.failures))
     }
@@ -981,20 +927,6 @@ impl Ssd {
         Ok(time)
     }
 
-    fn apply_assignments(&mut self, assignments: &[(u64, flash_model::PageAddr)]) {
-        let clock = self.device_clock_us();
-        for &(lpn, ppa) in assignments {
-            debug_assert_ne!(lpn, FILLER);
-            self.mapping.map(lpn, ppa);
-            if let Some(birth) = &mut self.birth_us {
-                // A program resets the physical retention clock of the
-                // logical page — host write, GC relocation and patrol
-                // refresh alike.
-                birth[usize::try_from(lpn).expect("lpn fits usize")] = clock;
-            }
-        }
-    }
-
     fn retire_or_restore(&mut self, active: ActiveSuperblock, purpose: Purpose) {
         if active.members.is_empty() {
             // Every member failed: there is nothing to seal or write into.
@@ -1024,13 +956,7 @@ impl Ssd {
             for summary in summaries {
                 self.manager.learn(summary);
             }
-            self.sealed.push(SealedSuperblock {
-                sb_id,
-                members,
-                sealed_at: self.seal_seq,
-                class: Some(speed_class_for(purpose)),
-            });
-            self.seal_seq += 1;
+            self.collector.seal(sb_id, members, Some(speed_class_for(purpose)));
         } else {
             *self.actives.slot(purpose) = Some(active);
         }
@@ -1055,7 +981,7 @@ impl Ssd {
             }
             GcBudget::Sliced { slice_us } => {
                 let mut time = if ladder_pays(class, self.gc_pressure()) {
-                    self.gc_slice(slice_us)?
+                    self.gc_slice(slice_us, self.config.gc_high_watermark)?
                 } else {
                     0.0
                 };
@@ -1064,10 +990,8 @@ impl Ssd {
                 time
             }
         };
-        if let PatrolConfig::On { slice_us, .. } = self.config.integrity.patrol {
-            if ladder_pays(class, self.patrol_pressure()) {
-                stall += self.patrol_slice(slice_us)?;
-            }
+        if ladder_pays(class, self.integrity.patrol_pressure(self.device_clock_us())) {
+            stall += self.patrol_slice(f64::INFINITY)?;
         }
         Ok(stall)
     }
@@ -1083,7 +1007,7 @@ impl Ssd {
     /// reclaim time (`0` when the pool is not that low).
     fn reclaim_floor(&mut self) -> Result<f64> {
         if self.manager.assemblable() <= 1 {
-            self.gc_slice_toward(f64::INFINITY, 2)
+            self.gc_slice(f64::INFINITY, 2)
         } else {
             Ok(0.0)
         }
@@ -1095,7 +1019,7 @@ impl Ssd {
     fn gc_pressure(&self) -> (bool, bool) {
         let assemblable = self.manager.assemblable();
         let low = assemblable < self.config.gc_low_watermark;
-        let parked = self.gc_job.is_some() && assemblable < self.config.gc_high_watermark;
+        let parked = self.collector.has_job() && assemblable < self.config.gc_high_watermark;
         (low || parked, low)
     }
 
@@ -1107,7 +1031,7 @@ impl Ssd {
     #[must_use]
     pub fn gc_slice_pending(&self) -> bool {
         (matches!(self.config.gc_budget, GcBudget::Sliced { .. }) && self.gc_pressure().0)
-            || self.patrol_pressure().0
+            || self.integrity.patrol_pressure(self.device_clock_us()).0
     }
 
     /// The device clock patrol scheduling and data ages run on: total
@@ -1122,40 +1046,10 @@ impl Ssd {
         self.stats.busy_us + self.stats.idle_gc_us + self.stats.patrol_us + self.idle_wall_us
     }
 
-    /// Data age of `lpn` in retention hours: device time since its last
-    /// program, scaled by the configured aging acceleration. `0.0` whenever
-    /// integrity tracking is off.
+    /// Data age of `lpn` in retention hours at the current device clock
+    /// (`0.0` whenever integrity tracking is off).
     fn data_age_hours(&self, lpn: u64) -> f64 {
-        match &self.birth_us {
-            Some(birth) => {
-                let born = birth[usize::try_from(lpn).expect("lpn fits usize")];
-                (self.device_clock_us() - born).max(0.0)
-                    * self.config.integrity.retention_hours_per_us
-            }
-            None => 0.0,
-        }
-    }
-
-    /// Whether patrol wants a slice right now: a pass is mid-flight, or the
-    /// next one has come due on the device clock.
-    fn patrol_due(&self) -> bool {
-        matches!(self.config.integrity.patrol, PatrolConfig::On { .. })
-            && (self.patrol_job.is_some() || self.device_clock_us() >= self.patrol_due_at)
-    }
-
-    /// Patrol's rungs on the QoS ladder, `(due, overdue)`: one and two full
-    /// intervals past its due time on the device clock.
-    fn patrol_pressure(&self) -> (bool, bool) {
-        match self.config.integrity.patrol {
-            PatrolConfig::On { interval_us, .. } => {
-                let clock = self.device_clock_us();
-                (
-                    clock >= self.patrol_due_at + interval_us,
-                    clock >= self.patrol_due_at + 2.0 * interval_us,
-                )
-            }
-            PatrolConfig::Off => (false, false),
-        }
+        self.integrity.age_hours(lpn, self.device_clock_us())
     }
 
     /// Runs up to `budget_us` of patrol scanning — further capped by the
@@ -1172,214 +1066,151 @@ impl Ssd {
             PatrolConfig::Off => return Ok(0.0),
         };
         let mut time = 0.0;
-        while self.patrol_due() && time < budget {
+        while self.integrity.patrol_due(self.device_clock_us()) && time < budget {
             time += self.patrol_step()?;
         }
         Ok(time)
     }
 
-    /// Refills the sealed-superblock scan order for a new patrol pass.
-    fn fill_patrol_order(&mut self) {
-        let bufs = &mut self.patrol_bufs;
-        bufs.order.clear();
-        match self.config.integrity.patrol {
-            PatrolConfig::On { order: PatrolOrder::SlowPoolFirst, .. } => {
-                // Slow pool first (GC/background data — the cold tail whose
-                // retention ages worst on the worst media), unknown-class
-                // superblocks next, fast ones last; oldest sealed first
-                // within each group.
-                bufs.keys.clear();
-                bufs.keys.extend(self.sealed.iter().map(|s| {
-                    let rank = match s.class {
-                        Some(SpeedClass::Slow) => 0u8,
-                        None => 1,
-                        Some(SpeedClass::Fast) => 2,
-                    };
-                    (rank, s.sealed_at, s.sb_id)
-                }));
-                bufs.keys.sort_unstable();
-                bufs.order.extend(bufs.keys.iter().map(|&(_, _, id)| id));
-            }
-            _ => bufs.order.extend(self.sealed.iter().map(|s| s.sb_id)),
-        }
-    }
-
     /// One word-line-granularity step of the patrol pass: scans every live
-    /// page of the next super word-line, refreshing those whose projected
-    /// error bits crossed the refresh threshold. Completing the pass
-    /// flushes the staged refreshes.
-    ///
-    /// The interval timer re-arms when a pass *starts*, and a pass still
-    /// in flight when the next interval comes due is abandoned and
-    /// restarted from the front of a freshly sorted order. `interval_us`
-    /// is therefore a cadence, not a gap — and when idle bandwidth cannot
-    /// cover the whole device per interval, the scan order decides which
-    /// pages the scarce budget protects: the tail of the order starves.
-    /// Abandonment is safe — staged refreshes stay staged (they flush as
-    /// word lines fill or at the next completed pass) and a scanned-twice
-    /// page merely costs a redundant read.
+    /// page of the super word-line the pass hands out next, refreshing
+    /// those whose projected error bits crossed the refresh threshold.
+    /// Completing the pass flushes the staged refreshes.
     fn patrol_step(&mut self) -> Result<f64> {
-        let PatrolConfig::On { interval_us, refresh_fraction, .. } = self.config.integrity.patrol
-        else {
+        let PatrolConfig::On { refresh_fraction, .. } = self.config.integrity.patrol else {
             return Ok(0.0);
         };
-        let mut job = match self.patrol_job.take() {
-            Some(job) if self.device_clock_us() < self.patrol_due_at => job,
-            _ => {
-                self.patrol_due_at = self.device_clock_us() + interval_us;
-                self.fill_patrol_order();
-                PatrolJob::default()
-            }
+        let (geo, clock) = (self.array.geometry(), self.device_clock_us());
+        let next = self.integrity.next_patrol_wl(clock, &self.collector, geo.lwls_per_block());
+        let Some((lwl, members, mut unrefreshed_live)) = next else {
+            // Pass complete: make the staged refreshes durable so the
+            // rotting copies actually stop being read.
+            let t = self.flush_purpose(Purpose::Gc)?;
+            self.stats.patrol_passes += 1;
+            return Ok(t);
         };
         let refresh_at = refresh_fraction * self.config.retry.uncorrectable_limit();
-        loop {
-            let Some(&sb_id) = self.patrol_bufs.order.get(job.sb_cursor) else {
-                // Pass complete: make the staged refreshes durable so the
-                // rotting copies actually stop being read.
-                let t = self.flush_purpose(Purpose::Gc)?;
-                self.stats.patrol_passes += 1;
-                return Ok(t);
-            };
-            // The superblock may have been collected while the pass was
-            // parked; its id then no longer resolves and the cursor skips.
-            let Some(sb) = self.sealed.iter().find(|s| s.sb_id == sb_id) else {
-                job.sb_cursor += 1;
-                job.lwl_cursor = 0;
-                continue;
-            };
-            let geo = self.array.geometry();
-            if job.lwl_cursor >= geo.lwls_per_block() {
-                job.sb_cursor += 1;
-                job.lwl_cursor = 0;
-                continue;
-            }
-            let pages_per_lwl = geo.pages_per_lwl();
-            let lwl = LwlId(job.lwl_cursor);
-            job.lwl_cursor += 1;
-            let mut members = std::mem::take(&mut self.patrol_bufs.members);
-            members.clear();
-            members.extend_from_slice(&sb.members);
-            let mut time = 0.0;
-            // Parity verification rides the existing scan for free: the OOB
-            // reads below already visit every page of the stripe, so the
-            // stripe XOR accumulates as a side effect and only the parity
-            // payload itself costs one extra read. No second cursor.
-            let parity_on = self.config.parity.enabled();
-            let mut lwl_xor = 0u64;
-            let mut parity_page: Option<PageAddr> = None;
-            let mut live_pages = 0u64;
-            let mut unrefreshed_live = std::mem::take(&mut self.patrol_bufs.unrefreshed_live);
-            unrefreshed_live.clear();
-            for &member in &members {
-                let group = self.array.geometry().chip_plane_index(member);
-                // Pages are scanned in slot order through one view of the
-                // member word-line. A refresh ends the view: its staging
-                // (and the emergency collection before it) may program,
-                // erase or collect this very block, so the remaining pages
-                // are read through a fresh, re-checked view.
-                let mut k = 0;
-                while k < pages_per_lwl {
-                    let Some(line) = readable_word_line(&self.array, member.wl(lwl))? else {
-                        break;
-                    };
-                    let mut refresh = None;
-                    while k < pages_per_lwl && refresh.is_none() {
-                        let slot = k;
-                        k += 1;
-                        let (page, oob) = (line.page(slot), line.oob(slot));
-                        if parity_on {
-                            if oob.is_parity() {
-                                parity_page = Some(page);
-                                continue;
-                            }
-                            // Every data/filler tag — live or stale — is
-                            // part of the stripe XOR (payload tag == OOB lpn
-                            // for both).
-                            lwl_xor ^= oob.lpn;
-                        }
-                        if oob.is_filler() || self.mapping.lookup(oob.lpn) != Some(page) {
-                            // Filler or a stale copy: nothing to protect.
+        let pages_per_lwl = geo.pages_per_lwl();
+        let mut time = 0.0;
+        // Parity verification rides the existing scan for free: the OOB
+        // reads below already visit every page of the stripe, so the
+        // stripe XOR accumulates as a side effect and only the parity
+        // payload itself costs one extra read. No second cursor.
+        let parity_on = self.config.parity.enabled();
+        let mut lwl_xor = 0u64;
+        let mut parity_page: Option<PageAddr> = None;
+        let mut live_pages = 0u64;
+        for &member in &members {
+            let group = self.array.geometry().chip_plane_index(member);
+            // Pages are scanned in slot order through one view of the
+            // member word-line. A refresh ends the view: its staging
+            // (and the emergency collection before it) may program,
+            // erase or collect this very block, so the remaining pages
+            // are read through a fresh, re-checked view.
+            let mut k = 0;
+            while k < pages_per_lwl {
+                let Some(line) = readable_word_line(&self.array, member.wl(lwl))? else {
+                    break;
+                };
+                let mut refresh = None;
+                while k < pages_per_lwl && refresh.is_none() {
+                    let slot = k;
+                    k += 1;
+                    let (page, oob) = (line.page(slot), line.oob(slot));
+                    if parity_on {
+                        if oob.is_parity() {
+                            parity_page = Some(page);
                             continue;
                         }
-                        let (tag, t_read) = line.read(slot);
-                        debug_assert_eq!(tag, oob.lpn);
-                        self.touches.record(group, t_read);
-                        time += t_read;
-                        self.stats.patrol_scanned_pages += 1;
-                        live_pages += 1;
-                        let bits = line.expected_error_bits(slot, self.data_age_hours(oob.lpn));
-                        if bits >= refresh_at {
-                            refresh = Some(oob.lpn);
-                        } else if parity_on {
-                            unrefreshed_live.push(oob.lpn);
-                        }
+                        // Every data/filler tag — live or stale — is
+                        // part of the stripe XOR (payload tag == OOB lpn
+                        // for both).
+                        lwl_xor ^= oob.lpn;
                     }
-                    let Some(lpn) = refresh else { break };
-                    // A refresh-heavy pass through aged media must not
-                    // outrun collection and drain the pool.
+                    if oob.is_filler() || self.mapping.lookup(oob.lpn) != Some(page) {
+                        // Filler or a stale copy: nothing to protect.
+                        continue;
+                    }
+                    let (tag, t_read) = line.read(slot);
+                    debug_assert_eq!(tag, oob.lpn);
+                    self.touches.record(group, t_read);
+                    time += t_read;
+                    self.stats.patrol_scanned_pages += 1;
+                    live_pages += 1;
+                    let bits = line.expected_error_bits(slot, self.data_age_hours(oob.lpn));
+                    if bits >= refresh_at {
+                        refresh = Some(oob.lpn);
+                    } else if parity_on {
+                        unrefreshed_live.push(oob.lpn);
+                    }
+                }
+                let Some(lpn) = refresh else { break };
+                // A refresh-heavy pass through aged media must not
+                // outrun collection and drain the pool.
+                time += self.reclaim_floor()?;
+                time += self.stage_write(lpn, Purpose::Gc)?;
+                self.stats.patrol_refreshes += 1;
+            }
+        }
+        if parity_on && live_pages > 0 {
+            // Live data with no parity page (the parity-carrying member was
+            // dropped) leaves the stripe unprotected.
+            let verified = match parity_page {
+                Some(page) => {
+                    let (ptag, t_read) = self.array.read_page(page)?;
+                    self.touch_block(page.wl.block, t_read);
+                    time += t_read;
+                    ptag == lwl_xor
+                }
+                None => false,
+            };
+            if verified {
+                self.stats.parity_verified += 1;
+            } else {
+                // The stripe can no longer rebuild a lost page: feed its
+                // live pages through the same reactive-refresh path an
+                // uncorrectable read takes, so fresh protected copies
+                // replace the exposed ones.
+                self.stats.parity_mismatch += 1;
+                for &lpn in &unrefreshed_live {
                     time += self.reclaim_floor()?;
                     time += self.stage_write(lpn, Purpose::Gc)?;
-                    self.stats.patrol_refreshes += 1;
+                    self.stats.refresh_relocations += 1;
                 }
             }
-            if parity_on && live_pages > 0 {
-                let mut mismatch = false;
-                match parity_page {
-                    Some(page) => {
-                        let (ptag, t_read) = self.array.read_page(page)?;
-                        self.touch_block(page.wl.block, t_read);
-                        time += t_read;
-                        if ptag == lwl_xor {
-                            self.stats.parity_verified += 1;
-                        } else {
-                            mismatch = true;
-                        }
-                    }
-                    // Live data with no parity page (the parity-carrying
-                    // member was dropped): the stripe is unprotected.
-                    None => mismatch = true,
-                }
-                if mismatch {
-                    // The stripe can no longer rebuild a lost page: feed its
-                    // live pages through the same reactive-refresh path an
-                    // uncorrectable read takes, so fresh protected copies
-                    // replace the exposed ones.
-                    self.stats.parity_mismatch += 1;
-                    for &lpn in &unrefreshed_live {
-                        time += self.reclaim_floor()?;
-                        time += self.stage_write(lpn, Purpose::Gc)?;
-                        self.stats.refresh_relocations += 1;
-                    }
-                }
-            }
-            self.patrol_bufs.members = members;
-            self.patrol_bufs.unrefreshed_live = unrefreshed_live;
-            self.patrol_job = Some(job);
-            return Ok(time);
         }
+        self.integrity.park_patrol(members, unrefreshed_live);
+        Ok(time)
     }
 
-    /// Runs up to `budget_us` of relocation work toward the high watermark,
-    /// parking the in-progress victim when the budget runs out. Yields only
-    /// between word-line steps, so a slice may overrun by one program.
-    fn gc_slice(&mut self, budget_us: f64) -> Result<f64> {
-        self.gc_slice_toward(budget_us, self.config.gc_high_watermark)
-    }
-
-    /// [`Ssd::gc_slice`] with an explicit free-space target (the emergency
-    /// floor reclaims toward 2, not the high watermark).
-    fn gc_slice_toward(&mut self, budget_us: f64, target: usize) -> Result<f64> {
+    /// Runs up to `budget_us` of relocation work until `target`
+    /// superblocks are assemblable (the high watermark; the emergency floor
+    /// reclaims toward 2), parking the in-progress victim when the budget
+    /// runs out. Each step is the one the collector's job asks for —
+    /// relocate a page, or free the drained victim — so a slice may overrun
+    /// by one program.
+    fn gc_slice(&mut self, budget_us: f64, target: usize) -> Result<f64> {
         let mut time = 0.0;
         let mut yielded = false;
         while self.manager.assemblable() < target {
             if time >= budget_us {
-                yielded = self.gc_job.is_some();
+                yielded = self.collector.has_job();
                 break;
             }
-            if self.gc_job.is_none() && !self.gc_start_job() {
-                break;
-            }
-            time += self.gc_job_step()?;
+            let Some(step) = self.collector.next_step(&self.mapping) else { break };
+            time += match step {
+                GcStep::Relocate(lpn, ppa) => {
+                    // The victim stays sealed, so a rebuild finds its stripe.
+                    let (read, program) = self.relocate(lpn, ppa, None)?;
+                    self.collector.relocated(lpn);
+                    read + program
+                }
+                GcStep::Free(victim) => {
+                    let t = self.free_victim(&victim)?;
+                    self.collector.freed(&victim);
+                    t
+                }
+            };
         }
         if time > 0.0 {
             self.stats.gc_slices += 1;
@@ -1391,100 +1222,55 @@ impl Ssd {
         Ok(time)
     }
 
-    /// Selects a victim and parks it as the resumable job. The victim stays
-    /// in the sealed list — and therefore in every checkpoint — until the
-    /// final flush + free, so a crash mid-collection recovers it under its
-    /// old identity. Returns false when nothing is sealed.
-    fn gc_start_job(&mut self) -> bool {
-        let Some(victim_idx) = select_victim(&self.sealed, &self.mapping) else {
-            return false;
-        };
-        let victim = &self.sealed[victim_idx];
-        self.gc_job = Some(GcJob::new(victim.sb_id, victim.members.clone()));
-        true
-    }
-
-    /// One word-line-granularity step of the parked job: relocate the next
-    /// valid page, or — once every member has drained — flush the staged
-    /// copies and free the victim. A step never splits a program, so it is
-    /// the preemption quantum.
-    fn gc_job_step(&mut self) -> Result<f64> {
-        let mut job = self.gc_job.take().expect("caller started a job");
-        loop {
-            if let Some(&(lpn, ppa)) = job.pending.get(job.pending_cursor) {
-                job.pending_cursor += 1;
-                // The host may have overwritten or trimmed the page while
-                // the job was parked; the mapping is the ground truth.
-                if self.mapping.lookup(lpn) != Some(ppa) {
-                    continue;
-                }
-                let (read, program) = self.relocate(lpn, ppa, &job.members)?;
-                job.staged.insert(lpn);
-                self.gc_job = Some(job);
-                return Ok(read + program);
-            }
-            if let Some(&member) = job.members.get(job.member_cursor) {
-                job.member_cursor += 1;
-                // Staged LPNs keep mapping into the victim until their GC
-                // copy programs; filtering them out of the re-collection is
-                // what keeps resumption from relocating a page twice.
-                job.pending.clear();
-                job.pending_cursor = 0;
-                let staged = &job.staged;
-                job.pending.extend(
-                    self.mapping.valid_in_block(member).filter(|(lpn, _)| !staged.contains(lpn)),
-                );
-                continue;
-            }
-            // All members drained: free the victim, then drop it from the
-            // sealed list — only now, after the flush may have sealed new
-            // superblocks behind it.
-            let t = self.free_victim(job.sb_id, &job.members)?;
-            let idx = self
-                .sealed
-                .iter()
-                .position(|s| s.sb_id == job.sb_id)
-                .expect("victim stays sealed until freed");
-            self.sealed.swap_remove(idx);
-            return Ok(t);
-        }
-    }
-
     /// Collects one victim superblock to completion; `None` when no sealed
-    /// victim exists. Unlike [`Ssd::gc_job_step`] the victim leaves the
-    /// sealed list when it is selected (see [`GcBudget`] for why both
-    /// lifecycles stay).
+    /// victim exists. Unlike the sliced job the victim leaves the sealed
+    /// list when it is selected (see [`GcBudget`] for why both lifecycles
+    /// stay).
     fn gc_once(&mut self) -> Result<Option<f64>> {
-        let Some(victim_idx) = select_victim(&self.sealed, &self.mapping) else {
+        let Some(victim) = self.collector.take_victim(&self.mapping) else {
             return Ok(None);
         };
-        let victim = self.sealed.swap_remove(victim_idx);
         let mut time = 0.0;
         // The valid-page iterator borrows the mapping, which stage_write
         // mutates — collect into the reusable scratch buffer first.
         let mut scratch = std::mem::take(&mut self.scratch);
-        for &member in &victim.members {
+        for &member in victim.members() {
             scratch.clear();
             scratch.extend(self.mapping.valid_in_block(member));
             for &(lpn, ppa) in &scratch {
-                let (read, program) = self.relocate(lpn, ppa, &victim.members)?;
+                let (read, program) = self.relocate(lpn, ppa, Some(victim.members()))?;
                 time += read;
                 time += program;
             }
         }
         scratch.clear();
         self.scratch = scratch;
-        time += self.free_victim(victim.sb_id, &victim.members)?;
+        time += self.free_victim(&victim)?;
         Ok(Some(time))
     }
 
-    /// Relocates one valid victim page into the GC slot: the read (through
-    /// the parity check) and the restage. Returns `(read_us, program_us)`
-    /// unsummed, so each collector keeps its own float order.
-    fn relocate(&mut self, lpn: u64, ppa: PageAddr, stripe: &[BlockAddr]) -> Result<(f64, f64)> {
-        let (tag, t_read) = self.array.read_page(ppa)?;
+    /// Relocates one valid victim page into the GC slot: the read and the
+    /// restage, returned unsummed so each collector keeps its float order.
+    /// With parity off the read costs its raw sense time, bit for bit the
+    /// historical path; with parity on it pays the retry ladder, and an
+    /// uncorrectable page is rebuilt from `stripe` (`None`: the sealed
+    /// superblock holding it) before the restage replaces it.
+    fn relocate(
+        &mut self,
+        lpn: u64,
+        ppa: PageAddr,
+        stripe: Option<&[BlockAddr]>,
+    ) -> Result<(f64, f64)> {
+        let (tag, mut t_read) = self.array.read_page(ppa)?;
         debug_assert_eq!(tag, lpn);
-        let t_read = self.gc_read_with_parity_check(lpn, ppa, t_read, stripe)?;
+        if self.config.parity.enabled() && self.consults_ecc() {
+            let bits = self.array.expected_error_bits(ppa, self.data_age_hours(lpn));
+            if self.config.retry.is_uncorrectable(bits) {
+                self.stats.uncorrectable_reads += 1;
+                self.rebuild_page(lpn, ppa, stripe)?;
+            }
+            t_read = self.config.retry.read_latency_us(t_read, bits);
+        }
         self.touch_block(ppa.wl.block, t_read);
         let t_program = self.stage_write(lpn, Purpose::Gc)?;
         self.stats.gc_relocations += 1;
@@ -1496,83 +1282,36 @@ impl Ssd {
     /// and journals it freed. Journaled only now — had power died earlier,
     /// the victim still held its data and is recovered under its old
     /// identity. Returns the flush time.
-    fn free_victim(&mut self, sb_id: u64, members: &[BlockAddr]) -> Result<f64> {
+    fn free_victim(&mut self, victim: &SealedSuperblock) -> Result<f64> {
         let t = self.flush_purpose(Purpose::Gc)?;
-        for &member in members {
+        for &member in victim.members() {
             self.mapping.invalidate_block(member);
-            self.manager.free(member, None);
+            self.manager.free(member);
         }
-        self.spor.journal.push(JournalEntry::Freed { sb_id });
+        self.spor.free(victim.sb_id());
         self.stats.gc_runs += 1;
         Ok(t)
     }
 
-    /// Takes a checkpoint when the configured interval of super word-line
-    /// programs has elapsed. Called at the end of the public operations, so
-    /// every open superblock is parked in its slot.
+    /// Takes a checkpoint (see [`Spor::take_checkpoint`]) when the
+    /// configured interval of super word-line programs has elapsed. Called
+    /// at the end of the public operations, so every open superblock is
+    /// parked in its slot.
     fn maybe_checkpoint(&mut self) -> Result<()> {
-        if self.spor.crashed {
+        if !self.spor.checkpoint_due() {
             return Ok(());
         }
-        let interval = self.config.spor.checkpoint_interval;
-        if interval == 0 || self.spor.superwls_since_ckpt < interval {
-            return Ok(());
-        }
-        self.take_checkpoint()
-    }
-
-    /// Snapshots the FTL RAM state into the capacitor-backed checkpoint and
-    /// clears the journal. Costs zero simulated time and zero RNG draws, so
-    /// checkpointing never perturbs latency results.
-    ///
-    /// Per-LPN columns are refreshed only for the LPNs the mapping recorded
-    /// as changed since the previous checkpoint. Every other LPN's entry is
-    /// still current: a mapped page is never reprogrammed while mapped (so
-    /// its OOB sequence holds), its write time changes only when it is
-    /// remapped, and a tombstone moves only through a trim, which unmaps.
-    fn take_checkpoint(&mut self) -> Result<()> {
-        let ckpt = &mut self.spor.checkpoint;
-        if ckpt.seq.is_empty() {
-            let n = usize::try_from(self.logical_pages).expect("capacity fits usize");
-            ckpt.seq = vec![0; n];
-            ckpt.loc = vec![NO_PAGE; n];
-            if self.birth_us.is_some() {
-                ckpt.birth = vec![0.0; n];
-            }
-        }
-        self.mapping.take_changed(&mut self.changed_lpns);
-        let geo = self.array.geometry();
-        for &lpn in &self.changed_lpns {
-            let i = usize::try_from(lpn).expect("lpn fits usize");
-            (ckpt.seq[i], ckpt.loc[i]) = match self.mapping.lookup(lpn) {
-                Some(ppa) => (self.array.read_oob(ppa)?.seq, geo.page_index(ppa) as u64),
-                None => (self.spor.trim_seqs.get(&lpn).copied().unwrap_or(0), NO_PAGE),
-            };
-            if let Some(birth) = &self.birth_us {
-                ckpt.birth[i] = birth[i];
-            }
-        }
-        ckpt.sealed =
-            self.sealed.iter().map(|s| (s.sb_id, s.members.clone(), s.sealed_at)).collect();
-        ckpt.actives = self.actives.iter().map(|a| (a.sb_id(), a.members.clone())).collect();
-        for e in &self.spor.journal {
-            if let JournalEntry::Retired { addr } = e {
-                ckpt.retired.push(*addr);
-            }
-        }
-        ckpt.write_seq = self.spor.write_seq;
-        ckpt.sb_seq = self.sb_seq;
-        ckpt.seal_seq = self.seal_seq;
-        self.spor.journal.clear();
-        self.spor.superwls_since_ckpt = 0;
-        Ok(())
+        let (array, births) = (&self.array, self.integrity.births());
+        self.spor.take_checkpoint(array, &mut self.mapping, births, &self.collector, &self.actives)
     }
 
     /// Rebuilds all RAM state after a sudden power loss: replays the
     /// journal over the last checkpoint, scans the OOB metadata of every
     /// superblock dirtied since that checkpoint (highest write sequence
     /// wins; pages of a torn super word-line are discarded), restores the
-    /// gathered QSTR-MED summaries from the persisted seal records.
+    /// gathered QSTR-MED summaries from the persisted seal records, and
+    /// takes a fresh checkpoint, so the next recovery scans only what is
+    /// written after this one.
     ///
     /// The durability contract: a write is acknowledged durable only once
     /// its super word-line program completes, so the recovered mapping is
@@ -1587,213 +1326,39 @@ impl Ssd {
     ///
     /// Propagates flash errors (internal invariant bugs).
     pub fn recover(&mut self) -> Result<RecoveryReport> {
-        let geo = self.array.geometry().clone();
         // RAM died with the power: open superblocks, their staging buffers
-        // and gatherers are gone. A parked GC job loses only its cursors —
-        // the victim was never freed, so it comes back sealed and
-        // re-selectable with its remaining valid pages intact. Likewise a
-        // parked patrol pass: its cursors drop and the pass restarts, but
-        // no mapping state ever depended on them.
-        self.actives.clear();
-        self.gc_job = None;
-        self.patrol_job = None;
-        // 1. Replay the journal over the checkpoint's block sets.
-        let mut retired = self.spor.checkpoint.retired.clone();
-        let mut freed: HashSet<u64> = HashSet::new();
-        let mut dirty: Vec<(u64, Vec<BlockAddr>)> = self.spor.checkpoint.actives.clone();
-        self.sb_seq = self.spor.checkpoint.sb_seq;
-        for e in &self.spor.journal {
-            match e {
-                JournalEntry::Opened { sb_id, members } => {
-                    self.sb_seq = self.sb_seq.max(sb_id + 1);
-                    dirty.push((*sb_id, members.clone()));
-                }
-                JournalEntry::Freed { sb_id } => {
-                    freed.insert(*sb_id);
-                }
-                JournalEntry::Retired { addr } => retired.push(*addr),
-                JournalEntry::Trimmed { .. } => {}
-            }
-        }
-        dirty.retain(|(id, _)| !freed.contains(id));
-        let mut sealed: Vec<SealedSuperblock> = self
-            .spor
-            .checkpoint
-            .sealed
-            .iter()
-            .filter(|(id, _, _)| !freed.contains(id))
-            .map(|(id, members, at)| SealedSuperblock {
-                sb_id: *id,
-                members: members.clone(),
-                sealed_at: *at,
-                // The checkpoint does not persist the class; PV-aware
-                // patrol ordering treats recovered superblocks as unknown.
-                class: None,
-            })
-            .collect();
-        // 2. Latest-wins merge on per-LPN columns cloned from the
-        // checkpoint (before the first checkpoint: no entries), then the
-        // journaled trim tombstones.
-        let n = usize::try_from(self.logical_pages).expect("capacity fits usize");
-        let ckpt = &self.spor.checkpoint;
-        let (mut seqs, mut locs) = if ckpt.seq.is_empty() {
-            (vec![0; n], vec![NO_PAGE; n])
-        } else {
-            (ckpt.seq.clone(), ckpt.loc.clone())
-        };
-        let mut max_seq = ckpt.write_seq.saturating_sub(1);
-        for e in &self.spor.journal {
-            if let JournalEntry::Trimmed { lpn, seq } = *e {
-                max_seq = max_seq.max(seq);
-                let i = usize::try_from(lpn).expect("lpn fits usize");
-                if seq > seqs[i] {
-                    (seqs[i], locs[i]) = (seq, NO_PAGE);
-                }
-            }
-        }
-        // 3. OOB scan of the dirty superblocks — O(written since the last
-        // checkpoint), not O(device).
-        let mut report = RecoveryReport {
-            scanned_pages: 0,
-            recovered_mappings: 0,
-            torn_writes_discarded: 0,
-            scan_us: 0.0,
-        };
-        for (sb_id, members) in &dirty {
-            // The super word-line that was mid-program at power loss: the
-            // interrupted member reports it torn; members whose individual
-            // program completed hold readable pages on that word-line which
-            // must be discarded — their host writes were never acknowledged.
-            let mut torn_wl: Option<LwlId> = None;
-            for &m in members {
-                if let Some(t) = self.array.torn_lwl(m)? {
-                    torn_wl = Some(t);
-                }
-            }
-            for &member in members {
-                for lwl in geo.lwls() {
-                    // The scan stops at the member's first word-line with
-                    // nothing readable: its write pointer, or the torn one.
-                    let Some(line) = readable_word_line(&self.array, member.wl(lwl))? else {
-                        break;
-                    };
-                    for k in 0..line.pages() {
-                        let (page, oob) = (line.page(k), line.oob(k));
-                        let (_, t_read) = line.read(k);
-                        report.scanned_pages += 1;
-                        report.scan_us += t_read;
-                        if !oob.is_mapped() {
-                            // Filler padding and parity pages never enter the
-                            // L2P table — a parity payload is an XOR tag that
-                            // can collide with any real LPN.
-                            continue;
-                        }
-                        max_seq = max_seq.max(oob.seq);
-                        if torn_wl == Some(lwl) {
-                            report.torn_writes_discarded += 1;
-                            continue;
-                        }
-                        debug_assert_eq!(oob.sb_id, *sb_id, "OOB names its superblock");
-                        let i = usize::try_from(oob.lpn).expect("lpn fits usize");
-                        if oob.seq > seqs[i] {
-                            (seqs[i], locs[i]) = (oob.seq, geo.page_index(page) as u64);
-                        }
-                    }
-                }
-            }
-        }
-        // 4. Rebuild the mapping from the merge winners in LPN order, so the
-        // rebuild is deterministic end to end.
-        for lpn in 0..self.logical_pages {
-            self.mapping.unmap(lpn);
-        }
-        self.spor.trim_seqs.clear();
-        let ckpt = &self.spor.checkpoint;
-        for (i, (&seq, &loc)) in seqs.iter().zip(&locs).enumerate() {
-            let lpn = i as u64;
-            if loc != NO_PAGE {
-                self.mapping.map(lpn, geo.page_at_index(loc as usize));
-                if let Some(birth) = &mut self.birth_us {
-                    // A winner the checkpoint already held takes its
-                    // checkpointed write time (sequences are unique per
-                    // write). One written after that checkpoint
-                    // conservatively reports age since power-on — patrol
-                    // re-examines it early rather than never.
-                    birth[i] = if ckpt.seq.get(i) == Some(&seq) { ckpt.birth[i] } else { 0.0 };
-                }
-                report.recovered_mappings += 1;
-            } else if seq > 0 {
-                self.spor.trim_seqs.insert(lpn, seq);
-            }
-        }
-        // 5. Close every dirty superblock into the sealed list: partially
-        // written ones take no further programs (their write pointers are
-        // mid-block and the staging context is lost), so GC reclaims them.
-        self.seal_seq = self.spor.checkpoint.seal_seq;
-        for (sb_id, members) in &dirty {
-            sealed.push(SealedSuperblock {
-                sb_id: *sb_id,
-                members: members.clone(),
-                sealed_at: self.seal_seq,
-                class: None,
-            });
-            self.seal_seq += 1;
-        }
-        self.sealed = sealed;
-        // 6. Rebuild the block manager: bad blocks out, live members
-        // claimed, then every persisted seal record restores the gathered
-        // summaries — QSTR-MED resumes without re-characterizing anything.
-        let mut manager = BlockManager::new(&geo, self.config.scheme, self.seed ^ 0x5eed);
-        for &addr in &retired {
-            manager.retire(addr);
-        }
-        for sb in &self.sealed {
-            for &m in &sb.members {
-                manager.claim(m);
-            }
-        }
-        if self.config.precharacterize {
-            let pool =
-                Characterizer::new(&self.config.flash).snapshot(self.array.latency_model(), 0);
-            let strings = geo.strings();
-            for profile in pool.iter() {
-                manager.learn(profile.summary(strings));
-            }
-        }
-        for record in self.array.seal_records() {
-            for s in &record.summaries {
-                manager.learn(BlockSummary {
-                    addr: s.addr,
-                    pgm_sum_us: s.pgm_sum_us,
-                    eigen: EigenSequence::from_bits(s.eigen_bits.iter().copied()),
-                });
-            }
-        }
-        manager.promote_known();
-        self.manager = manager;
-        // 7. Back to life: sequences continue past everything ever durably
-        // assigned, and a fresh checkpoint bounds the next recovery's scan.
-        // The merge columns already are that checkpoint's per-LPN state —
-        // each winner's sequence is its page's OOB sequence, each loser
-        // slot its tombstone — so the rebuild's change record is dropped
-        // instead of re-read from flash.
-        self.spor.crashed = false;
-        self.spor.journal.clear();
-        self.spor.superwls_since_ckpt = 0;
-        self.spor.write_seq = max_seq + 1;
-        let ckpt = &mut self.spor.checkpoint;
-        (ckpt.seq, ckpt.loc) = (seqs, locs);
-        if let Some(birth) = &self.birth_us {
-            ckpt.birth.clone_from(birth);
-        }
-        ckpt.retired = retired;
-        self.mapping.take_changed(&mut self.changed_lpns);
+        // and gatherers are gone, and so are a parked patrol pass's cursors
+        // (the pass restarts; no mapping state ever depended on them). A
+        // parked GC job goes with the collector recovery replaces: the
+        // victim was never freed, so it comes back sealed and re-selectable
+        // with its remaining valid pages intact.
+        self.actives = ActiveSlots::default();
+        self.integrity.lose_patrol();
+        let (collector, retired, report) =
+            self.spor.recover(&self.array, &mut self.mapping, self.integrity.births_mut())?;
+        self.manager =
+            build_manager(&self.config, &self.array, self.seed, &retired, collector.sealed());
+        self.collector = collector;
         self.stats.recovery_scan_pages += report.scanned_pages;
         self.stats.recovered_mappings += report.recovered_mappings;
         self.stats.torn_writes_discarded += report.torn_writes_discarded;
         self.stats.recovery_time_us += report.scan_us;
-        self.take_checkpoint()?;
         Ok(report)
+    }
+}
+
+#[cfg(test)]
+impl Ssd {
+    /// The SPOR state, the flash array and the write times, which the
+    /// checkpoint tests compare against a full rescan.
+    pub(crate) fn spor_parts(&self) -> (&Spor, &FlashArray, Option<&[f64]>) {
+        (&self.spor, &self.array, self.integrity.births())
+    }
+
+    /// Takes a checkpoint now, whether or not the interval has elapsed.
+    pub(crate) fn take_checkpoint(&mut self) -> Result<()> {
+        let (array, births) = (&self.array, self.integrity.births());
+        self.spor.take_checkpoint(array, &mut self.mapping, births, &self.collector, &self.actives)
     }
 }
 
@@ -2370,129 +1935,6 @@ mod tests {
         assert_eq!(s.recovery_scan_pages, report.scanned_pages);
         assert_eq!(s.recovered_mappings, report.recovered_mappings);
         assert!(s.recovery_time_us > 0.0);
-    }
-
-    /// The checkpoint's per-LPN columns as a full rescan of RAM builds
-    /// them — the original O(logical pages) algorithm, kept as the oracle
-    /// for the incremental one.
-    fn full_rescan_checkpoint(dev: &Ssd) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
-        let geo = dev.array.geometry();
-        let (seq, loc) = (0..dev.logical_pages)
-            .map(|lpn| match dev.mapping.lookup(lpn) {
-                Some(ppa) => (dev.array.read_oob(ppa).unwrap().seq, geo.page_index(ppa) as u64),
-                None => (dev.spor.trim_seqs.get(&lpn).copied().unwrap_or(0), NO_PAGE),
-            })
-            .unzip();
-        (seq, loc, dev.birth_us.clone().unwrap_or_default())
-    }
-
-    fn assert_checkpoint_is_full_rescan(dev: &Ssd, tag: &str) {
-        let (seq, loc, birth) = full_rescan_checkpoint(dev);
-        let ckpt = &dev.spor.checkpoint;
-        assert_eq!(ckpt.seq.len(), seq.len(), "{tag}: seq column allocated");
-        assert_eq!(ckpt.birth.len(), birth.len(), "{tag}: birth column iff tracking");
-        for lpn in 0..seq.len() {
-            assert_eq!(ckpt.seq[lpn], seq[lpn], "{tag}: seq of lpn {lpn}");
-            assert_eq!(ckpt.loc[lpn], loc[lpn], "{tag}: location of lpn {lpn}");
-        }
-        for (lpn, (got, want)) in ckpt.birth.iter().zip(&birth).enumerate() {
-            assert_eq!(got.to_bits(), want.to_bits(), "{tag}: birth of lpn {lpn}");
-        }
-    }
-
-    #[test]
-    fn incremental_checkpoint_equals_a_full_rescan() {
-        use crate::config::IntegrityConfig;
-        use crate::recovery::CrashPoint;
-        use crate::workload::poisson_arrivals;
-        // Six seeds: every interval twice, crashing on odd cases.
-        for (case, interval) in (1u64..).zip([1u64, 8, 256, 1, 8, 256]) {
-            let mut config = FtlConfig::small_test();
-            config.scheme = OrganizationScheme::QstrMed { candidates: 4 };
-            config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
-            config.integrity = IntegrityConfig {
-                track: true,
-                retention_hours_per_us: 0.05,
-                patrol: PatrolConfig::On {
-                    interval_us: 10_000.0,
-                    slice_us: 300.0,
-                    refresh_fraction: 0.5,
-                    order: PatrolOrder::SlowPoolFirst,
-                },
-            };
-            config.spor.checkpoint_interval = interval;
-            // Odd cases lose power mid-stream; even ones power-cycle
-            // cleanly halfway through.
-            if case % 2 == 1 {
-                config.spor.crash = Some(CrashPoint::from_seed(case, 2500));
-            }
-            let mut dev = Ssd::new(config, case).unwrap();
-            let info = dev.geometry_info();
-            let mut reqs = Workload::RandomWrite { span: 0.8, read_fraction: 0.2 }.generate(
-                &info,
-                (info.logical_pages * 3) as usize,
-                case,
-            );
-            for (i, r) in reqs.iter_mut().enumerate() {
-                if i % 13 == 5 {
-                    *r = IoRequest::trim(r.lpn);
-                }
-            }
-            let timed = poisson_arrivals(&reqs, 300.0, case);
-            let tag = format!("case {case} interval {interval}");
-            let mut power_cycled = false;
-            let mut fresh_checks = 0;
-            dev.timed_begin();
-            for (i, &(arrival, r)) in timed.iter().enumerate() {
-                let lost = match dev.timed_step(arrival, r, QosClass::Standard) {
-                    Ok(_) => false,
-                    Err(FtlError::PowerLoss) => true,
-                    Err(e) => panic!("{tag}: unexpected error {e}"),
-                };
-                if lost || (i == timed.len() / 2 && !power_cycled) {
-                    dev.timed_end();
-                    let ckpt_seq = dev.spor.checkpoint.seq.clone();
-                    let birth = dev.birth_us.clone().unwrap();
-                    dev.recover().unwrap();
-                    assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: after recover"));
-                    // A recovered page the old checkpoint covered keeps
-                    // its write time; one written after it reports 0.
-                    let (seq, _, recovered) = full_rescan_checkpoint(&dev);
-                    for lpn in 0..seq.len() {
-                        if dev.mapping.lookup(lpn as u64).is_some() {
-                            let covered = ckpt_seq.get(lpn) == Some(&seq[lpn]);
-                            let want = if covered { birth[lpn] } else { 0.0 };
-                            assert_eq!(recovered[lpn], want, "{tag}: recovered age {lpn}");
-                        }
-                    }
-                    power_cycled = true;
-                    dev.timed_begin();
-                    continue;
-                }
-                // A checkpoint drawn after the last sequence is current:
-                // nothing was programmed or trimmed since it was taken.
-                let ckpt = &dev.spor.checkpoint;
-                if i % 64 == 0 && !ckpt.seq.is_empty() && ckpt.write_seq == dev.spor.write_seq {
-                    assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: op {i}"));
-                    fresh_checks += 1;
-                }
-                // Extra checkpoints at arbitrary points stress the
-                // change record between interval-driven ones.
-                if i % 509 == 0 {
-                    dev.take_checkpoint().unwrap();
-                    assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: forced at op {i}"));
-                }
-            }
-            dev.timed_end();
-            dev.flush().unwrap();
-            dev.take_checkpoint().unwrap();
-            assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: end"));
-            assert!(power_cycled, "{tag}: the stream power-cycles the device");
-            assert!(dev.stats().gc_relocations > 0, "{tag}: GC relocated pages");
-            if interval < 256 {
-                assert!(fresh_checks > 0, "{tag}: some interval checkpoint was checked");
-            }
-        }
     }
 
     #[test]

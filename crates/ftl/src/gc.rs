@@ -1,5 +1,6 @@
-//! Greedy garbage-collection victim selection and the preemptible
-//! collection budget/job machinery.
+//! Garbage collection's state: the sealed superblocks, greedy victim
+//! choice and the preemptible job parked between slices. The device's
+//! write path does the relocations the [`Collector`] asks for.
 
 use crate::mapping::Mapping;
 use flash_model::{BlockAddr, PageAddr};
@@ -13,7 +14,7 @@ use std::collections::HashSet;
 /// write synchronously collects whole victims until the high watermark is
 /// restored, and the entire multi-victim time lands in that one command's
 /// latency. `Sliced` caps each invocation at `slice_us` of relocation work
-/// and parks the in-progress victim as a resumable [`GcJob`] on the device;
+/// and parks the in-progress victim as a resumable job in the collector;
 /// later slices (foreground or idle-gap) continue where the last one
 /// stopped, yielding between word-line programs.
 ///
@@ -55,96 +56,193 @@ pub enum GcBudget {
 
 /// Resumable state of a partially collected victim superblock.
 ///
-/// The victim stays in the device's sealed list — and therefore in every
+/// The victim stays in the sealed list — and therefore in every
 /// checkpoint — until the final flush + free, so a crash mid-collection
 /// recovers it under its old identity with its remaining valid pages
 /// intact. Cursors and the staged set live only in RAM; losing them merely
 /// costs re-scanning the victim, never data.
 #[derive(Debug)]
-pub(crate) struct GcJob {
-    /// Identity of the victim superblock (matches its `sb_id` in the
-    /// sealed list; the `Freed` journal entry is written only at the end).
-    pub sb_id: u64,
-    /// The victim's member blocks, snapshot at selection time.
-    pub members: Vec<BlockAddr>,
-    /// Member currently being drained (index into `members`).
-    pub member_cursor: usize,
+struct GcJob {
+    /// The victim, snapshot at selection time (its `Freed` journal entry
+    /// is written only at the end).
+    victim: SealedSuperblock,
+    /// Member currently being drained (index into the victim's members).
+    member_cursor: usize,
     /// Valid pages collected from the current member, relocated one per
     /// step.
-    pub pending: Vec<(u64, PageAddr)>,
+    pending: Vec<(u64, PageAddr)>,
     /// Next entry of `pending` to relocate.
-    pub pending_cursor: usize,
+    pending_cursor: usize,
     /// LPNs this job has staged into the GC slot. Invariant: an entry is
     /// either still staged (its copy flushes before the victim is freed)
     /// or its LPN no longer maps into the victim (programmed elsewhere, or
     /// trimmed) — so filtering re-collection by this set never strands a
     /// live page.
-    pub staged: HashSet<u64>,
-}
-
-impl GcJob {
-    pub(crate) fn new(sb_id: u64, members: Vec<BlockAddr>) -> Self {
-        GcJob {
-            sb_id,
-            members,
-            member_cursor: 0,
-            pending: Vec::new(),
-            pending_cursor: 0,
-            staged: HashSet::new(),
-        }
-    }
-}
-
-/// Resumable state of an in-progress patrol pass, mirroring [`GcJob`]:
-/// cursors live only in RAM, so a crash mid-pass merely restarts the pass —
-/// no mapping state depends on them. Each step scans one super word-line
-/// (the same quantum as a GC slice step), so patrol slices preempt at the
-/// identical granularity. The pass's scan order lives in
-/// [`PatrolBuffers::order`].
-#[derive(Debug, Default)]
-pub(crate) struct PatrolJob {
-    /// Index into the scan order of the superblock being scanned.
-    pub sb_cursor: usize,
-    /// Next logical word-line of the current superblock to scan.
-    pub lwl_cursor: u32,
-}
-
-/// Buffers patrol refills in place, so steady-state scanning allocates
-/// nothing per super word-line or per pass.
-#[derive(Debug, Default)]
-pub(crate) struct PatrolBuffers {
-    /// Superblock identities in scan order, snapshot at pass start.
-    /// Superblocks collected mid-pass are simply skipped when their id no
-    /// longer resolves in the sealed list.
-    pub order: Vec<u64>,
-    /// `(rank, sealed_at, sb_id)` sort keys behind a PV-aware `order`.
-    pub keys: Vec<(u8, u64, u64)>,
-    /// Member blocks of the superblock being scanned.
-    pub members: Vec<BlockAddr>,
-    /// Live LPNs of the current super word-line that the scan did not
-    /// refresh (the ones a parity mismatch must relocate).
-    pub unrefreshed_live: Vec<u64>,
+    staged: HashSet<u64>,
 }
 
 /// A fully written superblock awaiting garbage collection.
 #[derive(Debug, Clone)]
 pub(crate) struct SealedSuperblock {
     /// Superblock identity (matches the OOB `sb_id` of its pages).
-    pub sb_id: u64,
-    pub members: Vec<BlockAddr>,
+    sb_id: u64,
+    members: Vec<BlockAddr>,
     /// Monotone sequence number at sealing time (a proxy for age).
-    pub sealed_at: u64,
+    sealed_at: u64,
     /// Speed class the superblock was assembled from, when known (`None`
     /// after recovery — the checkpoint does not persist it). PV-aware
     /// patrol ordering scans `Slow` superblocks first.
-    pub class: Option<SpeedClass>,
+    class: Option<SpeedClass>,
 }
 
 impl SealedSuperblock {
+    pub(crate) fn sb_id(&self) -> u64 {
+        self.sb_id
+    }
+
+    /// Member blocks in slot order: the stripe of every super word-line.
+    pub(crate) fn members(&self) -> &[BlockAddr] {
+        &self.members
+    }
+
+    pub(crate) fn sealed_at(&self) -> u64 {
+        self.sealed_at
+    }
+
+    pub(crate) fn class(&self) -> Option<SpeedClass> {
+        self.class
+    }
+
+    /// The copy a checkpoint persists: everything but the speed class.
+    pub(crate) fn persisted(&self) -> SealedSuperblock {
+        SealedSuperblock { class: None, ..self.clone() }
+    }
+
     /// Valid pages currently stored across the members. Alloc-free: each
     /// member is one counter read on the dense mapping store.
-    pub(crate) fn valid_pages(&self, mapping: &Mapping) -> usize {
+    fn valid_pages(&self, mapping: &Mapping) -> usize {
         self.members.iter().map(|&m| mapping.valid_in_block_count(m)).sum()
+    }
+}
+
+/// What the parked collection needs from the device next.
+#[derive(Debug)]
+pub(crate) enum GcStep {
+    /// Relocate this valid victim page (`lpn` at `ppa`) into the GC slot,
+    /// then report it with [`Collector::relocated`].
+    Relocate(u64, PageAddr),
+    /// Every member has drained: make the staged copies durable, free the
+    /// victim, then drop it with [`Collector::freed`].
+    Free(SealedSuperblock),
+}
+
+/// Collection state: the sealed superblocks (the victim candidates), the
+/// seal ordinal and the job parked between slices.
+#[derive(Debug, Default)]
+pub(crate) struct Collector {
+    sealed: Vec<SealedSuperblock>,
+    /// Next seal ordinal (the age clock of `sealed_at`).
+    seal_seq: u64,
+    /// Partially collected victim parked between slices (sliced collection
+    /// and the emergency floor; [`Collector::take_victim`] never parks);
+    /// `None` when no collection is mid-flight.
+    job: Option<GcJob>,
+    /// The job while the device relocates its page, parked again by
+    /// [`Collector::relocated`]: a relocation that fails leaves nothing
+    /// parked, so the next slice selects afresh and rescans the victim.
+    relocating: Option<GcJob>,
+}
+
+impl Collector {
+    /// A collector over a recovered sealed list, with no job parked.
+    pub(crate) fn restored(sealed: Vec<SealedSuperblock>, seal_seq: u64) -> Collector {
+        Collector { sealed, seal_seq, ..Collector::default() }
+    }
+
+    /// Appends a fully written superblock under the next seal ordinal.
+    pub(crate) fn seal(&mut self, sb_id: u64, members: Vec<BlockAddr>, class: Option<SpeedClass>) {
+        self.sealed.push(SealedSuperblock { sb_id, members, sealed_at: self.seal_seq, class });
+        self.seal_seq += 1;
+    }
+
+    pub(crate) fn sealed(&self) -> &[SealedSuperblock] {
+        &self.sealed
+    }
+
+    pub(crate) fn seal_seq(&self) -> u64 {
+        self.seal_seq
+    }
+
+    /// Members of the sealed superblock holding `block`, if any.
+    pub(crate) fn stripe_of(&self, block: BlockAddr) -> Option<&[BlockAddr]> {
+        self.sealed.iter().find(|s| s.members.contains(&block)).map(SealedSuperblock::members)
+    }
+
+    pub(crate) fn has_job(&self) -> bool {
+        self.job.is_some()
+    }
+
+    /// Selects the greedy victim and removes it from the sealed list now,
+    /// the run-to-completion lifecycle (see [`GcBudget`]).
+    pub(crate) fn take_victim(&mut self, mapping: &Mapping) -> Option<SealedSuperblock> {
+        select_victim(&self.sealed, mapping).map(|i| self.sealed.swap_remove(i))
+    }
+
+    /// Advances the parked job — starting one on the greedy victim when
+    /// none is parked — to its next step; `None` when nothing is sealed.
+    /// A step never splits a program, so it is the preemption quantum.
+    pub(crate) fn next_step(&mut self, mapping: &Mapping) -> Option<GcStep> {
+        let mut job = match self.job.take() {
+            Some(job) => job,
+            // The victim stays in the sealed list until it is freed.
+            None => GcJob {
+                victim: self.sealed[select_victim(&self.sealed, mapping)?].clone(),
+                member_cursor: 0,
+                pending: Vec::new(),
+                pending_cursor: 0,
+                staged: HashSet::new(),
+            },
+        };
+        loop {
+            if let Some(&(lpn, ppa)) = job.pending.get(job.pending_cursor) {
+                job.pending_cursor += 1;
+                // The host may have overwritten or trimmed the page while
+                // the job was parked; the mapping is the ground truth.
+                if mapping.lookup(lpn) != Some(ppa) {
+                    continue;
+                }
+                self.relocating = Some(job);
+                return Some(GcStep::Relocate(lpn, ppa));
+            }
+            if let Some(&member) = job.victim.members.get(job.member_cursor) {
+                job.member_cursor += 1;
+                // Staged LPNs keep mapping into the victim until their GC
+                // copy programs; filtering them out of the re-collection is
+                // what keeps resumption from relocating a page twice.
+                job.pending.clear();
+                job.pending_cursor = 0;
+                let staged = &job.staged;
+                job.pending.extend(
+                    mapping.valid_in_block(member).filter(|(lpn, _)| !staged.contains(lpn)),
+                );
+                continue;
+            }
+            return Some(GcStep::Free(job.victim));
+        }
+    }
+
+    /// Parks the job again once the device has staged the relocated `lpn`.
+    pub(crate) fn relocated(&mut self, lpn: u64) {
+        let mut job = self.relocating.take().expect("a relocation step is in flight");
+        job.staged.insert(lpn);
+        self.job = Some(job);
+    }
+
+    /// Drops a freed job victim from the sealed list — only once it is
+    /// freed, after the flush may have sealed new superblocks behind it.
+    pub(crate) fn freed(&mut self, victim: &SealedSuperblock) {
+        let idx = self.sealed.iter().position(|s| s.sb_id == victim.sb_id);
+        self.sealed.swap_remove(idx.expect("victim stays sealed until freed"));
     }
 }
 
@@ -156,7 +254,7 @@ impl SealedSuperblock {
 /// fully-invalid superblock — nothing can beat zero valid pages, and the
 /// first zero has the smallest index among zeros, so the early exit
 /// returns exactly what the full scan would.
-pub(crate) fn select_victim(sealed: &[SealedSuperblock], mapping: &Mapping) -> Option<usize> {
+fn select_victim(sealed: &[SealedSuperblock], mapping: &Mapping) -> Option<usize> {
     let mut best: Option<(usize, usize)> = None;
     for (i, sb) in sealed.iter().enumerate() {
         let valid = sb.valid_pages(mapping);

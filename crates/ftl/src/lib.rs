@@ -39,6 +39,7 @@ mod config;
 mod device;
 mod error;
 mod gc;
+mod integrity;
 mod manager;
 mod mapping;
 mod recovery;

@@ -80,12 +80,6 @@ impl BlockManager {
         }
     }
 
-    /// The configured organization scheme.
-    #[must_use]
-    pub fn scheme(&self) -> OrganizationScheme {
-        self.scheme
-    }
-
     /// Pool index of a block.
     #[must_use]
     pub fn pool_of(&self, addr: BlockAddr) -> usize {
@@ -122,12 +116,6 @@ impl BlockManager {
     #[must_use]
     pub fn assemblable(&self) -> usize {
         (0..self.pool_count).map(|p| self.free_in_pool(p)).min().unwrap_or(0)
-    }
-
-    /// Total free blocks across pools.
-    #[must_use]
-    pub fn total_free(&self) -> usize {
-        (0..self.pool_count).map(|p| self.free_in_pool(p)).sum()
     }
 
     /// Permanently removes a block from service (bad-block table). The
@@ -183,15 +171,12 @@ impl BlockManager {
         None
     }
 
-    /// Returns a block to the free state. Pass the latest summary when one
-    /// was gathered; otherwise any previously learned summary is reused.
-    /// Retired blocks are dropped, never re-pooled.
-    pub fn free(&mut self, addr: BlockAddr, fresh_summary: Option<BlockSummary>) {
+    /// Returns a block to the free state under the summary it last earned
+    /// (learned when its superblock sealed), if any. Retired blocks are
+    /// dropped, never re-pooled.
+    pub fn free(&mut self, addr: BlockAddr) {
         if self.retired.contains(&addr) {
             return;
-        }
-        if let Some(s) = fresh_summary {
-            self.learn(s);
         }
         let pool = self.pool_of(addr);
         if self.uses_qstr() {
@@ -334,7 +319,7 @@ mod tests {
         let mut m = BlockManager::new(&geo(), OrganizationScheme::Sequential, 0);
         let members = m.allocate(SpeedClass::Fast).unwrap();
         for a in members {
-            m.free(a, None);
+            m.free(a);
         }
         assert_eq!(m.assemblable(), 8);
     }
@@ -348,7 +333,7 @@ mod tests {
         assert!(m.is_retired(dead));
         assert_eq!(m.retired_count(), 1);
         for a in members {
-            m.free(a, None); // the retired one is silently dropped
+            m.free(a); // the retired one is silently dropped
         }
         while let Some(sb) = m.allocate(SpeedClass::Fast) {
             assert!(!sb.contains(&dead), "retired block was handed out again");
@@ -369,7 +354,7 @@ mod tests {
         assert!(m.claim(target));
         assert_eq!(m.free_in_pool(m.pool_of(target)), before - 1);
         assert!(!m.claim(target), "already claimed");
-        m.free(target, None);
+        m.free(target);
         assert!(m.claim(target), "free makes it claimable again");
     }
 
@@ -387,7 +372,7 @@ mod tests {
     fn retire_scrubs_free_pools_defensively() {
         let mut m = BlockManager::new(&geo(), OrganizationScheme::Sequential, 0);
         let victim = m.take_from_pool(0).unwrap();
-        m.free(victim, None);
+        m.free(victim);
         let before = m.free_in_pool(0);
         m.retire(victim);
         assert_eq!(m.free_in_pool(0), before - 1);
@@ -413,7 +398,7 @@ mod tests {
         }
         // Return the first four and re-allocate: now goes through QSTR-MED.
         for a in first {
-            m.free(a, None);
+            m.free(a);
         }
         let second = m.allocate(SpeedClass::Fast).unwrap();
         assert_eq!(second.len(), 4);

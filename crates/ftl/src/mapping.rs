@@ -15,9 +15,9 @@
 //!   (`benches/gc.rs`); both stores make identical decisions, the dense one
 //!   just answers in O(1).
 //!
-//! Either store can also record which logical pages changed
-//! ([`Mapping::track_changes`], [`Mapping::take_changed`]); the SPOR
-//! checkpoint uses that record to refresh only what moved.
+//! Either store records which logical pages changed since the last
+//! [`Mapping::take_changed`]; the SPOR checkpoint uses that record to
+//! refresh only what moved.
 
 use flash_model::{BlockAddr, Geometry, PageAddr};
 use std::collections::HashMap;
@@ -53,6 +53,10 @@ struct ChangeLog {
 }
 
 impl ChangeLog {
+    fn new(capacity: u64) -> Self {
+        ChangeLog { marks: vec![0; (capacity as usize).div_ceil(64)], list: Vec::new() }
+    }
+
     fn mark(&mut self, lpn: u64) {
         let (word, bit) = ((lpn / 64) as usize, 1u64 << (lpn % 64));
         if self.marks[word] & bit == 0 {
@@ -71,10 +75,11 @@ impl ChangeLog {
 pub struct Mapping {
     l2p: Vec<Option<PageAddr>>,
     store: Store,
-    /// `Some` once [`Mapping::track_changes`] is called: every LPN passed
-    /// through `map`, `unmap` or `invalidate_block` since the last
-    /// [`Mapping::take_changed`].
-    changes: Option<ChangeLog>,
+    /// Every LPN passed through `map`, `unmap` or `invalidate_block` since
+    /// the last [`Mapping::take_changed`]. Every L2P change — writes,
+    /// relocations, trims, erase sweeps and recovery rebuilds — funnels
+    /// through those three, so the record is complete.
+    changes: ChangeLog,
 }
 
 impl Mapping {
@@ -90,7 +95,7 @@ impl Mapping {
                 valid: 0,
                 geo: geo.clone(),
             },
-            changes: None,
+            changes: ChangeLog::new(capacity),
         }
     }
 
@@ -104,35 +109,22 @@ impl Mapping {
         Mapping {
             l2p: vec![None; capacity as usize],
             store: Store::Naive { p2l: HashMap::new() },
-            changes: None,
-        }
-    }
-
-    /// Starts recording which logical pages change. Every L2P change —
-    /// writes, relocations, trims, erase sweeps and recovery rebuilds —
-    /// funnels through `map`, `unmap` or `invalidate_block`, so the record
-    /// is complete. Changes made before this call are not recorded.
-    pub fn track_changes(&mut self) {
-        if self.changes.is_none() {
-            let words = self.l2p.len().div_ceil(64);
-            self.changes = Some(ChangeLog { marks: vec![0; words], list: Vec::new() });
+            changes: ChangeLog::new(capacity),
         }
     }
 
     /// Moves every logical page changed since the previous drain into
     /// `out` (cleared first; each LPN once, in first-change order) and
-    /// resets the record. Leaves `out` empty when tracking is off. Swaps
-    /// buffers with `out`, so a caller reusing one `Vec` allocates nothing
-    /// in steady state.
+    /// resets the record. Swaps buffers with `out`, so a caller reusing
+    /// one `Vec` allocates nothing in steady state.
     pub fn take_changed(&mut self, out: &mut Vec<u64>) {
         out.clear();
-        if let Some(log) = &mut self.changes {
-            for &lpn in &log.list {
-                // Every set bit of the word belongs to a listed LPN.
-                log.marks[(lpn / 64) as usize] = 0;
-            }
-            std::mem::swap(out, &mut log.list);
+        let log = &mut self.changes;
+        for &lpn in &log.list {
+            // Every set bit of the word belongs to a listed LPN.
+            log.marks[(lpn / 64) as usize] = 0;
         }
+        std::mem::swap(out, &mut log.list);
     }
 
     /// Exported logical capacity in pages.
@@ -182,7 +174,7 @@ impl Mapping {
     /// logical page (a physical page is written once per erase cycle).
     pub fn map(&mut self, lpn: u64, ppa: PageAddr) {
         assert!((lpn as usize) < self.l2p.len(), "lpn {lpn} out of range");
-        self.note_changed(lpn);
+        self.changes.mark(lpn);
         if let Some(old) = self.l2p[lpn as usize].take() {
             self.clear_reverse(old);
         }
@@ -211,18 +203,12 @@ impl Mapping {
     /// Panics if `lpn` is out of range.
     pub fn unmap(&mut self, lpn: u64) -> Option<PageAddr> {
         assert!((lpn as usize) < self.l2p.len(), "lpn {lpn} out of range");
-        self.note_changed(lpn);
+        self.changes.mark(lpn);
         let old = self.l2p[lpn as usize].take();
         if let Some(ppa) = old {
             self.clear_reverse(ppa);
         }
         old
-    }
-
-    fn note_changed(&mut self, lpn: u64) {
-        if let Some(log) = &mut self.changes {
-            log.mark(lpn);
-        }
     }
 
     /// Drops the reverse-store record of one page, fixing the counters.
@@ -258,9 +244,7 @@ impl Mapping {
                     let lpn = std::mem::replace(slot, INVALID);
                     if lpn != INVALID {
                         self.l2p[lpn as usize] = None;
-                        if let Some(log) = &mut self.changes {
-                            log.mark(lpn);
-                        }
+                        self.changes.mark(lpn);
                         *valid -= 1;
                     }
                 }
@@ -272,9 +256,7 @@ impl Mapping {
                 for ppa in stale {
                     if let Some(lpn) = p2l.remove(&ppa) {
                         self.l2p[lpn as usize] = None;
-                        if let Some(log) = &mut self.changes {
-                            log.mark(lpn);
-                        }
+                        self.changes.mark(lpn);
                     }
                 }
             }
@@ -481,8 +463,7 @@ mod tests {
             let mut out = vec![99];
             m.map(1, ppa(0, 0, PageType::Lsb));
             m.take_changed(&mut out);
-            assert!(out.is_empty(), "nothing is recorded before tracking starts");
-            m.track_changes();
+            assert_eq!(out, [1], "a new mapping records from the start");
             m.map(1, ppa(0, 1, PageType::Lsb));
             m.map(129, ppa(0, 0, PageType::Csb));
             m.map(1, ppa(1, 0, PageType::Lsb));

@@ -290,8 +290,9 @@ pub struct SsdStats {
     pub patrol_refreshes: u64,
     /// Completed patrol passes over the sealed superblocks.
     pub patrol_passes: u64,
-    /// Superblocks that lost at least one member (operating degraded or
-    /// born short-handed from a depleted pool).
+    /// Degradation events: one per superblock assembled short-handed from
+    /// a depleted pool, one per member a program failure dropped, so one
+    /// superblock can count more than once.
     pub degraded_superblocks: u64,
     /// Total queueing delay across timed-run requests, µs (time between a
     /// request's arrival and its service starting).

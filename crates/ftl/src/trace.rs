@@ -92,7 +92,7 @@ pub fn parse_trace_tenants<R: BufRead>(reader: R) -> Result<Vec<TracedRequest>, 
     let mut out = Vec::new();
     for (idx, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| TraceError::Io(e.to_string()))?;
-        let line_no = idx + 1;
+        let bad = |reason: String| TraceError::Malformed { line: idx + 1, reason };
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
@@ -102,56 +102,30 @@ pub fn parse_trace_tenants<R: BufRead>(reader: R) -> Result<Vec<TracedRequest>, 
             Some("W") | Some("w") => IoOp::Write,
             Some("R") | Some("r") => IoOp::Read,
             Some("T") | Some("t") => IoOp::Trim,
-            Some(other) => {
-                return Err(TraceError::Malformed {
-                    line: line_no,
-                    reason: format!("unknown op {other:?} (expected W/R/T)"),
-                })
-            }
+            Some(other) => return Err(bad(format!("unknown op {other:?} (expected W/R/T)"))),
             None => unreachable!("split always yields one item"),
         };
         let lpn: u64 = parts
             .next()
-            .ok_or_else(|| TraceError::Malformed {
-                line: line_no,
-                reason: "missing LPN column".to_string(),
-            })?
+            .ok_or_else(|| bad("missing LPN column".to_string()))?
             .parse()
-            .map_err(|e| TraceError::Malformed {
-                line: line_no,
-                reason: format!("bad LPN: {e}"),
-            })?;
+            .map_err(|e| bad(format!("bad LPN: {e}")))?;
         let len: u64 = match parts.next() {
             None | Some("") => 1,
-            Some(n) => n.parse().map_err(|e| TraceError::Malformed {
-                line: line_no,
-                reason: format!("bad length: {e}"),
-            })?,
+            Some(n) => n.parse().map_err(|e| bad(format!("bad length: {e}")))?,
         };
         if len == 0 {
-            return Err(TraceError::Malformed {
-                line: line_no,
-                reason: "length must be at least 1".to_string(),
-            });
+            return Err(bad("length must be at least 1".to_string()));
         }
         if lpn.checked_add(len - 1).is_none() {
-            return Err(TraceError::Malformed {
-                line: line_no,
-                reason: format!("run {lpn}+{len} overflows the LPN space"),
-            });
+            return Err(bad(format!("run {lpn}+{len} overflows the LPN space")));
         }
         let tenant: u32 = match parts.next() {
             None | Some("") => 0,
-            Some(n) => n.parse().map_err(|e| TraceError::Malformed {
-                line: line_no,
-                reason: format!("bad tenant id: {e}"),
-            })?,
+            Some(n) => n.parse().map_err(|e| bad(format!("bad tenant id: {e}")))?,
         };
         if parts.next().is_some() {
-            return Err(TraceError::Malformed {
-                line: line_no,
-                reason: "too many columns (expected op,lpn[,len[,tenant]])".to_string(),
-            });
+            return Err(bad("too many columns (expected op,lpn[,len[,tenant]])".to_string()));
         }
         for i in 0..len {
             out.push(TracedRequest { tenant, request: IoRequest { op, lpn: lpn + i } });

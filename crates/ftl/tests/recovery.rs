@@ -477,3 +477,50 @@ fn seal_records_restore_gathered_qstr_state_without_recharacterizing() {
     }
     assert!(dev.distance_checks() > 0);
 }
+
+#[test]
+fn recovery_is_idempotent_because_it_checkpoints() {
+    // Recovery ends with a fresh checkpoint over the state it rebuilt and
+    // no superblock open, so a second recovery straight after the first
+    // has nothing dirty to scan and must rebuild the identical mapping.
+    for scheme in [
+        OrganizationScheme::Random,
+        OrganizationScheme::QstrMed { candidates: 4 },
+        OrganizationScheme::Sequential,
+    ] {
+        for crash in [None, Some(CrashPoint::from_seed(5, 3000))] {
+            for track in [false, true] {
+                let tag = format!("{scheme:?} crash {crash:?} track {track}");
+                let mut config = FtlConfig::small_test();
+                config.scheme = scheme;
+                config.spor.crash = crash;
+                config.integrity.track = track;
+                let mut dev = Ssd::new(config, 11).unwrap();
+                let info = dev.geometry_info();
+                let reqs = Workload::random_write(0.5).generate(
+                    &info,
+                    (info.logical_pages * 2) as usize,
+                    7,
+                );
+                for req in &reqs {
+                    match apply(&mut dev, req) {
+                        Ok(()) => {}
+                        Err(FtlError::PowerLoss) => break,
+                        Err(e) => panic!("{tag}: unexpected error: {e}"),
+                    }
+                }
+                assert_eq!(dev.has_crashed(), crash.is_some(), "{tag}: crash fired");
+                let mapping = |dev: &Ssd| {
+                    (0..info.logical_pages).map(|l| dev.mapping().lookup(l)).collect::<Vec<_>>()
+                };
+                let first = dev.recover().unwrap();
+                let rebuilt = mapping(&dev);
+                let second = dev.recover().unwrap();
+                assert!(first.scanned_pages > 0, "{tag}: the first recovery scans");
+                assert_eq!(second.scanned_pages, 0, "{tag}: nothing is dirty the second time");
+                assert_eq!(second.recovered_mappings, first.recovered_mappings, "{tag}");
+                assert_eq!(mapping(&dev), rebuilt, "{tag}: identical mapping");
+            }
+        }
+    }
+}
