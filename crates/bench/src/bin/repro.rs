@@ -420,7 +420,7 @@ fn resilience(ctx: &Ctx) {
         "retired",
         "remapped",
         "refreshed",
-        "degraded SBs",
+        "degradation events",
     ]);
     for r in &rows {
         t.row([

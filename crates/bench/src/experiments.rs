@@ -664,7 +664,9 @@ pub struct ResilienceRow {
     pub remapped_writes: u64,
     /// Pages relocated because a read exceeded the retry ladder.
     pub refresh_relocations: u64,
-    /// Superblocks that lost at least one member.
+    /// Degradation events ([`ftl::SsdStats::degraded_superblocks`]): one
+    /// per superblock assembled short-handed, one per member a program
+    /// failure dropped, so one superblock can count more than once.
     pub degraded_superblocks: u64,
 }
 
@@ -1233,7 +1235,8 @@ const DEVICE_GAP_US: f64 = 900.0;
 ///
 /// `users` logical users — Zipfian footprints, heavy-tailed op counts,
 /// burst trains, diurnal arrival swing — are hashed across `devices`
-/// identical GC-active devices ([`fleet_device_config`]). Each cell
+/// identical GC-active devices (the sliced-collection shape of
+/// [`tenants_experiment`], with the organization scheme swept). Each cell
 /// replays the *same* sharded workload (the stream is a pure function of
 /// the fleet seed, never of the scheme or arbitration), so the
 /// QSTR-MED-vs-sequential delta isolates placement quality at fleet
@@ -1431,8 +1434,9 @@ fn run_integrity_cell(
 }
 
 /// Data-integrity sweep: patrol variant × patrol interval × retention
-/// acceleration × organization scheme, on the hot-churn/cold-tail workload
-/// of [`run_integrity_cell`].
+/// acceleration × organization scheme, on a hot-churn/cold-tail workload:
+/// a hot working set churns in the fast pool while a cold set, written once
+/// as background traffic, rots in the slow pool and is read back throughout.
 ///
 /// Two headlines: patrol eliminates the uncorrectable reads the no-patrol
 /// cell suffers on the aged cold tail, and the PV-aware slow-pool-first

@@ -4,9 +4,12 @@
 
 use crate::config::QosClass;
 use crate::error::FtlError;
+use crate::parity;
 use crate::recovery::Spor;
 use crate::Result;
-use flash_model::{BlockAddr, FlashArray, MpOutcome, PageAddr, PageOob, PageType, WlAddr};
+use flash_model::{
+    BlockAddr, FlashArray, Geometry, MpOutcome, PageAddr, PageOob, PageType, WlAddr,
+};
 use pvcheck::gather::BlockGatherer;
 use pvcheck::BlockSummary;
 
@@ -108,7 +111,7 @@ pub(crate) struct ActiveSuperblock {
     next_lwl: u32,
     lwls_per_block: u32,
     pages_per_lwl: u32,
-    /// Whether the last page of every super word-line is reserved for XOR
+    /// Whether every super word-line reserves its [`parity::slot`] for XOR
     /// parity over its siblings (RAIN).
     parity: bool,
     staging: Vec<u64>,
@@ -116,21 +119,15 @@ pub(crate) struct ActiveSuperblock {
 }
 
 impl ActiveSuperblock {
-    pub(crate) fn new(
-        members: Vec<BlockAddr>,
-        sb_id: u64,
-        strings: u16,
-        layers: u16,
-        pages_per_lwl: u32,
-        parity: bool,
-    ) -> Self {
+    pub(crate) fn new(members: Vec<BlockAddr>, sb_id: u64, geo: &Geometry, parity: bool) -> Self {
+        let (strings, layers) = (geo.strings(), geo.pwl_layers());
         let gatherers = members.iter().map(|&a| BlockGatherer::new(a, strings, layers)).collect();
         ActiveSuperblock {
             members,
             sb_id,
             next_lwl: 0,
-            lwls_per_block: u32::from(strings) * u32::from(layers),
-            pages_per_lwl,
+            lwls_per_block: geo.lwls_per_block(),
+            pages_per_lwl: geo.pages_per_lwl(),
             parity,
             staging: Vec::new(),
             gatherers,
@@ -171,17 +168,11 @@ impl ActiveSuperblock {
         self.staging.len() >= self.data_pages()
     }
 
-    /// Replaces any staged copies of `lpn` with filler (trim of a buffered
-    /// page); returns whether anything was discarded.
-    pub(crate) fn discard_staged(&mut self, lpn: u64) -> bool {
-        let mut hit = false;
-        for slot in &mut self.staging {
-            if *slot == lpn {
-                *slot = FILLER;
-                hit = true;
-            }
+    /// Replaces any staged copies of `lpn` with filler (trim of a buffered page).
+    pub(crate) fn discard_staged(&mut self, lpn: u64) {
+        for slot in self.staging.iter_mut().filter(|slot| **slot == lpn) {
+            *slot = FILLER;
         }
-        hit
     }
 
     /// Whether any pages await programming.
@@ -231,16 +222,13 @@ impl ActiveSuperblock {
         debug_assert_eq!(self.staging.len(), self.data_pages());
         debug_assert!(!self.is_full());
         if self.parity {
-            // The parity slot is the last staged position: last member, last
-            // page type. Its payload is the XOR of every data/filler tag in
-            // the stripe, so the XOR over the *whole* stripe is zero and any
-            // one lost page equals the XOR of its survivors.
-            let xor = self.staging.iter().fold(0u64, |acc, &tag| acc ^ tag);
+            let xor = parity::tag(&self.staging);
             self.staging.push(xor);
         }
         debug_assert_eq!(self.staging.len(), self.superwl_pages());
         let ppl = self.pages_per_lwl as usize;
         let members = self.members.len();
+        let parity_slot = self.parity.then(|| parity::slot(members, ppl));
         let lwl = flash_model::LwlId(self.next_lwl);
         let wls: Vec<WlAddr> = self.members.iter().map(|&m| m.wl(lwl)).collect();
         // Page-major striping: staged page `i` lands on member `i % members`
@@ -268,21 +256,12 @@ impl ActiveSuperblock {
                 .map(|(k, &lpn)| {
                     // The parity slot is identified by position, never by
                     // value: its XOR payload can collide with any tag.
-                    if self.parity && m == members - 1 && k == ppl - 1 {
-                        PageOob {
-                            lpn: PageOob::PARITY_LPN,
-                            seq: 0,
-                            sb_id: self.sb_id,
-                            member_slot: m as u16,
-                        }
-                    } else {
-                        PageOob {
-                            lpn,
-                            seq: if lpn == FILLER { 0 } else { spor.next_seq() },
-                            sb_id: self.sb_id,
-                            member_slot: m as u16,
-                        }
-                    }
+                    let (lpn, seq) = match lpn {
+                        _ if parity_slot == Some((m, k)) => (PageOob::PARITY_LPN, 0),
+                        FILLER => (lpn, 0),
+                        _ => (lpn, spor.next_seq()),
+                    };
+                    PageOob { lpn, seq, sb_id: self.sb_id, member_slot: m as u16 }
                 })
                 .collect();
             match array.program_wl_with_oob(wls[m], payload, &oob) {
@@ -292,10 +271,10 @@ impl ActiveSuperblock {
                 }
                 Err(e) if e.is_media_failure() => {
                     let mut payload = payload.clone();
-                    if self.parity && m == members - 1 {
+                    if let Some((_, k)) = parity_slot.filter(|&(pm, _)| pm == m) {
                         // Never let the XOR tag be restaged as a logical page
                         // by the failure-relocation path.
-                        *payload.last_mut().expect("ppl >= 1") = FILLER;
+                        payload[k] = FILLER;
                     }
                     failures.push(FailedMember { addr: self.members[m], payload });
                 }
@@ -311,11 +290,9 @@ impl ActiveSuperblock {
         let mut assignments = Vec::new();
         for &m in &survived {
             for k in 0..ppl {
-                if self.parity && m == members - 1 && k == ppl - 1 {
-                    continue; // parity page: never mapped
-                }
+                // Filler and the parity page are never mapped.
                 let lpn = self.staging[k * members + m];
-                if lpn != FILLER {
+                if lpn != FILLER && parity_slot != Some((m, k)) {
                     let pt = PageType::from_index(cell, k as u32).expect("k < pages_per_lwl");
                     assignments.push((lpn, wls[m].page(pt)));
                 }
@@ -369,7 +346,7 @@ mod tests {
         for &m in &members {
             array.erase_block(m).unwrap();
         }
-        let active = ActiveSuperblock::new(members, 0, 4, 2, 3, false);
+        let active = ActiveSuperblock::new(members, 0, array.geometry(), false);
         (array, active)
     }
 
@@ -382,7 +359,7 @@ mod tests {
         for &m in &members {
             array.erase_block(m).unwrap();
         }
-        let active = ActiveSuperblock::new(members, 0, 4, 2, 3, true);
+        let active = ActiveSuperblock::new(members, 0, array.geometry(), true);
         (array, active)
     }
 
@@ -432,7 +409,7 @@ mod tests {
                     continue 'seeds;
                 }
             }
-            let mut a = ActiveSuperblock::new(members.clone(), 0, 4, 2, 3, false);
+            let mut a = ActiveSuperblock::new(members.clone(), 0, array.geometry(), false);
             let mut spor = spor();
             for wl in 0..8u64 {
                 for p in 0..a.superwl_pages() as u64 {
@@ -486,7 +463,7 @@ mod tests {
         for &m in &members {
             array.erase_block(m).unwrap();
         }
-        let mut a = ActiveSuperblock::new(members, 7, 4, 2, 3, false);
+        let mut a = ActiveSuperblock::new(members, 7, array.geometry(), false);
         let mut spor = spor();
         for i in 0..11 {
             a.stage(i);

@@ -1,12 +1,13 @@
 //! The SSD facade: request dispatch, write path, foreground GC and timing.
 
 use crate::active::{ActiveSlots, ActiveSuperblock, FailedMember, Purpose, FILLER, PURPOSES};
-use crate::config::{FtlConfig, PatrolConfig, QosClass};
+use crate::config::{FtlConfig, QosClass};
 use crate::error::FtlError;
 use crate::gc::{Collector, GcBudget, GcStep, SealedSuperblock};
-use crate::integrity::Integrity;
+use crate::integrity::{DeviceView, Integrity, PatrolStep};
 use crate::manager::{speed_class_for, BlockManager};
 use crate::mapping::Mapping;
+use crate::parity;
 use crate::recovery::{RecoveryReport, Spor};
 use crate::request::{IoOp, IoRequest};
 use crate::sched::DepthTracker;
@@ -118,11 +119,9 @@ fn ladder_pays(class: QosClass, (due, overdue): (bool, bool)) -> bool {
     }
 }
 
-/// The device's one word-line reader: a checked flash view of `wl`, or
-/// `None` when the word-line holds nothing readable (never programmed, or
-/// torn by a power loss). A free function so the view borrows only the
-/// array, leaving the rest of the device free for stats and clock updates
-/// while it lives.
+/// The one word-line reader: a checked flash view of `wl`, or `None` when
+/// the word-line holds nothing readable (never programmed, or torn by a
+/// power loss). The view borrows only the array.
 pub(crate) fn readable_word_line(array: &FlashArray, wl: WlAddr) -> Result<Option<WordLine<'_>>> {
     match array.word_line(wl) {
         Ok(line) => Ok(Some(line)),
@@ -197,7 +196,7 @@ impl Ssd {
             seed,
             spor: Spor::new(&config.spor),
             collector: Collector::default(),
-            integrity: Integrity::new(&config.integrity, logical_pages),
+            integrity: Integrity::new(&config, logical_pages),
             replay: None,
             idle_wall_us: 0.0,
             config,
@@ -392,14 +391,12 @@ impl Ssd {
                 }
             }
         }
-        // Patrol scrubbing rides whatever idle gap is left after GC.
-        let now = clocks.drained_at();
-        if now < arrival && self.integrity.patrol_due(self.device_clock_us()) {
-            let t = self.patrol_slice(arrival - now)?;
-            if t > 0.0 {
-                self.stats.patrol_us += t;
-                clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
-            }
+        // Patrol scrubbing rides whatever idle gap is left after GC (none,
+        // and so no budget, once the clocks run past the arrival).
+        let t = self.patrol_slice(arrival - clocks.drained_at())?;
+        if t > 0.0 {
+            self.stats.patrol_us += t;
+            clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
         }
         let service = match r.op {
             IoOp::Write => self.serve_write(r.lpn, class)?,
@@ -616,19 +613,13 @@ impl Ssd {
         Ok(Some(latency))
     }
 
-    /// Rebuilds the payload of an uncorrectable page from its super-word-line
-    /// siblings plus parity (RAIN). Every surviving page of the stripe is
-    /// read (`rebuild_reads`) and the tags XOR back to the lost LPN when the
-    /// stripe is intact; the caller then restages the payload. Sibling reads
-    /// proceed chip-parallel, so the charged critical path is the slowest
-    /// *member* — the rebuild-latency channel where unified-tR superpages
-    /// beat PV-blind assembly. Rebuild time lands in `rebuild_us` and
-    /// `busy_us`, never the read histogram.
-    ///
-    /// A stripe that cannot produce the payload — a second uncorrectable
-    /// sibling, a dropped member whose tags are gone, or a missing parity
-    /// page — counts in `rebuilds_failed`: true data loss, reported, never
-    /// silently absorbed.
+    /// Rebuilds an uncorrectable page's payload from its stripe
+    /// ([`parity::rebuild`]) and books it: sibling occupancy in the touch
+    /// log, the slowest member's read time (where unified-tR superpages
+    /// beat PV-blind assembly) in `rebuild_us` and `busy_us`, never the
+    /// read histogram, and a stripe that cannot yield the payload, or be
+    /// found, in `rebuilds_failed`: true data loss, reported, never
+    /// silently absorbed. The caller restages the payload.
     fn rebuild_page(
         &mut self,
         lpn: u64,
@@ -636,69 +627,29 @@ impl Ssd {
         stripe: Option<&[BlockAddr]>,
     ) -> Result<()> {
         debug_assert!(self.config.parity.enabled());
-        // A GC caller may hand the victim's members directly (the victim
-        // may already be off the sealed list); otherwise locate the stripe.
-        let block = ppa.wl.block;
-        let members = stripe
-            .or_else(|| self.collector.stripe_of(block))
-            .or_else(|| {
-                let open = self.actives.iter().find(|a| a.members.contains(&block));
-                open.map(|a| &a.members[..])
-            })
-            .map(<[BlockAddr]>::to_vec);
-        let Some(members) = members else {
-            self.stats.rebuilds_failed += 1;
-            return Ok(());
-        };
-        // Stripe siblings were programmed in the same instant as the lost
-        // page, so its retention age is theirs.
+        // A GC caller hands its victim's members (it may be off the sealed
+        // list); else search the sealed and open stripes (none: no reads).
+        let members = stripe.or_else(|| {
+            let sealed = self.collector.sealed().iter().map(SealedSuperblock::members);
+            let open = self.actives.iter().map(|a| &a.members[..]);
+            sealed.chain(open).find(|members| members.contains(&ppa.wl.block))
+        });
         let age = self.data_age_hours(lpn);
-        let mut acc = 0u64;
-        let mut intact = true;
-        let mut saw_parity = false;
-        let mut critical_us = 0.0f64;
-        let mut fanout_us = 0.0f64;
-        for &member in &members {
-            let mut member_us = 0.0;
-            match readable_word_line(&self.array, member.wl(ppa.wl.lwl))? {
-                // An unwritten or torn sibling word-line: the stripe is
-                // short of tags.
-                None => intact = false,
-                Some(line) => {
-                    for k in (0..line.pages()).filter(|&k| line.page(k) != ppa) {
-                        let (tag, t) = line.read(k);
-                        let bits = line.expected_error_bits(k, age);
-                        member_us += self.config.retry.read_latency_us(t, bits);
-                        self.stats.rebuild_reads += 1;
-                        if self.config.retry.is_uncorrectable(bits) {
-                            // Double failure within one super word-line.
-                            intact = false;
-                        } else {
-                            acc ^= tag;
-                            saw_parity |= line.oob(k).is_parity();
-                        }
-                    }
-                }
-            }
-            if member_us > 0.0 {
-                self.touch_block(member, member_us);
-            }
-            critical_us = critical_us.max(member_us);
-            fanout_us += member_us;
+        let rebuild = |m| parity::rebuild(&self.array, &self.config.retry, m, ppa, lpn, age);
+        let r = members.map(rebuild).transpose()?.unwrap_or_default();
+        self.stats.rebuild_reads += r.reads;
+        for &(member, us) in &r.member_us {
+            self.touch_block(member, us);
         }
-        // The XOR over a whole stripe is zero, so the survivors' XOR equals
-        // the lost page's tag exactly when the stripe is complete. A
-        // degraded stripe (dropped member) or one whose parity page is gone
-        // misses tags and fails the check.
-        if intact && saw_parity && acc == lpn {
+        if r.ok {
             self.stats.rebuilds_ok += 1;
-            self.stats.rebuild_ok_us += critical_us;
-            self.stats.rebuild_ok_fanout_us += fanout_us;
+            self.stats.rebuild_ok_us += r.critical_us;
+            self.stats.rebuild_ok_fanout_us += r.fanout_us;
         } else {
             self.stats.rebuilds_failed += 1;
         }
-        self.stats.rebuild_us += critical_us;
-        self.stats.busy_us += critical_us;
+        self.stats.rebuild_us += r.critical_us;
+        self.stats.busy_us += r.critical_us;
         Ok(())
     }
 
@@ -786,16 +737,8 @@ impl Ssd {
             SpeedClass::Slow => self.stats.superblocks_assembled.1 += 1,
         }
         let sb_id = self.spor.open_superblock(&ok_members);
-        let geo = self.array.geometry();
-        let active = ActiveSuperblock::new(
-            ok_members,
-            sb_id,
-            geo.strings(),
-            geo.pwl_layers(),
-            geo.pages_per_lwl(),
-            self.config.parity.enabled(),
-        );
-        *self.actives.slot(purpose) = Some(active);
+        let (geo, parity) = (self.array.geometry(), self.config.parity.enabled());
+        *self.actives.slot(purpose) = Some(ActiveSuperblock::new(ok_members, sb_id, geo, parity));
         Ok(outcome.total_us)
     }
 
@@ -1052,135 +995,49 @@ impl Ssd {
         self.integrity.age_hours(lpn, self.device_clock_us())
     }
 
-    /// Runs up to `budget_us` of patrol scanning — further capped by the
-    /// configured `slice_us`, which bounds patrol work per opportunity no
-    /// matter how long the idle gap is (scrubbing is a trickle by design:
-    /// it must never monopolize idle time other background work, or a
-    /// power-conscious host, may want). Parks the in-progress pass when the
-    /// budget runs out. Yields only between super word-line steps (the same
-    /// quantum as a GC slice), so a slice may overrun by one word-line
-    /// scan.
+    /// Runs up to `budget_us` of patrol ([`Integrity::patrol_wants`]),
+    /// yielding only between super word-lines (a GC slice's quantum), so a
+    /// slice may overrun by one word-line scan. A failed step drops the pass.
     fn patrol_slice(&mut self, budget_us: f64) -> Result<f64> {
-        let budget = match self.config.integrity.patrol {
-            PatrolConfig::On { slice_us, .. } => budget_us.min(slice_us),
-            PatrolConfig::Off => return Ok(0.0),
-        };
         let mut time = 0.0;
-        while self.integrity.patrol_due(self.device_clock_us()) && time < budget {
-            time += self.patrol_step()?;
+        while self.integrity.patrol_wants(self.device_clock_us(), time, budget_us) {
+            time += self.patrol_word_line().inspect_err(|_| self.integrity.lose_patrol())?;
         }
         Ok(time)
     }
 
-    /// One word-line-granularity step of the patrol pass: scans every live
-    /// page of the super word-line the pass hands out next, refreshing
-    /// those whose projected error bits crossed the refresh threshold.
-    /// Completing the pass flushes the staged refreshes.
-    fn patrol_step(&mut self) -> Result<f64> {
-        let PatrolConfig::On { refresh_fraction, .. } = self.config.integrity.patrol else {
-            return Ok(0.0);
-        };
-        let (geo, clock) = (self.array.geometry(), self.device_clock_us());
-        let next = self.integrity.next_patrol_wl(clock, &self.collector, geo.lwls_per_block());
-        let Some((lwl, members, mut unrefreshed_live)) = next else {
-            // Pass complete: make the staged refreshes durable so the
-            // rotting copies actually stop being read.
-            let t = self.flush_purpose(Purpose::Gc)?;
-            self.stats.patrol_passes += 1;
-            return Ok(t);
-        };
-        let refresh_at = refresh_fraction * self.config.retry.uncorrectable_limit();
-        let pages_per_lwl = geo.pages_per_lwl();
+    /// Runs the pass's steps through one super word-line, or completes the
+    /// pass; a word-line's time is summed from 0.0 in step order.
+    fn patrol_word_line(&mut self) -> Result<f64> {
         let mut time = 0.0;
-        // Parity verification rides the existing scan for free: the OOB
-        // reads below already visit every page of the stripe, so the
-        // stripe XOR accumulates as a side effect and only the parity
-        // payload itself costs one extra read. No second cursor.
-        let parity_on = self.config.parity.enabled();
-        let mut lwl_xor = 0u64;
-        let mut parity_page: Option<PageAddr> = None;
-        let mut live_pages = 0u64;
-        for &member in &members {
-            let group = self.array.geometry().chip_plane_index(member);
-            // Pages are scanned in slot order through one view of the
-            // member word-line. A refresh ends the view: its staging
-            // (and the emergency collection before it) may program,
-            // erase or collect this very block, so the remaining pages
-            // are read through a fresh, re-checked view.
-            let mut k = 0;
-            while k < pages_per_lwl {
-                let Some(line) = readable_word_line(&self.array, member.wl(lwl))? else {
-                    break;
-                };
-                let mut refresh = None;
-                while k < pages_per_lwl && refresh.is_none() {
-                    let slot = k;
-                    k += 1;
-                    let (page, oob) = (line.page(slot), line.oob(slot));
-                    if parity_on {
-                        if oob.is_parity() {
-                            parity_page = Some(page);
-                            continue;
-                        }
-                        // Every data/filler tag — live or stale — is
-                        // part of the stripe XOR (payload tag == OOB lpn
-                        // for both).
-                        lwl_xor ^= oob.lpn;
-                    }
-                    if oob.is_filler() || self.mapping.lookup(oob.lpn) != Some(page) {
-                        // Filler or a stale copy: nothing to protect.
-                        continue;
-                    }
-                    let (tag, t_read) = line.read(slot);
-                    debug_assert_eq!(tag, oob.lpn);
-                    self.touches.record(group, t_read);
-                    time += t_read;
-                    self.stats.patrol_scanned_pages += 1;
-                    live_pages += 1;
-                    let bits = line.expected_error_bits(slot, self.data_age_hours(oob.lpn));
-                    if bits >= refresh_at {
-                        refresh = Some(oob.lpn);
-                    } else if parity_on {
-                        unrefreshed_live.push(oob.lpn);
-                    }
-                }
-                let Some(lpn) = refresh else { break };
-                // A refresh-heavy pass through aged media must not
-                // outrun collection and drain the pool.
-                time += self.reclaim_floor()?;
-                time += self.stage_write(lpn, Purpose::Gc)?;
-                self.stats.patrol_refreshes += 1;
-            }
-        }
-        if parity_on && live_pages > 0 {
-            // Live data with no parity page (the parity-carrying member was
-            // dropped) leaves the stripe unprotected.
-            let verified = match parity_page {
-                Some(page) => {
-                    let (ptag, t_read) = self.array.read_page(page)?;
-                    self.touch_block(page.wl.block, t_read);
-                    time += t_read;
-                    ptag == lwl_xor
-                }
-                None => false,
+        loop {
+            let dev = DeviceView {
+                clock: self.device_clock_us(),
+                array: &self.array,
+                mapping: &self.mapping,
+                collector: &self.collector,
             };
-            if verified {
-                self.stats.parity_verified += 1;
-            } else {
-                // The stripe can no longer rebuild a lost page: feed its
-                // live pages through the same reactive-refresh path an
-                // uncorrectable read takes, so fresh protected copies
-                // replace the exposed ones.
-                self.stats.parity_mismatch += 1;
-                for &lpn in &unrefreshed_live {
+            match self.integrity.patrol_step(&dev, &mut self.touches, &mut self.stats, &mut time)? {
+                PatrolStep::Refresh(lpn) => {
                     time += self.reclaim_floor()?;
                     time += self.stage_write(lpn, Purpose::Gc)?;
-                    self.stats.refresh_relocations += 1;
+                    self.stats.patrol_refreshes += 1;
+                }
+                PatrolStep::Scanned(unprotected) => {
+                    for lpn in unprotected {
+                        time += self.reclaim_floor()?;
+                        time += self.stage_write(lpn, Purpose::Gc)?;
+                        self.stats.refresh_relocations += 1;
+                    }
+                    return Ok(time);
+                }
+                PatrolStep::PassDone => {
+                    let t = self.flush_purpose(Purpose::Gc)?;
+                    self.stats.patrol_passes += 1;
+                    return Ok(t);
                 }
             }
         }
-        self.integrity.park_patrol(members, unrefreshed_live);
-        Ok(time)
     }
 
     /// Runs up to `budget_us` of relocation work until `target`

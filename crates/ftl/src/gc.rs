@@ -173,11 +173,6 @@ impl Collector {
         self.seal_seq
     }
 
-    /// Members of the sealed superblock holding `block`, if any.
-    pub(crate) fn stripe_of(&self, block: BlockAddr) -> Option<&[BlockAddr]> {
-        self.sealed.iter().find(|s| s.members.contains(&block)).map(SealedSuperblock::members)
-    }
-
     pub(crate) fn has_job(&self) -> bool {
         self.job.is_some()
     }

@@ -1,61 +1,98 @@
-//! Data integrity state: per-LPN write times (the data ages the ECC model
-//! reads at) and the patrol scrubber's pass — its due time, scan order and
-//! cursor. The device scans each super word-line the pass hands it and
-//! refreshes through its own write path.
+//! Data integrity: per-LPN write times (the data ages the ECC model reads
+//! at) and the patrol scrubber, which walks the sealed superblocks one super
+//! word-line at a time and hands the device one step at a time.
 
-use crate::config::{IntegrityConfig, PatrolConfig, PatrolOrder};
+use crate::config::{FtlConfig, IntegrityConfig, PatrolConfig, PatrolOrder};
+use crate::device::readable_word_line;
 use crate::gc::Collector;
-use flash_model::{BlockAddr, LwlId, PageAddr};
+use crate::mapping::Mapping;
+use crate::parity::Closure;
+use crate::stats::SsdStats;
+use crate::timing::TouchLog;
+use crate::Result;
+use flash_model::{BlockAddr, FlashArray, LwlId, PageAddr};
 use pvcheck::SpeedClass;
 
-/// Cursors of a patrol pass: the scan-order index of the superblock being
-/// scanned and its next logical word-line. They live only in RAM, so a
-/// crash mid-pass merely restarts the pass — no mapping state depends on
-/// them. Each step scans one super word-line (the same quantum as a GC
-/// slice step), so patrol slices preempt at the identical granularity.
+/// What the patrol pass needs from the device next. Each LPN named is
+/// restaged after the emergency floor, so refreshes cannot drain the pool.
+#[derive(Debug)]
+pub(crate) enum PatrolStep {
+    /// Refresh this live LPN: it crossed the refresh threshold.
+    Refresh(u64),
+    /// The super word-line is scanned. Restage these live LPNs so protected
+    /// copies replace them: its parity is gone (with a dropped member) or
+    /// does not match.
+    Scanned(Vec<u64>),
+    /// The pass is complete: flush the GC slot so the refreshed copies are
+    /// durable and the rotting ones stop being read.
+    PassDone,
+}
+
+/// The device as a patrol step reads it, at device time `clock`, µs.
+pub(crate) struct DeviceView<'a> {
+    pub(crate) clock: f64,
+    pub(crate) array: &'a FlashArray,
+    pub(crate) mapping: &'a Mapping,
+    pub(crate) collector: &'a Collector,
+}
+
+/// A pass's cursors, RAM-only (a crash merely restarts the pass): the
+/// scan-order index of the superblock, its next logical word-line, and the
+/// scan of `lwl` — next member and slot, live pages read, closure check.
 #[derive(Debug, Default, Clone, Copy)]
 struct PatrolJob {
     sb_cursor: usize,
     lwl_cursor: u32,
+    lwl: LwlId,
+    member: usize,
+    slot: u32,
+    live: u64,
+    closure: Closure,
 }
 
 /// Write times and the patrol pass of one device.
 #[derive(Debug, Default)]
 pub(crate) struct Integrity {
     config: IntegrityConfig,
-    /// Per-LPN write time on the device clock, µs; `Some` only when
-    /// integrity tracking is on. Reset on every program of the LPN (a
-    /// relocation rewrites the physical charge, so its retention clock
-    /// restarts).
+    /// Projected error bits at which patrol refreshes a page.
+    refresh_at: f64,
+    /// Whether stripes carry parity for the scan to verify.
+    parity: bool,
+    /// Per-LPN write time on the device clock, µs, when tracking is on.
+    /// Every program resets it: a relocation rewrites the charge too.
     birth_us: Option<Vec<f64>>,
-    /// The pass parked between slices; `None` when no pass is mid-flight.
-    /// A step takes it out while the device scans, and
-    /// [`Integrity::park_patrol`] puts it back, so a step that fails drops
-    /// the pass and the next one restarts it.
+    /// The pass in flight; `None` when no pass is.
     job: Option<PatrolJob>,
-    /// Cursors of the step the device is scanning.
-    scanning: PatrolJob,
     /// Device-clock time at which the next patrol pass is due, µs.
     due_at: f64,
     // The buffers below are refilled in place, so steady-state scanning
     // allocates nothing per super word-line or per pass.
     /// The pass's `(rank, sealed_at, sb_id)` keys in scan order, snapshot
-    /// at pass start; ids collected mid-pass no longer resolve and are
-    /// skipped.
+    /// at pass start; ids collected mid-pass are skipped.
     order: Vec<(u8, u64, u64)>,
-    /// Member blocks of the superblock being scanned.
+    /// Members of the superblock being scanned, snapshot at word-line
+    /// start: a refresh may collect the superblock mid-scan.
     members: Vec<BlockAddr>,
-    /// Live LPNs of the current super word-line that the scan did not
-    /// refresh (the ones a parity mismatch must relocate).
-    unrefreshed_live: Vec<u64>,
+    /// Live LPNs of the word-line the scan did not refresh.
+    unrefreshed: Vec<u64>,
 }
 
 impl Integrity {
-    /// Integrity state for a device exporting `logical_pages`.
-    pub(crate) fn new(config: &IntegrityConfig, logical_pages: u64) -> Integrity {
+    /// Integrity state for a device of `config` exporting `logical_pages`.
+    pub(crate) fn new(config: &FtlConfig, logical_pages: u64) -> Integrity {
         let n = usize::try_from(logical_pages).expect("capacity fits usize");
-        let birth_us = config.track.then(|| vec![0.0f64; n]);
-        Integrity { config: *config, birth_us, ..Integrity::default() }
+        let limit = config.retry.uncorrectable_limit();
+        let refresh_at = match config.integrity.patrol {
+            PatrolConfig::On { refresh_fraction, .. } => refresh_fraction * limit,
+            PatrolConfig::Off => f64::INFINITY,
+        };
+        Integrity {
+            config: config.integrity,
+            refresh_at,
+            parity: config.parity.enabled(),
+            birth_us: config.integrity.track.then(|| vec![0.0f64; n]),
+            ..Integrity::default()
+        }
     }
 
     /// Per-LPN write times; `None` when tracking is off.
@@ -88,16 +125,18 @@ impl Integrity {
         })
     }
 
-    /// Drops a parked pass (RAM lost at power-off).
+    /// Drops the pass in flight: RAM lost at power-off, or a failed step.
     pub(crate) fn lose_patrol(&mut self) {
         self.job = None;
     }
 
-    /// Whether patrol wants a slice at device time `clock`: a pass is
-    /// mid-flight, or the next one has come due.
-    pub(crate) fn patrol_due(&self, clock: f64) -> bool {
-        matches!(self.config.patrol, PatrolConfig::On { .. })
-            && (self.job.is_some() || clock >= self.due_at)
+    /// Whether patrol wants another super word-line at device time `clock`
+    /// (a pass is in flight, or the next is due) after `spent_us` of a
+    /// `budget_us` opportunity. The configured slice caps the budget, so
+    /// scrubbing stays a trickle however long the idle gap.
+    pub(crate) fn patrol_wants(&self, clock: f64, spent_us: f64, budget_us: f64) -> bool {
+        let PatrolConfig::On { slice_us, .. } = self.config.patrol else { return false };
+        (self.job.is_some() || clock >= self.due_at) && spent_us < budget_us.min(slice_us)
     }
 
     /// Patrol's rungs on the QoS ladder at device time `clock`,
@@ -111,11 +150,82 @@ impl Integrity {
         }
     }
 
-    /// The next super word-line of the pass at device time `clock`:
-    /// logical word-line `lwl` of the returned members, plus an emptied
-    /// buffer for the live pages the scan leaves unrefreshed. Hand both
-    /// buffers back through [`Integrity::park_patrol`] after the scan.
-    /// `None` once the pass is complete.
+    /// The pass's next step, scanning the next super word-line or the rest
+    /// of one a refresh interrupted: each member's slots in order through
+    /// one view, every live page read adding its occupancy to `touches` and
+    /// its time to `time`, the word-line's running total. A refresh ends the
+    /// view, since it may program, erase or collect this very block.
+    pub(crate) fn patrol_step(
+        &mut self,
+        dev: &DeviceView,
+        touches: &mut TouchLog,
+        stats: &mut SsdStats,
+        time: &mut f64,
+    ) -> Result<PatrolStep> {
+        let job = match self.job.take() {
+            Some(job) if job.member < self.members.len() => Some(job),
+            job => self.next_word_line(job, dev),
+        };
+        let Some(mut job) = job else { return Ok(PatrolStep::PassDone) };
+        let geo = dev.array.geometry();
+        let pages = geo.pages_per_lwl();
+        let step = 'scan: {
+            while let Some(&member) = self.members.get(job.member) {
+                // An unwritten or torn word-line has nothing to scan.
+                let wl = member.wl(job.lwl);
+                let view = if job.slot < pages { readable_word_line(dev.array, wl)? } else { None };
+                let group = geo.chip_plane_index(member);
+                while let Some(line) = view.as_ref().filter(|_| job.slot < pages) {
+                    let k = job.slot;
+                    job.slot += 1;
+                    let (page, oob) = (line.page(k), line.oob(k));
+                    if self.parity && !job.closure.visit(page, oob) {
+                        continue;
+                    }
+                    if oob.is_filler() || dev.mapping.lookup(oob.lpn) != Some(page) {
+                        continue; // filler or a stale copy: nothing to protect
+                    }
+                    let (tag, t_read) = line.read(k);
+                    debug_assert_eq!(tag, oob.lpn);
+                    touches.record(group, t_read);
+                    *time += t_read;
+                    stats.patrol_scanned_pages += 1;
+                    job.live += 1;
+                    let bits = line.expected_error_bits(k, self.age_hours(oob.lpn, dev.clock));
+                    if bits >= self.refresh_at {
+                        break 'scan PatrolStep::Refresh(oob.lpn);
+                    }
+                    if self.parity {
+                        self.unrefreshed.push(oob.lpn);
+                    }
+                }
+                job.member += 1;
+                job.slot = 0;
+            }
+            if !self.parity || job.live == 0 {
+                break 'scan PatrolStep::Scanned(Vec::new());
+            }
+            let verified = match job.closure.verify(dev.array)? {
+                Some((closes, block, t_read)) => {
+                    touches.record(geo.chip_plane_index(block), t_read);
+                    *time += t_read;
+                    closes
+                }
+                None => false,
+            };
+            if verified {
+                stats.parity_verified += 1;
+                break 'scan PatrolStep::Scanned(Vec::new());
+            }
+            stats.parity_mismatch += 1;
+            PatrolStep::Scanned(self.unrefreshed.clone())
+        };
+        self.job = Some(job);
+        Ok(step)
+    }
+
+    /// Moves the pass on to its next super word-line, snapshotting the
+    /// superblock's members; `None` once the pass is complete.
     ///
     /// The interval timer re-arms when a pass *starts*, and a pass still
     /// in flight when the next interval comes due is abandoned and
@@ -126,51 +236,33 @@ impl Integrity {
     /// Abandonment is safe — staged refreshes stay staged (they flush as
     /// word lines fill or at the next completed pass) and a scanned-twice
     /// page merely costs a redundant read.
-    pub(crate) fn next_patrol_wl(
-        &mut self,
-        clock: f64,
-        collector: &Collector,
-        lwls_per_block: u32,
-    ) -> Option<(LwlId, Vec<BlockAddr>, Vec<u64>)> {
-        let PatrolConfig::On { interval_us, .. } = self.config.patrol else {
-            return None;
-        };
-        let mut job = match self.job.take() {
-            Some(job) if clock < self.due_at => job,
+    fn next_word_line(&mut self, job: Option<PatrolJob>, dev: &DeviceView) -> Option<PatrolJob> {
+        let PatrolConfig::On { interval_us, .. } = self.config.patrol else { return None };
+        let mut job = match job {
+            Some(job) if dev.clock < self.due_at => job,
             _ => {
-                self.due_at = clock + interval_us;
-                self.fill_order(collector);
+                self.due_at = dev.clock + interval_us;
+                self.fill_order(dev.collector);
                 PatrolJob::default()
             }
         };
-        loop {
-            let &(_, _, sb_id) = self.order.get(job.sb_cursor)?;
+        let lwls = dev.array.geometry().lwls_per_block();
+        while let Some(&(_, _, sb_id)) = self.order.get(job.sb_cursor) {
             // The superblock may have been collected while the pass was
             // parked; its id then no longer resolves and the cursor skips.
-            let sb = collector.sealed().iter().find(|s| s.sb_id() == sb_id);
-            let Some(sb) = sb.filter(|_| job.lwl_cursor < lwls_per_block) else {
-                job.sb_cursor += 1;
-                job.lwl_cursor = 0;
-                continue;
-            };
-            let lwl = LwlId(job.lwl_cursor);
-            job.lwl_cursor += 1;
-            self.scanning = job;
-            let mut members = std::mem::take(&mut self.members);
-            members.clear();
-            members.extend_from_slice(sb.members());
-            let mut unrefreshed_live = std::mem::take(&mut self.unrefreshed_live);
-            unrefreshed_live.clear();
-            return Some((lwl, members, unrefreshed_live));
+            let sb = dev.collector.sealed().iter().find(|s| s.sb_id() == sb_id);
+            if let Some(sb) = sb.filter(|_| job.lwl_cursor < lwls) {
+                self.members.clear();
+                self.members.extend_from_slice(sb.members());
+                self.unrefreshed.clear();
+                let (sb_cursor, lwl_cursor, lwl) =
+                    (job.sb_cursor, job.lwl_cursor + 1, LwlId(job.lwl_cursor));
+                return Some(PatrolJob { sb_cursor, lwl_cursor, lwl, ..PatrolJob::default() });
+            }
+            job.sb_cursor += 1;
+            job.lwl_cursor = 0;
         }
-    }
-
-    /// Parks the pass after a scanned step, taking back the buffers
-    /// [`Integrity::next_patrol_wl`] lent.
-    pub(crate) fn park_patrol(&mut self, members: Vec<BlockAddr>, unrefreshed_live: Vec<u64>) {
-        self.members = members;
-        self.unrefreshed_live = unrefreshed_live;
-        self.job = Some(self.scanning);
+        None
     }
 
     /// Refills the sealed-superblock scan order for a new pass. PV-aware

@@ -18,8 +18,8 @@
 //! group clocks. The log is disabled outside `PerChip` replays so the
 //! `Single` path stays untouched.
 
-/// Which timing model [`crate::Ssd::run_timed`] uses. See the
-/// [module docs](self) for the two models.
+/// Which timing model [`crate::Ssd::run_timed`] uses: one device-wide
+/// command queue, or per-chip clocks that let work overlap across chips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QueueModel {
     /// One device-wide command queue (the original scalar clock).

@@ -40,13 +40,6 @@ pub enum Workload {
         /// Fraction of the logical space touched.
         span: f64,
     },
-    /// Zipf-distributed writes over `span` of the logical space.
-    Zipf {
-        /// Skew parameter θ (0 = uniform; 0.99 = typical YCSB skew).
-        theta: f64,
-        /// Fraction of the logical space touched.
-        span: f64,
-    },
 }
 
 impl Workload {
@@ -107,15 +100,6 @@ impl Workload {
                     out.push(IoRequest::write(lpn.min(capacity - 1)));
                 }
             }
-            Workload::Zipf { theta, span } => {
-                let span_pages = span_pages(capacity, span).min(1 << 20);
-                let cdf = zipf_cdf(span_pages as usize, theta);
-                for _ in 0..count {
-                    let u = rng.random_range(0.0..1.0);
-                    let rank = cdf.partition_point(|&c| c < u) as u64;
-                    out.push(IoRequest::write(rank.min(span_pages - 1)));
-                }
-            }
         }
         out
     }
@@ -158,18 +142,6 @@ fn span_pages(capacity: u64, span: f64) -> u64 {
     ((capacity as f64 * span.clamp(0.0, 1.0)) as u64).clamp(1, capacity)
 }
 
-/// Cumulative Zipf distribution over `n` ranks with skew `theta`.
-fn zipf_cdf(n: usize, theta: f64) -> Vec<f64> {
-    let mut weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(theta)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut acc = 0.0;
-    for w in &mut weights {
-        acc += *w / total;
-        *w = acc;
-    }
-    weights
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,23 +179,6 @@ mod tests {
         let reqs = w.generate(&info(1000), 5000, 3);
         let hot = reqs.iter().filter(|r| r.lpn < 200).count();
         assert!(hot as f64 > 0.7 * 5000.0, "{hot} hot hits");
-    }
-
-    #[test]
-    fn zipf_head_is_heavier_than_tail() {
-        let w = Workload::Zipf { theta: 0.99, span: 1.0 };
-        let reqs = w.generate(&info(1000), 5000, 4);
-        let head = reqs.iter().filter(|r| r.lpn < 10).count();
-        let tail = reqs.iter().filter(|r| r.lpn >= 500).count();
-        assert!(head > tail, "head {head} tail {tail}");
-    }
-
-    #[test]
-    fn zipf_theta_zero_is_roughly_uniform() {
-        let w = Workload::Zipf { theta: 0.0, span: 1.0 };
-        let reqs = w.generate(&info(10), 10_000, 5);
-        let zero = reqs.iter().filter(|r| r.lpn == 0).count();
-        assert!((700..1300).contains(&zero), "{zero}");
     }
 
     #[test]

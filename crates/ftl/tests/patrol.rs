@@ -401,3 +401,59 @@ fn refresh_dense_patrol_reproduces_the_page_at_a_time_golden() {
         }
     }
 }
+
+/// A regime whose patrol finds stripes that parity no longer covers:
+/// program failures drop members from superblocks mid-fill, so the super
+/// word-lines written before the drop lose that member's tags (or their
+/// parity page) and no longer close, and the scan must restage their live
+/// pages. Tracking is on with zero aging and the order is blind; 2x the
+/// logical capacity of random writes over 60% of the LPNs arrive 800 µs
+/// apart, all seeds 0.
+fn parity_mismatch_run() -> (Ssd, Vec<u64>) {
+    let mut config = FtlConfig::small_test();
+    config.queue_model = QueueModel::PerChip;
+    config.parity = ParityConfig::On;
+    config.fault.program_fail_prob = 0.002;
+    config.integrity = IntegrityConfig {
+        track: true,
+        retention_hours_per_us: 0.0,
+        patrol: PatrolConfig::On {
+            interval_us: 5_000.0,
+            slice_us: 2_000.0,
+            refresh_fraction: 0.5,
+            order: PatrolOrder::Blind,
+        },
+    };
+    let mut dev = Ssd::new(config, 0).unwrap();
+    let info = dev.geometry_info();
+    let reqs = Workload::random_write(0.6).generate(&info, (info.logical_pages * 2) as usize, 0);
+    let mut written: Vec<u64> = reqs.iter().map(|r| r.lpn).collect();
+    written.sort_unstable();
+    written.dedup();
+    dev.run_timed(&poisson_arrivals(&reqs, 800.0, 0)).unwrap();
+    (dev, written)
+}
+
+#[test]
+fn patrol_restages_the_live_pages_of_a_stripe_parity_no_longer_covers() {
+    let (mut dev, written) = parity_mismatch_run();
+    let s = dev.stats();
+    assert!(s.parity_mismatch > 0, "the regime must find an unprotected stripe");
+    assert!(s.parity_verified > 0, "intact stripes still verify");
+    assert!(s.refresh_relocations > 0, "a mismatch restages its live pages");
+    fingerprint::assert_pinned(&fingerprint::device(&dev), PARITY_MISMATCH, "parity mismatch");
+    // Nothing was lost: every written LPN still reads back.
+    for &lpn in &written {
+        assert!(dev.read(lpn).unwrap().is_some(), "lpn {lpn} lost");
+    }
+}
+
+/// Fingerprint of [`patrol_restages_the_live_pages_of_a_stripe_parity_no_longer_covers`].
+#[rustfmt::skip]
+const PARITY_MISMATCH: &[u64] = &[
+    12672, 0, 12672, 0, 0, 0, 2681, 34, 1, 0, 0xad408e8c2ae4aef9, 0x4128c89c1fc57a5a,
+    0xbab528c31bddb4e9, 1594, 51, 38, 13, 0x40e5f9cccccccd47, 0x409e300000000000,
+    0x414882407b22d301, 0, 10, 455, 30, 0, 0, 0x41617257ef3af127, 103748, 1075, 46, 10,
+    0x418324a84c3bf82c, 0, 144, 0x4163645e48a347e8, 0x662a9ff057cb123f, 0x6f9d04a836817cc1,
+    0xcbf29ce484222325, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19328, 8, 0x8a619399ab91093c,
+];

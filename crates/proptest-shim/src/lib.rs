@@ -34,7 +34,7 @@ pub mod collection {
     use rand::RngExt;
     use std::ops::Range;
 
-    /// Anything usable as the size parameter of [`vec`].
+    /// Anything usable as the size parameter of [`vec()`].
     pub trait SizeRange {
         /// Draws a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;
