@@ -88,6 +88,12 @@ pub struct FlashArray {
     /// never allocate counters, and a zero disturb count multiplies the
     /// RBER by exactly 1.0, so tracking state never perturbs latencies.
     track_disturb: bool,
+    /// [`FaultInjector::page_type_ber_mult`] of each page slot (1.0 past
+    /// the cell type's pages) and `BerModel::layer_factor` of each logical
+    /// word-line's layer: functions of the configuration alone, tabled at
+    /// build time.
+    slot_mult: [f64; 4],
+    layer_factor: Box<[f64]>,
 }
 
 impl FlashArray {
@@ -102,14 +108,26 @@ impl FlashArray {
     /// same master seed, decorrelated from latency and BER draws).
     #[must_use]
     pub fn with_faults(config: FlashConfig, seed: u64, fault: FaultConfig) -> Self {
-        let model = LatencyModel::new(config.geometry.clone(), config.variation, seed);
-        let blocks = vec![BlockState::default(); config.geometry.total_blocks() as usize];
+        let geo = &config.geometry;
+        let (ber, fault) = (BerModel::new(seed), FaultInjector::new(fault, seed));
+        let pages = geo.pages_per_lwl();
+        let slot_mult = std::array::from_fn(|k| {
+            let k = k as u32;
+            if k < pages {
+                fault.page_type_ber_mult(k, pages)
+            } else {
+                1.0
+            }
+        });
+        let layer_factor = geo.lwls().map(|lwl| ber.layer_factor(geo, geo.layer_of(lwl)));
         FlashArray {
-            cache: LatencyCache::new(model.geometry()),
-            model,
-            ber: BerModel::new(seed),
-            fault: FaultInjector::new(fault, seed),
-            blocks,
+            cache: LatencyCache::new(geo),
+            blocks: vec![BlockState::default(); geo.total_blocks() as usize],
+            layer_factor: layer_factor.collect(),
+            slot_mult,
+            model: LatencyModel::new(config.geometry, config.variation, seed),
+            ber,
+            fault,
             seals: Vec::new(),
             track_disturb: false,
         }
@@ -343,43 +361,121 @@ impl FlashArray {
     ///
     /// Panics if the page type does not exist on the geometry's cell type.
     pub fn read_page(&self, page: PageAddr) -> Result<(u64, f64)> {
-        let idx = self.check_wl(page.wl)?;
-        let block = &self.blocks[idx];
-        let (pages, _) = block.readable(page)?;
-        let offset = self.geometry().page_offset_in_block(page);
-        let index = idx * pages.len() + offset;
-        Ok(self.read_at(block, pages, offset, index, page))
+        // A bare read takes no RBER terms.
+        let mut block = self.handle_at(page.wl.block, self.check(page.wl.block)?, false);
+        let line = self.view(&mut block, page)?;
+        Ok(line.read(page.page.slot(self.geometry().cell())))
     }
 
-    /// The read every payload read path shares: disturb recorded first,
-    /// then the memoized tR. `offset` indexes `pages` (the block's
-    /// payloads) and `index` the array-wide page space.
+    /// A handle on `addr`'s static read and RBER terms, taken now (see
+    /// [`BlockHandle`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::AddressOutOfRange`] for addresses outside the
+    /// geometry.
+    pub fn block(&self, addr: BlockAddr) -> Result<BlockHandle> {
+        Ok(self.handle_at(addr, self.check(addr)?, true))
+    }
+
+    /// A handle on the in-range block `addr` at dense index `index`, with
+    /// its RBER terms when `ber` is set.
     #[inline]
-    fn read_at(
-        &self,
-        block: &BlockState,
-        pages: &[u64],
-        offset: usize,
-        index: usize,
-        page: PageAddr,
-    ) -> (u64, f64) {
-        let data = pages[offset];
-        if self.track_disturb {
-            block.record_read_disturb(pages.len(), offset);
-        }
-        (data, self.cache.read_latency_at(&self.model, index, page, block.wear.pe_cycles()))
+    fn handle_at(&self, addr: BlockAddr, index: usize, ber: bool) -> BlockHandle {
+        let pe = self.blocks[index].wear.pe_cycles();
+        BlockHandle { addr, index, pe, ber: ber.then(|| self.ber_terms(addr, index, pe)) }
     }
 
-    /// A checked view of one word-line for reading its pages one after
-    /// another: the range and readability checks and the block's static
-    /// read and RBER terms are taken once here, so each page's
+    /// The RBER terms of the block `addr` at dense index `index` at `pe`
+    /// cycles.
+    fn ber_terms(&self, addr: BlockAddr, index: usize, pe: u32) -> BerTerms {
+        let (factors, weak) = self.cache.rber_factors(&self.ber, &self.fault, addr, index, pe);
+        BerTerms { factors, weak }
+    }
+
+    /// `handle`'s block, its terms retaken first when the block's P/E count
+    /// moved since they were taken.
+    #[inline]
+    fn current(&self, handle: &mut BlockHandle) -> &BlockState {
+        let block = &self.blocks[handle.index];
+        if block.wear.pe_cycles() != handle.pe {
+            *handle = self.handle_at(handle.addr, handle.index, handle.ber.is_some());
+        }
+        block
+    }
+
+    /// A checked view of word-line `lwl` of `block`'s block for reading its
+    /// pages one after another: the range and readability checks are taken
+    /// once here, the static read and RBER terms are the handle's (retaken
+    /// first if the block's P/E count moved), so each page's
     /// [`WordLine::oob`], [`WordLine::read`] and
     /// [`WordLine::expected_error_bits`] answer exactly what
     /// [`FlashArray::read_oob`], [`FlashArray::read_page`] and
     /// [`FlashArray::expected_error_bits`] answer for that page.
     ///
     /// The view borrows the array, so nothing can program, erase or age
-    /// the block while it lives; take a fresh view after any such change.
+    /// the block while it lives; the handle outlives it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::WlOutOfRange`] for a word-line outside the
+    /// block, [`FlashError::ReadUnwritten`] naming its first page when it
+    /// was never programmed, or [`FlashError::TornWordLine`].
+    #[inline]
+    pub fn line(&self, block: &mut BlockHandle, lwl: LwlId) -> Result<WordLine<'_>> {
+        self.view(block, block.addr.wl(lwl).page(PageType::Lsb))
+    }
+
+    /// [`FlashArray::line`], or `None` where the word-line holds nothing to
+    /// read: never programmed, or torn by a power loss. Scans that walk
+    /// word-lines stop or skip there.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::WlOutOfRange`] for a word-line outside the
+    /// block.
+    #[inline]
+    pub fn readable_line(
+        &self,
+        block: &mut BlockHandle,
+        lwl: LwlId,
+    ) -> Result<Option<WordLine<'_>>> {
+        match self.line(block, lwl) {
+            Ok(line) => Ok(Some(line)),
+            Err(FlashError::ReadUnwritten { .. } | FlashError::TornWordLine { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// [`FlashArray::line`] of `page`'s word-line, its readability error
+    /// naming `page`, which must lie in `block`'s block.
+    #[inline]
+    fn view(&self, block: &mut BlockHandle, page: PageAddr) -> Result<WordLine<'_>> {
+        debug_assert_eq!(page.wl.block, block.addr, "the page lies in the handle's block");
+        let (wl, geo) = (page.wl, self.geometry());
+        if wl.lwl.0 >= geo.lwls_per_block() {
+            return Err(FlashError::WlOutOfRange { wl });
+        }
+        let state = self.current(block);
+        let (pages, oob) = state.readable(page)?;
+        let types = PageType::for_cell(geo.cell());
+        let first = wl.lwl.0 as usize * types.len();
+        Ok(WordLine {
+            array: self,
+            block: state,
+            pages,
+            oob,
+            wl,
+            types,
+            first,
+            index: block.index * pages.len() + first,
+            pe: block.pe,
+            ber: block.ber,
+        })
+    }
+
+    /// A checked view of one word-line: [`FlashArray::line`] through a
+    /// handle taken now.
     ///
     /// # Errors
     ///
@@ -387,28 +483,7 @@ impl FlashArray {
     /// never programmed ([`FlashError::ReadUnwritten`] naming its first
     /// page), or it is torn.
     pub fn word_line(&self, wl: WlAddr) -> Result<WordLine<'_>> {
-        let idx = self.check_wl(wl)?;
-        let block = &self.blocks[idx];
-        let geo = self.geometry();
-        let (pages, oob) = block.readable(wl.page(PageType::Lsb))?;
-        let types = PageType::for_cell(geo.cell());
-        let first = wl.lwl.0 as usize * types.len();
-        let mut slot_mult = [1.0; 4];
-        for (k, m) in slot_mult.iter_mut().enumerate().take(types.len()) {
-            *m = self.fault.page_type_ber_mult(k as u32, geo.pages_per_lwl());
-        }
-        Ok(WordLine {
-            array: self,
-            block,
-            pages,
-            oob,
-            wl,
-            types,
-            first,
-            index: idx * pages.len() + first,
-            ber: self.ber_terms(wl.block, wl.lwl, block.wear.pe_cycles()),
-            slot_mult,
-        })
+        self.line(&mut self.block(wl.block)?, wl.lwl)
     }
 
     /// Accumulated read disturb of one page: payload reads of *sibling*
@@ -456,38 +531,39 @@ impl FlashArray {
     /// does not exist on the geometry's cell type.
     #[must_use]
     pub fn expected_error_bits(&self, page: PageAddr, retention_hours: f64) -> f64 {
-        let geo = self.geometry();
-        let block = &self.blocks[geo.block_index(page.wl.block)];
-        let ber = self.ber_terms(page.wl.block, page.wl.lwl, block.wear.pe_cycles());
-        let slot_mult =
-            self.fault.page_type_ber_mult(page.page.slot(geo.cell()), geo.pages_per_lwl());
+        let (geo, addr) = (self.geometry(), page.wl.block);
+        let index = geo.block_index(addr);
+        let block = &self.blocks[index];
+        let ber = self.ber_terms(addr, index, block.wear.pe_cycles());
         let disturbs = block.read_disturbs(geo.page_offset_in_block(page));
-        self.error_bits(&ber, slot_mult, disturbs, retention_hours)
+        let slot_mult = self.slot_mult[page.page.slot(geo.cell()) as usize];
+        self.error_bits(&ber, self.layer_term(page.wl.lwl), slot_mult, disturbs, retention_hours)
     }
 
-    /// The static RBER terms of one word-line of `addr` at `pe` cycles.
+    /// `BerModel::layer_factor` of word-line `lwl`'s layer.
     ///
     /// # Panics
     ///
-    /// Panics if the block or word-line is outside the geometry.
-    fn ber_terms(&self, addr: BlockAddr, lwl: LwlId, pe: u32) -> BerTerms {
-        let geo = self.geometry();
-        let (factors, weak) = self.cache.rber_factors(geo, &self.ber, &self.fault, addr, pe);
-        BerTerms { factors, weak, layer: self.ber.layer_factor(geo, geo.layer_of(lwl)) }
+    /// Panics if `lwl` is outside the geometry.
+    #[inline]
+    fn layer_term(&self, lwl: LwlId) -> f64 {
+        self.layer_factor[lwl.0 as usize]
     }
 
-    /// Expected error bits of one page from its word-line's static terms,
-    /// its page-type multiplier and its disturb count: [`BerModel::rber`]
+    /// Expected error bits of one page from its block's terms, its layer
+    /// and page-type multipliers and its disturb count: [`BerModel::rber`]
     /// scaled to a page, times the weak-block and page-type multipliers.
+    #[inline]
     fn error_bits(
         &self,
         ber: &BerTerms,
+        layer: f64,
         slot_mult: f64,
         disturbs: u64,
         retention_hours: f64,
     ) -> f64 {
         let disturb = self.cache.disturb_factor(&self.ber, disturbs);
-        let bits = self.ber.rber_from(ber.factors, ber.layer, retention_hours, disturb)
+        let bits = self.ber.rber_from(ber.factors, layer, retention_hours, disturb)
             * f64::from(PAGE_BYTES)
             * 8.0
             * ber.weak;
@@ -532,20 +608,63 @@ fn oob_at(oob: Option<&[PageOob]>, offset: usize) -> PageOob {
     oob.map_or_else(PageOob::default, |o| o[offset])
 }
 
-/// The static RBER terms of one word-line: constant until its block's
-/// next erase or aging.
-#[derive(Debug)]
+/// One block's static read and RBER terms, taken once by
+/// [`FlashArray::block`]: its dense index, the P/E count the terms stand
+/// at, its [`RberFactors`] and its weak-block multiplier
+/// ([`FaultInjector::ber_multiplier`]).
+///
+/// A handle borrows nothing, so it may be kept across programs, erases and
+/// aging of its block. Every read through it ([`FlashArray::line`]) first
+/// compares the block's P/E count with the handle's and retakes the terms
+/// when it moved: P/E is their only input besides the address. A handle
+/// belongs to the array that took it.
+///
+/// ```
+/// use flash_model::{BlockAddr, BlockId, ChipId, FlashArray, FlashConfig, LwlId, PlaneId};
+///
+/// # fn main() -> flash_model::Result<()> {
+/// let mut array = FlashArray::new(FlashConfig::small_test(), 7);
+/// let addr = BlockAddr::new(ChipId(0), PlaneId(0), BlockId(1));
+/// let mut block = array.block(addr)?;
+/// // Erasing moves the P/E count; the next view retakes the handle's terms.
+/// array.erase_block(addr)?;
+/// array.program_wl(addr.wl(LwlId(0)), &[4, 5, 6])?;
+/// let bits = array.line(&mut block, LwlId(0))?.expected_error_bits(0, 0.0);
+/// let page = addr.wl(LwlId(0)).page(flash_model::PageType::Lsb);
+/// assert_eq!(bits.to_bits(), array.expected_error_bits(page, 0.0).to_bits());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct BlockHandle {
+    addr: BlockAddr,
+    index: usize,
+    pe: u32,
+    /// The RBER terms at `pe`; `None` only in the handle a bare page read
+    /// takes, which reads no error bits.
+    ber: Option<BerTerms>,
+}
+
+/// The RBER terms of one block at one P/E count.
+#[derive(Debug, Clone, Copy)]
 struct BerTerms {
     factors: RberFactors,
     /// [`FaultInjector::ber_multiplier`] of the block.
     weak: f64,
-    /// `BerModel::layer_factor` of the word-line's layer.
-    layer: f64,
+}
+
+impl BlockHandle {
+    /// The block's address.
+    #[must_use]
+    pub fn addr(&self) -> BlockAddr {
+        self.addr
+    }
 }
 
 /// A checked, read-only view of one programmed word-line
-/// ([`FlashArray::word_line`]). Pages are addressed by their slot `k` in
-/// `0..pages()` (the [`PageType::slot`] order: LSB first).
+/// ([`FlashArray::line`], [`FlashArray::word_line`]). Pages are addressed
+/// by their slot `k` in `0..pages()` (the [`PageType::slot`] order: LSB
+/// first).
 ///
 /// ```
 /// use flash_model::{BlockAddr, BlockId, ChipId, FlashArray, FlashConfig, LwlId, PlaneId};
@@ -582,9 +701,9 @@ pub struct WordLine<'a> {
     first: usize,
     /// Array-wide page index of slot 0.
     index: usize,
-    ber: BerTerms,
-    /// [`FaultInjector::page_type_ber_mult`] per slot.
-    slot_mult: [f64; 4],
+    /// The block's P/E count and RBER terms, current for this view.
+    pe: u32,
+    ber: Option<BerTerms>,
 }
 
 impl WordLine<'_> {
@@ -634,8 +753,16 @@ impl WordLine<'_> {
     #[inline]
     pub fn read(&self, k: u32) -> (u64, f64) {
         let offset = self.offset(k);
-        let index = self.index + k as usize;
-        self.array.read_at(self.block, self.pages, offset, index, self.page(k))
+        // The payload load goes first, so its cache miss overlaps the
+        // memo's: loaded after the memo lookup, it made
+        // `tenants_read_mostly` about 5% slower on 2 vCPUs.
+        let data = self.pages[offset];
+        if self.array.track_disturb {
+            self.block.record_read_disturb(self.pages.len(), offset);
+        }
+        let (cache, model) = (&self.array.cache, &self.array.model);
+        let t = cache.read_latency_at(model, self.index + k as usize, self.page(k), self.pe);
+        (data, t)
     }
 
     /// Expected error bits of slot `k` after `retention_hours` of data
@@ -650,7 +777,10 @@ impl WordLine<'_> {
     #[must_use]
     pub fn expected_error_bits(&self, k: u32, retention_hours: f64) -> f64 {
         let disturbs = self.block.read_disturbs(self.offset(k));
-        self.array.error_bits(&self.ber, self.slot_mult[k as usize], disturbs, retention_hours)
+        let ber = self.ber.as_ref().expect("views from `FlashArray::line` carry the RBER terms");
+        let (layer, slot_mult) =
+            (self.array.layer_term(self.wl.lwl), self.array.slot_mult[k as usize]);
+        self.array.error_bits(ber, layer, slot_mult, disturbs, retention_hours)
     }
 }
 

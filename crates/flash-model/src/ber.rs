@@ -42,6 +42,7 @@ impl BerModel {
     /// Clamps a garbage retention to "no aging": NaN (an uninitialized
     /// age), a negative (a skewed clock) and infinity all collapse to 0.0
     /// rather than poisoning the exponential with NaN/inf RBER.
+    #[inline]
     fn sanitize_retention(retention_hours: f64) -> f64 {
         if retention_hours.is_finite() {
             retention_hours.max(0.0)
@@ -121,6 +122,7 @@ impl BerModel {
     /// [`Self::rber_with`] with the layer and disturb terms already
     /// evaluated (`layer_factor`, `disturb_factor`): the one place the RBER
     /// product is written.
+    #[inline]
     pub(crate) fn rber_from(
         &self,
         factors: RberFactors,
@@ -184,6 +186,7 @@ pub struct RberFactors {
 }
 
 /// `exp(x)`, skipping the call at exactly zero where it would return 1.0.
+#[inline]
 fn growth(x: f64) -> f64 {
     if x == 0.0 {
         1.0

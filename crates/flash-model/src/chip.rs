@@ -6,7 +6,7 @@ use crate::ids::{BlockAddr, LwlId, PageAddr};
 use crate::spor::PageOob;
 use crate::wear::WearState;
 use crate::Result;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell};
 
 /// Lifecycle phase of a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -46,11 +46,11 @@ pub(crate) struct BlockState {
     /// Payload reads of any page in this block since the last erase.
     /// Interior mutability because reads take `&self`; cleared by erase.
     block_reads: Cell<u64>,
-    /// Per-page own-read counts, same indexing as `pages` and sized lazily
-    /// on the first recorded read. A page's *disturb* count is
+    /// Per-page own-read counts, same indexing as `pages` and allocated on
+    /// the first recorded read. A page's *disturb* count is
     /// `block_reads - own_reads[idx]`: reads of sibling word-lines stress
     /// a victim page's cells, reads of the page itself do not.
-    own_reads: RefCell<Vec<u64>>,
+    own_reads: OnceCell<Box<[Cell<u64>]>>,
 }
 
 impl Default for BlockState {
@@ -63,7 +63,7 @@ impl Default for BlockState {
             oob: None,
             torn_lwl: None,
             block_reads: Cell::new(0),
-            own_reads: RefCell::new(Vec::new()),
+            own_reads: OnceCell::new(),
         }
     }
 }
@@ -77,7 +77,9 @@ impl BlockState {
         self.oob = None;
         self.torn_lwl = None;
         self.block_reads.set(0);
-        self.own_reads.borrow_mut().clear();
+        for own in self.own_reads.get_mut().into_iter().flat_map(|own| own.iter()) {
+            own.set(0);
+        }
     }
 
     /// Records one disturbing payload read of page `idx` (of `total` pages
@@ -86,18 +88,15 @@ impl BlockState {
     #[inline]
     pub(crate) fn record_read_disturb(&self, total: usize, idx: usize) {
         self.block_reads.set(self.block_reads.get() + 1);
-        let mut own = self.own_reads.borrow_mut();
-        if own.len() < total {
-            own.resize(total, 0);
-        }
-        own[idx] += 1;
+        let own = &self.own_reads.get_or_init(|| vec![Cell::new(0); total].into())[idx];
+        own.set(own.get() + 1);
     }
 
     /// Accumulated read disturb of page `idx`: sibling reads since the
     /// block's last erase. Zero when tracking never recorded anything.
     #[inline]
     pub(crate) fn read_disturbs(&self, idx: usize) -> u64 {
-        let own = self.own_reads.borrow().get(idx).copied().unwrap_or(0);
+        let own = self.own_reads.get().and_then(|own| own.get(idx)).map_or(0, Cell::get);
         self.block_reads.get().saturating_sub(own)
     }
 
@@ -175,6 +174,7 @@ impl BlockState {
     /// programmed with OOB, so every page reports the filler default), once
     /// `page`'s word-line passes the rules every read applies: programmed
     /// and not torn. Both slices are indexed by in-block page offset.
+    #[inline]
     pub(crate) fn readable(&self, page: PageAddr) -> Result<(&[u64], Option<&[PageOob]>)> {
         let lwl = page.wl.lwl;
         if self.torn_lwl == Some(lwl) {

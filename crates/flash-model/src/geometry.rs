@@ -93,24 +93,28 @@ impl Geometry {
     }
 
     /// Cell technology.
+    #[inline]
     #[must_use]
     pub fn cell(&self) -> CellType {
         self.cell
     }
 
     /// Logical word-lines per block (`layers * strings`).
+    #[inline]
     #[must_use]
     pub fn lwls_per_block(&self) -> u32 {
         u32::from(self.pwl_layers) * u32::from(self.strings)
     }
 
     /// Pages per logical word-line (one per bit of the cell type).
+    #[inline]
     #[must_use]
     pub fn pages_per_lwl(&self) -> u32 {
         self.cell.bits_per_cell()
     }
 
     /// Pages per block.
+    #[inline]
     #[must_use]
     pub fn pages_per_block(&self) -> u32 {
         self.lwls_per_block() * self.pages_per_lwl()
@@ -139,6 +143,7 @@ impl Geometry {
     /// # Panics
     ///
     /// Panics if `lwl` is out of range.
+    #[inline]
     #[must_use]
     pub fn layer_of(&self, lwl: LwlId) -> PwlLayer {
         assert!(lwl.0 < self.lwls_per_block(), "lwl {lwl} out of range");
@@ -157,6 +162,7 @@ impl Geometry {
     }
 
     /// Whether a block address is within this geometry.
+    #[inline]
     #[must_use]
     pub fn contains_block(&self, addr: BlockAddr) -> bool {
         addr.chip.0 < self.chips
@@ -190,6 +196,7 @@ impl Geometry {
     /// # Panics
     ///
     /// Panics if the address is out of range.
+    #[inline]
     #[must_use]
     pub fn block_index(&self, addr: BlockAddr) -> usize {
         assert!(self.contains_block(addr), "block address {addr} out of range");
@@ -211,6 +218,7 @@ impl Geometry {
     ///
     /// Panics if the word-line or page type is out of range for this
     /// geometry's cell type.
+    #[inline]
     #[must_use]
     pub fn page_offset_in_block(&self, ppa: PageAddr) -> usize {
         assert!(ppa.wl.lwl.0 < self.lwls_per_block(), "lwl {} out of range", ppa.wl.lwl);
@@ -233,6 +241,7 @@ impl Geometry {
     /// # Panics
     ///
     /// Panics if the address is out of range.
+    #[inline]
     #[must_use]
     pub fn page_index(&self, ppa: PageAddr) -> usize {
         self.block_index(ppa.wl.block) * self.pages_per_block() as usize
@@ -285,6 +294,7 @@ impl Geometry {
     }
 
     /// Flat index of a block's chip/plane group, in `0..chip_plane_groups()`.
+    #[inline]
     #[must_use]
     pub fn chip_plane_index(&self, addr: BlockAddr) -> usize {
         usize::from(addr.chip.0) * usize::from(self.planes_per_chip) + usize::from(addr.plane.0)

@@ -49,6 +49,7 @@ pub enum CellType {
 
 impl CellType {
     /// Number of bits stored per cell, i.e. pages per logical word-line.
+    #[inline]
     #[must_use]
     pub fn bits_per_cell(self) -> u32 {
         match self {
@@ -102,6 +103,7 @@ impl PageType {
     /// no CSB page, so its MSB sits in slot 1. A page type `cell` does not
     /// have gets a slot of at least `cell.bits_per_cell()`, which range
     /// checks reject.
+    #[inline]
     #[must_use]
     pub fn slot(self, cell: CellType) -> u32 {
         match (cell, self) {

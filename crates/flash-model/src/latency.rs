@@ -508,6 +508,7 @@ struct BlockBer {
 }
 
 /// `table`, allocated zero-filled with `len` entries on first use.
+#[inline]
 fn sized<T: Clone + Default>(table: &mut Vec<T>, len: usize) -> &mut Vec<T> {
     if table.is_empty() {
         *table = vec![T::default(); len];
@@ -536,6 +537,7 @@ impl LatencyCache {
     /// page at [`Geometry::page_index`] `index`; bit-identical to it as
     /// long as `pe` is the block's P/E count and the owner invalidated the
     /// block when that count last changed.
+    #[inline]
     pub(crate) fn read_latency_at(
         &self,
         model: &LatencyModel,
@@ -572,21 +574,18 @@ impl LatencyCache {
 
     /// Memoized [`RberFactors`] of `addr` at `pe`, plus its
     /// [`FaultInjector::ber_multiplier`]; bit-identical to computing them
-    /// from `ber` and `fault` directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range for `geo`.
-    pub fn rber_factors(
+    /// from `ber` and `fault` directly. `block_index` is `addr`'s
+    /// [`Geometry::block_index`].
+    pub(crate) fn rber_factors(
         &self,
-        geo: &Geometry,
         ber: &BerModel,
         fault: &FaultInjector,
         addr: BlockAddr,
+        block_index: usize,
         pe: u32,
     ) -> (RberFactors, f64) {
         let mut table = self.ber.borrow_mut();
-        let entry = &mut sized(&mut table, self.blocks)[geo.block_index(addr)];
+        let entry = &mut sized(&mut table, self.blocks)[block_index];
         if entry.block == 0.0 {
             entry.block = ber.block_factor(addr);
             entry.weak = fault.ber_multiplier(addr);
@@ -599,6 +598,7 @@ impl LatencyCache {
     }
 
     /// Memoized `BerModel::disturb_factor`; bit-identical to it.
+    #[inline]
     pub(crate) fn disturb_factor(&self, ber: &BerModel, read_disturbs: u64) -> f64 {
         let n = match usize::try_from(read_disturbs) {
             Ok(n) if n < DISTURB_MEMO_LEN => n,

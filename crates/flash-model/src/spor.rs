@@ -36,12 +36,14 @@ impl PageOob {
     pub const PARITY_LPN: u64 = u64::MAX - 1;
 
     /// Whether this page is padding rather than host data.
+    #[inline]
     #[must_use]
     pub fn is_filler(&self) -> bool {
         self.lpn == Self::FILLER_LPN
     }
 
     /// Whether this page holds RAIN parity rather than host data.
+    #[inline]
     #[must_use]
     pub fn is_parity(&self) -> bool {
         self.lpn == Self::PARITY_LPN

@@ -20,6 +20,7 @@ impl WearState {
     }
 
     /// Completed program/erase cycles.
+    #[inline]
     #[must_use]
     pub fn pe_cycles(&self) -> u32 {
         self.pe_cycles

@@ -1,8 +1,8 @@
 //! Property-based tests for the latency model's invariants.
 
 use flash_model::{
-    BlockAddr, BlockId, CellType, ChipId, FaultConfig, FlashArray, FlashConfig, Geometry, LwlId,
-    PageAddr, PageOob, PageType, PlaneId, PwlLayer, Sampler, VariationConfig,
+    BlockAddr, BlockHandle, BlockId, CellType, ChipId, FaultConfig, FlashArray, FlashConfig,
+    Geometry, LwlId, PageAddr, PageOob, PageType, PlaneId, PwlLayer, Sampler, VariationConfig,
 };
 use proptest::prelude::*;
 
@@ -197,7 +197,10 @@ proptest! {
         // `read_oob` / `read_page` / `expected_error_bits` calls in the
         // same order. Every answer, error and disturb count must agree to
         // the bit, on readable, unwritten, torn and program-failed
-        // word-lines alike.
+        // word-lines alike. A view comes from a handle taken now, from a
+        // handle taken before any operation and never refreshed, or from
+        // one kept and refreshed by its reads; the last two were taken
+        // before erases, reprograms, `age_block` and `age_all`.
         let geo = Geometry::new(2, 1, 2, 3, 2, cell);
         let config = FlashConfig { geometry: geo.clone(), variation: VariationConfig::default() };
         let faults = FaultConfig { program_fail_prob: 0.04, ..mixed_faults() };
@@ -206,6 +209,8 @@ proptest! {
         view.set_track_disturb(true);
         paged.set_track_disturb(true);
         let blocks: Vec<BlockAddr> = geo.blocks().collect();
+        let taken: Vec<BlockHandle> = blocks.iter().map(|&a| view.block(a).unwrap()).collect();
+        let mut kept = taken.clone();
         let per_lwl = geo.pages_per_lwl();
         for (kind, b, pick, age) in ops {
             let addr = blocks[b];
@@ -246,11 +251,20 @@ proptest! {
                     view.age_block(addr, 1 + pick % 300).unwrap();
                     paged.age_block(addr, 1 + pick % 300).unwrap();
                 }
+                6 => {
+                    view.age_all(1 + pick % 50);
+                    paged.age_all(1 + pick % 50);
+                }
                 _ => {
                     // A patrol-style scan: each page's OOB, then its read,
                     // then its error bits (which see that read's disturb).
                     let first = wl.page(PageType::for_cell(cell)[0]);
-                    match view.word_line(wl) {
+                    let line = match (pick >> 8) % 3 {
+                        0 => view.word_line(wl),
+                        1 => view.line(&mut taken[b].clone(), wl.lwl),
+                        _ => view.line(&mut kept[b], wl.lwl),
+                    };
+                    match line {
                         Ok(line) => {
                             prop_assert_eq!(line.pages(), per_lwl);
                             for k in 0..line.pages() {

@@ -167,7 +167,9 @@ impl FleetWorkload {
     #[must_use]
     pub fn user_ops(&self, fleet_seed: u64, user: u64, logical_pages: u64) -> Vec<UserOp> {
         let cdf = self.zipf_cdf(self.footprint(logical_pages));
-        self.user_ops_with_cdf(fleet_seed, user, logical_pages, &cdf)
+        let mut out = Vec::new();
+        self.push_user_ops(fleet_seed, user, logical_pages, &cdf, &mut Vec::new(), &mut out);
+        out
     }
 
     /// Footprint size clamped to the logical space.
@@ -176,16 +178,19 @@ impl FleetWorkload {
         usize::try_from(self.footprint_pages.clamp(1, logical_pages)).expect("footprint fits usize")
     }
 
-    /// [`FleetWorkload::user_ops`] with the Zipf CDF hoisted out, so a
-    /// device-stream build pays the `O(footprint)` table once, not once
-    /// per user.
-    fn user_ops_with_cdf(
+    /// Appends [`FleetWorkload::user_ops`] to `out` with the Zipf CDF
+    /// hoisted out and `written` (the footprint pages written so far)
+    /// reused, so a device-stream build pays the `O(footprint)` table once
+    /// and allocates nothing per user.
+    fn push_user_ops(
         &self,
         fleet_seed: u64,
         user: u64,
         logical_pages: u64,
         cdf: &[f64],
-    ) -> Vec<UserOp> {
+        written: &mut Vec<bool>,
+        out: &mut Vec<UserOp>,
+    ) {
         // Static traits draw from their own stream so changing, say, the
         // op-count distribution never perturbs QoS assignment.
         let mut traits_rng = mix3(fleet_seed, TRAIT_SALT, user);
@@ -204,9 +209,10 @@ impl FleetWorkload {
         let start = unit(&mut traits_rng) * self.start_spread_us;
 
         let mut rng = mix3(fleet_seed, STREAM_SALT, user);
-        let mut written = vec![false; cdf.len()];
+        written.clear();
+        written.resize(cdf.len(), false);
         let mut wrote_any = false;
-        let mut out = Vec::with_capacity(count as usize);
+        out.reserve(count as usize);
         let mut t = start;
         let mut burst_left = 0u32;
         for seq in 0..count {
@@ -240,24 +246,25 @@ impl FleetWorkload {
             let intensity = (1.0 + self.diurnal_amplitude * phase.sin()).max(1e-3);
             t += -gap_mean * (1.0 - unit(&mut rng)).ln().min(0.0) / intensity;
         }
-        out
     }
 
     /// Every op of the users sharded to `device`, sorted by
     /// `(arrival, user, seq)` — the canonical per-device stream. The sort
-    /// key is total (arrival ties break by user then sequence), so the
-    /// stream is a pure function of `(fleet_seed, device)`.
+    /// key is total and unique (arrival ties break by user, and a user's
+    /// sequence numbers differ), so an unstable sort yields the one order
+    /// and the stream is a pure function of `(fleet_seed, device)`.
     #[must_use]
     pub fn shard_ops(&self, fleet_seed: u64, device: usize, logical_pages: u64) -> Vec<UserOp> {
         let cdf = self.zipf_cdf(self.footprint(logical_pages));
-        let mut out = Vec::new();
+        let (mut written, mut out) = (Vec::new(), Vec::new());
         for user in 0..self.users {
             if self.shard_of(fleet_seed, user) == device {
-                out.extend(self.user_ops_with_cdf(fleet_seed, user, logical_pages, &cdf));
+                self.push_user_ops(fleet_seed, user, logical_pages, &cdf, &mut written, &mut out);
             }
         }
-        out.sort_by(|a, b| {
-            a.arrival_us.total_cmp(&b.arrival_us).then(a.user.cmp(&b.user)).then(a.seq.cmp(&b.seq))
+        out.sort_unstable_by(|a, b| {
+            let by_arrival = a.arrival_us.total_cmp(&b.arrival_us);
+            by_arrival.then_with(|| a.user.cmp(&b.user)).then_with(|| a.seq.cmp(&b.seq))
         });
         out
     }

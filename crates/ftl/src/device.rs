@@ -4,7 +4,7 @@ use crate::active::{ActiveSlots, ActiveSuperblock, FailedMember, Purpose, FILLER
 use crate::config::{FtlConfig, QosClass};
 use crate::error::FtlError;
 use crate::gc::{Collector, GcBudget, GcStep, SealedSuperblock};
-use crate::integrity::{DeviceView, Integrity, PatrolStep};
+use crate::integrity::{DeviceView, Integrity, PatrolStep, PatrolTime};
 use crate::manager::{speed_class_for, BlockManager};
 use crate::mapping::Mapping;
 use crate::parity;
@@ -15,8 +15,7 @@ use crate::stats::SsdStats;
 use crate::timing::{Clocks, QueueModel, Replay, TimedOutcome, TouchLog, CONTROLLER};
 use crate::Result;
 use flash_model::{
-    BlockAddr, BlockSummaryRecord, FlashArray, FlashError, MpOutcome, PageAddr, SealRecord, WlAddr,
-    WordLine,
+    BlockAddr, BlockHandle, BlockSummaryRecord, FlashArray, MpOutcome, PageAddr, SealRecord,
 };
 use pvcheck::{BlockSummary, Characterizer, EigenSequence, SpeedClass};
 
@@ -116,17 +115,6 @@ fn ladder_pays(class: QosClass, (due, overdue): (bool, bool)) -> bool {
         QosClass::Background => due,
         QosClass::Standard => overdue,
         QosClass::LatencyCritical => false,
-    }
-}
-
-/// The one word-line reader: a checked flash view of `wl`, or `None` when
-/// the word-line holds nothing readable (never programmed, or torn by a
-/// power loss). The view borrows only the array.
-pub(crate) fn readable_word_line(array: &FlashArray, wl: WlAddr) -> Result<Option<WordLine<'_>>> {
-    match array.word_line(wl) {
-        Ok(line) => Ok(Some(line)),
-        Err(FlashError::ReadUnwritten { .. } | FlashError::TornWordLine { .. }) => Ok(None),
-        Err(e) => Err(e.into()),
     }
 }
 
@@ -995,21 +983,12 @@ impl Ssd {
         self.integrity.age_hours(lpn, self.device_clock_us())
     }
 
-    /// Runs up to `budget_us` of patrol ([`Integrity::patrol_wants`]),
-    /// yielding only between super word-lines (a GC slice's quantum), so a
-    /// slice may overrun by one word-line scan. A failed step drops the pass.
+    /// Runs up to `budget_us` of patrol: [`Integrity::patrol_run`] scans
+    /// runs of super word-lines, and the device takes the steps a run hands
+    /// back, their time joining the word-line's. A failed step drops the
+    /// pass.
     fn patrol_slice(&mut self, budget_us: f64) -> Result<f64> {
-        let mut time = 0.0;
-        while self.integrity.patrol_wants(self.device_clock_us(), time, budget_us) {
-            time += self.patrol_word_line().inspect_err(|_| self.integrity.lose_patrol())?;
-        }
-        Ok(time)
-    }
-
-    /// Runs the pass's steps through one super word-line, or completes the
-    /// pass; a word-line's time is summed from 0.0 in step order.
-    fn patrol_word_line(&mut self) -> Result<f64> {
-        let mut time = 0.0;
+        let mut time = PatrolTime::default();
         loop {
             let dev = DeviceView {
                 clock: self.device_clock_us(),
@@ -1017,27 +996,42 @@ impl Ssd {
                 mapping: &self.mapping,
                 collector: &self.collector,
             };
-            match self.integrity.patrol_step(&dev, &mut self.touches, &mut self.stats, &mut time)? {
-                PatrolStep::Refresh(lpn) => {
-                    time += self.reclaim_floor()?;
-                    time += self.stage_write(lpn, Purpose::Gc)?;
-                    self.stats.patrol_refreshes += 1;
-                }
-                PatrolStep::Scanned(unprotected) => {
-                    for lpn in unprotected {
-                        time += self.reclaim_floor()?;
-                        time += self.stage_write(lpn, Purpose::Gc)?;
-                        self.stats.refresh_relocations += 1;
-                    }
-                    return Ok(time);
-                }
-                PatrolStep::PassDone => {
-                    let t = self.flush_purpose(Purpose::Gc)?;
-                    self.stats.patrol_passes += 1;
-                    return Ok(t);
+            let (touches, stats) = (&mut self.touches, &mut self.stats);
+            let run = self.integrity.patrol_run(&dev, touches, stats, budget_us, &mut time);
+            match run.and_then(|step| self.patrol_device_step(step, &mut time.line)) {
+                Ok(true) => {}
+                Ok(false) => return Ok(time.slice),
+                Err(e) => {
+                    self.integrity.lose_patrol();
+                    return Err(e);
                 }
             }
         }
+    }
+
+    /// Takes one step a patrol run asked for, adding its time to the
+    /// word-line's `time`; `false` once the run yields.
+    fn patrol_device_step(&mut self, step: PatrolStep, time: &mut f64) -> Result<bool> {
+        let (lpns, refreshed) = match &step {
+            PatrolStep::Refresh(lpn) => (std::slice::from_ref(lpn), true),
+            PatrolStep::Restage(lpns) => (&lpns[..], false),
+            PatrolStep::PassDone => {
+                *time += self.flush_purpose(Purpose::Gc)?;
+                self.stats.patrol_passes += 1;
+                return Ok(true);
+            }
+            PatrolStep::Yield => return Ok(false),
+        };
+        for &lpn in lpns {
+            *time += self.reclaim_floor()?;
+            *time += self.stage_write(lpn, Purpose::Gc)?;
+            if refreshed {
+                self.stats.patrol_refreshes += 1;
+            } else {
+                self.stats.refresh_relocations += 1;
+            }
+        }
+        Ok(true)
     }
 
     /// Runs up to `budget_us` of relocation work until `target`
@@ -1054,11 +1048,11 @@ impl Ssd {
                 yielded = self.collector.has_job();
                 break;
             }
-            let Some(step) = self.collector.next_step(&self.mapping) else { break };
+            let Some(step) = self.collector.next_step(&self.array, &self.mapping) else { break };
             time += match step {
-                GcStep::Relocate(lpn, ppa) => {
+                GcStep::Relocate(lpn, ppa, mut block) => {
                     // The victim stays sealed, so a rebuild finds its stripe.
-                    let (read, program) = self.relocate(lpn, ppa, None)?;
+                    let (read, program) = self.relocate(lpn, ppa, &mut block, None)?;
                     self.collector.relocated(lpn);
                     read + program
                 }
@@ -1094,8 +1088,10 @@ impl Ssd {
         for &member in victim.members() {
             scratch.clear();
             scratch.extend(self.mapping.valid_in_block(member));
+            let mut block = self.array.block(member)?;
             for &(lpn, ppa) in &scratch {
-                let (read, program) = self.relocate(lpn, ppa, Some(victim.members()))?;
+                let (read, program) =
+                    self.relocate(lpn, ppa, &mut block, Some(victim.members()))?;
                 time += read;
                 time += program;
             }
@@ -1106,22 +1102,26 @@ impl Ssd {
         Ok(Some(time))
     }
 
-    /// Relocates one valid victim page into the GC slot: the read and the
-    /// restage, returned unsummed so each collector keeps its float order.
-    /// With parity off the read costs its raw sense time, bit for bit the
-    /// historical path; with parity on it pays the retry ladder, and an
-    /// uncorrectable page is rebuilt from `stripe` (`None`: the sealed
-    /// superblock holding it) before the restage replaces it.
+    /// Relocates one valid victim page into the GC slot, read through its
+    /// member's handle `block`: the read and the restage, returned unsummed
+    /// so each collector keeps its float order. With parity off the read
+    /// costs its raw sense time, bit for bit the historical path; with
+    /// parity on it pays the retry ladder, and an uncorrectable page is
+    /// rebuilt from `stripe` (`None`: the sealed superblock holding it)
+    /// before the restage replaces it.
     fn relocate(
         &mut self,
         lpn: u64,
         ppa: PageAddr,
+        block: &mut BlockHandle,
         stripe: Option<&[BlockAddr]>,
     ) -> Result<(f64, f64)> {
-        let (tag, mut t_read) = self.array.read_page(ppa)?;
+        let ecc = self.config.parity.enabled() && self.consults_ecc();
+        let line = self.array.line(block, ppa.wl.lwl)?;
+        let k = ppa.page.slot(self.array.geometry().cell());
+        let (tag, mut t_read) = line.read(k);
         debug_assert_eq!(tag, lpn);
-        if self.config.parity.enabled() && self.consults_ecc() {
-            let bits = self.array.expected_error_bits(ppa, self.data_age_hours(lpn));
+        if let Some(bits) = ecc.then(|| line.expected_error_bits(k, self.data_age_hours(lpn))) {
             if self.config.retry.is_uncorrectable(bits) {
                 self.stats.uncorrectable_reads += 1;
                 self.rebuild_page(lpn, ppa, stripe)?;

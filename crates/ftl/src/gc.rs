@@ -2,10 +2,9 @@
 //! choice and the preemptible job parked between slices. The device's
 //! write path does the relocations the [`Collector`] asks for.
 
-use crate::mapping::Mapping;
-use flash_model::{BlockAddr, PageAddr};
+use crate::mapping::{LpnSet, Mapping};
+use flash_model::{BlockAddr, BlockHandle, FlashArray, PageAddr};
 use pvcheck::SpeedClass;
-use std::collections::HashSet;
 
 /// How much relocation work a foreground-triggered GC invocation may do
 /// before yielding back to host commands.
@@ -71,14 +70,10 @@ struct GcJob {
     /// Valid pages collected from the current member, relocated one per
     /// step.
     pending: Vec<(u64, PageAddr)>,
+    /// The handle `pending`'s pages are read through.
+    block: Option<BlockHandle>,
     /// Next entry of `pending` to relocate.
     pending_cursor: usize,
-    /// LPNs this job has staged into the GC slot. Invariant: an entry is
-    /// either still staged (its copy flushes before the victim is freed)
-    /// or its LPN no longer maps into the victim (programmed elsewhere, or
-    /// trimmed) — so filtering re-collection by this set never strands a
-    /// live page.
-    staged: HashSet<u64>,
 }
 
 /// A fully written superblock awaiting garbage collection.
@@ -129,8 +124,9 @@ impl SealedSuperblock {
 #[derive(Debug)]
 pub(crate) enum GcStep {
     /// Relocate this valid victim page (`lpn` at `ppa`) into the GC slot,
-    /// then report it with [`Collector::relocated`].
-    Relocate(u64, PageAddr),
+    /// reading it through its member's handle, then report it with
+    /// [`Collector::relocated`].
+    Relocate(u64, PageAddr, BlockHandle),
     /// Every member has drained: make the staged copies durable, free the
     /// victim, then drop it with [`Collector::freed`].
     Free(SealedSuperblock),
@@ -147,10 +143,18 @@ pub(crate) struct Collector {
     /// and the emergency floor; [`Collector::take_victim`] never parks);
     /// `None` when no collection is mid-flight.
     job: Option<GcJob>,
-    /// The job while the device relocates its page, parked again by
-    /// [`Collector::relocated`]: a relocation that fails leaves nothing
-    /// parked, so the next slice selects afresh and rescans the victim.
-    relocating: Option<GcJob>,
+    /// Whether the device is relocating the job's page: set by a
+    /// relocation step, cleared by [`Collector::relocated`]. A relocation
+    /// that fails leaves it set, so the next step drops the job, selects
+    /// afresh and rescans the victim.
+    relocating: bool,
+    /// LPNs the job has staged into the GC slot, cleared when it frees its
+    /// victim (or when a job starts after one a failed relocation
+    /// dropped). Invariant: an entry is either still staged (its copy
+    /// flushes before the victim is freed) or its LPN no longer maps into
+    /// the victim (programmed elsewhere, or trimmed) — so filtering
+    /// re-collection by this set never strands a live page.
+    staged: LpnSet,
 }
 
 impl Collector {
@@ -174,7 +178,7 @@ impl Collector {
     }
 
     pub(crate) fn has_job(&self) -> bool {
-        self.job.is_some()
+        self.job.is_some() && !self.relocating
     }
 
     /// Selects the greedy victim and removes it from the sealed list now,
@@ -186,18 +190,23 @@ impl Collector {
     /// Advances the parked job — starting one on the greedy victim when
     /// none is parked — to its next step; `None` when nothing is sealed.
     /// A step never splits a program, so it is the preemption quantum.
-    pub(crate) fn next_step(&mut self, mapping: &Mapping) -> Option<GcStep> {
-        let mut job = match self.job.take() {
-            Some(job) => job,
+    pub(crate) fn next_step(&mut self, array: &FlashArray, mapping: &Mapping) -> Option<GcStep> {
+        if std::mem::take(&mut self.relocating) {
+            self.job = None;
+        }
+        if self.job.is_none() {
             // The victim stays in the sealed list until it is freed.
-            None => GcJob {
-                victim: self.sealed[select_victim(&self.sealed, mapping)?].clone(),
+            let victim = select_victim(&self.sealed, mapping)?;
+            self.staged.clear();
+            self.job = Some(GcJob {
+                victim: self.sealed[victim].clone(),
                 member_cursor: 0,
                 pending: Vec::new(),
+                block: None,
                 pending_cursor: 0,
-                staged: HashSet::new(),
-            },
-        };
+            });
+        }
+        let job = self.job.as_mut().expect("a job is parked");
         loop {
             if let Some(&(lpn, ppa)) = job.pending.get(job.pending_cursor) {
                 job.pending_cursor += 1;
@@ -206,31 +215,33 @@ impl Collector {
                 if mapping.lookup(lpn) != Some(ppa) {
                     continue;
                 }
-                self.relocating = Some(job);
-                return Some(GcStep::Relocate(lpn, ppa));
+                self.relocating = true;
+                let block = job.block.expect("pending pages come with their member's handle");
+                return Some(GcStep::Relocate(lpn, ppa, block));
             }
-            if let Some(&member) = job.victim.members.get(job.member_cursor) {
-                job.member_cursor += 1;
-                // Staged LPNs keep mapping into the victim until their GC
-                // copy programs; filtering them out of the re-collection is
-                // what keeps resumption from relocating a page twice.
-                job.pending.clear();
-                job.pending_cursor = 0;
-                let staged = &job.staged;
-                job.pending.extend(
-                    mapping.valid_in_block(member).filter(|(lpn, _)| !staged.contains(lpn)),
-                );
-                continue;
-            }
-            return Some(GcStep::Free(job.victim));
+            let Some(&member) = job.victim.members.get(job.member_cursor) else { break };
+            job.member_cursor += 1;
+            // Staged LPNs keep mapping into the victim until their GC copy
+            // programs; filtering them out of the re-collection is what
+            // keeps resumption from relocating a page twice.
+            job.pending.clear();
+            job.pending_cursor = 0;
+            let staged = &self.staged;
+            job.pending
+                .extend(mapping.valid_in_block(member).filter(|&(lpn, _)| !staged.contains(lpn)));
+            // Only a member with pages to relocate needs its read terms.
+            job.block = (!job.pending.is_empty())
+                .then(|| array.block(member).expect("victim members lie in the array"));
         }
+        let job = self.job.take().expect("the drained job is parked");
+        Some(GcStep::Free(job.victim))
     }
 
-    /// Parks the job again once the device has staged the relocated `lpn`.
+    /// Records that the device staged the relocated `lpn`: the job is
+    /// parked again.
     pub(crate) fn relocated(&mut self, lpn: u64) {
-        let mut job = self.relocating.take().expect("a relocation step is in flight");
-        job.staged.insert(lpn);
-        self.job = Some(job);
+        assert!(std::mem::take(&mut self.relocating), "a relocation step is in flight");
+        self.staged.insert(lpn);
     }
 
     /// Drops a freed job victim from the sealed list — only once it is
@@ -238,6 +249,7 @@ impl Collector {
     pub(crate) fn freed(&mut self, victim: &SealedSuperblock) {
         let idx = self.sealed.iter().position(|s| s.sb_id == victim.sb_id);
         self.sealed.swap_remove(idx.expect("victim stays sealed until freed"));
+        self.staged.clear();
     }
 }
 

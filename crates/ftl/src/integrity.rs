@@ -1,34 +1,47 @@
 //! Data integrity: per-LPN write times (the data ages the ECC model reads
 //! at) and the patrol scrubber, which walks the sealed superblocks one super
-//! word-line at a time and hands the device one step at a time.
+//! word-line at a time, a run of word-lines per call, and hands the device
+//! only the steps it must take itself.
 
 use crate::config::{FtlConfig, IntegrityConfig, PatrolConfig, PatrolOrder};
-use crate::device::readable_word_line;
 use crate::gc::Collector;
 use crate::mapping::Mapping;
 use crate::parity::Closure;
 use crate::stats::SsdStats;
 use crate::timing::TouchLog;
 use crate::Result;
-use flash_model::{BlockAddr, FlashArray, LwlId, PageAddr};
+use flash_model::{BlockHandle, FlashArray, LwlId, PageAddr};
 use pvcheck::SpeedClass;
 
-/// What the patrol pass needs from the device next. Each LPN named is
+/// What a patrol run needs from the device next. Each LPN named is
 /// restaged after the emergency floor, so refreshes cannot drain the pool.
 #[derive(Debug)]
 pub(crate) enum PatrolStep {
-    /// Refresh this live LPN: it crossed the refresh threshold.
+    /// Refresh this live LPN: it crossed the refresh threshold. The scan
+    /// resumes after it, mid-word-line.
     Refresh(u64),
-    /// The super word-line is scanned. Restage these live LPNs so protected
-    /// copies replace them: its parity is gone (with a dropped member) or
-    /// does not match.
-    Scanned(Vec<u64>),
+    /// The super word-line is scanned but its parity is gone (with a
+    /// dropped member) or does not match: restage these live LPNs so
+    /// protected copies replace them.
+    Restage(Vec<u64>),
     /// The pass is complete: flush the GC slot so the refreshed copies are
     /// durable and the rotting ones stop being read.
     PassDone,
+    /// The slice is spent, or no pass is in flight or due.
+    Yield,
 }
 
-/// The device as a patrol step reads it, at device time `clock`, µs.
+/// Patrol time within one slice, µs: the slice's total, and the running
+/// total of the super word-line in progress — its reads and the time of
+/// the device steps it asked for, summed from 0.0 in step order — which
+/// joins the slice's when the word-line ends.
+#[derive(Debug, Default)]
+pub(crate) struct PatrolTime {
+    pub(crate) slice: f64,
+    pub(crate) line: f64,
+}
+
+/// The device as a patrol run reads it, at device time `clock`, µs.
 pub(crate) struct DeviceView<'a> {
     pub(crate) clock: f64,
     pub(crate) array: &'a FlashArray,
@@ -70,9 +83,17 @@ pub(crate) struct Integrity {
     /// The pass's `(rank, sealed_at, sb_id)` keys in scan order, snapshot
     /// at pass start; ids collected mid-pass are skipped.
     order: Vec<(u8, u64, u64)>,
-    /// Members of the superblock being scanned, snapshot at word-line
-    /// start: a refresh may collect the superblock mid-scan.
-    members: Vec<BlockAddr>,
+    /// Handles on the members of superblock `members_of`, in slot order.
+    /// A sealed superblock's members never change, so they are kept across
+    /// word-lines and runs while it stays sealed; a read retakes a handle's
+    /// terms only when its block's P/E count moved (a refresh may collect
+    /// the superblock mid-scan and reuse its blocks).
+    members: Vec<BlockHandle>,
+    members_of: Option<u64>,
+    /// Where `members_of` sat in the sealed list when last found: checked
+    /// before searching the list, since ids are unique and a superblock
+    /// moves only when another is freed.
+    sealed_at: usize,
     /// Live LPNs of the word-line the scan did not refresh.
     unrefreshed: Vec<u64>,
 }
@@ -119,22 +140,22 @@ impl Integrity {
     /// since its last program, scaled by the configured aging
     /// acceleration. `0.0` whenever tracking is off.
     pub(crate) fn age_hours(&self, lpn: u64, clock: f64) -> f64 {
-        self.birth_us.as_ref().map_or(0.0, |birth| {
-            let born = birth[usize::try_from(lpn).expect("lpn fits usize")];
-            (clock - born).max(0.0) * self.config.retention_hours_per_us
-        })
+        age_hours(self.birth_us.as_deref(), self.config.retention_hours_per_us, lpn, clock)
     }
 
     /// Drops the pass in flight: RAM lost at power-off, or a failed step.
+    /// The member handles go too: recovery may rebuild a superblock's
+    /// member list under the same id.
     pub(crate) fn lose_patrol(&mut self) {
         self.job = None;
+        self.members_of = None;
     }
 
     /// Whether patrol wants another super word-line at device time `clock`
     /// (a pass is in flight, or the next is due) after `spent_us` of a
     /// `budget_us` opportunity. The configured slice caps the budget, so
     /// scrubbing stays a trickle however long the idle gap.
-    pub(crate) fn patrol_wants(&self, clock: f64, spent_us: f64, budget_us: f64) -> bool {
+    fn patrol_wants(&self, clock: f64, spent_us: f64, budget_us: f64) -> bool {
         let PatrolConfig::On { slice_us, .. } = self.config.patrol else { return false };
         (self.job.is_some() || clock >= self.due_at) && spent_us < budget_us.min(slice_us)
     }
@@ -150,82 +171,110 @@ impl Integrity {
         }
     }
 
-    /// The pass's next step, scanning the next super word-line or the rest
-    /// of one a refresh interrupted: each member's slots in order through
-    /// one view, every live page read adding its occupancy to `touches` and
-    /// its time to `time`, the word-line's running total. A refresh ends the
-    /// view, since it may program, erase or collect this very block.
-    pub(crate) fn patrol_step(
+    /// Scans a run of super word-lines within a `budget_us` slice at device
+    /// time `dev.clock`, resuming one a refresh interrupted, until the
+    /// device must act — a refresh, a restage, the flush of a finished pass
+    /// — or the slice yields. Every live page read adds its occupancy to
+    /// `touches` and its time to `time.line`; each finished word-line then
+    /// joins `time.slice`, and [`Integrity::patrol_wants`] is asked only
+    /// between word-lines. Only the device's steps move its clock, so one
+    /// clock serves the run and the next run reads a fresh one.
+    pub(crate) fn patrol_run(
+        &mut self,
+        dev: &DeviceView,
+        touches: &mut TouchLog,
+        stats: &mut SsdStats,
+        budget_us: f64,
+        time: &mut PatrolTime,
+    ) -> Result<PatrolStep> {
+        loop {
+            if self.job.is_none_or(|job| job.member >= self.members.len()) {
+                time.slice += std::mem::take(&mut time.line);
+                if !self.patrol_wants(dev.clock, time.slice, budget_us) {
+                    return Ok(PatrolStep::Yield);
+                }
+                let job = self.job.take();
+                let Some(job) = self.next_word_line(job, dev)? else {
+                    return Ok(PatrolStep::PassDone);
+                };
+                self.job = Some(job);
+            }
+            if let Some(step) = self.scan(dev, touches, stats, &mut time.line)? {
+                return Ok(step);
+            }
+        }
+    }
+
+    /// Scans the rest of the super word-line in progress: each member's
+    /// slots in order through its handle, then the stripe's closure check.
+    /// `Some` step when the device must act first. A refresh ends the
+    /// member's view, since it may program, erase or collect this very
+    /// block; the next view retakes the handle's terms if it did.
+    fn scan(
         &mut self,
         dev: &DeviceView,
         touches: &mut TouchLog,
         stats: &mut SsdStats,
         time: &mut f64,
-    ) -> Result<PatrolStep> {
-        let job = match self.job.take() {
-            Some(job) if job.member < self.members.len() => Some(job),
-            job => self.next_word_line(job, dev),
-        };
-        let Some(mut job) = job else { return Ok(PatrolStep::PassDone) };
+    ) -> Result<Option<PatrolStep>> {
+        let (birth, rate) = (self.birth_us.as_deref(), self.config.retention_hours_per_us);
+        let job = self.job.as_mut().expect("a word-line is in progress");
         let geo = dev.array.geometry();
         let pages = geo.pages_per_lwl();
-        let step = 'scan: {
-            while let Some(&member) = self.members.get(job.member) {
-                // An unwritten or torn word-line has nothing to scan.
-                let wl = member.wl(job.lwl);
-                let view = if job.slot < pages { readable_word_line(dev.array, wl)? } else { None };
-                let group = geo.chip_plane_index(member);
-                while let Some(line) = view.as_ref().filter(|_| job.slot < pages) {
-                    let k = job.slot;
-                    job.slot += 1;
-                    let (page, oob) = (line.page(k), line.oob(k));
-                    if self.parity && !job.closure.visit(page, oob) {
-                        continue;
-                    }
-                    if oob.is_filler() || dev.mapping.lookup(oob.lpn) != Some(page) {
-                        continue; // filler or a stale copy: nothing to protect
-                    }
-                    let (tag, t_read) = line.read(k);
-                    debug_assert_eq!(tag, oob.lpn);
-                    touches.record(group, t_read);
-                    *time += t_read;
-                    stats.patrol_scanned_pages += 1;
-                    job.live += 1;
-                    let bits = line.expected_error_bits(k, self.age_hours(oob.lpn, dev.clock));
-                    if bits >= self.refresh_at {
-                        break 'scan PatrolStep::Refresh(oob.lpn);
-                    }
-                    if self.parity {
-                        self.unrefreshed.push(oob.lpn);
-                    }
+        while let Some(member) = self.members.get_mut(job.member) {
+            let group = geo.chip_plane_index(member.addr());
+            // An unwritten or torn word-line has nothing to scan.
+            let view =
+                if job.slot < pages { dev.array.readable_line(member, job.lwl)? } else { None };
+            while let Some(line) = view.as_ref().filter(|_| job.slot < pages) {
+                let k = job.slot;
+                job.slot += 1;
+                let (page, oob) = (line.page(k), line.oob(k));
+                if self.parity && !job.closure.visit(job.member, page, oob) {
+                    continue;
                 }
-                job.member += 1;
-                job.slot = 0;
-            }
-            if !self.parity || job.live == 0 {
-                break 'scan PatrolStep::Scanned(Vec::new());
-            }
-            let verified = match job.closure.verify(dev.array)? {
-                Some((closes, block, t_read)) => {
-                    touches.record(geo.chip_plane_index(block), t_read);
-                    *time += t_read;
-                    closes
+                if oob.is_filler() || dev.mapping.lookup(oob.lpn) != Some(page) {
+                    continue; // filler or a stale copy: nothing to protect
                 }
-                None => false,
-            };
-            if verified {
-                stats.parity_verified += 1;
-                break 'scan PatrolStep::Scanned(Vec::new());
+                let (tag, t_read) = line.read(k);
+                debug_assert_eq!(tag, oob.lpn);
+                touches.record(group, t_read);
+                *time += t_read;
+                stats.patrol_scanned_pages += 1;
+                job.live += 1;
+                let bits = line.expected_error_bits(k, age_hours(birth, rate, oob.lpn, dev.clock));
+                if bits >= self.refresh_at {
+                    return Ok(Some(PatrolStep::Refresh(oob.lpn)));
+                }
+                if self.parity {
+                    self.unrefreshed.push(oob.lpn);
+                }
             }
-            stats.parity_mismatch += 1;
-            PatrolStep::Scanned(self.unrefreshed.clone())
+            job.member += 1;
+            job.slot = 0;
+        }
+        if !self.parity || job.live == 0 {
+            return Ok(None);
+        }
+        let verified = match job.closure.verify(dev.array, &mut self.members)? {
+            Some((closes, block, t_read)) => {
+                touches.record(geo.chip_plane_index(block), t_read);
+                *time += t_read;
+                closes
+            }
+            None => false,
         };
-        self.job = Some(job);
-        Ok(step)
+        if verified {
+            stats.parity_verified += 1;
+            return Ok(None);
+        }
+        stats.parity_mismatch += 1;
+        Ok(Some(PatrolStep::Restage(self.unrefreshed.clone())))
     }
 
-    /// Moves the pass on to its next super word-line, snapshotting the
-    /// superblock's members; `None` once the pass is complete.
+    /// Moves the pass on to its next super word-line, taking handles on
+    /// the superblock's members unless they are the ones already held;
+    /// `None` once the pass is complete.
     ///
     /// The interval timer re-arms when a pass *starts*, and a pass still
     /// in flight when the next interval comes due is abandoned and
@@ -236,8 +285,12 @@ impl Integrity {
     /// Abandonment is safe — staged refreshes stay staged (they flush as
     /// word lines fill or at the next completed pass) and a scanned-twice
     /// page merely costs a redundant read.
-    fn next_word_line(&mut self, job: Option<PatrolJob>, dev: &DeviceView) -> Option<PatrolJob> {
-        let PatrolConfig::On { interval_us, .. } = self.config.patrol else { return None };
+    fn next_word_line(
+        &mut self,
+        job: Option<PatrolJob>,
+        dev: &DeviceView,
+    ) -> Result<Option<PatrolJob>> {
+        let PatrolConfig::On { interval_us, .. } = self.config.patrol else { return Ok(None) };
         let mut job = match job {
             Some(job) if dev.clock < self.due_at => job,
             _ => {
@@ -247,22 +300,32 @@ impl Integrity {
             }
         };
         let lwls = dev.array.geometry().lwls_per_block();
+        let sealed = dev.collector.sealed();
         while let Some(&(_, _, sb_id)) = self.order.get(job.sb_cursor) {
             // The superblock may have been collected while the pass was
             // parked; its id then no longer resolves and the cursor skips.
-            let sb = dev.collector.sealed().iter().find(|s| s.sb_id() == sb_id);
-            if let Some(sb) = sb.filter(|_| job.lwl_cursor < lwls) {
-                self.members.clear();
-                self.members.extend_from_slice(sb.members());
+            let at = match sealed.get(self.sealed_at) {
+                Some(sb) if sb.sb_id() == sb_id => Some(self.sealed_at),
+                _ => sealed.iter().position(|sb| sb.sb_id() == sb_id),
+            };
+            if let Some(at) = at.filter(|_| job.lwl_cursor < lwls) {
+                self.sealed_at = at;
+                if self.members_of != Some(sb_id) {
+                    self.members.clear();
+                    for &m in sealed[at].members() {
+                        self.members.push(dev.array.block(m)?);
+                    }
+                    self.members_of = Some(sb_id);
+                }
                 self.unrefreshed.clear();
                 let (sb_cursor, lwl_cursor, lwl) =
                     (job.sb_cursor, job.lwl_cursor + 1, LwlId(job.lwl_cursor));
-                return Some(PatrolJob { sb_cursor, lwl_cursor, lwl, ..PatrolJob::default() });
+                return Ok(Some(PatrolJob { sb_cursor, lwl_cursor, lwl, ..PatrolJob::default() }));
             }
             job.sb_cursor += 1;
             job.lwl_cursor = 0;
         }
-        None
+        Ok(None)
     }
 
     /// Refills the sealed-superblock scan order for a new pass. PV-aware
@@ -284,5 +347,18 @@ impl Integrity {
         if let PatrolConfig::On { order: PatrolOrder::SlowPoolFirst, .. } = self.config.patrol {
             order.sort_unstable();
         }
+    }
+}
+
+/// Data age of `lpn` at device time `clock` in retention hours, from the
+/// write times `birth` (`None`: tracking off, age 0.0) aged at `rate`.
+fn age_hours(birth: Option<&[f64]>, rate: f64, lpn: u64, clock: f64) -> f64 {
+    match birth {
+        // Without aging every age is a finite span times 0.0: exactly 0.0.
+        Some(birth) if rate != 0.0 => {
+            let born = birth[usize::try_from(lpn).expect("lpn fits usize")];
+            (clock - born).max(0.0) * rate
+        }
+        _ => 0.0,
     }
 }

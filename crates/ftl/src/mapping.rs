@@ -43,25 +43,55 @@ enum Store {
     },
 }
 
-/// Logical pages whose mapping changed since the last drain: a per-LPN mark
-/// bitset deduplicates, so the list holds each LPN at most once and a drain
-/// costs O(changed), not O(capacity).
-#[derive(Debug, Clone)]
-struct ChangeLog {
+/// A set of logical pages: a per-LPN mark bitset deduplicates, and the list
+/// holds each member once in insertion order, so clearing or draining the
+/// set costs O(members), not O(capacity). The bitset grows to the largest
+/// LPN inserted.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LpnSet {
     marks: Vec<u64>,
     list: Vec<u64>,
 }
 
-impl ChangeLog {
+impl LpnSet {
+    /// An empty set whose bitset is sized for LPNs below `capacity`.
     fn new(capacity: u64) -> Self {
-        ChangeLog { marks: vec![0; (capacity as usize).div_ceil(64)], list: Vec::new() }
+        LpnSet { marks: vec![0; (capacity as usize).div_ceil(64)], list: Vec::new() }
     }
 
-    fn mark(&mut self, lpn: u64) {
+    pub(crate) fn insert(&mut self, lpn: u64) {
         let (word, bit) = ((lpn / 64) as usize, 1u64 << (lpn % 64));
+        if word >= self.marks.len() {
+            self.marks.resize(word + 1, 0);
+        }
         if self.marks[word] & bit == 0 {
             self.marks[word] |= bit;
             self.list.push(lpn);
+        }
+    }
+
+    pub(crate) fn contains(&self, lpn: u64) -> bool {
+        self.marks.get((lpn / 64) as usize).is_some_and(|word| word & (1 << (lpn % 64)) != 0)
+    }
+
+    /// Moves the members into `out` (cleared first), in insertion order,
+    /// and empties the set. Swaps buffers with `out`, so a caller reusing
+    /// one `Vec` allocates nothing in steady state.
+    fn take(&mut self, out: &mut Vec<u64>) {
+        out.clear();
+        self.unmark();
+        std::mem::swap(out, &mut self.list);
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.unmark();
+        self.list.clear();
+    }
+
+    fn unmark(&mut self) {
+        for &lpn in &self.list {
+            // Every set bit of the word belongs to a listed LPN.
+            self.marks[(lpn / 64) as usize] = 0;
         }
     }
 }
@@ -79,7 +109,7 @@ pub struct Mapping {
     /// the last [`Mapping::take_changed`]. Every L2P change — writes,
     /// relocations, trims, erase sweeps and recovery rebuilds — funnels
     /// through those three, so the record is complete.
-    changes: ChangeLog,
+    changes: LpnSet,
 }
 
 impl Mapping {
@@ -95,7 +125,7 @@ impl Mapping {
                 valid: 0,
                 geo: geo.clone(),
             },
-            changes: ChangeLog::new(capacity),
+            changes: LpnSet::new(capacity),
         }
     }
 
@@ -109,7 +139,7 @@ impl Mapping {
         Mapping {
             l2p: vec![None; capacity as usize],
             store: Store::Naive { p2l: HashMap::new() },
-            changes: ChangeLog::new(capacity),
+            changes: LpnSet::new(capacity),
         }
     }
 
@@ -118,13 +148,7 @@ impl Mapping {
     /// resets the record. Swaps buffers with `out`, so a caller reusing
     /// one `Vec` allocates nothing in steady state.
     pub fn take_changed(&mut self, out: &mut Vec<u64>) {
-        out.clear();
-        let log = &mut self.changes;
-        for &lpn in &log.list {
-            // Every set bit of the word belongs to a listed LPN.
-            log.marks[(lpn / 64) as usize] = 0;
-        }
-        std::mem::swap(out, &mut log.list);
+        self.changes.take(out);
     }
 
     /// Exported logical capacity in pages.
@@ -134,6 +158,7 @@ impl Mapping {
     }
 
     /// Physical location of a logical page.
+    #[inline]
     #[must_use]
     pub fn lookup(&self, lpn: u64) -> Option<PageAddr> {
         self.l2p.get(lpn as usize).copied().flatten()
@@ -174,7 +199,7 @@ impl Mapping {
     /// logical page (a physical page is written once per erase cycle).
     pub fn map(&mut self, lpn: u64, ppa: PageAddr) {
         assert!((lpn as usize) < self.l2p.len(), "lpn {lpn} out of range");
-        self.changes.mark(lpn);
+        self.changes.insert(lpn);
         if let Some(old) = self.l2p[lpn as usize].take() {
             self.clear_reverse(old);
         }
@@ -203,7 +228,7 @@ impl Mapping {
     /// Panics if `lpn` is out of range.
     pub fn unmap(&mut self, lpn: u64) -> Option<PageAddr> {
         assert!((lpn as usize) < self.l2p.len(), "lpn {lpn} out of range");
-        self.changes.mark(lpn);
+        self.changes.insert(lpn);
         let old = self.l2p[lpn as usize].take();
         if let Some(ppa) = old {
             self.clear_reverse(ppa);
@@ -244,7 +269,7 @@ impl Mapping {
                     let lpn = std::mem::replace(slot, INVALID);
                     if lpn != INVALID {
                         self.l2p[lpn as usize] = None;
-                        self.changes.mark(lpn);
+                        self.changes.insert(lpn);
                         *valid -= 1;
                     }
                 }
@@ -256,7 +281,7 @@ impl Mapping {
                 for ppa in stale {
                     if let Some(lpn) = p2l.remove(&ppa) {
                         self.l2p[lpn as usize] = None;
-                        self.changes.mark(lpn);
+                        self.changes.insert(lpn);
                     }
                 }
             }

@@ -2,9 +2,8 @@
 //! parity page sits, its XOR tag, the closure check a patrol scan runs and
 //! the sibling walk that rebuilds a lost page.
 
-use crate::device::readable_word_line;
 use crate::Result;
-use flash_model::{BlockAddr, FlashArray, PageAddr, PageOob, RetryModel};
+use flash_model::{BlockAddr, BlockHandle, FlashArray, PageAddr, PageOob, RetryModel};
 
 /// The parity slot `(member, page)` of a super word-line over `members`
 /// members of `pages_per_lwl` pages: the last page of the last member, the
@@ -20,31 +19,40 @@ pub(crate) fn tag(data: &[u64]) -> u64 {
 }
 
 /// The closure check a patrol scan runs over one stripe as it reads: the
-/// XOR of every data and filler tag it passes, and the parity page.
+/// XOR of every data and filler tag it passes, and the parity page with
+/// the index of its member.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct Closure {
     xor: u64,
-    parity: Option<PageAddr>,
+    parity: Option<(usize, PageAddr)>,
 }
 
 impl Closure {
-    /// Folds one page in by its OOB record (a data or filler page's LPN is
-    /// its payload tag); `false` for the parity page, which holds no data.
-    pub(crate) fn visit(&mut self, page: PageAddr, oob: PageOob) -> bool {
+    /// Folds one page of stripe member `member` in by its OOB record (a
+    /// data or filler page's LPN is its payload tag); `false` for the
+    /// parity page, which holds no data.
+    #[inline]
+    pub(crate) fn visit(&mut self, member: usize, page: PageAddr, oob: PageOob) -> bool {
         if oob.is_parity() {
-            self.parity = Some(page);
+            self.parity = Some((member, page));
             return false;
         }
         self.xor ^= oob.lpn;
         true
     }
 
-    /// Reads the parity page: whether the stripe closes (the parity tag is
-    /// the XOR of the others), the read's block and µs. `None` when no
-    /// parity page was seen (its member was dropped): nothing is protected.
-    pub(crate) fn verify(&self, array: &FlashArray) -> Result<Option<(bool, BlockAddr, f64)>> {
-        let Some(page) = self.parity else { return Ok(None) };
-        let (tag, us) = array.read_page(page)?;
+    /// Reads the parity page through its member's handle in `members`:
+    /// whether the stripe closes (the parity tag is the XOR of the others),
+    /// the read's block and µs. `None` when no parity page was seen (its
+    /// member was dropped): nothing is protected.
+    pub(crate) fn verify(
+        &self,
+        array: &FlashArray,
+        members: &mut [BlockHandle],
+    ) -> Result<Option<(bool, BlockAddr, f64)>> {
+        let Some((member, page)) = self.parity else { return Ok(None) };
+        let line = array.line(&mut members[member], page.wl.lwl)?;
+        let (tag, us) = line.read(page.page.slot(array.geometry().cell()));
         Ok(Some((tag == self.xor, page.wl.block, us)))
     }
 }
@@ -78,7 +86,7 @@ pub(crate) fn rebuild(
     let (mut acc, mut intact, mut saw_parity) = (0u64, true, false);
     for &member in members {
         let mut us = 0.0;
-        let Some(line) = readable_word_line(array, member.wl(lost.wl.lwl))? else {
+        let Some(line) = array.readable_line(&mut array.block(member)?, lost.wl.lwl)? else {
             intact = false;
             continue;
         };
@@ -142,16 +150,18 @@ mod tests {
     #[test]
     fn parity_closure_verifies_a_written_stripe_and_flags_a_short_one() {
         let (array, members, _) = striped();
+        let mut handles: Vec<BlockHandle> =
+            members.iter().map(|&m| array.block(m).unwrap()).collect();
         let mut closure = Closure::default();
         let mut data_pages = 0;
-        for &m in &members {
+        for (i, &m) in members.iter().enumerate() {
             let line = array.word_line(m.wl(LwlId(0))).unwrap();
             for k in 0..line.pages() {
-                data_pages += usize::from(closure.visit(line.page(k), line.oob(k)));
+                data_pages += usize::from(closure.visit(i, line.page(k), line.oob(k)));
             }
         }
         assert_eq!(data_pages, 11, "the parity page holds no data");
-        let (closes, block, us) = closure.verify(&array).unwrap().unwrap();
+        let (closes, block, us) = closure.verify(&array, &mut handles).unwrap().unwrap();
         assert!(closes);
         assert_eq!(block, members[3], "parity sits on the last member");
         assert!(us > 0.0);
@@ -160,10 +170,10 @@ mod tests {
         let mut short = Closure::default();
         let line = array.word_line(members[3].wl(LwlId(0))).unwrap();
         for k in 1..line.pages() {
-            short.visit(line.page(k), line.oob(k));
+            short.visit(3, line.page(k), line.oob(k));
         }
-        assert!(!short.verify(&array).unwrap().unwrap().0);
-        assert!(Closure::default().verify(&array).unwrap().is_none());
+        assert!(!short.verify(&array, &mut handles).unwrap().unwrap().0);
+        assert!(Closure::default().verify(&array, &mut handles).unwrap().is_none());
     }
 
     #[test]

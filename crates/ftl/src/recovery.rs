@@ -18,7 +18,6 @@
 //!   discarded even on members whose individual program completed.
 
 use crate::active::ActiveSlots;
-use crate::device::readable_word_line;
 use crate::gc::{Collector, SealedSuperblock};
 use crate::mapping::Mapping;
 use crate::Result;
@@ -383,10 +382,11 @@ impl Spor {
                 torn_wl = array.torn_lwl(m)?.or(torn_wl);
             }
             for &member in members {
+                let mut block = array.block(member)?;
                 for lwl in geo.lwls() {
                     // The scan stops at the member's first word-line with
                     // nothing readable: its write pointer, or the torn one.
-                    let Some(line) = readable_word_line(array, member.wl(lwl))? else {
+                    let Some(line) = array.readable_line(&mut block, lwl)? else {
                         break;
                     };
                     for k in 0..line.pages() {

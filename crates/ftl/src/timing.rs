@@ -174,6 +174,7 @@ impl TouchLog {
     }
 
     /// Records `us` of occupancy on a group (or [`CONTROLLER`]).
+    #[inline]
     pub(crate) fn record(&mut self, group: usize, us: f64) {
         if self.enabled {
             let g = if group == CONTROLLER { self.sums.len() - 1 } else { group };

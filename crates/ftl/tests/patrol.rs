@@ -15,8 +15,8 @@
 mod fingerprint;
 
 use ftl::{
-    poisson_arrivals, FtlConfig, IntegrityConfig, IoOp, IoRequest, ParityConfig, PatrolConfig,
-    PatrolOrder, QueueModel, Ssd, Workload,
+    poisson_arrivals, FtlConfig, GcBudget, IntegrityConfig, IoOp, IoRequest, ParityConfig,
+    PatrolConfig, PatrolOrder, QosClass, QueueModel, Ssd, Workload,
 };
 
 /// The timed-golden mixed workload: 3x-capacity random writes over half
@@ -456,4 +456,77 @@ const PARITY_MISMATCH: &[u64] = &[
     0x414882407b22d301, 0, 10, 455, 30, 0, 0, 0x41617257ef3af127, 103748, 1075, 46, 10,
     0x418324a84c3bf82c, 0, 144, 0x4163645e48a347e8, 0x662a9ff057cb123f, 0x6f9d04a836817cc1,
     0xcbf29ce484222325, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 19328, 8, 0x8a619399ab91093c,
+];
+
+/// The run-boundaries regime: parity on, page-type spread, fast retention
+/// aging, refreshes at a tenth of the correction limit and blind order, so
+/// most refreshes land mid-word-line; sliced and idle-gap collection with
+/// watermarks 1/2 and per-chip clocks. The timed-golden workload's middle
+/// third arrives at once as latency-critical commands, which never pay a
+/// patrol slice, so the pass stays parked while collection frees the
+/// superblock it was scanning and reuses its blocks. A counting copy of the
+/// replay saw three member blocks of a superblock under scan erased and
+/// reprogrammed while the pass was parked (the burst outlasts the patrol
+/// interval, so the pass then restarts), and all 9,150 refreshes land
+/// before the last page of their super word-line.
+fn run_boundaries() -> Ssd {
+    let mut config = FtlConfig::small_test();
+    config.queue_model = QueueModel::PerChip;
+    config.idle_gc = true;
+    config.gc_budget = GcBudget::Sliced { slice_us: 300.0 };
+    config.gc_low_watermark = 1;
+    config.gc_high_watermark = 2;
+    config.parity = ParityConfig::On;
+    config.fault.page_type_ber_spread = 0.35;
+    config.integrity = IntegrityConfig {
+        track: true,
+        retention_hours_per_us: 0.01,
+        patrol: PatrolConfig::On {
+            interval_us: 10_000.0,
+            slice_us: 600.0,
+            refresh_fraction: 0.1,
+            order: PatrolOrder::Blind,
+        },
+    };
+    let mut dev = Ssd::new(config, 3).unwrap();
+    let mut timed = workload(&dev);
+    let n = timed.len();
+    let burst = n / 3..2 * n / 3;
+    let (burst_at, shift) = (timed[burst.start].0, timed[burst.end].0 - timed[burst.start].0);
+    dev.timed_begin();
+    for (i, (arrival, r)) in timed.iter_mut().enumerate() {
+        let class = if burst.contains(&i) {
+            *arrival = burst_at;
+            QosClass::LatencyCritical
+        } else {
+            if i >= burst.end {
+                *arrival -= shift;
+            }
+            QosClass::Standard
+        };
+        dev.timed_step(*arrival, *r, class).unwrap();
+    }
+    dev.timed_end();
+    dev
+}
+
+#[test]
+fn patrol_runs_reproduce_the_parked_and_mid_word_line_golden() {
+    let dev = run_boundaries();
+    let s = dev.stats();
+    assert!(s.patrol_refreshes > 0 && s.parity_verified > 0, "patrol refreshes and verifies");
+    assert!(s.gc_runs > 0, "collection frees superblocks");
+    fingerprint::assert_pinned(&fingerprint::device(&dev), RUN_BOUNDARIES, "run boundaries");
+}
+
+/// Fingerprint of [`patrol_runs_reproduce_the_parked_and_mid_word_line_golden`],
+/// recorded with the word-line-at-a-time patrol loop.
+#[rustfmt::skip]
+const RUN_BOUNDARIES: &[u64] = &[
+    12220, 4074, 8146, 0, 1878, 1358, 512, 45, 43, 0, 0xa9a26d263c53d1f7, 0x4112f68bdfe4663d,
+    0xd043fb160073baee, 2075, 67, 36, 31, 0x40f2f50000000044, 0x40a8000000000000,
+    0x415058474c43b3f4, 0, 0, 0, 646, 1087, 0x40fc2a6000000001, 0x415823ea842a9b00, 56729, 9150, 45,
+    0, 0x41ea9a56451f8996, 0, 4783, 0x41636062490d6421, 0xf6a34556b6d43f6c, 0xfd57347a7fe09ccd,
+    0xb6d3e21163195226, 0, 0, 0, 0, 11957, 2, 1085, 0x41333cf8f86b3a80, 0x409bcf87f2dc7c54,
+    0x40b483d1a78ff618, 10707, 0, 0xd2d5bd966bed1ffa,
 ];
