@@ -6,22 +6,29 @@
 //! four variants differ only in how a block is reduced to a comparison
 //! vector.
 //!
-//! A block's vector is computed once, into one flat table per pool: `u32`
-//! ranks, or packed words of STR-median bits. The pairwise distances
+//! A block's vector is computed once, into one flat table of every pool's
+//! rows, built on every core: ranks in the narrowest unsigned cell that
+//! holds the strategy's rank range (`u8` for STR-rank and for PWL-rank up
+//! to 256 layers, `u16` for LWL-rank up to 65,536 word-lines, `u32`
+//! beyond), or packed words of STR-median bits. The pairwise distances
 //! between window candidates are kept across rounds. Each round drops the
 //! picked block's row and column from every pool pair's matrix and
 //! computes only the distances of the block that slid into each window —
 //! `2w − 1` per pool pair instead of `w²`. The combination search is the
-//! suffix-first pruned enumeration [`crate::assembly::OptimalAssembly`]
-//! uses, so the first minimal combination in mixed-radix order (pool 0
-//! varying fastest) still wins.
+//! suffix-first enumeration [`crate::assembly::OptimalAssembly`] uses,
+//! pruned by a lower bound on what the undecided pools still add, so the
+//! first minimal combination in mixed-radix order (pool 0 varying fastest)
+//! still wins.
 
 use crate::assembly::windowed::assemble_rounds;
 use crate::assembly::Assembler;
+#[cfg(test)]
 use crate::distance::rank_distance;
+use crate::distance::row_distance;
 use crate::eigen;
-use crate::profile::BlockPool;
-use crate::rank;
+use crate::fan_out;
+use crate::profile::{BlockPool, BlockProfile};
+use crate::rank::{self, RankCell};
 use crate::superblock::Superblock;
 
 /// How a block's word-line latencies are reduced for comparison.
@@ -79,54 +86,67 @@ impl RankAssembly {
         self.window
     }
 
-    /// Runs the windowed rounds over per-pool `tables`, comparing two rows
-    /// with the Equation-1 `distance`.
+    /// Runs the windowed rounds over `table`, comparing two rows with the
+    /// Equation-1 `distance`.
     fn assemble_with<T>(
         &self,
         pool: &BlockPool,
-        tables: &[Table<T>],
+        table: &Table<T>,
         distance: impl Fn(&[T], &[T]) -> u32,
     ) -> Vec<Superblock> {
         // No window holds more blocks than its pool.
         let longest = (0..pool.pool_count()).map(|p| pool.pool(p).len()).max().unwrap_or(0);
         let mut distances = WindowDistances::new(pool.pool_count(), self.window.min(longest));
         assemble_rounds(pool, self.window, |windows| {
-            distances.admit(windows, |p, i, q, j| distance(tables[p].row(i), tables[q].row(j)));
+            distances.admit(windows, |p, i, q, j| distance(table.row(p, i), table.row(q, j)));
             let best = distances.best();
             distances.drop_picked(&best);
             best
         })
     }
-}
 
-/// One flat table per pool of each block's `ranker` output.
-fn rank_tables(pool: &BlockPool, ranker: fn(&[f64], u16) -> Vec<u32>) -> Vec<Table<u32>> {
-    (0..pool.pool_count())
-        .map(|p| {
-            let mut data = Vec::with_capacity(pool.pool(p).len() * pool.wl_count());
-            for b in pool.pool(p) {
-                data.extend(ranker(b.tprog_us(), pool.strings()));
-            }
-            Table { stride: pool.wl_count(), data }
-        })
-        .collect()
-}
+    /// The rank strategies over rows of `R` cells, which must hold every
+    /// rank of the strategy.
+    fn assemble_ranked<R: RankCell>(&self, pool: &BlockPool, workers: usize) -> Vec<Superblock> {
+        let ranker: fn(&[f64], u16, &mut [R]) = match self.strategy {
+            RankStrategy::Lwl => |tprog_us, _, row| rank::lwl_ranks_into(tprog_us, row),
+            RankStrategy::Pwl => rank::pwl_ranks_into,
+            RankStrategy::Str => rank::str_ranks_into,
+            RankStrategy::StrMedian => unreachable!("STR-median rows are bits, not ranks"),
+        };
+        let strings = pool.strings();
+        let table = Table::build(pool, pool.wl_count(), workers, |block, row| {
+            ranker(block.tprog_us(), strings, row);
+        });
+        self.assemble_with(pool, &table, row_distance)
+    }
 
-/// STR-median tables of every pool: each block's eigen bits packed into
-/// `ceil(lwls / 64)` words.
-fn eigen_tables(pool: &BlockPool) -> Vec<Table<u64>> {
-    let stride = pool.wl_count().div_ceil(64);
-    (0..pool.pool_count())
-        .map(|p| {
-            let blocks = pool.pool(p);
-            let mut data = vec![0u64; blocks.len() * stride];
-            for (i, b) in blocks.iter().enumerate() {
-                let row = &mut data[i * stride..(i + 1) * stride];
-                rank::str_median_bits(b.tprog_us(), pool.strings(), row);
+    /// [`Assembler::assemble`] with the tables built on `workers` threads;
+    /// the result does not depend on `workers`.
+    fn assemble_on(&self, pool: &BlockPool, workers: usize) -> Vec<Superblock> {
+        let wls = pool.wl_count();
+        let strings = usize::from(pool.strings()).max(1);
+        let max_rank = match self.strategy {
+            RankStrategy::Lwl => wls,
+            RankStrategy::Pwl => wls / strings,
+            RankStrategy::Str => strings,
+            RankStrategy::StrMedian => {
+                // Each block's eigen bits packed into `ceil(lwls / 64)` words.
+                let table = Table::build(pool, wls.div_ceil(64), workers, |block, row| {
+                    rank::str_median_bits(block.tprog_us(), pool.strings(), row);
+                });
+                return self.assemble_with(pool, &table, eigen::bit_distance);
             }
-            Table { stride, data }
-        })
-        .collect()
+        }
+        .saturating_sub(1);
+        if max_rank <= u8::MAX_RANK {
+            self.assemble_ranked::<u8>(pool, workers)
+        } else if max_rank <= u16::MAX_RANK {
+            self.assemble_ranked::<u16>(pool, workers)
+        } else {
+            self.assemble_ranked::<u32>(pool, workers)
+        }
+    }
 }
 
 impl Assembler for RankAssembly {
@@ -135,28 +155,48 @@ impl Assembler for RankAssembly {
     }
 
     fn assemble(&mut self, pool: &BlockPool) -> Vec<Superblock> {
-        let ranker: fn(&[f64], u16) -> Vec<u32> = match self.strategy {
-            RankStrategy::Lwl => |tprog_us, _| rank::lwl_ranks(tprog_us),
-            RankStrategy::Pwl => rank::pwl_ranks,
-            RankStrategy::Str => rank::str_ranks,
-            RankStrategy::StrMedian => {
-                return self.assemble_with(pool, &eigen_tables(pool), eigen::bit_distance)
-            }
-        };
-        self.assemble_with(pool, &rank_tables(pool, ranker), rank_distance)
+        self.assemble_on(pool, fan_out::available_workers())
     }
 }
 
-/// One pool's comparison vectors, one row of `stride` entries per block in
-/// pool order.
+/// Every pool's comparison vectors in one flat buffer: one row of `stride`
+/// entries per block, pool by pool, each pool's blocks in pool order.
+#[derive(Debug, PartialEq)]
 struct Table<T> {
     stride: usize,
+    /// Row of each pool's first block.
+    first: Vec<usize>,
     data: Vec<T>,
 }
 
+impl<T: Copy + Default + Send> Table<T> {
+    /// Fills each block's row in place with `fill(profile, row)`, on
+    /// `workers` threads.
+    fn build(
+        pool: &BlockPool,
+        stride: usize,
+        workers: usize,
+        fill: impl Fn(&BlockProfile, &mut [T]) + Sync,
+    ) -> Self {
+        let profiles: Vec<&BlockProfile> = pool.iter().collect();
+        let first = (0..pool.pool_count())
+            .scan(0, |rows, p| {
+                let first = *rows;
+                *rows += pool.pool(p).len();
+                Some(first)
+            })
+            .collect();
+        let mut data = vec![T::default(); profiles.len() * stride];
+        fan_out::fill_rows(&mut data, stride, workers, |i, row| fill(profiles[i], row));
+        Table { stride, first, data }
+    }
+}
+
 impl<T> Table<T> {
-    fn row(&self, block: usize) -> &[T] {
-        &self.data[block * self.stride..(block + 1) * self.stride]
+    /// The row of block `block` of pool `pool`.
+    fn row(&self, pool: usize, block: usize) -> &[T] {
+        let at = (self.first[pool] + block) * self.stride;
+        &self.data[at..at + self.stride]
     }
 }
 
@@ -182,6 +222,11 @@ struct Search {
     /// `scores[level * window + a]`: the partial sum with candidate `a` at
     /// `level` and the current picks above it.
     scores: Vec<u64>,
+    /// `floor[level]`: the least the pools below `level` can still add
+    /// once `level` and the pools above it are picked — the sum, over
+    /// every pool pair with a member below `level`, of the pair's smallest
+    /// held distance.
+    floor: Vec<u64>,
     best: Vec<usize>,
     best_score: u64,
 }
@@ -255,6 +300,7 @@ impl WindowDistances {
         let mut search = Search {
             picks: vec![0; self.pools],
             scores: vec![0; self.pools * self.window],
+            floor: self.floors(),
             best: vec![0; self.pools],
             best_score: u64::MAX,
         };
@@ -264,11 +310,32 @@ impl WindowDistances {
         search.best
     }
 
+    /// [`Search::floor`] of this round's held distances.
+    fn floors(&self) -> Vec<u64> {
+        let w = self.window;
+        let mut floor = vec![0; self.pools];
+        for p in 1..self.pools {
+            // Pool `p - 1` joins the undecided pools below `p`, with every
+            // pair it forms with a higher pool.
+            let held = self.held[p - 1].len();
+            let joined: u64 = (p..self.pools)
+                .map(|q| {
+                    let mat = &self.mats[(p - 1) * self.pools + q];
+                    let to_q = mat.chunks_exact(w).take(self.held[q].len());
+                    to_q.flat_map(|row| &row[..held]).min().map_or(0, |&d| u64::from(d))
+                })
+                .sum();
+            floor[p] = floor[p - 1] + joined;
+        }
+        floor
+    }
+
     /// Tries every candidate of pool `level` under the picks of the pools
-    /// above it, adding its distances to them to `partial`. Distances are
-    /// non-negative, so a partial sum at or above the incumbent prunes the
-    /// branch, and only a strictly smaller total replaces it: the same
-    /// combination wins as in the plain product loop.
+    /// above it, adding its distances to them to `partial`. No completion
+    /// of a candidate scores below its partial sum plus the level's
+    /// [`Search::floor`], so a candidate whose bound reaches the incumbent
+    /// is cut, and only a strictly smaller total replaces the incumbent:
+    /// the same combination wins as in the plain product loop.
     fn search(&self, level: usize, partial: u64, s: &mut Search) {
         let w = self.window;
         let row = level * w..level * w + self.held[level].len();
@@ -279,9 +346,10 @@ impl WindowDistances {
                 *score += u64::from(d);
             }
         }
+        let floor = s.floor[level];
         for (a, at) in row.enumerate() {
             let score = s.scores[at];
-            if score >= s.best_score {
+            if score + floor >= s.best_score {
                 continue;
             }
             s.picks[level] = a;
@@ -458,6 +526,73 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tables_on_one_worker_and_on_many_are_identical(
+            seed in 0u64..1_000,
+            lens in proptest::collection::vec(1usize..100, 1..5),
+            workers in 2usize..9,
+        ) {
+            // Pools longer than one claimed chunk, so several workers
+            // share each pool.
+            let pool = tie_heavy_pool(seed, &lens, 3, 4);
+            let wls = pool.wl_count();
+            let lwl = |b: &BlockProfile, row: &mut [u16]| rank::lwl_ranks_into(b.tprog_us(), row);
+            let pwl =
+                |b: &BlockProfile, row: &mut [u8]| rank::pwl_ranks_into(b.tprog_us(), 4, row);
+            let str =
+                |b: &BlockProfile, row: &mut [u8]| rank::str_ranks_into(b.tprog_us(), 4, row);
+            let med =
+                |b: &BlockProfile, row: &mut [u64]| rank::str_median_bits(b.tprog_us(), 4, row);
+            let lwl_one = Table::build(&pool, wls, 1, lwl);
+            proptest::prop_assert_eq!(lwl_one, Table::build(&pool, wls, workers, lwl));
+            let pwl_one = Table::build(&pool, wls, 1, pwl);
+            proptest::prop_assert_eq!(pwl_one, Table::build(&pool, wls, workers, pwl));
+            let str_one = Table::build(&pool, wls, 1, str);
+            proptest::prop_assert_eq!(str_one, Table::build(&pool, wls, workers, str));
+            let med_one = Table::build(&pool, 1, 1, med);
+            proptest::prop_assert_eq!(med_one, Table::build(&pool, 1, workers, med));
+            for strategy in STRATEGIES {
+                let assembly = RankAssembly::new(strategy, 4);
+                let one = assembly.assemble_on(&pool, 1);
+                proptest::prop_assert_eq!(one, assembly.assemble_on(&pool, workers));
+            }
+        }
+
+        #[test]
+        fn bounded_search_picks_the_product_loops_first_minimum(
+            lens in proptest::collection::vec(1usize..7, 1..6),
+            window in 1usize..7,
+            cells in proptest::collection::vec(0u32..4, 900),
+        ) {
+            // Distances from a few levels, so scores and floors tie often.
+            use crate::assembly::windowed::for_each_combo;
+            let pools = lens.len();
+            let windows: Vec<Vec<usize>> =
+                lens.iter().map(|&len| (0..len.min(window)).collect()).collect();
+            let views: Vec<&[usize]> = windows.iter().map(Vec::as_slice).collect();
+            let distance =
+                |p: usize, i: usize, q: usize, j: usize| cells[((p * 5 + q) * 6 + i) * 6 + j];
+            let mut distances = WindowDistances::new(pools, window);
+            distances.admit(&views, distance);
+            let sizes: Vec<usize> = views.iter().map(|w| w.len()).collect();
+            let (mut best, mut best_score) = (vec![0; pools], u64::MAX);
+            for_each_combo(&sizes, |picks| {
+                let mut score = 0;
+                for p in 0..pools {
+                    for q in (p + 1)..pools {
+                        score += u64::from(distance(p, picks[p], q, picks[q]));
+                    }
+                }
+                if score < best_score {
+                    best_score = score;
+                    best.copy_from_slice(picks);
+                }
+            });
+            proptest::prop_assert_eq!(distances.best(), best);
         }
     }
 

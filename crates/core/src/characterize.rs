@@ -10,6 +10,7 @@
 //!   used by the P/E sweep experiments (the paper's chamber-accelerated
 //!   cycling).
 
+use crate::fan_out;
 use crate::profile::{BlockPool, BlockProfile};
 use crate::Result;
 use flash_model::{FlashArray, FlashConfig, Geometry, LatencyModel};
@@ -123,14 +124,15 @@ impl Characterizer {
     /// leaving only the noise draw per word-line.
     ///
     /// The per-block work fans out over all available cores: the latency
-    /// model is a pure function of `(seed, address, pe)`, so profiles are
-    /// computed in parallel chunks and stitched back in geometry order —
-    /// the result is byte-identical to [`Characterizer::snapshot_serial`]
-    /// (asserted by `snapshot_parallel_matches_serial`).
+    /// model is a pure function of `(seed, address, pe)`, so workers claim
+    /// chunks of blocks as they finish the last, each profile lands at its
+    /// block's place in geometry order, and the pools are filled in that
+    /// order — the result is byte-identical to
+    /// [`Characterizer::snapshot_serial`] (asserted by
+    /// `snapshot_parallel_matches_serial`).
     #[must_use]
     pub fn snapshot(&self, model: &LatencyModel, pe: u32) -> BlockPool {
-        let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        self.snapshot_with_threads(model, pe, threads)
+        self.snapshot_with_threads(model, pe, fan_out::available_workers())
     }
 
     /// [`Characterizer::snapshot`] on one thread (the reference path; also
@@ -154,37 +156,20 @@ impl Characterizer {
     ) -> BlockPool {
         assert!(threads > 0, "need at least one characterization thread");
         let geo = model.geometry();
-        let mut pool = BlockPool::new(self.pool_count(), geo.strings());
-        let profile_of = |addr: flash_model::BlockAddr| {
+        let addrs: Vec<flash_model::BlockAddr> = geo.blocks().collect();
+        let mut profiles = vec![None; addrs.len()];
+        fan_out::fill_rows(&mut profiles, 1, threads, |i, slot| {
+            let addr = addrs[i];
             let tbers = model.erase_latency_us(addr, pe);
             let mut tprog = Vec::with_capacity(geo.lwls_per_block() as usize);
             tprog.extend(model.block_program_latencies_us(addr, pe + 1));
-            BlockProfile::new(addr, pe, tprog, tbers)
-        };
-        if threads == 1 {
-            for addr in geo.blocks() {
-                pool.push(Self::pool_index(geo, addr), profile_of(addr))
-                    .expect("pool indices derive from the same geometry");
-            }
-            return pool;
-        }
-        let addrs: Vec<flash_model::BlockAddr> = geo.blocks().collect();
-        let chunk = addrs.len().div_ceil(threads).max(1);
-        let chunks: Vec<Vec<BlockProfile>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = addrs
-                .chunks(chunk)
-                .map(|slice| scope.spawn(|| slice.iter().map(|&a| profile_of(a)).collect()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("characterization thread panicked"))
-                .collect()
+            slot[0] = Some(BlockProfile::new(addr, pe, tprog, tbers));
         });
-        // Stitch in chunk order: `addrs` is geometry order, so the pushes
-        // happen in exactly the serial sequence.
-        for profile in chunks.into_iter().flatten() {
-            let addr = profile.addr();
-            pool.push(Self::pool_index(geo, addr), profile)
+        // `profiles` is in geometry order, so the pushes happen in exactly
+        // the serial sequence.
+        let mut pool = BlockPool::new(self.pool_count(), geo.strings());
+        for profile in profiles.into_iter().flatten() {
+            pool.push(Self::pool_index(geo, profile.addr()), profile)
                 .expect("pool indices derive from the same geometry");
         }
         pool

@@ -9,7 +9,14 @@
 #[must_use]
 pub fn rank_distance(a: &[u32], b: &[u32]) -> u32 {
     assert_eq!(a.len(), b.len(), "rank vectors must have equal length");
-    a.iter().zip(b).filter(|(x, y)| x != y).count() as u32
+    row_distance(a, b)
+}
+
+/// [`rank_distance`] over rank rows of any cell width: the rank tables
+/// store narrow rows, and comparing them reads a half or a quarter of the
+/// bytes. Rows of unequal length compare over the shorter one.
+pub(crate) fn row_distance<T: Eq>(a: &[T], b: &[T]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| u32::from(x != y)).sum()
 }
 
 /// Equation (1) over a whole combination: the sum of [`rank_distance`] over
@@ -28,6 +35,33 @@ pub fn combination_rank_distance(members: &[&[u32]]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn narrow_row_distance_equals_rank_distance(
+            pairs in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<bool>()), 0..300),
+            range in prop_oneof![Just(4u32), Just(96), Just(384), Just(70_000)],
+        ) {
+            // Equal positions are common, as between similar blocks.
+            let (a, b): (Vec<u32>, Vec<u32>) = pairs
+                .iter()
+                .map(|&(x, y, same)| (x % range, if same { x % range } else { y % range }))
+                .unzip();
+            let d = rank_distance(&a, &b);
+            prop_assert_eq!(row_distance(&a, &b), d);
+            if let (Ok(a), Ok(b)) = (narrow::<u16>(&a), narrow::<u16>(&b)) {
+                prop_assert_eq!(row_distance(&a, &b), d);
+            }
+            if let (Ok(a), Ok(b)) = (narrow::<u8>(&a), narrow::<u8>(&b)) {
+                prop_assert_eq!(row_distance(&a, &b), d);
+            }
+        }
+    }
+
+    fn narrow<T: TryFrom<u32>>(row: &[u32]) -> Result<Vec<T>, T::Error> {
+        row.iter().map(|&r| T::try_from(r)).collect()
+    }
 
     #[test]
     fn identical_vectors_have_zero_distance() {

@@ -56,6 +56,7 @@ mod characterize;
 mod distance;
 mod eigen;
 mod error;
+mod fan_out;
 pub mod gather;
 pub mod io;
 pub mod overhead;

@@ -6,6 +6,7 @@ use crate::rank;
 use crate::Result;
 use flash_model::BlockAddr;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// Full characterization of one block at one P/E point: the per-word-line
 /// program latencies and the block erase latency.
@@ -102,7 +103,59 @@ pub struct BlockSummary {
 pub struct BlockPool {
     strings: u16,
     pools: Vec<Vec<BlockProfile>>,
-    index: HashMap<BlockAddr, (usize, usize)>,
+    index: HashMap<BlockAddr, (usize, usize), AddrHashing>,
+}
+
+/// Builds [`AddrHasher`]s for [`BlockPool`]'s index. Evaluation looks a
+/// profile up for every member of every superblock; an address packs into
+/// one word, so one finalizer round hashes it where SipHash runs several.
+/// The word is XORed with a random key per index, so addresses read from
+/// a crafted profile file cannot aim at one bucket.
+#[derive(Debug, Clone)]
+struct AddrHashing {
+    key: u64,
+}
+
+impl Default for AddrHashing {
+    fn default() -> Self {
+        AddrHashing { key: RandomState::new().build_hasher().finish() }
+    }
+}
+
+impl BuildHasher for AddrHashing {
+    type Hasher = AddrHasher;
+
+    fn build_hasher(&self) -> AddrHasher {
+        AddrHasher(self.key)
+    }
+}
+
+/// Packs the fields it is fed into one word, XORed onto the key it starts
+/// from, and mixes that word with the splitmix64 finalizer, a bijection.
+#[derive(Debug)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.0 = self.0.rotate_left(16) ^ u64::from(x);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = self.0.rotate_left(32) ^ u64::from(x);
+    }
+
+    fn finish(&self) -> u64 {
+        let z = self.0;
+        let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 }
 
 impl BlockPool {
@@ -111,7 +164,7 @@ impl BlockPool {
     /// `strings` is needed to derive string-oriented rankings from profiles.
     #[must_use]
     pub fn new(pool_count: usize, strings: u16) -> Self {
-        BlockPool { strings, pools: vec![Vec::new(); pool_count], index: HashMap::new() }
+        BlockPool { strings, pools: vec![Vec::new(); pool_count], index: HashMap::default() }
     }
 
     /// Number of strings per block.

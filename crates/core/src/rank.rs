@@ -8,11 +8,73 @@
 
 use crate::eigen::EigenSequence;
 
+/// `x`'s position in the IEEE 754 total order as an unsigned integer:
+/// `total_key(a).cmp(&total_key(b)) == a.total_cmp(&b)` for every pair of
+/// values, NaNs and signed zeros included, and [`from_total_key`] inverts
+/// it bit for bit. Negative values flip every bit (a larger magnitude
+/// sorts lower); the rest gain the sign bit (they sort above every
+/// negative value).
+///
+/// Ranking sorts these keys as integers; the FTL's schedulers and
+/// histograms key their trees and sorts by them too, from other crates,
+/// hence `#[inline]`.
+#[inline]
+#[must_use]
+pub fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`total_key`].
+#[inline]
+#[must_use]
+pub fn from_total_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
+/// An unsigned cell of a rank row. Rank tables store each row in the
+/// narrowest cell that holds the strategy's rank range, so the rows the
+/// window search compares stay small.
+pub(crate) trait RankCell: Copy + Default + Eq + Send + Sync {
+    /// The largest rank the cell holds.
+    const MAX_RANK: usize;
+
+    /// The cell holding `rank`, which must be at most [`Self::MAX_RANK`].
+    fn from_rank(rank: usize) -> Self;
+}
+
+macro_rules! rank_cell {
+    ($($t:ty),*) => {$(
+        impl RankCell for $t {
+            const MAX_RANK: usize = <$t>::MAX as usize;
+
+            #[inline]
+            fn from_rank(rank: usize) -> Self {
+                debug_assert!(rank <= Self::MAX_RANK, "rank {rank} does not fit");
+                rank as $t
+            }
+        }
+    )*};
+}
+
+rank_cell!(u8, u16, u32);
+
 /// Ranks every logical word-line of the block by program latency
 /// (0 = fastest). This is the paper's *LWL-rank* (ranks span `0..lwls`).
 #[must_use]
 pub fn lwl_ranks(tprog_us: &[f64]) -> Vec<u32> {
-    rank_all(tprog_us)
+    let mut out = vec![0; tprog_us.len()];
+    lwl_ranks_into(tprog_us, &mut out);
+    out
+}
+
+/// [`lwl_ranks`] into a row of any [`RankCell`].
+pub(crate) fn lwl_ranks_into<R: RankCell>(tprog_us: &[f64], out: &mut [R]) {
+    rank_group(tprog_us, 0..tprog_us.len(), &mut Vec::with_capacity(tprog_us.len()), out);
 }
 
 /// Ranks each string's physical word-lines independently (*PWL-rank*): the
@@ -24,17 +86,19 @@ pub fn lwl_ranks(tprog_us: &[f64]) -> Vec<u32> {
 /// Panics if `tprog_us.len()` is not a multiple of `strings`.
 #[must_use]
 pub fn pwl_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
+    let mut out = vec![0; tprog_us.len()];
+    pwl_ranks_into(tprog_us, strings, &mut out);
+    out
+}
+
+/// [`pwl_ranks`] into a row of any [`RankCell`].
+pub(crate) fn pwl_ranks_into<R: RankCell>(tprog_us: &[f64], strings: u16, out: &mut [R]) {
     let s = usize::from(strings);
     assert!(s > 0 && tprog_us.len().is_multiple_of(s), "latency vector not layer-major");
-    let mut out = vec![0u32; tprog_us.len()];
-    let mut keyed = Vec::with_capacity(tprog_us.len() / s);
+    let mut keys = Vec::with_capacity(tprog_us.len() / s);
     for string in 0..s {
-        // Latencies of this string across layers, keyed by their word-line.
-        keyed.clear();
-        keyed.extend((string..tprog_us.len()).step_by(s).map(|wl| (tprog_us[wl], wl as u32)));
-        assign_ranks(&mut keyed, &mut out);
+        rank_group(tprog_us, (string..tprog_us.len()).step_by(s), &mut keys, out);
     }
-    out
 }
 
 /// Ranks the strings within each physical word-line layer (*STR-rank*): the
@@ -46,16 +110,21 @@ pub fn pwl_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
 /// Panics if `tprog_us.len()` is not a multiple of `strings`.
 #[must_use]
 pub fn str_ranks(tprog_us: &[f64], strings: u16) -> Vec<u32> {
+    let mut out = vec![0; tprog_us.len()];
+    str_ranks_into(tprog_us, strings, &mut out);
+    out
+}
+
+/// [`str_ranks`] into a row of any [`RankCell`]. A layer holds a handful of
+/// strings, so each rank is counted, not sorted.
+pub(crate) fn str_ranks_into<R: RankCell>(tprog_us: &[f64], strings: u16, out: &mut [R]) {
     let s = usize::from(strings);
     assert!(s > 0 && tprog_us.len().is_multiple_of(s), "latency vector not layer-major");
-    let mut out = vec![0u32; tprog_us.len()];
-    let mut keyed = Vec::with_capacity(s);
-    for first in (0..tprog_us.len()).step_by(s) {
-        keyed.clear();
-        keyed.extend((first..first + s).map(|wl| (tprog_us[wl], wl as u32)));
-        assign_ranks(&mut keyed, &mut out);
+    for (layer, ranks) in tprog_us.chunks_exact(s).zip(out.chunks_exact_mut(s)) {
+        for (rank, cell) in string_ranks(layer).zip(ranks) {
+            *cell = R::from_rank(rank);
+        }
     }
-    out
 }
 
 /// The *STR-median* 1-bit quantization (§IV-A-8, §V-B): on each physical
@@ -99,36 +168,44 @@ pub(crate) fn str_median_bits(tprog_us: &[f64], strings: u16, words: &mut [u64])
 /// The STR-median rule for one physical word-line layer: every string
 /// outside the fastest `max(strings / 2, 1)` — ties broken by string index
 /// — sets its bit, bit `first + string` of `words`. Allocation-free: a
-/// string is slow when at least that many strings order before it.
+/// string is slow when its [`string_ranks`] rank is at least that many.
 pub(crate) fn mark_slow_strings(layer: &[f64], words: &mut [u64], first: usize) {
     let fast = (layer.len() / 2).max(1);
-    for (i, t) in layer.iter().enumerate() {
-        // Lower-indexed strings order first on a tie.
-        let before = layer[..i].iter().filter(|u| u.total_cmp(t).is_le()).count()
-            + layer[i + 1..].iter().filter(|u| u.total_cmp(t).is_lt()).count();
-        if before >= fast {
+    for (i, rank) in string_ranks(layer).enumerate() {
+        if rank >= fast {
             let bit = first + i;
             words[bit / 64] |= 1 << (bit % 64);
         }
     }
 }
 
-/// Ranks an arbitrary latency vector (0 = fastest, ties by index).
-fn rank_all(values: &[f64]) -> Vec<u32> {
-    let mut keyed: Vec<(f64, u32)> = values.iter().zip(0..).map(|(&t, wl)| (t, wl)).collect();
-    let mut out = vec![0u32; values.len()];
-    assign_ranks(&mut keyed, &mut out);
-    out
+/// Each string's rank within one layer (0 = fastest, ties by string
+/// index), counted without a sort: the number of strings that order
+/// before it.
+fn string_ranks(layer: &[f64]) -> impl Iterator<Item = usize> + '_ {
+    layer.iter().enumerate().map(move |(i, t)| {
+        // Lower-indexed strings order first on a tie.
+        layer[..i].iter().filter(|u| u.total_cmp(t).is_le()).count()
+            + layer[i + 1..].iter().filter(|u| u.total_cmp(t).is_lt()).count()
+    })
 }
 
-/// Sorts one group of `(latency, word-line)` pairs fastest first — ties by
-/// word-line, which is also the order by index within the group — and
-/// writes each word-line's rank within the group to `out[word-line]`.
-fn assign_ranks(keyed: &mut [(f64, u32)], out: &mut [u32]) {
-    // The keys are distinct, so the unstable sort has one result.
-    keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    for (rank, &(_, wl)) in keyed.iter().enumerate() {
-        out[wl as usize] = rank as u32;
+/// Ranks one group of word-lines — `wls`, in increasing order — fastest
+/// first with ties by word-line, and writes each one's rank within the
+/// group to `out[wl]`. Each member sorts as one integer key, its latency's
+/// [`total_key`] above its word-line, so the keys are distinct and the
+/// unstable sort has one result.
+fn rank_group<R: RankCell>(
+    tprog_us: &[f64],
+    wls: impl Iterator<Item = usize>,
+    keys: &mut Vec<u128>,
+    out: &mut [R],
+) {
+    keys.clear();
+    keys.extend(wls.map(|wl| u128::from(total_key(tprog_us[wl])) << 64 | wl as u128));
+    keys.sort_unstable();
+    for (rank, &key) in keys.iter().enumerate() {
+        out[key as u64 as usize] = R::from_rank(rank);
     }
 }
 
@@ -232,6 +309,24 @@ mod tests {
         let _ = pwl_ranks(&t, 4);
         let _ = str_ranks(&t, 4);
         let _ = str_median_eigen(&t, 4);
+    }
+
+    #[test]
+    fn narrow_rows_hold_the_same_ranks() {
+        // 3 layers x 4 strings of tie-heavy latencies: every strategy's
+        // ranks fit a u8 row, and LWL's also a u16 row.
+        let t: Vec<f64> = (0..12).map(|i| 1880.1 + 18.4 * f64::from((i * 7) % 3)).collect();
+        let widen = |row: &[u8]| row.iter().map(|&r| u32::from(r)).collect::<Vec<u32>>();
+        let mut narrow = [0u8; 12];
+        lwl_ranks_into(&t, &mut narrow);
+        assert_eq!(widen(&narrow), lwl_ranks(&t));
+        let mut wide = [0u16; 12];
+        lwl_ranks_into(&t, &mut wide);
+        assert_eq!(wide.map(u32::from).to_vec(), lwl_ranks(&t));
+        pwl_ranks_into(&t, 4, &mut narrow);
+        assert_eq!(widen(&narrow), pwl_ranks(&t, 4));
+        str_ranks_into(&t, 4, &mut narrow);
+        assert_eq!(widen(&narrow), str_ranks(&t, 4));
     }
 
     #[test]

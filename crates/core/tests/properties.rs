@@ -38,6 +38,60 @@ fn arb_pool() -> impl Strategy<Value = BlockPool> {
     })
 }
 
+/// Latencies no measurement produces but the kernels must still order and
+/// range exactly as the comparator and one-word-line-at-a-time references
+/// do: NaNs of both signs, both zeros, both infinities, subnormals, and a
+/// few repeated values so ties are common.
+fn arb_awkward(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec((0u8..12, any::<u64>()), len).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|(kind, bits)| match kind {
+                0 => f64::NAN,
+                1 => -f64::from_bits(f64::NAN.to_bits() | (bits & 0xff)),
+                2 => 0.0,
+                3 => -0.0,
+                4 => f64::INFINITY,
+                5 => f64::NEG_INFINITY,
+                6 => f64::from_bits(bits & ((1 << 52) - 1)),
+                7 => -f64::from_bits(bits & ((1 << 52) - 1)),
+                8 => f64::from_bits(bits),
+                _ => [1880.1, 1898.5, -3.0][(bits % 3) as usize],
+            })
+            .collect()
+    })
+}
+
+/// The comparator sort integer keys replaced: `total_cmp`, then
+/// word-line; writes each member's rank within `group` to `out[wl]`.
+fn comparator_ranks(t: &[f64], group: impl Iterator<Item = usize>, out: &mut [u32]) {
+    let mut keyed: Vec<(f64, usize)> = group.map(|wl| (t[wl], wl)).collect();
+    keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    for (rank, &(_, wl)) in keyed.iter().enumerate() {
+        out[wl] = rank as u32;
+    }
+}
+
+/// Σ over word-lines of (max − min) member latency, one word-line at a
+/// time: the loop the chunked kernel replaced.
+fn sequential_extra_program_us(tprog: &[&[f64]]) -> f64 {
+    let mut sum = 0.0;
+    for wl in 0..tprog[0].len() {
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        for v in tprog {
+            if v[wl] < min {
+                min = v[wl];
+            }
+            if v[wl] > max {
+                max = v[wl];
+            }
+        }
+        sum += max - min;
+    }
+    sum
+}
+
 fn check_validity(pool: &BlockPool, sbs: &[Superblock]) -> Result<(), TestCaseError> {
     prop_assert_eq!(sbs.len(), pool.min_pool_len());
     let mut seen = std::collections::HashSet::new();
@@ -83,6 +137,47 @@ proptest! {
             got.sort_unstable();
             prop_assert_eq!(got, (0..layers as u32).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn integer_key_ranks_equal_the_comparator_sort(
+        t in arb_awkward(0..48),
+        strings in 1u16..5,
+    ) {
+        let mut expected = vec![0; t.len()];
+        comparator_ranks(&t, 0..t.len(), &mut expected);
+        prop_assert_eq!(rank::lwl_ranks(&t), expected);
+        let s = usize::from(strings);
+        let t = &t[..t.len() - t.len() % s];
+        let mut expected = vec![0; t.len()];
+        for string in 0..s {
+            comparator_ranks(t, (string..t.len()).step_by(s), &mut expected);
+        }
+        prop_assert_eq!(rank::pwl_ranks(t, strings), expected);
+    }
+
+    #[test]
+    fn counted_str_ranks_equal_the_sorted_ones(t in arb_awkward(0..48), strings in 1u16..9) {
+        let s = usize::from(strings);
+        let t = &t[..t.len() - t.len() % s];
+        let mut expected = vec![0; t.len()];
+        for first in (0..t.len()).step_by(s) {
+            comparator_ranks(t, first..first + s, &mut expected);
+        }
+        prop_assert_eq!(rank::str_ranks(t, strings), expected);
+    }
+
+    #[test]
+    fn chunked_extra_program_equals_the_sequential_loop(
+        members in proptest::collection::vec(arb_awkward(29..30), 2..6),
+        wls in 1usize..30,
+    ) {
+        // Word-line counts on both sides of the 8-wide chunks, so whole
+        // chunks, a tail and tails alone all occur.
+        let tprog: Vec<&[f64]> = members.iter().map(|m| &m[..wls]).collect();
+        let tbers = vec![3000.0; tprog.len()];
+        let chunked = ExtraLatency::of_vectors(&tprog, &tbers).unwrap().program_us;
+        prop_assert_eq!(chunked.to_bits(), sequential_extra_program_us(&tprog).to_bits());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::ber::{BerModel, RberFactors};
 use crate::fault::FaultInjector;
 use crate::geometry::Geometry;
 use crate::ids::{BlockAddr, PageAddr, PwlLayer, StringId, WlAddr};
-use crate::sampler::Sampler;
+use crate::sampler::{Sampler, TagPrefix};
 use crate::variation::{StringMask, VariationConfig};
 use std::cell::RefCell;
 
@@ -258,9 +258,10 @@ impl LatencyModel {
     /// [`Self::program_latency_us`] on each word-line.
     ///
     /// The block's speed, outlier and pattern-family terms are drawn once,
-    /// each layer's base and fast-string mask once per layer, so a
-    /// word-line pays only for its noise draw — the block-at-a-time path
-    /// characterization takes.
+    /// each layer's base and fast-string mask once per layer, and the
+    /// noise hash absorbs the block's tags once, so a word-line pays only
+    /// for finishing its noise draw with `(lwl, pe)` — the block-at-a-time
+    /// path characterization takes.
     ///
     /// # Panics
     ///
@@ -270,19 +271,25 @@ impl LatencyModel {
         addr: BlockAddr,
         pe: u32,
     ) -> impl Iterator<Item = f64> + '_ {
+        let prefixes = self.block_program_prefixes_us(addr);
+        let noise = self.noise_prefix(addr);
+        prefixes.zip(0..).map(move |(prefix, lwl)| self.finish_program(prefix, noise, lwl, pe))
+    }
+
+    /// [`Self::program_prefix_us`] of every logical word-line of one block,
+    /// in word-line order: the block's terms drawn once, each layer's once
+    /// per layer. The one block-at-a-time synthesis, shared by
+    /// [`Self::block_program_latencies_us`] and [`LatencyCache`]'s fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the address is out of range for the geometry.
+    fn block_program_prefixes_us(&self, addr: BlockAddr) -> impl Iterator<Item = f64> + '_ {
         assert!(self.geo.contains_block(addr), "address {addr} out of range");
         let block = self.block_terms(addr);
         (0..self.geo.pwl_layers()).flat_map(move |l| {
             let layer = self.layer_terms(&block, addr, PwlLayer(l));
-            (0..self.geo.strings()).map(move |s| {
-                let string = StringId(s);
-                let prefix = self.prefix_of(&block, &layer, string);
-                self.program_latency_from_prefix_us(
-                    prefix,
-                    addr.wl(self.geo.lwl_of(PwlLayer(l), string)),
-                    pe,
-                )
-            })
+            (0..self.geo.strings()).map(move |s| self.prefix_of(&block, &layer, StringId(s)))
         })
     }
 
@@ -317,11 +324,24 @@ impl LatencyModel {
     /// to the bit.
     #[must_use]
     pub fn program_latency_from_prefix_us(&self, prefix: f64, wl: WlAddr, pe: u32) -> f64 {
+        self.finish_program(prefix, self.noise_prefix(wl.block), wl.lwl.0, pe)
+    }
+
+    /// The noise hash of a block's word-lines after absorbing its tags:
+    /// `(TAG_NOISE, chip, plane, block)`, the leading part of every
+    /// word-line's noise tag list.
+    fn noise_prefix(&self, addr: BlockAddr) -> TagPrefix {
+        let [c, p, b] = Self::block_tags(addr);
+        self.sampler.prefix(&[TAG_NOISE, c, p, b])
+    }
+
+    /// [`Self::program_latency_from_prefix_us`] given the block's
+    /// [`Self::noise_prefix`]: the noise draw continues it with `(lwl, pe)`.
+    fn finish_program(&self, prefix: f64, noise: TagPrefix, lwl: u32, pe: u32) -> f64 {
         let v = &self.var;
-        let [c, p, b] = Self::block_tags(wl.block);
         let noise = v.noise_sigma_us
             * self.wear_noise_factor(pe)
-            * self.sampler.normal(&[TAG_NOISE, c, p, b, u64::from(wl.lwl.0), u64::from(pe)]);
+            * noise.then(&[u64::from(lwl), u64::from(pe)]).normal();
         let wear = -v.wear_prog_slope_us_per_kpe * f64::from(pe) / 1000.0;
         Self::quantize(prefix + noise + wear, v.pulse_us).max(v.pulse_us)
     }
@@ -613,18 +633,25 @@ impl LatencyCache {
     }
 
     /// Cached-prefix equivalent of [`LatencyModel::program_latency_us`];
-    /// bit-identical to it by construction.
+    /// bit-identical to it by construction. A miss fills the prefixes of
+    /// the whole block at once, so its block and layer terms are drawn once
+    /// per block instead of once per word-line.
     ///
     /// # Panics
     ///
     /// Panics if the address is out of range for the model's geometry.
     pub fn program_latency_us(&mut self, model: &LatencyModel, wl: WlAddr, pe: u32) -> f64 {
-        let idx = model.geometry().block_index(wl.block) * self.lwls_per_block + wl.lwl.0 as usize;
-        let slot = &mut sized(&mut self.prog_prefix, self.blocks * self.lwls_per_block)[idx];
-        if *slot == 0 {
-            *slot = !model.program_prefix_us(wl).to_bits();
+        let lwl = wl.lwl.0 as usize;
+        assert!(lwl < self.lwls_per_block, "address {wl} out of range");
+        let first = model.geometry().block_index(wl.block) * self.lwls_per_block;
+        let table = sized(&mut self.prog_prefix, self.blocks * self.lwls_per_block);
+        let row = &mut table[first..first + self.lwls_per_block];
+        if row[lwl] == 0 {
+            for (slot, prefix) in row.iter_mut().zip(model.block_program_prefixes_us(wl.block)) {
+                *slot = !prefix.to_bits();
+            }
         }
-        model.program_latency_from_prefix_us(f64::from_bits(!*slot), wl, pe)
+        model.program_latency_from_prefix_us(f64::from_bits(!row[lwl]), wl, pe)
     }
 
     /// Entries allocated across every table.
@@ -969,6 +996,29 @@ mod tests {
                 }
             }
         }
+        // A miss fills its whole block: whichever word-line triggers the
+        // fill, every word-line of the block then reads bit-identical.
+        let block = blk(1, 3);
+        for trigger in geo.lwls() {
+            let mut cache = LatencyCache::new(&geo);
+            let _ = cache.program_latency_us(&m, block.wl(trigger), 7);
+            for lwl in geo.lwls() {
+                let wl = block.wl(lwl);
+                assert_eq!(
+                    cache.program_latency_us(&m, wl, 3000).to_bits(),
+                    m.program_latency_us(wl, 3000).to_bits(),
+                    "fill from {trigger}, read {wl}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn cached_program_out_of_range_word_line_panics() {
+        let m = model();
+        let mut cache = LatencyCache::new(m.geometry());
+        let _ = cache.program_latency_us(&m, blk(0, 0).wl(LwlId(m.geometry().lwls_per_block())), 0);
     }
 
     #[test]

@@ -52,11 +52,15 @@ impl Sampler {
     /// Uniform `u64` keyed by the tag tuple.
     #[must_use]
     pub fn hash(&self, tags: &[u64]) -> u64 {
-        let mut acc = splitmix64(self.seed);
-        for &t in tags {
-            acc = splitmix64(acc ^ splitmix64(t.wrapping_add(0xa076_1d64_78bd_642f)));
-        }
-        acc
+        self.prefix(tags).acc
+    }
+
+    /// The hash state after absorbing `tags`: continuing it with
+    /// [`TagPrefix::then`] gives the state of the concatenated tag list, so
+    /// draws that share leading tags hash those tags once.
+    #[must_use]
+    pub(crate) fn prefix(&self, tags: &[u64]) -> TagPrefix {
+        TagPrefix { acc: splitmix64(self.seed) }.then(tags)
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -69,11 +73,7 @@ impl Sampler {
     /// Standard normal draw (Box-Muller over two decorrelated uniforms).
     #[must_use]
     pub fn normal(&self, tags: &[u64]) -> f64 {
-        let h = self.hash(tags);
-        let u1 = ((h >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
-        let h2 = splitmix64(h ^ 0xd6e8_feb8_6659_fd93);
-        let u2 = (h2 >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        self.prefix(tags).normal()
     }
 
     /// Exponential draw with the given mean.
@@ -102,9 +102,39 @@ impl Sampler {
     }
 }
 
+/// A [`Sampler`]'s hash state partway through a tag list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TagPrefix {
+    acc: u64,
+}
+
+impl TagPrefix {
+    /// The state after also absorbing `tags`, one splitmix round pair per
+    /// tag.
+    #[must_use]
+    pub(crate) fn then(self, tags: &[u64]) -> TagPrefix {
+        let mut acc = self.acc;
+        for &t in tags {
+            acc = splitmix64(acc ^ splitmix64(t.wrapping_add(0xa076_1d64_78bd_642f)));
+        }
+        TagPrefix { acc }
+    }
+
+    /// [`Sampler::normal`] of the tags absorbed so far.
+    #[must_use]
+    pub(crate) fn normal(self) -> f64 {
+        let h = self.acc;
+        let u1 = ((h >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
+        let h2 = splitmix64(h ^ 0xd6e8_feb8_6659_fd93);
+        let u2 = (h2 >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn deterministic_for_same_tags() {
@@ -195,5 +225,34 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn choice_of_zero_panics() {
         let _ = Sampler::new(1).choice(0, &[0]);
+    }
+
+    /// The hash and Box-Muller steps [`TagPrefix`] replaced, kept as the
+    /// reference for the prefix-continued draws.
+    fn reference_normal(seed: u64, tags: &[u64]) -> f64 {
+        let mut h = splitmix64(seed);
+        for &t in tags {
+            h = splitmix64(h ^ splitmix64(t.wrapping_add(0xa076_1d64_78bd_642f)));
+        }
+        let u1 = ((h >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64);
+        let h2 = splitmix64(h ^ 0xd6e8_feb8_6659_fd93);
+        let u2 = (h2 >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    }
+
+    proptest! {
+        #[test]
+        fn prefix_continued_normal_equals_normal_on_the_full_tag_list(
+            seed in any::<u64>(),
+            tags in proptest::collection::vec(any::<u64>(), 0..8),
+            split in 0usize..8,
+        ) {
+            let s = Sampler::new(seed);
+            let (head, tail) = tags.split_at(split.min(tags.len()));
+            let continued = s.prefix(head).then(tail);
+            prop_assert_eq!(continued, s.prefix(&tags));
+            prop_assert_eq!(continued.normal().to_bits(), s.normal(&tags).to_bits());
+            prop_assert_eq!(s.normal(&tags).to_bits(), reference_normal(seed, &tags).to_bits());
+        }
     }
 }

@@ -9,13 +9,15 @@
 //!   each tenant's next arrival; [`crate::LatencyHistogram::fold`] keys it
 //!   by the head of each part's sorted run.
 //! * [`total_key`] / [`from_total_key`] — the [`f64::total_cmp`] order as
-//!   plain unsigned integers, so trees and sorts compare `u64`s.
+//!   plain unsigned integers, so trees and sorts compare `u64`s. Defined
+//!   in [`pvcheck::rank`], whose rank tables sort by the same keys.
 //!
 //! The depth tracker and the tournament are held to naive oracles by the
 //! proptest suite (`crates/ftl/tests/sched_equivalence.rs`); the depth
 //! tracker and the frontend loop around the tournament are microbenched by
 //! `crates/bench/benches/events.rs`.
 
+pub use pvcheck::rank::{from_total_key, total_key};
 use std::collections::VecDeque;
 
 /// Depth tracker specialized for the chip-completion streams a replay
@@ -75,28 +77,6 @@ impl DepthTracker {
         }
         self.completions.len()
     }
-}
-
-/// `x`'s position in the IEEE 754 total order as an unsigned integer:
-/// `total_key(a).cmp(&total_key(b)) == a.total_cmp(&b)` for every pair of
-/// values, NaNs and signed zeros included, and [`from_total_key`] inverts
-/// it bit for bit. Negative values flip every bit (a larger magnitude
-/// sorts lower); the rest gain the sign bit (they sort above every
-/// negative value).
-#[must_use]
-pub fn total_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// Inverse of [`total_key`].
-#[must_use]
-pub fn from_total_key(key: u64) -> f64 {
-    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
 }
 
 /// Winner tree ("tournament") over `slots` keys: [`Tournament::min`] reads
