@@ -1,17 +1,25 @@
-//! Open (actively written) superblocks: staging buffer, super word-line
-//! write pointer and runtime gathering — plus the placement hook that maps
-//! a write's purpose (tenant QoS class or GC) to its open-superblock slot.
+//! The write path: the [`Writer`]'s open (actively written) superblocks —
+//! staging buffer, super word-line write pointer and runtime gathering —
+//! and the block manager they are assembled from, plus the placement hook
+//! that maps a write's purpose (tenant QoS class or GC) to its slot.
 
-use crate::config::QosClass;
+use crate::config::{FtlConfig, QosClass};
 use crate::error::FtlError;
+use crate::gc::{Collector, SealedSuperblock};
+use crate::integrity::Integrity;
+use crate::manager::{speed_class_for, BlockManager};
+use crate::mapping::Mapping;
+use crate::media::Media;
 use crate::parity;
 use crate::recovery::Spor;
+use crate::stats::SsdStats;
 use crate::Result;
 use flash_model::{
-    BlockAddr, FlashArray, Geometry, MpOutcome, PageAddr, PageOob, PageType, WlAddr,
+    BlockAddr, BlockSummaryRecord, FlashArray, Geometry, MpOutcome, PageAddr, PageOob, PageType,
+    SealRecord, WlAddr,
 };
 use pvcheck::gather::BlockGatherer;
-use pvcheck::BlockSummary;
+use pvcheck::{BlockSummary, Characterizer, EigenSequence, SpeedClass};
 
 /// Payload tag marking a padding page that stores no logical data.
 pub(crate) const FILLER: u64 = u64::MAX;
@@ -38,39 +46,316 @@ pub(crate) const PURPOSES: [Purpose; 4] = [
     Purpose::Host(QosClass::Background),
 ];
 
-/// The open-superblock slots, one per placement target, in [`PURPOSES`]
-/// order.
+/// The write path: the open superblocks, one slot per placement target in
+/// [`PURPOSES`] order, and the block manager they are assembled from.
 ///
-/// This is the per-tenant half of the placement hook: [`ActiveSlots::slot`]
+/// This is the per-tenant half of the placement hook: [`Writer::slot`]
 /// picks which open superblock a write streams into (so tenants of
 /// different classes never interleave pages in one super word-line), while
 /// [`crate::manager::speed_class_for`] picks which end of the
 /// process-variation ranking that superblock is assembled from.
-#[derive(Debug, Default)]
-pub(crate) struct ActiveSlots([Option<ActiveSuperblock>; PURPOSES.len()]);
+#[derive(Debug)]
+pub(crate) struct Writer {
+    slots: [Option<ActiveSuperblock>; PURPOSES.len()],
+    manager: BlockManager,
+    /// Whether every super word-line reserves a parity slot.
+    parity: bool,
+    /// Construction seed, kept so recovery can rebuild the block manager
+    /// with the identical derived RNG stream.
+    seed: u64,
+    /// Reusable buffer of a block's live pages for relocation: the
+    /// valid-page iterator borrows the mapping, which the writes mutate.
+    pub(crate) scratch: Vec<(u64, PageAddr)>,
+}
 
-impl ActiveSlots {
+/// What a write borrows from the device besides the [`Writer`]: the flash,
+/// the mapping, SPOR, the write times, the sealed list, the counters and
+/// the device clock, µs, which nothing on the write path moves.
+pub(crate) struct Parts<'a> {
+    pub(crate) media: &'a mut Media,
+    pub(crate) mapping: &'a mut Mapping,
+    pub(crate) spor: &'a mut Spor,
+    pub(crate) integrity: &'a mut Integrity,
+    pub(crate) collector: &'a mut Collector,
+    pub(crate) stats: &'a mut SsdStats,
+    pub(crate) clock: f64,
+}
+
+impl Writer {
+    /// The write path over `array` as it stands, with no superblock open: a
+    /// fresh block manager on `seed`'s derived stream with the bad blocks
+    /// in `retired` out and every member of `sealed` claimed, then every
+    /// summary the device knows learned — the pre-characterization pass
+    /// when configured, then each persisted seal record — so QSTR-MED
+    /// resumes without re-characterizing anything.
+    pub(crate) fn new(
+        config: &FtlConfig,
+        array: &FlashArray,
+        seed: u64,
+        retired: &[BlockAddr],
+        sealed: &[SealedSuperblock],
+    ) -> Writer {
+        let geo = array.geometry();
+        let mut manager = BlockManager::new(geo, config.scheme, seed ^ 0x5eed);
+        for &addr in retired {
+            manager.retire(addr);
+        }
+        for &m in sealed.iter().flat_map(SealedSuperblock::members) {
+            manager.claim(m);
+        }
+        if config.precharacterize {
+            let pool = Characterizer::new(&config.flash).snapshot(array.latency_model(), 0);
+            for profile in pool.iter() {
+                manager.learn(profile.summary(geo.strings()));
+            }
+        }
+        for s in array.seal_records().iter().flat_map(|record| &record.summaries) {
+            manager.learn(BlockSummary {
+                addr: s.addr,
+                pgm_sum_us: s.pgm_sum_us,
+                eigen: EigenSequence::from_bits(s.eigen_bits.iter().copied()),
+            });
+        }
+        manager.promote_known();
+        let parity = config.parity.enabled();
+        Writer { slots: Default::default(), manager, parity, seed, scratch: Vec::new() }
+    }
+
+    /// The construction seed, which recovery rebuilds on.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The block manager superblocks are assembled from.
+    pub(crate) fn manager(&self) -> &BlockManager {
+        &self.manager
+    }
+
+    /// Returns a collected block to its free pool.
+    pub(crate) fn free(&mut self, block: BlockAddr) {
+        self.manager.free(block);
+    }
+
+    /// The open-superblock slots, in [`PURPOSES`] order.
+    pub(crate) fn slots(&self) -> &[Option<ActiveSuperblock>] {
+        &self.slots
+    }
+
     /// The slot a write of `purpose` streams into.
-    pub(crate) fn slot(&mut self, purpose: Purpose) -> &mut Option<ActiveSuperblock> {
+    fn slot(&mut self, purpose: Purpose) -> &mut Option<ActiveSuperblock> {
         let index = match purpose {
             Purpose::Host(QosClass::Standard) => 0,
             Purpose::Gc => 1,
             Purpose::Host(QosClass::LatencyCritical) => 2,
             Purpose::Host(QosClass::Background) => 3,
         };
-        &mut self.0[index]
-    }
-
-    /// Open superblocks in the fixed [`PURPOSES`] order (checkpoints
-    /// iterate this).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &ActiveSuperblock> {
-        self.0.iter().flatten()
+        &mut self.slots[index]
     }
 
     /// Replaces staged copies of `lpn` with filler in every slot (trim).
     pub(crate) fn discard_staged(&mut self, lpn: u64) {
-        for a in self.0.iter_mut().flatten() {
+        for a in self.slots.iter_mut().flatten() {
             a.discard_staged(lpn);
+        }
+    }
+
+    /// Stages one page and programs/seals as needed; returns time spent.
+    pub(crate) fn stage(&mut self, dev: &mut Parts, lpn: u64, purpose: Purpose) -> Result<f64> {
+        let mut time = self.ensure_active(dev, purpose)?;
+        let slot = self.slot(purpose);
+        if slot.as_mut().expect("ensure_active filled the slot").stage(lpn) {
+            let active = slot.take().expect("the slot was just staged into");
+            self.program(dev, active, purpose, &mut time)?;
+        }
+        Ok(time)
+    }
+
+    /// Pads and programs any staged pages of `purpose`'s open superblock so
+    /// everything buffered becomes durable; returns time spent.
+    pub(crate) fn flush(&mut self, dev: &mut Parts, purpose: Purpose) -> Result<f64> {
+        let Some(mut active) = self.slot(purpose).take_if(|a| a.has_staged_pages()) else {
+            return Ok(0.0);
+        };
+        active.pad();
+        let mut time = 0.0;
+        if self.program(dev, active, purpose, &mut time)? {
+            // The recovery writes may leave fresh pages staged; flush them
+            // too so the durability contract of a flush holds.
+            time += self.flush(dev, purpose)?;
+        }
+        Ok(time)
+    }
+
+    /// Programs `active`'s staged super word-line — the step a stage and a
+    /// flush share — and accounts for it once: the new mappings, their
+    /// write times, the program counters, then the seal or the restored
+    /// slot, which the remap writes of a failed member stage into. Adds
+    /// each time to `time` in order; returns whether any member failed.
+    fn program(
+        &mut self,
+        dev: &mut Parts,
+        mut active: ActiveSuperblock,
+        purpose: Purpose,
+        time: &mut f64,
+    ) -> Result<bool> {
+        let result = active.program_superwl(dev.media, dev.spor)?;
+        for &(lpn, ppa) in &result.assignments {
+            debug_assert_ne!(lpn, FILLER);
+            dev.mapping.map(lpn, ppa);
+        }
+        dev.integrity.programmed(&result.assignments, dev.clock);
+        dev.stats.superwl_programs += 1;
+        dev.spor.count_superwl();
+        dev.stats.extra_program_us += result.outcome.extra_us;
+        *time += result.outcome.total_us;
+        self.retire_or_restore(dev, active, purpose);
+        if result.failures.is_empty() {
+            return Ok(false);
+        }
+        *time += self.handle_program_failures(dev, result.failures, purpose)?;
+        Ok(true)
+    }
+
+    /// Ensures an open superblock exists for `purpose`; returns time spent
+    /// (allocation erase).
+    ///
+    /// A member whose erase fails is retired and replaced from its pool
+    /// (the superblock is re-assembled); when the pool has nothing left the
+    /// superblock starts degraded with fewer members.
+    fn ensure_active(&mut self, dev: &mut Parts, purpose: Purpose) -> Result<f64> {
+        if self.slot(purpose).is_some() {
+            return Ok(0.0);
+        }
+        let class = speed_class_for(purpose);
+        let members = self.manager.allocate(class).ok_or(FtlError::OutOfSpace)?;
+        let mut ok_members = Vec::with_capacity(members.len());
+        let mut member_us = Vec::with_capacity(members.len());
+        let mut degraded = false;
+        for m in members {
+            let mut candidate = Some(m);
+            while let Some(addr) = candidate {
+                if dev.spor.op_fires() {
+                    // Power died before this erase: the claimed blocks were
+                    // never journaled as a superblock, so recovery simply
+                    // finds them free again.
+                    return Err(FtlError::PowerLoss);
+                }
+                match dev.media.erase(addr) {
+                    Ok(t) => {
+                        ok_members.push(addr);
+                        member_us.push(t);
+                        break;
+                    }
+                    Err(e) if e.is_media_failure() => {
+                        self.retire_block(dev, addr);
+                        candidate = self.manager.take_from_pool(self.manager.pool_of(addr));
+                    }
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            degraded |= candidate.is_none();
+        }
+        if ok_members.is_empty() {
+            return Err(FtlError::OutOfSpace);
+        }
+        if degraded {
+            dev.stats.degraded_superblocks += 1;
+        }
+        let outcome = MpOutcome::from_members(member_us);
+        dev.stats.superblock_erases += 1;
+        dev.stats.extra_erase_us += outcome.extra_us;
+        match class {
+            SpeedClass::Fast => dev.stats.superblocks_assembled.0 += 1,
+            SpeedClass::Slow => dev.stats.superblocks_assembled.1 += 1,
+        }
+        let sb_id = dev.spor.open_superblock(&ok_members);
+        let geo = dev.media.array().geometry();
+        let active = ActiveSuperblock::new(ok_members, sb_id, geo, self.parity);
+        *self.slot(purpose) = Some(active);
+        Ok(outcome.total_us)
+    }
+
+    /// Moves a block to the bad-block table.
+    fn retire_block(&mut self, dev: &mut Parts, addr: BlockAddr) {
+        self.manager.retire(addr);
+        dev.spor.retire(addr);
+        dev.stats.retired_blocks += 1;
+    }
+
+    /// Recovers from program-status failures: retires each failed block,
+    /// rewrites the payload the failed program carried, and relocates any
+    /// live pages stranded on the block's earlier word-lines (still readable
+    /// in phase `Failed`). Returns time spent.
+    fn handle_program_failures(
+        &mut self,
+        dev: &mut Parts,
+        failures: Vec<FailedMember>,
+        purpose: Purpose,
+    ) -> Result<f64> {
+        let mut time = 0.0;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        for f in failures {
+            self.retire_block(dev, f.addr);
+            dev.stats.degraded_superblocks += 1;
+            for lpn in f.payload {
+                if lpn != FILLER {
+                    time += self.stage(dev, lpn, purpose)?;
+                    dev.stats.remapped_writes += 1;
+                }
+            }
+            // Stranded live data: copy out before the block is abandoned.
+            // Mapping::map self-cleans the old location when the new copy
+            // programs, so no explicit invalidation is needed.
+            scratch.clear();
+            scratch.extend(dev.mapping.valid_in_block(f.addr));
+            for &(lpn, ppa) in &scratch {
+                let (tag, t_read) = dev.media.array().read_page(ppa)?;
+                debug_assert_eq!(tag, lpn);
+                dev.media.read(ppa.wl.block, t_read);
+                time += t_read;
+                time += self.stage(dev, lpn, purpose)?;
+                dev.stats.remapped_writes += 1;
+            }
+        }
+        scratch.clear();
+        self.scratch = scratch;
+        Ok(time)
+    }
+
+    /// Seals `active` when full, persisting its gathered summaries, or
+    /// puts it back in `purpose`'s slot.
+    fn retire_or_restore(&mut self, dev: &mut Parts, active: ActiveSuperblock, purpose: Purpose) {
+        if active.members.is_empty() {
+            // Every member failed: there is nothing to seal or write into.
+            // The staged payload travelled out via the failure report, so
+            // dropping the shell loses nothing; the next write re-assembles.
+            return;
+        }
+        if active.is_full() {
+            let members = active.members.clone();
+            let sb_id = active.sb_id();
+            let summaries = active.finish();
+            // Persist the gathered QSTR-MED stats to the capacitor-backed
+            // region: after a crash they restore the learned summaries
+            // without re-characterizing any block.
+            dev.media.persist_seal(SealRecord {
+                sb_id,
+                members: members.clone(),
+                summaries: summaries
+                    .iter()
+                    .map(|s| BlockSummaryRecord {
+                        addr: s.addr,
+                        pgm_sum_us: s.pgm_sum_us,
+                        eigen_bits: (0..s.eigen.len()).map(|i| s.eigen.get(i)).collect(),
+                    })
+                    .collect(),
+            });
+            for summary in summaries {
+                self.manager.learn(summary);
+            }
+            dev.collector.seal(sb_id, members, Some(speed_class_for(purpose)));
+        } else {
+            *self.slot(purpose) = Some(active);
         }
     }
 }
@@ -95,9 +380,6 @@ pub(crate) struct SuperwlProgram {
     pub assignments: Vec<(u64, PageAddr)>,
     /// Command outcome over the surviving members.
     pub outcome: MpOutcome,
-    /// Surviving members' blocks, aligned with `outcome.member_us` — tells
-    /// the per-chip timing model which chip each latency belongs to.
-    pub member_blocks: Vec<BlockAddr>,
     /// Members that failed this program (empty on healthy media).
     pub failures: Vec<FailedMember>,
 }
@@ -205,10 +487,11 @@ impl ActiveSuperblock {
     /// Every page carries OOB metadata (LPN, a sequence number drawn here
     /// in assignment order, the superblock identity) programmed atomically
     /// with the payload, and `spor`'s crash countdown ticks once per member
-    /// program. A firing crash marks the current member's word-line *torn*
-    /// — completed members of this super word-line stay readable, the torn
-    /// one exposes nothing — and returns [`FtlError::PowerLoss`] before any
-    /// assignment is applied.
+    /// program. `media` charges each member's program to its chip as it
+    /// completes. A firing crash marks the current member's word-line
+    /// *torn* — completed members of this super word-line stay readable
+    /// (and charged), the torn one exposes nothing — and returns
+    /// [`FtlError::PowerLoss`] before any assignment is applied.
     ///
     /// # Errors
     ///
@@ -216,7 +499,7 @@ impl ActiveSuperblock {
     /// bugs) and reports injected power loss as [`FtlError::PowerLoss`].
     pub(crate) fn program_superwl(
         &mut self,
-        array: &mut FlashArray,
+        media: &mut Media,
         spor: &mut Spor,
     ) -> Result<SuperwlProgram> {
         debug_assert_eq!(self.staging.len(), self.data_pages());
@@ -247,7 +530,7 @@ impl ActiveSuperblock {
                 // (with the newest sequence numbers) are readable, and
                 // recovery must discard them because the host write that
                 // spans this super word-line was never acknowledged.
-                array.mark_torn(wls[m])?;
+                media.tear(wls[m])?;
                 return Err(FtlError::PowerLoss);
             }
             let oob: Vec<PageOob> = payload
@@ -264,7 +547,7 @@ impl ActiveSuperblock {
                     PageOob { lpn, seq, sb_id: self.sb_id, member_slot: m as u16 }
                 })
                 .collect();
-            match array.program_wl_with_oob(wls[m], payload, &oob) {
+            match media.program(wls[m], payload, &oob) {
                 Ok(t) => {
                     member_us.push(t);
                     survived.push(m);
@@ -286,7 +569,7 @@ impl ActiveSuperblock {
             self.gatherers[m].record(self.next_lwl, lat).expect("gather follows program order");
         }
         // Compute page assignments for the pages that actually programmed.
-        let cell = array.geometry().cell();
+        let cell = media.array().geometry().cell();
         let mut assignments = Vec::new();
         for &m in &survived {
             for k in 0..ppl {
@@ -298,7 +581,6 @@ impl ActiveSuperblock {
                 }
             }
         }
-        let member_blocks: Vec<BlockAddr> = survived.iter().map(|&m| self.members[m]).collect();
         // Drop failed members: the superblock continues degraded.
         for f in &failures {
             if let Some(i) = self.members.iter().position(|&m| m == f.addr) {
@@ -308,12 +590,7 @@ impl ActiveSuperblock {
         }
         self.staging.clear();
         self.next_lwl += 1;
-        Ok(SuperwlProgram {
-            assignments,
-            outcome: MpOutcome::from_members(member_us),
-            member_blocks,
-            failures,
-        })
+        Ok(SuperwlProgram { assignments, outcome: MpOutcome::from_members(member_us), failures })
     }
 
     /// Consumes the superblock when full, yielding each member's gathered
@@ -337,30 +614,30 @@ mod tests {
         Spor::new(&SporConfig::default())
     }
 
-    fn setup() -> (FlashArray, ActiveSuperblock) {
+    fn setup() -> (Media, ActiveSuperblock) {
         let config =
             FlashConfig::builder().chips(4).blocks_per_plane(4).pwl_layers(2).strings(4).build();
-        let mut array = FlashArray::new(config, 1);
+        let mut media = Media::new(FlashArray::new(config, 1));
         let members: Vec<BlockAddr> =
             (0..4).map(|c| BlockAddr::new(ChipId(c), PlaneId(0), BlockId(0))).collect();
         for &m in &members {
-            array.erase_block(m).unwrap();
+            media.erase(m).unwrap();
         }
-        let active = ActiveSuperblock::new(members, 0, array.geometry(), false);
-        (array, active)
+        let active = ActiveSuperblock::new(members, 0, media.array().geometry(), false);
+        (media, active)
     }
 
-    fn setup_parity() -> (FlashArray, ActiveSuperblock) {
+    fn setup_parity() -> (Media, ActiveSuperblock) {
         let config =
             FlashConfig::builder().chips(4).blocks_per_plane(4).pwl_layers(2).strings(4).build();
-        let mut array = FlashArray::new(config, 1);
+        let mut media = Media::new(FlashArray::new(config, 1));
         let members: Vec<BlockAddr> =
             (0..4).map(|c| BlockAddr::new(ChipId(c), PlaneId(0), BlockId(0))).collect();
         for &m in &members {
-            array.erase_block(m).unwrap();
+            media.erase(m).unwrap();
         }
-        let active = ActiveSuperblock::new(members, 0, array.geometry(), true);
-        (array, active)
+        let active = ActiveSuperblock::new(members, 0, media.array().geometry(), true);
+        (media, active)
     }
 
     #[test]
@@ -375,20 +652,20 @@ mod tests {
 
     #[test]
     fn program_assigns_every_non_filler_page() {
-        let (mut array, mut a) = setup();
+        let (mut media, mut a) = setup();
         for i in 0..11 {
             a.stage(i);
         }
         a.stage(FILLER);
         a.pad();
-        let result = a.program_superwl(&mut array, &mut spor()).unwrap();
+        let result = a.program_superwl(&mut media, &mut spor()).unwrap();
         assert_eq!(result.assignments.len(), 11);
         assert_eq!(result.outcome.member_us.len(), 4);
         assert!(result.outcome.extra_us >= 0.0);
         assert!(result.failures.is_empty(), "healthy media never fails");
         // Check one assignment is readable with the right tag.
         let (lpn, ppa) = result.assignments[5];
-        let (tag, _) = array.read_page(ppa).unwrap();
+        let (tag, _) = media.array().read_page(ppa).unwrap();
         assert_eq!(tag, lpn);
     }
 
@@ -401,21 +678,22 @@ mod tests {
         // reliably produces a mid-superblock program failure.
         let fault = FaultConfig { program_fail_prob: 0.05, ..FaultConfig::default() };
         'seeds: for seed in 0..64 {
-            let mut array = FlashArray::with_faults(config.clone(), seed, fault.clone());
+            let mut media =
+                Media::new(FlashArray::with_faults(config.clone(), seed, fault.clone()));
             let members: Vec<BlockAddr> =
                 (0..4).map(|c| BlockAddr::new(ChipId(c), PlaneId(0), BlockId(0))).collect();
             for &m in &members {
-                if array.erase_block(m).is_err() {
+                if media.erase(m).is_err() {
                     continue 'seeds;
                 }
             }
-            let mut a = ActiveSuperblock::new(members.clone(), 0, array.geometry(), false);
+            let mut a = ActiveSuperblock::new(members.clone(), 0, media.array().geometry(), false);
             let mut spor = spor();
             for wl in 0..8u64 {
                 for p in 0..a.superwl_pages() as u64 {
                     a.stage(wl * 100 + p);
                 }
-                let result = a.program_superwl(&mut array, &mut spor).unwrap();
+                let result = a.program_superwl(&mut media, &mut spor).unwrap();
                 if result.failures.is_empty() {
                     continue;
                 }
@@ -435,14 +713,14 @@ mod tests {
 
     #[test]
     fn full_superblock_finishes_with_summaries() {
-        let (mut array, mut a) = setup();
+        let (mut media, mut a) = setup();
         let mut spor = spor();
         let wls = 8; // 2 layers x 4 strings
         for wl in 0..wls as u64 {
             for p in 0..12 {
                 a.stage(wl * 12 + p);
             }
-            a.program_superwl(&mut array, &mut spor).unwrap();
+            a.program_superwl(&mut media, &mut spor).unwrap();
         }
         assert!(a.is_full());
         let summaries = a.finish();
@@ -457,22 +735,22 @@ mod tests {
     fn spor_programs_carry_oob_identity() {
         let config =
             FlashConfig::builder().chips(4).blocks_per_plane(4).pwl_layers(2).strings(4).build();
-        let mut array = FlashArray::new(config, 1);
+        let mut media = Media::new(FlashArray::new(config, 1));
         let members: Vec<BlockAddr> =
             (0..4).map(|c| BlockAddr::new(ChipId(c), PlaneId(0), BlockId(0))).collect();
         for &m in &members {
-            array.erase_block(m).unwrap();
+            media.erase(m).unwrap();
         }
-        let mut a = ActiveSuperblock::new(members, 7, array.geometry(), false);
+        let mut a = ActiveSuperblock::new(members, 7, media.array().geometry(), false);
         let mut spor = spor();
         for i in 0..11 {
             a.stage(i);
         }
         a.stage(FILLER);
-        let result = a.program_superwl(&mut array, &mut spor).unwrap();
+        let result = a.program_superwl(&mut media, &mut spor).unwrap();
         let mut seen_seqs = Vec::new();
         for &(lpn, ppa) in &result.assignments {
-            let oob = array.read_oob(ppa).unwrap();
+            let oob = media.array().read_oob(ppa).unwrap();
             assert_eq!(oob.lpn, lpn);
             assert_eq!(oob.sb_id, 7);
             assert!(oob.seq >= 1);
@@ -486,7 +764,7 @@ mod tests {
         assert_eq!(seen_seqs, sorted);
         // The filler page's OOB reports filler.
         let filler_page = a.members[3].wl(flash_model::LwlId(0)).page(PageType::Msb);
-        let oob = array.read_oob(filler_page).unwrap();
+        let oob = media.array().read_oob(filler_page).unwrap();
         assert!(oob.is_filler());
         assert_eq!(oob.seq, 0);
     }
@@ -494,7 +772,7 @@ mod tests {
     #[test]
     fn crash_mid_superwl_tears_the_interrupted_member() {
         use crate::recovery::CrashPoint;
-        let (mut array, mut a) = setup();
+        let (mut media, mut a) = setup();
         // A 1-op fuse always fires on the first member program.
         let mut spor = Spor::new(&SporConfig {
             checkpoint_interval: 0,
@@ -503,25 +781,28 @@ mod tests {
         for i in 0..12 {
             a.stage(i);
         }
-        let err = a.program_superwl(&mut array, &mut spor).unwrap_err();
+        let err = a.program_superwl(&mut media, &mut spor).unwrap_err();
         assert!(matches!(err, FtlError::PowerLoss));
         assert!(spor.crashed());
         // Member 0 was interrupted: its word-line is torn and unreadable,
         // and the block takes no further programs until erased.
-        let torn = array.torn_lwl(a.members[0]).unwrap();
+        let torn = media.array().torn_lwl(a.members[0]).unwrap();
         assert_eq!(torn, Some(flash_model::LwlId(0)));
         let page = a.members[0].wl(flash_model::LwlId(0)).page(PageType::Lsb);
-        assert!(array.read_page(page).is_err());
+        assert!(media.array().read_page(page).is_err());
         // Later members were never reached.
         for &m in &a.members[1..] {
-            assert_eq!(array.torn_lwl(m).unwrap(), None);
-            assert!(array.read_page(m.wl(flash_model::LwlId(0)).page(PageType::Lsb)).is_err());
+            assert_eq!(media.array().torn_lwl(m).unwrap(), None);
+            assert!(media
+                .array()
+                .read_page(m.wl(flash_model::LwlId(0)).page(PageType::Lsb))
+                .is_err());
         }
     }
 
     #[test]
     fn parity_stripe_xors_to_zero_and_parity_page_is_unmapped() {
-        let (mut array, mut a) = setup_parity();
+        let (mut media, mut a) = setup_parity();
         let mut spor = spor();
         assert_eq!(a.superwl_pages(), 12);
         assert_eq!(a.data_pages(), 11);
@@ -529,12 +810,12 @@ mod tests {
             assert!(!a.stage(100 + i), "trigger only at data_pages");
         }
         assert!(a.stage(110));
-        let result = a.program_superwl(&mut array, &mut spor).unwrap();
+        let result = a.program_superwl(&mut media, &mut spor).unwrap();
         // All 11 data pages map; the parity page does not.
         assert_eq!(result.assignments.len(), 11);
         let parity_page = a.members[3].wl(flash_model::LwlId(0)).page(PageType::Msb);
         assert!(!result.assignments.iter().any(|&(_, p)| p == parity_page));
-        let oob = array.read_oob(parity_page).unwrap();
+        let oob = media.array().read_oob(parity_page).unwrap();
         assert!(oob.is_parity());
         assert!(!oob.is_mapped());
         assert_eq!(oob.seq, 0, "parity never consumes a sequence number");
@@ -543,22 +824,23 @@ mod tests {
         let mut acc = 0u64;
         for m in &a.members {
             for pt in [PageType::Lsb, PageType::Csb, PageType::Msb] {
-                let (tag, _) = array.read_page(m.wl(flash_model::LwlId(0)).page(pt)).unwrap();
+                let (tag, _) =
+                    media.array().read_page(m.wl(flash_model::LwlId(0)).page(pt)).unwrap();
                 acc ^= tag;
             }
         }
         assert_eq!(acc, 0);
-        let (parity_tag, _) = array.read_page(parity_page).unwrap();
+        let (parity_tag, _) = media.array().read_page(parity_page).unwrap();
         let expected: u64 = (100..111u64).fold(0, |x, l| x ^ l);
         assert_eq!(parity_tag, expected);
     }
 
     #[test]
     fn parity_pad_leaves_room_for_the_parity_slot() {
-        let (mut array, mut a) = setup_parity();
+        let (mut media, mut a) = setup_parity();
         a.stage(5);
         a.pad();
-        let result = a.program_superwl(&mut array, &mut spor()).unwrap();
+        let result = a.program_superwl(&mut media, &mut spor()).unwrap();
         assert_eq!(result.assignments.len(), 1);
         // 1 data + 10 filler XOR to 5^(10 fillers): fillers cancel pairwise,
         // so the stored parity is FILLER-count-parity dependent — just check
@@ -566,7 +848,8 @@ mod tests {
         let mut acc = 0u64;
         for m in &a.members {
             for pt in [PageType::Lsb, PageType::Csb, PageType::Msb] {
-                let (tag, _) = array.read_page(m.wl(flash_model::LwlId(0)).page(pt)).unwrap();
+                let (tag, _) =
+                    media.array().read_page(m.wl(flash_model::LwlId(0)).page(pt)).unwrap();
                 acc ^= tag;
             }
         }

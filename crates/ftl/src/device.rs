@@ -1,23 +1,22 @@
-//! The SSD facade: request dispatch, write path, foreground GC and timing.
+//! The SSD facade: request dispatch, the read path, foreground GC, patrol
+//! steps and timing; writes go through the [`Writer`], flash the [`Media`].
 
-use crate::active::{ActiveSlots, ActiveSuperblock, FailedMember, Purpose, FILLER, PURPOSES};
+use crate::active::{Parts, Purpose, Writer, PURPOSES};
 use crate::config::{FtlConfig, QosClass};
 use crate::error::FtlError;
 use crate::gc::{Collector, GcBudget, GcStep, SealedSuperblock};
 use crate::integrity::{DeviceView, Integrity, PatrolStep, PatrolTime};
-use crate::manager::{speed_class_for, BlockManager};
+use crate::manager::BlockManager;
 use crate::mapping::Mapping;
+use crate::media::Media;
 use crate::parity;
 use crate::recovery::{RecoveryReport, Spor};
 use crate::request::{IoOp, IoRequest};
 use crate::sched::DepthTracker;
 use crate::stats::SsdStats;
-use crate::timing::{Clocks, QueueModel, Replay, TimedOutcome, TouchLog, CONTROLLER};
+use crate::timing::{Clocks, QueueModel, Replay, TimedOutcome};
 use crate::Result;
-use flash_model::{
-    BlockAddr, BlockHandle, BlockSummaryRecord, FlashArray, MpOutcome, PageAddr, SealRecord,
-};
-use pvcheck::{BlockSummary, Characterizer, EigenSequence, SpeedClass};
+use flash_model::{BlockAddr, BlockHandle, FlashArray, PageAddr};
 
 /// Shape summary handed to workload generators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,16 +50,12 @@ pub struct GeometryInfo {
 #[derive(Debug)]
 pub struct Ssd {
     config: FtlConfig,
-    array: FlashArray,
+    /// The flash array and the per-chip occupancy its commands charge.
+    media: Media,
     mapping: Mapping,
-    manager: BlockManager,
-    actives: ActiveSlots,
+    /// Open superblocks, the block manager and the write path.
+    writer: Writer,
     stats: SsdStats,
-    touches: TouchLog,
-    scratch: Vec<(u64, PageAddr)>,
-    /// Construction seed, kept so recovery can rebuild the block manager
-    /// with the identical derived RNG stream.
-    seed: u64,
     /// SPOR: crash countdown, journal, checkpoint and sequences.
     spor: Spor,
     /// Sealed superblocks, victim choice and the parked GC job.
@@ -104,9 +99,6 @@ fn logical_capacity(physical_pages: u64, overprovision: f64) -> u64 {
     }
 }
 
-/// Per-page host transfer time, µs (bus + controller overhead).
-const TRANSFER_US: f64 = 10.0;
-
 /// The QoS ladder, one rule for every kind of background work a foreground
 /// command may pay a slice of: background commands pay once the work is
 /// `due`, standard ones once it is `overdue`, latency-critical ones never.
@@ -116,43 +108,6 @@ fn ladder_pays(class: QosClass, (due, overdue): (bool, bool)) -> bool {
         QosClass::Standard => overdue,
         QosClass::LatencyCritical => false,
     }
-}
-
-/// The block manager over `array` as it stands: a fresh one on `seed`'s
-/// derived stream with the bad blocks in `retired` out and every member
-/// of `sealed` claimed, then every summary the device knows learned — the
-/// pre-characterization pass when configured, then each persisted seal
-/// record — so QSTR-MED resumes without re-characterizing anything.
-fn build_manager(
-    config: &FtlConfig,
-    array: &FlashArray,
-    seed: u64,
-    retired: &[BlockAddr],
-    sealed: &[SealedSuperblock],
-) -> BlockManager {
-    let geo = array.geometry();
-    let mut manager = BlockManager::new(geo, config.scheme, seed ^ 0x5eed);
-    for &addr in retired {
-        manager.retire(addr);
-    }
-    for &m in sealed.iter().flat_map(SealedSuperblock::members) {
-        manager.claim(m);
-    }
-    if config.precharacterize {
-        let pool = Characterizer::new(&config.flash).snapshot(array.latency_model(), 0);
-        for profile in pool.iter() {
-            manager.learn(profile.summary(geo.strings()));
-        }
-    }
-    for s in array.seal_records().iter().flat_map(|record| &record.summaries) {
-        manager.learn(BlockSummary {
-            addr: s.addr,
-            pgm_sum_us: s.pgm_sum_us,
-            eigen: EigenSequence::from_bits(s.eigen_bits.iter().copied()),
-        });
-    }
-    manager.promote_known();
-    manager
 }
 
 impl Ssd {
@@ -176,19 +131,15 @@ impl Ssd {
         let logical_pages = logical_capacity(usable_pages, config.overprovision);
         Ok(Ssd {
             mapping: Mapping::new(logical_pages, &geo),
-            manager: build_manager(&config, &array, seed, &[], &[]),
-            actives: ActiveSlots::default(),
+            writer: Writer::new(&config, &array, seed, &[], &[]),
             stats: SsdStats::default(),
-            touches: TouchLog::new(geo.chip_plane_groups()),
-            scratch: Vec::new(),
-            seed,
             spor: Spor::new(&config.spor),
             collector: Collector::default(),
             integrity: Integrity::new(&config, logical_pages),
             replay: None,
             idle_wall_us: 0.0,
             config,
-            array,
+            media: Media::new(array),
         })
     }
 
@@ -204,14 +155,15 @@ impl Ssd {
     /// state would be lost).
     pub fn use_naive_mapping_for_benchmarks(&mut self) {
         assert_eq!(self.mapping.valid_pages(), 0, "switch mappings only on a fresh device");
-        assert!(self.actives.iter().next().is_none(), "switch mappings only on a fresh device");
+        let fresh = self.writer.slots().iter().all(Option::is_none);
+        assert!(fresh, "switch mappings only on a fresh device");
         self.mapping = Mapping::new_naive(self.mapping.capacity());
     }
 
     /// Shape summary for workload generation.
     #[must_use]
     pub fn geometry_info(&self) -> GeometryInfo {
-        let geo = self.array.geometry();
+        let geo = self.media.array().geometry();
         let pools = u64::from(geo.chips()) * u64::from(geo.planes_per_chip());
         GeometryInfo {
             logical_pages: self.mapping.capacity(),
@@ -229,7 +181,7 @@ impl Ssd {
     /// Total QSTR-MED eigen distance checks (0 for other schemes).
     #[must_use]
     pub fn distance_checks(&self) -> u64 {
-        self.manager.distance_checks()
+        self.writer.manager().distance_checks()
     }
 
     /// Executes an open-loop request stream with arrival times: recorded
@@ -272,8 +224,8 @@ impl Ssd {
         let clocks = match self.config.queue_model {
             QueueModel::Single => Clocks::Single { free_at: 0.0 },
             QueueModel::PerChip => {
-                self.touches.set_enabled(true);
-                let groups = self.array.geometry().chip_plane_groups();
+                self.media.set_timed(true);
+                let groups = self.media.array().geometry().chip_plane_groups();
                 if self.stats.chip_busy_us.len() != groups + 1 {
                     self.stats.chip_busy_us = vec![0.0; groups + 1];
                 }
@@ -332,7 +284,7 @@ impl Ssd {
     pub fn timed_end(&mut self) {
         if let Some(replay) = self.replay.take() {
             self.stats.makespan_us = self.stats.makespan_us.max(replay.clocks.makespan());
-            self.touches.set_enabled(false);
+            self.media.set_timed(false);
         }
     }
 
@@ -358,22 +310,23 @@ impl Ssd {
             match self.config.gc_budget {
                 GcBudget::Unbounded => {
                     while clocks.drained_at() < arrival
-                        && self.manager.assemblable() < self.config.gc_high_watermark
+                        && self.writer.manager().assemblable() < self.config.gc_high_watermark
                     {
                         let Some(t) = self.gc_once()? else { break };
                         self.stats.idle_gc_us += t;
-                        clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
+                        clocks.charge_idle(t, &mut self.media, &mut self.stats.chip_busy_us);
                     }
                 }
                 GcBudget::Sliced { .. } => {
                     // The whole idle gap is the budget; the slice parks the
                     // victim when the gap runs out.
                     let now = clocks.drained_at();
-                    if now < arrival && self.manager.assemblable() < self.config.gc_high_watermark {
-                        let t = self.gc_slice(arrival - now, self.config.gc_high_watermark)?;
+                    let high = self.config.gc_high_watermark;
+                    if now < arrival && self.writer.manager().assemblable() < high {
+                        let t = self.gc_slice(arrival - now, high)?;
                         if t > 0.0 {
                             self.stats.idle_gc_us += t;
-                            clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
+                            clocks.charge_idle(t, &mut self.media, &mut self.stats.chip_busy_us);
                         }
                     }
                 }
@@ -384,7 +337,7 @@ impl Ssd {
         let t = self.patrol_slice(arrival - clocks.drained_at())?;
         if t > 0.0 {
             self.stats.patrol_us += t;
-            clocks.charge_idle(t, &mut self.touches, &mut self.stats.chip_busy_us);
+            clocks.charge_idle(t, &mut self.media, &mut self.stats.chip_busy_us);
         }
         let service = match r.op {
             IoOp::Write => self.serve_write(r.lpn, class)?,
@@ -394,7 +347,7 @@ impl Ssd {
                 0.0
             }
         };
-        let start = clocks.start(arrival, &mut self.touches, &mut self.stats.chip_busy_us);
+        let start = clocks.start(arrival, &mut self.media, &mut self.stats.chip_busy_us);
         let wait = start - arrival;
         // A read that misses takes no service, but the host still waited
         // for the answer, so the wait is its sample; trims record no sample
@@ -434,13 +387,6 @@ impl Ssd {
         Ok(())
     }
 
-    /// Records a flash command's occupancy on its chip/plane group (no-op
-    /// unless a `PerChip` replay is running).
-    fn touch_block(&mut self, block: BlockAddr, us: f64) {
-        let group = self.array.geometry().chip_plane_index(block);
-        self.touches.record(group, us);
-    }
-
     fn check_lpn(&self, lpn: u64) -> Result<()> {
         let capacity = self.mapping.capacity();
         if lpn >= capacity {
@@ -473,7 +419,7 @@ impl Ssd {
     /// The block manager (read access for verification and tests).
     #[must_use]
     pub fn block_manager(&self) -> &BlockManager {
-        &self.manager
+        self.writer.manager()
     }
 
     /// Writes one logical page, returning the host-visible latency in µs
@@ -506,8 +452,7 @@ impl Ssd {
     fn serve_write(&mut self, lpn: u64, class: QosClass) -> Result<f64> {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
-        self.touches.record(CONTROLLER, TRANSFER_US);
-        let mut latency = TRANSFER_US;
+        let mut latency = self.media.transfer();
         // Collection and overdue patrol work land in one stall.
         let stall = self.pay_background(class)?;
         if stall > 0.0 {
@@ -543,23 +488,22 @@ impl Ssd {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
         // Serve from the staging buffers first (write-back cache).
-        let latency = if self.actives.iter().any(|a| a.has_staged(lpn)) {
-            self.touches.record(CONTROLLER, TRANSFER_US);
-            TRANSFER_US
+        let latency = if self.writer.slots().iter().flatten().any(|a| a.has_staged(lpn)) {
+            self.media.transfer()
         } else {
             let Some(ppa) = self.mapping.lookup(lpn) else { return Ok(None) };
-            let (tag, t) = self.array.read_page(ppa)?;
+            let (tag, t) = self.media.array().read_page(ppa)?;
             debug_assert_eq!(tag, lpn, "mapping points at the right payload");
-            self.touches.record(CONTROLLER, TRANSFER_US);
+            let transfer = self.media.transfer();
             if self.consults_ecc() {
                 // Consult the ECC model at the page's true data age; pages
                 // past the retry ladder are refreshed (rewritten elsewhere)
                 // before they rot into data loss. Without integrity tracking
                 // the age is 0 and the disturb count is 0, reproducing the
                 // fault-only path bit for bit.
-                let bits = self.array.expected_error_bits(ppa, self.data_age_hours(lpn));
+                let bits = self.media.array().expected_error_bits(ppa, self.data_age_hours(lpn));
                 let flash_us = self.config.retry.read_latency_us(t, bits);
-                self.touch_block(ppa.wl.block, flash_us);
+                self.media.read(ppa.wl.block, flash_us);
                 if self.config.retry.is_uncorrectable(bits) {
                     // The relocation is background work: the host sees only
                     // the sensing + retry + transfer time, and the rewrite
@@ -588,10 +532,10 @@ impl Ssd {
                     }
                     self.stats.refresh_relocations += 1;
                 }
-                flash_us + TRANSFER_US
+                flash_us + transfer
             } else {
-                self.touch_block(ppa.wl.block, t);
-                t + TRANSFER_US
+                self.media.read(ppa.wl.block, t);
+                t + transfer
             }
         };
         self.stats.host_reads += 1;
@@ -602,8 +546,8 @@ impl Ssd {
     }
 
     /// Rebuilds an uncorrectable page's payload from its stripe
-    /// ([`parity::rebuild`]) and books it: sibling occupancy in the touch
-    /// log, the slowest member's read time (where unified-tR superpages
+    /// ([`parity::rebuild`], which charges the siblings' reads) and books
+    /// it: the slowest member's read time (where unified-tR superpages
     /// beat PV-blind assembly) in `rebuild_us` and `busy_us`, never the
     /// read histogram, and a stripe that cannot yield the payload, or be
     /// found, in `rebuilds_failed`: true data loss, reported, never
@@ -619,16 +563,13 @@ impl Ssd {
         // list); else search the sealed and open stripes (none: no reads).
         let members = stripe.or_else(|| {
             let sealed = self.collector.sealed().iter().map(SealedSuperblock::members);
-            let open = self.actives.iter().map(|a| &a.members[..]);
+            let open = self.writer.slots().iter().flatten().map(|a| &a.members[..]);
             sealed.chain(open).find(|members| members.contains(&ppa.wl.block))
         });
         let age = self.data_age_hours(lpn);
-        let rebuild = |m| parity::rebuild(&self.array, &self.config.retry, m, ppa, lpn, age);
+        let rebuild = |m| parity::rebuild(&mut self.media, &self.config.retry, m, ppa, lpn, age);
         let r = members.map(rebuild).transpose()?.unwrap_or_default();
         self.stats.rebuild_reads += r.reads;
-        for &(member, us) in &r.member_us {
-            self.touch_block(member, us);
-        }
         if r.ok {
             self.stats.rebuilds_ok += 1;
             self.stats.rebuild_ok_us += r.critical_us;
@@ -657,7 +598,7 @@ impl Ssd {
         self.ensure_powered()?;
         self.check_lpn(lpn)?;
         self.mapping.unmap(lpn);
-        self.actives.discard_staged(lpn);
+        self.writer.discard_staged(lpn);
         self.spor.trim(lpn);
         self.stats.host_trims += 1;
         Ok(())
@@ -669,178 +610,23 @@ impl Ssd {
         self.mapping.valid_pages()
     }
 
-    /// Ensures an open superblock exists for `purpose`; returns time spent
-    /// (allocation erase).
-    ///
-    /// A member whose erase fails is retired and replaced from its pool
-    /// (the superblock is re-assembled); when the pool has nothing left the
-    /// superblock starts degraded with fewer members.
-    fn ensure_active(&mut self, purpose: Purpose) -> Result<f64> {
-        if self.actives.slot(purpose).is_some() {
-            return Ok(0.0);
-        }
-        let class = speed_class_for(purpose);
-        let members = self.manager.allocate(class).ok_or(FtlError::OutOfSpace)?;
-        let mut ok_members = Vec::with_capacity(members.len());
-        let mut member_us = Vec::with_capacity(members.len());
-        let mut degraded = false;
-        for m in members {
-            let mut candidate = Some(m);
-            while let Some(addr) = candidate {
-                if self.spor.op_fires() {
-                    // Power died before this erase: the claimed blocks were
-                    // never journaled as a superblock, so recovery simply
-                    // finds them free again.
-                    return Err(FtlError::PowerLoss);
-                }
-                match self.array.erase_block(addr) {
-                    Ok(t) => {
-                        ok_members.push(addr);
-                        member_us.push(t);
-                        break;
-                    }
-                    Err(e) if e.is_media_failure() => {
-                        self.retire_block(addr);
-                        candidate = self.manager.take_from_pool(self.manager.pool_of(addr));
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            degraded |= candidate.is_none();
-        }
-        if ok_members.is_empty() {
-            return Err(FtlError::OutOfSpace);
-        }
-        if degraded {
-            self.stats.degraded_superblocks += 1;
-        }
-        for (&m, &t) in ok_members.iter().zip(&member_us) {
-            self.touch_block(m, t);
-        }
-        let outcome = MpOutcome::from_members(member_us);
-        self.stats.superblock_erases += 1;
-        self.stats.extra_erase_us += outcome.extra_us;
-        match class {
-            SpeedClass::Fast => self.stats.superblocks_assembled.0 += 1,
-            SpeedClass::Slow => self.stats.superblocks_assembled.1 += 1,
-        }
-        let sb_id = self.spor.open_superblock(&ok_members);
-        let (geo, parity) = (self.array.geometry(), self.config.parity.enabled());
-        *self.actives.slot(purpose) = Some(ActiveSuperblock::new(ok_members, sb_id, geo, parity));
-        Ok(outcome.total_us)
+    /// The write path and the parts a write borrows, at the device clock.
+    fn writer(&mut self) -> (&mut Writer, Parts<'_>) {
+        let clock = self.device_clock_us();
+        let Ssd { writer, media, mapping, spor, integrity, collector, stats, .. } = self;
+        (writer, Parts { media, mapping, spor, integrity, collector, stats, clock })
     }
 
-    /// Moves a block to the bad-block table.
-    fn retire_block(&mut self, addr: BlockAddr) {
-        self.manager.retire(addr);
-        self.spor.retire(addr);
-        self.stats.retired_blocks += 1;
-    }
-
-    /// Programs `active`'s staged super word-line and accounts for it once:
-    /// member occupancy, the new mappings and the program counters.
-    /// Returns the program time and the members whose program failed.
-    fn program_superwl(
-        &mut self,
-        active: &mut ActiveSuperblock,
-    ) -> Result<(f64, Vec<FailedMember>)> {
-        let result = active.program_superwl(&mut self.array, &mut self.spor)?;
-        for (&b, &t) in result.member_blocks.iter().zip(&result.outcome.member_us) {
-            self.touch_block(b, t);
-        }
-        for &(lpn, ppa) in &result.assignments {
-            debug_assert_ne!(lpn, FILLER);
-            self.mapping.map(lpn, ppa);
-        }
-        self.integrity.programmed(&result.assignments, self.device_clock_us());
-        self.stats.superwl_programs += 1;
-        self.spor.count_superwl();
-        self.stats.extra_program_us += result.outcome.extra_us;
-        Ok((result.outcome.total_us, result.failures))
-    }
-
-    /// Stages one page and programs/seals as needed; returns time spent.
+    /// Stages one page through the [`Writer`]; returns time spent.
     fn stage_write(&mut self, lpn: u64, purpose: Purpose) -> Result<f64> {
-        let mut time = self.ensure_active(purpose)?;
-        let mut active = self.actives.slot(purpose).take().expect("ensure_active filled the slot");
-        let mut failures = Vec::new();
-        if active.stage(lpn) {
-            let (t, failed) = self.program_superwl(&mut active)?;
-            time += t;
-            failures = failed;
-        }
-        // Restore the slot before recovery: the remap writes recurse into
-        // stage_write and must find the (possibly degraded) superblock open.
-        self.retire_or_restore(active, purpose);
-        if !failures.is_empty() {
-            time += self.handle_program_failures(failures, purpose)?;
-        }
-        Ok(time)
+        let (writer, mut parts) = self.writer();
+        writer.stage(&mut parts, lpn, purpose)
     }
 
-    /// Pads and programs any staged pages of `purpose`'s open superblock so
-    /// everything buffered becomes durable; returns time spent.
+    /// Makes `purpose`'s staged pages durable; returns time spent.
     fn flush_purpose(&mut self, purpose: Purpose) -> Result<f64> {
-        let Some(mut active) = self.actives.slot(purpose).take() else {
-            return Ok(0.0);
-        };
-        let mut time = 0.0;
-        let mut failures = Vec::new();
-        if active.has_staged_pages() {
-            active.pad();
-            let (t, failed) = self.program_superwl(&mut active)?;
-            time += t;
-            failures = failed;
-        }
-        self.retire_or_restore(active, purpose);
-        if !failures.is_empty() {
-            time += self.handle_program_failures(failures, purpose)?;
-            // The recovery writes may leave fresh pages staged; flush them
-            // too so the durability contract of a flush holds.
-            time += self.flush_purpose(purpose)?;
-        }
-        Ok(time)
-    }
-
-    /// Recovers from program-status failures: retires each failed block,
-    /// rewrites the payload the failed program carried, and relocates any
-    /// live pages stranded on the block's earlier word-lines (still readable
-    /// in phase `Failed`). Returns time spent.
-    fn handle_program_failures(
-        &mut self,
-        failures: Vec<FailedMember>,
-        purpose: Purpose,
-    ) -> Result<f64> {
-        let mut time = 0.0;
-        // The valid-page iterator borrows the mapping, which stage_write
-        // mutates — collect into the reusable scratch buffer first.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for f in failures {
-            self.retire_block(f.addr);
-            self.stats.degraded_superblocks += 1;
-            for lpn in f.payload {
-                if lpn != FILLER {
-                    time += self.stage_write(lpn, purpose)?;
-                    self.stats.remapped_writes += 1;
-                }
-            }
-            // Stranded live data: copy out before the block is abandoned.
-            // Mapping::map self-cleans the old location when the new copy
-            // programs, so no explicit invalidation is needed.
-            scratch.clear();
-            scratch.extend(self.mapping.valid_in_block(f.addr));
-            for &(lpn, ppa) in &scratch {
-                let (tag, t_read) = self.array.read_page(ppa)?;
-                debug_assert_eq!(tag, lpn);
-                self.touch_block(ppa.wl.block, t_read);
-                time += t_read;
-                time += self.stage_write(lpn, purpose)?;
-                self.stats.remapped_writes += 1;
-            }
-        }
-        scratch.clear();
-        self.scratch = scratch;
-        Ok(time)
+        let (writer, mut parts) = self.writer();
+        writer.flush(&mut parts, purpose)
     }
 
     /// Makes every buffered host/GC page durable.
@@ -858,41 +644,6 @@ impl Ssd {
         Ok(time)
     }
 
-    fn retire_or_restore(&mut self, active: ActiveSuperblock, purpose: Purpose) {
-        if active.members.is_empty() {
-            // Every member failed: there is nothing to seal or write into.
-            // The staged payload travelled out via the failure report, so
-            // dropping the shell loses nothing; the next write re-assembles.
-            return;
-        }
-        if active.is_full() {
-            let members = active.members.clone();
-            let sb_id = active.sb_id();
-            let summaries = active.finish();
-            // Persist the gathered QSTR-MED stats to the capacitor-backed
-            // region: after a crash they restore the learned summaries
-            // without re-characterizing any block.
-            self.array.persist_seal_record(SealRecord {
-                sb_id,
-                members: members.clone(),
-                summaries: summaries
-                    .iter()
-                    .map(|s| BlockSummaryRecord {
-                        addr: s.addr,
-                        pgm_sum_us: s.pgm_sum_us,
-                        eigen_bits: (0..s.eigen.len()).map(|i| s.eigen.get(i)).collect(),
-                    })
-                    .collect(),
-            });
-            for summary in summaries {
-                self.manager.learn(summary);
-            }
-            self.collector.seal(sb_id, members, Some(speed_class_for(purpose)));
-        } else {
-            *self.actives.slot(purpose) = Some(active);
-        }
-    }
-
     /// Background work a foreground command carries: collection first,
     /// then overdue patrol, both paid down the one QoS ladder
     /// ([`ladder_pays`]). Returns the command's stall, µs, which the caller
@@ -902,8 +653,8 @@ impl Ssd {
         let mut stall = match self.config.gc_budget {
             GcBudget::Unbounded => {
                 let mut time = 0.0;
-                if self.manager.assemblable() < self.config.gc_low_watermark {
-                    while self.manager.assemblable() < self.config.gc_high_watermark {
+                if self.writer.manager().assemblable() < self.config.gc_low_watermark {
+                    while self.writer.manager().assemblable() < self.config.gc_high_watermark {
                         let Some(t) = self.gc_once()? else { break };
                         time += t;
                     }
@@ -937,7 +688,7 @@ impl Ssd {
     /// so none of them drains the pool into `OutOfSpace`. Returns the
     /// reclaim time (`0` when the pool is not that low).
     fn reclaim_floor(&mut self) -> Result<f64> {
-        if self.manager.assemblable() <= 1 {
+        if self.writer.manager().assemblable() <= 1 {
             self.gc_slice(f64::INFINITY, 2)
         } else {
             Ok(0.0)
@@ -948,7 +699,7 @@ impl Ssd {
     /// backlog — free space under the low watermark, or a parked victim
     /// still short of the high one — and overdue under the low watermark.
     fn gc_pressure(&self) -> (bool, bool) {
-        let assemblable = self.manager.assemblable();
+        let assemblable = self.writer.manager().assemblable();
         let low = assemblable < self.config.gc_low_watermark;
         let parked = self.collector.has_job() && assemblable < self.config.gc_high_watermark;
         (low || parked, low)
@@ -990,14 +741,10 @@ impl Ssd {
     fn patrol_slice(&mut self, budget_us: f64) -> Result<f64> {
         let mut time = PatrolTime::default();
         loop {
-            let dev = DeviceView {
-                clock: self.device_clock_us(),
-                array: &self.array,
-                mapping: &self.mapping,
-                collector: &self.collector,
-            };
-            let (touches, stats) = (&mut self.touches, &mut self.stats);
-            let run = self.integrity.patrol_run(&dev, touches, stats, budget_us, &mut time);
+            let clock = self.device_clock_us();
+            let Ssd { media, mapping, collector, integrity, stats, .. } = self;
+            let mut dev = DeviceView { clock, media, mapping, collector };
+            let run = integrity.patrol_run(&mut dev, stats, budget_us, &mut time);
             match run.and_then(|step| self.patrol_device_step(step, &mut time.line)) {
                 Ok(true) => {}
                 Ok(false) => return Ok(time.slice),
@@ -1043,12 +790,14 @@ impl Ssd {
     fn gc_slice(&mut self, budget_us: f64, target: usize) -> Result<f64> {
         let mut time = 0.0;
         let mut yielded = false;
-        while self.manager.assemblable() < target {
+        while self.writer.manager().assemblable() < target {
             if time >= budget_us {
                 yielded = self.collector.has_job();
                 break;
             }
-            let Some(step) = self.collector.next_step(&self.array, &self.mapping) else { break };
+            let Some(step) = self.collector.next_step(self.media.array(), &self.mapping) else {
+                break;
+            };
             time += match step {
                 GcStep::Relocate(lpn, ppa, mut block) => {
                     // The victim stays sealed, so a rebuild finds its stripe.
@@ -1084,11 +833,11 @@ impl Ssd {
         let mut time = 0.0;
         // The valid-page iterator borrows the mapping, which stage_write
         // mutates — collect into the reusable scratch buffer first.
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.writer.scratch);
         for &member in victim.members() {
             scratch.clear();
             scratch.extend(self.mapping.valid_in_block(member));
-            let mut block = self.array.block(member)?;
+            let mut block = self.media.array().block(member)?;
             for &(lpn, ppa) in &scratch {
                 let (read, program) =
                     self.relocate(lpn, ppa, &mut block, Some(victim.members()))?;
@@ -1097,7 +846,7 @@ impl Ssd {
             }
         }
         scratch.clear();
-        self.scratch = scratch;
+        self.writer.scratch = scratch;
         time += self.free_victim(&victim)?;
         Ok(Some(time))
     }
@@ -1117,8 +866,9 @@ impl Ssd {
         stripe: Option<&[BlockAddr]>,
     ) -> Result<(f64, f64)> {
         let ecc = self.config.parity.enabled() && self.consults_ecc();
-        let line = self.array.line(block, ppa.wl.lwl)?;
-        let k = ppa.page.slot(self.array.geometry().cell());
+        let array = self.media.array();
+        let line = array.line(block, ppa.wl.lwl)?;
+        let k = ppa.page.slot(array.geometry().cell());
         let (tag, mut t_read) = line.read(k);
         debug_assert_eq!(tag, lpn);
         if let Some(bits) = ecc.then(|| line.expected_error_bits(k, self.data_age_hours(lpn))) {
@@ -1128,7 +878,7 @@ impl Ssd {
             }
             t_read = self.config.retry.read_latency_us(t_read, bits);
         }
-        self.touch_block(ppa.wl.block, t_read);
+        self.media.read(ppa.wl.block, t_read);
         let t_program = self.stage_write(lpn, Purpose::Gc)?;
         self.stats.gc_relocations += 1;
         Ok((t_read, t_program))
@@ -1143,7 +893,7 @@ impl Ssd {
         let t = self.flush_purpose(Purpose::Gc)?;
         for &member in victim.members() {
             self.mapping.invalidate_block(member);
-            self.manager.free(member);
+            self.writer.free(member);
         }
         self.spor.free(victim.sb_id());
         self.stats.gc_runs += 1;
@@ -1158,8 +908,8 @@ impl Ssd {
         if !self.spor.checkpoint_due() {
             return Ok(());
         }
-        let (array, births) = (&self.array, self.integrity.births());
-        self.spor.take_checkpoint(array, &mut self.mapping, births, &self.collector, &self.actives)
+        let Ssd { spor, media, mapping, integrity, collector, writer, .. } = self;
+        spor.take_checkpoint(media.array(), mapping, integrity.births(), collector, writer.slots())
     }
 
     /// Rebuilds all RAM state after a sudden power loss: replays the
@@ -1189,12 +939,12 @@ impl Ssd {
         // parked GC job goes with the collector recovery replaces: the
         // victim was never freed, so it comes back sealed and re-selectable
         // with its remaining valid pages intact.
-        self.actives = ActiveSlots::default();
         self.integrity.lose_patrol();
+        let array = self.media.array();
         let (collector, retired, report) =
-            self.spor.recover(&self.array, &mut self.mapping, self.integrity.births_mut())?;
-        self.manager =
-            build_manager(&self.config, &self.array, self.seed, &retired, collector.sealed());
+            self.spor.recover(array, &mut self.mapping, self.integrity.births_mut())?;
+        let seed = self.writer.seed();
+        self.writer = Writer::new(&self.config, array, seed, &retired, collector.sealed());
         self.collector = collector;
         self.stats.recovery_scan_pages += report.scanned_pages;
         self.stats.recovered_mappings += report.recovered_mappings;
@@ -1209,13 +959,13 @@ impl Ssd {
     /// The SPOR state, the flash array and the write times, which the
     /// checkpoint tests compare against a full rescan.
     pub(crate) fn spor_parts(&self) -> (&Spor, &FlashArray, Option<&[f64]>) {
-        (&self.spor, &self.array, self.integrity.births())
+        (&self.spor, self.media.array(), self.integrity.births())
     }
 
     /// Takes a checkpoint now, whether or not the interval has elapsed.
     pub(crate) fn take_checkpoint(&mut self) -> Result<()> {
-        let (array, births) = (&self.array, self.integrity.births());
-        self.spor.take_checkpoint(array, &mut self.mapping, births, &self.collector, &self.actives)
+        let Ssd { spor, media, mapping, integrity, collector, writer, .. } = self;
+        spor.take_checkpoint(media.array(), mapping, integrity.births(), collector, writer.slots())
     }
 }
 
@@ -1223,6 +973,7 @@ impl Ssd {
 mod tests {
     use super::*;
     use crate::config::OrganizationScheme;
+    use crate::media::TRANSFER_US;
     use crate::workload::Workload;
 
     fn ssd(scheme: OrganizationScheme) -> Ssd {

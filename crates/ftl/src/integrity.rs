@@ -6,11 +6,11 @@
 use crate::config::{FtlConfig, IntegrityConfig, PatrolConfig, PatrolOrder};
 use crate::gc::Collector;
 use crate::mapping::Mapping;
+use crate::media::Media;
 use crate::parity::Closure;
 use crate::stats::SsdStats;
-use crate::timing::TouchLog;
 use crate::Result;
-use flash_model::{BlockHandle, FlashArray, LwlId, PageAddr};
+use flash_model::{BlockHandle, LwlId, PageAddr};
 use pvcheck::SpeedClass;
 
 /// What a patrol run needs from the device next. Each LPN named is
@@ -41,10 +41,10 @@ pub(crate) struct PatrolTime {
     pub(crate) line: f64,
 }
 
-/// The device as a patrol run reads it, at device time `clock`, µs.
+/// The device as a patrol run reads and charges it, at device time `clock`, µs.
 pub(crate) struct DeviceView<'a> {
     pub(crate) clock: f64,
-    pub(crate) array: &'a FlashArray,
+    pub(crate) media: &'a mut Media,
     pub(crate) mapping: &'a Mapping,
     pub(crate) collector: &'a Collector,
 }
@@ -174,15 +174,14 @@ impl Integrity {
     /// Scans a run of super word-lines within a `budget_us` slice at device
     /// time `dev.clock`, resuming one a refresh interrupted, until the
     /// device must act — a refresh, a restage, the flush of a finished pass
-    /// — or the slice yields. Every live page read adds its occupancy to
-    /// `touches` and its time to `time.line`; each finished word-line then
+    /// — or the slice yields. Every live page read is charged to its chip
+    /// and adds its time to `time.line`; each finished word-line then
     /// joins `time.slice`, and [`Integrity::patrol_wants`] is asked only
     /// between word-lines. Only the device's steps move its clock, so one
     /// clock serves the run and the next run reads a fresh one.
     pub(crate) fn patrol_run(
         &mut self,
-        dev: &DeviceView,
-        touches: &mut TouchLog,
+        dev: &mut DeviceView,
         stats: &mut SsdStats,
         budget_us: f64,
         time: &mut PatrolTime,
@@ -199,7 +198,7 @@ impl Integrity {
                 };
                 self.job = Some(job);
             }
-            if let Some(step) = self.scan(dev, touches, stats, &mut time.line)? {
+            if let Some(step) = self.scan(dev, stats, &mut time.line)? {
                 return Ok(step);
             }
         }
@@ -212,20 +211,17 @@ impl Integrity {
     /// block; the next view retakes the handle's terms if it did.
     fn scan(
         &mut self,
-        dev: &DeviceView,
-        touches: &mut TouchLog,
+        dev: &mut DeviceView,
         stats: &mut SsdStats,
         time: &mut f64,
     ) -> Result<Option<PatrolStep>> {
         let (birth, rate) = (self.birth_us.as_deref(), self.config.retention_hours_per_us);
         let job = self.job.as_mut().expect("a word-line is in progress");
-        let geo = dev.array.geometry();
-        let pages = geo.pages_per_lwl();
+        let (array, mut meter) = dev.media.split();
+        let pages = array.geometry().pages_per_lwl();
         while let Some(member) = self.members.get_mut(job.member) {
-            let group = geo.chip_plane_index(member.addr());
             // An unwritten or torn word-line has nothing to scan.
-            let view =
-                if job.slot < pages { dev.array.readable_line(member, job.lwl)? } else { None };
+            let view = if job.slot < pages { array.readable_line(member, job.lwl)? } else { None };
             while let Some(line) = view.as_ref().filter(|_| job.slot < pages) {
                 let k = job.slot;
                 job.slot += 1;
@@ -238,7 +234,7 @@ impl Integrity {
                 }
                 let (tag, t_read) = line.read(k);
                 debug_assert_eq!(tag, oob.lpn);
-                touches.record(group, t_read);
+                meter.occupy(page.wl.block, t_read);
                 *time += t_read;
                 stats.patrol_scanned_pages += 1;
                 job.live += 1;
@@ -256,9 +252,8 @@ impl Integrity {
         if !self.parity || job.live == 0 {
             return Ok(None);
         }
-        let verified = match job.closure.verify(dev.array, &mut self.members)? {
-            Some((closes, block, t_read)) => {
-                touches.record(geo.chip_plane_index(block), t_read);
+        let verified = match job.closure.verify(dev.media, &mut self.members)? {
+            Some((closes, t_read)) => {
                 *time += t_read;
                 closes
             }
@@ -299,7 +294,8 @@ impl Integrity {
                 PatrolJob::default()
             }
         };
-        let lwls = dev.array.geometry().lwls_per_block();
+        let array = dev.media.array();
+        let lwls = array.geometry().lwls_per_block();
         let sealed = dev.collector.sealed();
         while let Some(&(_, _, sb_id)) = self.order.get(job.sb_cursor) {
             // The superblock may have been collected while the pass was
@@ -313,7 +309,7 @@ impl Integrity {
                 if self.members_of != Some(sb_id) {
                     self.members.clear();
                     for &m in sealed[at].members() {
-                        self.members.push(dev.array.block(m)?);
+                        self.members.push(array.block(m)?);
                     }
                     self.members_of = Some(sb_id);
                 }

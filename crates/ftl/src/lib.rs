@@ -42,6 +42,7 @@ mod gc;
 mod integrity;
 mod manager;
 mod mapping;
+mod media;
 mod parity;
 mod recovery;
 mod request;

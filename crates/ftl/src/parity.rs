@@ -2,8 +2,9 @@
 //! parity page sits, its XOR tag, the closure check a patrol scan runs and
 //! the sibling walk that rebuilds a lost page.
 
+use crate::media::Media;
 use crate::Result;
-use flash_model::{BlockAddr, BlockHandle, FlashArray, PageAddr, PageOob, RetryModel};
+use flash_model::{BlockAddr, BlockHandle, PageAddr, PageOob, RetryModel};
 
 /// The parity slot `(member, page)` of a super word-line over `members`
 /// members of `pages_per_lwl` pages: the last page of the last member, the
@@ -41,41 +42,43 @@ impl Closure {
         true
     }
 
-    /// Reads the parity page through its member's handle in `members`:
-    /// whether the stripe closes (the parity tag is the XOR of the others),
-    /// the read's block and µs. `None` when no parity page was seen (its
-    /// member was dropped): nothing is protected.
+    /// Reads the parity page through its member's handle in `members` and
+    /// charges the read to `media`: whether the stripe closes (the parity
+    /// tag is the XOR of the others) and the read's µs. `None` when no
+    /// parity page was seen (its member was dropped): nothing is protected.
     pub(crate) fn verify(
         &self,
-        array: &FlashArray,
+        media: &mut Media,
         members: &mut [BlockHandle],
-    ) -> Result<Option<(bool, BlockAddr, f64)>> {
+    ) -> Result<Option<(bool, f64)>> {
         let Some((member, page)) = self.parity else { return Ok(None) };
+        let array = media.array();
         let line = array.line(&mut members[member], page.wl.lwl)?;
         let (tag, us) = line.read(page.page.slot(array.geometry().cell()));
-        Ok(Some((tag == self.xor, page.wl.block, us)))
+        media.read(page.wl.block, us);
+        Ok(Some((tag == self.xor, us)))
     }
 }
 
-/// One stripe rebuild: whether it yielded the payload, the pages read, the
-/// slowest member's read time (siblings read chip-parallel) and the sum,
-/// µs, and each member that read anything with its time, in stripe order.
+/// One stripe rebuild: whether it yielded the payload, the pages read, and
+/// the slowest member's read time (siblings read chip-parallel) and the
+/// sum, µs.
 #[derive(Debug, Default)]
 pub(crate) struct Rebuild {
     pub ok: bool,
     pub reads: u64,
     pub critical_us: f64,
     pub fanout_us: f64,
-    pub member_us: Vec<(BlockAddr, f64)>,
 }
 
 /// Rebuilds `lpn`, lost at `lost`, from the rest of its super word-line
 /// across `members`, each page read at the retry ladder's cost at the lost
-/// page's age `age_hours` (a stripe programs at once). It fails on a second
-/// uncorrectable sibling, an unwritten or torn sibling word-line, or a
-/// missing parity page.
+/// page's age `age_hours` (a stripe programs at once), and charges each
+/// member that read anything its summed time, in stripe order. It fails on
+/// a second uncorrectable sibling, an unwritten or torn sibling word-line,
+/// or a missing parity page.
 pub(crate) fn rebuild(
-    array: &FlashArray,
+    media: &mut Media,
     retry: &RetryModel,
     members: &[BlockAddr],
     lost: PageAddr,
@@ -86,6 +89,7 @@ pub(crate) fn rebuild(
     let (mut acc, mut intact, mut saw_parity) = (0u64, true, false);
     for &member in members {
         let mut us = 0.0;
+        let array = media.array();
         let Some(line) = array.readable_line(&mut array.block(member)?, lost.wl.lwl)? else {
             intact = false;
             continue;
@@ -103,7 +107,7 @@ pub(crate) fn rebuild(
             }
         }
         if us > 0.0 {
-            out.member_us.push((member, us));
+            media.read(member, us);
         }
         out.critical_us = out.critical_us.max(us);
         out.fanout_us += us;
@@ -117,26 +121,36 @@ mod tests {
     use super::*;
     use crate::active::ActiveSuperblock;
     use crate::recovery::{Spor, SporConfig};
-    use flash_model::{BlockId, ChipId, FlashConfig, LwlId, PlaneId};
+    use flash_model::{BlockId, ChipId, FlashArray, FlashConfig, LwlId, PlaneId};
 
-    /// Four members of three-page word-lines, the first super word-line
-    /// programmed with parity over LPNs 100..111.
-    fn striped() -> (FlashArray, Vec<BlockAddr>, Vec<(u64, PageAddr)>) {
+    /// Four members of three-page word-lines on four one-plane chips, the
+    /// first super word-line programmed with parity over LPNs 100..111;
+    /// the media charges from here on.
+    fn striped() -> (Media, Vec<BlockAddr>, Vec<(u64, PageAddr)>) {
         let config =
             FlashConfig::builder().chips(4).blocks_per_plane(4).pwl_layers(2).strings(4).build();
-        let mut array = FlashArray::new(config, 1);
+        let mut media = Media::new(FlashArray::new(config, 1));
         let members: Vec<BlockAddr> =
             (0..4).map(|c| BlockAddr::new(ChipId(c), PlaneId(0), BlockId(0))).collect();
         for &m in &members {
-            array.erase_block(m).unwrap();
+            media.erase(m).unwrap();
         }
-        let mut active = ActiveSuperblock::new(members.clone(), 0, array.geometry(), true);
+        let mut active = ActiveSuperblock::new(members.clone(), 0, media.array().geometry(), true);
         for lpn in 100..111 {
             active.stage(lpn);
         }
         let mut spor = Spor::new(&SporConfig::default());
-        let assignments = active.program_superwl(&mut array, &mut spor).unwrap().assignments;
-        (array, members, assignments)
+        let assignments = active.program_superwl(&mut media, &mut spor).unwrap().assignments;
+        media.set_timed(true);
+        (media, members, assignments)
+    }
+
+    /// Each chip's time charged to `media` since the last drain.
+    fn charged(media: &mut Media) -> Vec<f64> {
+        let (mut busy, mut total) = (vec![0.0; 5], vec![0.0; 5]);
+        media.charge(0.0, &mut busy, &mut total);
+        total.truncate(4);
+        total
     }
 
     #[test]
@@ -149,7 +163,8 @@ mod tests {
 
     #[test]
     fn parity_closure_verifies_a_written_stripe_and_flags_a_short_one() {
-        let (array, members, _) = striped();
+        let (mut media, members, _) = striped();
+        let array = media.array();
         let mut handles: Vec<BlockHandle> =
             members.iter().map(|&m| array.block(m).unwrap()).collect();
         let mut closure = Closure::default();
@@ -161,38 +176,42 @@ mod tests {
             }
         }
         assert_eq!(data_pages, 11, "the parity page holds no data");
-        let (closes, block, us) = closure.verify(&array, &mut handles).unwrap().unwrap();
+        let (closes, us) = closure.verify(&mut media, &mut handles).unwrap().unwrap();
         assert!(closes);
-        assert_eq!(block, members[3], "parity sits on the last member");
         assert!(us > 0.0);
+        assert_eq!(charged(&mut media), [0.0, 0.0, 0.0, us], "parity sits on the last member");
         // Missing one data tag breaks the closure; missing the parity page
-        // leaves nothing to verify.
+        // leaves nothing to verify, and reads nothing.
         let mut short = Closure::default();
-        let line = array.word_line(members[3].wl(LwlId(0))).unwrap();
+        let line = media.array().word_line(members[3].wl(LwlId(0))).unwrap();
         for k in 1..line.pages() {
             short.visit(3, line.page(k), line.oob(k));
         }
-        assert!(!short.verify(&array, &mut handles).unwrap().unwrap().0);
-        assert!(Closure::default().verify(&array, &mut handles).unwrap().is_none());
+        assert!(!short.verify(&mut media, &mut handles).unwrap().unwrap().0);
+        charged(&mut media);
+        assert!(Closure::default().verify(&mut media, &mut handles).unwrap().is_none());
+        assert_eq!(charged(&mut media), [0.0; 4]);
     }
 
     #[test]
     fn parity_rebuild_reads_every_sibling_and_recovers_the_lost_tag() {
-        let (array, members, assignments) = striped();
+        let (mut media, members, assignments) = striped();
         let retry = RetryModel::default();
         for &(lpn, lost) in &assignments {
-            let r = rebuild(&array, &retry, &members, lost, lpn, 0.0).unwrap();
+            let r = rebuild(&mut media, &retry, &members, lost, lpn, 0.0).unwrap();
             assert!(r.ok, "lpn {lpn}");
             assert_eq!(r.reads, 11);
-            assert_eq!(r.member_us.len(), 4);
-            let slowest = r.member_us.iter().fold(0.0f64, |a, &(_, us)| a.max(us));
+            // Each member is charged its own summed reads, once.
+            let member_us = charged(&mut media);
+            assert!(member_us.iter().all(|&us| us > 0.0), "every member read something");
+            let slowest = member_us.iter().fold(0.0f64, |a, &us| a.max(us));
             assert_eq!(r.critical_us.to_bits(), slowest.to_bits());
             assert!(r.fanout_us > r.critical_us);
         }
         // The wrong tag, or a stripe short of its parity member, fails.
         let (lpn, lost) = assignments[0];
-        assert!(!rebuild(&array, &retry, &members, lost, lpn ^ 1, 0.0).unwrap().ok);
-        let r = rebuild(&array, &retry, &members[..3], lost, lpn, 0.0).unwrap();
+        assert!(!rebuild(&mut media, &retry, &members, lost, lpn ^ 1, 0.0).unwrap().ok);
+        let r = rebuild(&mut media, &retry, &members[..3], lost, lpn, 0.0).unwrap();
         assert!(!r.ok, "no parity page survives");
         assert_eq!(r.reads, 8);
     }

@@ -17,7 +17,7 @@
 //!   pages of a *torn* super word-line (interrupted mid-program) are
 //!   discarded even on members whose individual program completed.
 
-use crate::active::ActiveSlots;
+use crate::active::ActiveSuperblock;
 use crate::gc::{Collector, SealedSuperblock};
 use crate::mapping::Mapping;
 use crate::Result;
@@ -268,7 +268,7 @@ impl Spor {
         mapping: &mut Mapping,
         births: Option<&[f64]>,
         collector: &Collector,
-        actives: &ActiveSlots,
+        slots: &[Option<ActiveSuperblock>],
     ) -> Result<()> {
         let ckpt = &mut self.checkpoint;
         if ckpt.seq.is_empty() {
@@ -292,7 +292,7 @@ impl Spor {
             }
         }
         ckpt.sealed = collector.sealed().iter().map(SealedSuperblock::persisted).collect();
-        ckpt.actives = actives.iter().map(|a| (a.sb_id(), a.members.clone())).collect();
+        ckpt.actives = slots.iter().flatten().map(|a| (a.sb_id(), a.members.clone())).collect();
         for e in &self.journal {
             if let JournalEntry::Retired { addr } = e {
                 ckpt.retired.push(*addr);
@@ -453,7 +453,7 @@ impl Spor {
         }
         mapping.take_changed(&mut self.changed_lpns);
         let births = births.as_deref();
-        self.take_checkpoint(array, mapping, births, &collector, &ActiveSlots::default())?;
+        self.take_checkpoint(array, mapping, births, &collector, &[])?;
         Ok((collector, self.checkpoint.retired.clone(), report))
     }
 }

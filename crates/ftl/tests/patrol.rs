@@ -468,8 +468,9 @@ const PARITY_MISMATCH: &[u64] = &[
 /// replay saw three member blocks of a superblock under scan erased and
 /// reprogrammed while the pass was parked (the burst outlasts the patrol
 /// interval, so the pass then restarts), and all 9,150 refreshes land
-/// before the last page of their super word-line.
-fn run_boundaries() -> Ssd {
+/// before the last page of their super word-line. Those counts are for
+/// a patrol interval of 10,000 µs; `interval_us` sets it.
+fn run_boundaries(interval_us: f64) -> Ssd {
     let mut config = FtlConfig::small_test();
     config.queue_model = QueueModel::PerChip;
     config.idle_gc = true;
@@ -482,7 +483,7 @@ fn run_boundaries() -> Ssd {
         track: true,
         retention_hours_per_us: 0.01,
         patrol: PatrolConfig::On {
-            interval_us: 10_000.0,
+            interval_us,
             slice_us: 600.0,
             refresh_fraction: 0.1,
             order: PatrolOrder::Blind,
@@ -512,7 +513,7 @@ fn run_boundaries() -> Ssd {
 
 #[test]
 fn patrol_runs_reproduce_the_parked_and_mid_word_line_golden() {
-    let dev = run_boundaries();
+    let dev = run_boundaries(10_000.0);
     let s = dev.stats();
     assert!(s.patrol_refreshes > 0 && s.parity_verified > 0, "patrol refreshes and verifies");
     assert!(s.gc_runs > 0, "collection frees superblocks");
@@ -529,4 +530,30 @@ const RUN_BOUNDARIES: &[u64] = &[
     0, 0x41ea9a56451f8996, 0, 4783, 0x41636062490d6421, 0xf6a34556b6d43f6c, 0xfd57347a7fe09ccd,
     0xb6d3e21163195226, 0, 0, 0, 0, 11957, 2, 1085, 0x41333cf8f86b3a80, 0x409bcf87f2dc7c54,
     0x40b483d1a78ff618, 10707, 0, 0xd2d5bd966bed1ffa,
+];
+
+#[test]
+fn patrol_resumes_onto_a_collected_and_reprogrammed_superblock() {
+    // The run-boundaries regime with a 5 s patrol interval: the burst no
+    // longer outlasts the interval, so the parked pass resumes instead of
+    // restarting, onto a sealed list where collection freed the superblock
+    // it was scanning and reprogrammed its blocks. Scanning on through the
+    // member handles it held would read another superblock's pages; the
+    // pass must skip the collected id instead.
+    let dev = run_boundaries(5_000_000.0);
+    let s = dev.stats();
+    assert!(s.patrol_refreshes > 0 && s.parity_verified > 0, "patrol refreshes and verifies");
+    assert!(s.gc_runs > 0, "collection frees superblocks");
+    fingerprint::assert_pinned(&fingerprint::device(&dev), RESUMED, "resumed pass");
+}
+
+/// Fingerprint of [`patrol_resumes_onto_a_collected_and_reprogrammed_superblock`].
+#[rustfmt::skip]
+const RESUMED: &[u64] = &[
+    12220, 4074, 8146, 0, 1878, 1358, 341, 20, 19, 0, 0x55e1b28693ab202d, 0x41097415e456cc38,
+    0xb83fadaec30826fa, 1295, 42, 36, 6, 0x40e7754ccccccd07, 0x409f800000000000, 0x41502e84465853df,
+    0x40ac519999999999, 0, 0, 753, 1094, 0x40ff282666666663, 0x410bf300f69528a1, 848, 846, 2, 0,
+    0x41e89bbb7bb78139, 0, 4782, 0x41635b53639e1320, 0x60d95a3d04889c11, 0x6607899fc2499526,
+    0x9766eb66be8f8a50, 0, 0, 0, 0, 12034, 2, 1092, 0x41335eb1b576caeb, 0x40990b0ae8e68300,
+    0x40b48684e0277e41, 326, 0, 0x9e885bae47b0a7ab,
 ];

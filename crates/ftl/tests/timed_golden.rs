@@ -24,7 +24,7 @@ mod fingerprint;
 use flash_model::FaultConfig;
 use ftl::{
     poisson_arrivals, CrashPoint, FtlConfig, FtlError, GcBudget, IntegrityConfig, IoOp, IoRequest,
-    ParityConfig, PatrolConfig, QosClass, QueueModel, Ssd, Workload,
+    OrganizationScheme, ParityConfig, PatrolConfig, QosClass, QueueModel, Ssd, Workload,
 };
 
 /// Mixed open-loop workload over the small-test device: 3x-capacity random
@@ -332,6 +332,40 @@ fn batched_engine_matches_stepper_with_active_parity() {
 }
 
 #[test]
+fn per_chip_fault_paths_reproduce_the_pinned_chip_time() {
+    // Erase failures replaced from their pools, program failures whose
+    // stranded pages are relocated, a short-handed assembly and stripe
+    // rebuilds, all while the per-chip clocks are on: every fault path's
+    // chip time lands in `chip_busy_us` and the clocks behind the latency
+    // samples. The counters below must all move, or the table proves
+    // nothing about those paths.
+    let budgets = [GcBudget::Unbounded, GcBudget::Sliced { slice_us: 300.0 }];
+    for (budget, want) in budgets.into_iter().zip([FAULTS_UNBOUNDED, FAULTS_SLICED]) {
+        let mut config = FtlConfig::small_test();
+        config.scheme = OrganizationScheme::QstrMed { candidates: 4 };
+        config.parity = ParityConfig::On;
+        config.queue_model = QueueModel::PerChip;
+        config.gc_budget = budget;
+        config.fault = FaultConfig {
+            erase_fail_prob: 0.02,
+            program_fail_prob: 0.002,
+            weak_block_prob: 0.15,
+            weak_ber_multiplier: 150.0,
+            page_type_ber_spread: 0.35,
+            ..FaultConfig::default()
+        };
+        let dev = run_config(config);
+        let s = dev.stats();
+        let tag = format!("faults {budget:?}");
+        assert!(s.retired_blocks > 0, "{tag}: media must fail erases or programs");
+        assert!(s.remapped_writes > 0, "{tag}: failed programs must remap");
+        assert!(s.degraded_superblocks > 0, "{tag}: some superblock must run short");
+        assert!(s.rebuilds_ok > 0, "{tag}: stripes must rebuild lost pages");
+        fingerprint::assert_pinned(&fingerprint::device(&dev), want, &tag);
+    }
+}
+
+#[test]
 fn batched_engine_crashes_and_recovers_exactly_like_the_stepper() {
     // Untimed drive with an injected power loss, then recovery and a resume
     // past the crash so the checkpoint recovery installed is exercised by
@@ -520,4 +554,25 @@ const CRASH: &[u64] = &[
     0x40f21ba6666666cf, 0x40aab80000000000, 0x414e12a0d4b84581, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
     0, 0, 0, 0xcbf29ce484222325, 0x9e4af58252cc59d3, 0xcbf29ce484222325, 351, 1859, 3,
     0x40d8b6a57e8ba985, 0, 0, 0, 0, 0, 0, 0, 0, 0x3d3c91ebc3277b3,
+];
+
+/// Fingerprints of [`per_chip_fault_paths_reproduce_the_pinned_chip_time`]:
+/// `Unbounded`, then `Sliced { slice_us: 300.0 }`.
+#[rustfmt::skip]
+const FAULTS_UNBOUNDED: &[u64] = &[
+    12220, 0, 12220, 0, 1878, 1358, 1300, 25, 0, 0, 0xcbf29ce484222325, 0x4119a7b98aca5f8f,
+    0x230e620690888670, 1351, 43, 38, 5, 0x40e6d44ccccccd16, 0x409f380000000000, 0x41478834d84e3e73,
+    0, 15, 386, 51, 91, 0x40bc4ccccccccccd, 0, 0, 0, 0, 13, 0x41664ef19a9ea48b, 0, 76,
+    0x416d295403a17e32, 0xd081afc1752f37a, 0x5dddcfae5ccc5751, 0x5d9ceaf4108e9958, 0, 0, 0, 0, 977,
+    26, 65, 0x40ef121e7df21f5b, 0x40cc622a660a5514, 0x40dee9e363123b75, 0, 0, 0xdf70c70a088ffbab,
+];
+
+/// See [`FAULTS_UNBOUNDED`].
+#[rustfmt::skip]
+const FAULTS_SLICED: &[u64] = &[
+    12220, 0, 12220, 0, 1878, 1358, 1388, 26, 38, 19, 0x16ad5cb57d8f7867, 0x4118a1bb0babafc0,
+    0xce9ab654436a499d, 1359, 43, 38, 5, 0x40e7398000000051, 0x409fb00000000000, 0x4147a783329da3b5,
+    0, 16, 407, 49, 86, 0x40c5016666666666, 0, 0, 0, 0, 13, 0x4155395353c1a46c, 0, 43,
+    0x416d295403a17e32, 0x39caa13d9c71f2bc, 0xe2d23bf6700318e0, 0x879568ddb9e26b1, 0, 0, 0, 0, 922,
+    26, 60, 0x40edade29bfed312, 0x40cc61c0df6423bf, 0x40deb1b18ae0b9e9, 0, 0, 0x6b98d3e6fd463a20,
 ];
