@@ -38,12 +38,21 @@ impl MpOutcome {
     /// here. An empty slice yields an all-zero outcome.
     #[must_use]
     pub fn from_members(member_us: Vec<f64>) -> Self {
+        let (total_us, extra_us) = MpOutcome::fold(&member_us);
+        MpOutcome { member_us, total_us, extra_us }
+    }
+
+    /// The fold behind [`MpOutcome::from_members`] over a borrowed slice,
+    /// for a caller that reuses its buffer: `(total_us, extra_us)`, that is
+    /// `(max, max - min)`, or `(0, 0)` for no members.
+    #[must_use]
+    pub fn fold(member_us: &[f64]) -> (f64, f64) {
         if member_us.is_empty() {
-            return MpOutcome { member_us, total_us: 0.0, extra_us: 0.0 };
+            return (0.0, 0.0);
         }
         let max = member_us.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let min = member_us.iter().copied().fold(f64::INFINITY, f64::min);
-        MpOutcome { member_us, total_us: max, extra_us: max - min }
+        (max, max - min)
     }
 }
 

@@ -15,8 +15,8 @@ use crate::recovery::Spor;
 use crate::stats::SsdStats;
 use crate::Result;
 use flash_model::{
-    BlockAddr, BlockSummaryRecord, FlashArray, Geometry, MpOutcome, PageAddr, PageOob, PageType,
-    SealRecord, WlAddr,
+    BlockAddr, BlockSummaryRecord, FlashArray, Geometry, LwlId, MpOutcome, PageAddr, PageOob,
+    PageType, SealRecord,
 };
 use pvcheck::gather::BlockGatherer;
 use pvcheck::{BlockSummary, Characterizer, EigenSequence, SpeedClass};
@@ -66,6 +66,8 @@ pub(crate) struct Writer {
     /// Reusable buffer of a block's live pages for relocation: the
     /// valid-page iterator borrows the mapping, which the writes mutate.
     pub(crate) scratch: Vec<(u64, PageAddr)>,
+    /// The buffers every super word-line program fills.
+    buffers: ProgramBuffers,
 }
 
 /// What a write borrows from the device besides the [`Writer`]: the flash,
@@ -118,7 +120,14 @@ impl Writer {
         }
         manager.promote_known();
         let parity = config.parity.enabled();
-        Writer { slots: Default::default(), manager, parity, seed, scratch: Vec::new() }
+        Writer {
+            slots: Default::default(),
+            manager,
+            parity,
+            seed,
+            scratch: Vec::new(),
+            buffers: ProgramBuffers::default(),
+        }
     }
 
     /// The construction seed, which recovery rebuilds on.
@@ -191,6 +200,9 @@ impl Writer {
     /// write times, the program counters, then the seal or the restored
     /// slot, which the remap writes of a failed member stage into. Adds
     /// each time to `time` in order; returns whether any member failed.
+    ///
+    /// The failure path re-enters [`Writer::stage`], which programs again
+    /// into the same buffers, so everything read from them is done first.
     fn program(
         &mut self,
         dev: &mut Parts,
@@ -198,16 +210,17 @@ impl Writer {
         purpose: Purpose,
         time: &mut f64,
     ) -> Result<bool> {
-        let result = active.program_superwl(dev.media, dev.spor)?;
-        for &(lpn, ppa) in &result.assignments {
+        let result = active.program_superwl(dev.media, dev.spor, &mut self.buffers)?;
+        let assignments = &self.buffers.assignments;
+        for &(lpn, ppa) in assignments {
             debug_assert_ne!(lpn, FILLER);
             dev.mapping.map(lpn, ppa);
         }
-        dev.integrity.programmed(&result.assignments, dev.clock);
+        dev.integrity.programmed(assignments, dev.clock);
         dev.stats.superwl_programs += 1;
         dev.spor.count_superwl();
-        dev.stats.extra_program_us += result.outcome.extra_us;
-        *time += result.outcome.total_us;
+        dev.stats.extra_program_us += result.extra_us;
+        *time += result.total_us;
         self.retire_or_restore(dev, active, purpose);
         if result.failures.is_empty() {
             return Ok(false);
@@ -372,16 +385,33 @@ pub(crate) struct FailedMember {
 }
 
 /// Result of programming one super word-line, fault-aware: the surviving
-/// members' assignments and command outcome, plus any members lost to
-/// program-status failures (already dropped from the superblock).
+/// members' command outcome, plus any members lost to program-status
+/// failures (already dropped from the superblock). The surviving members'
+/// latencies and page assignments are in the [`ProgramBuffers`].
 #[derive(Debug)]
 pub(crate) struct SuperwlProgram {
-    /// `(lpn, physical page)` for every non-filler page that programmed.
-    pub assignments: Vec<(u64, PageAddr)>,
-    /// Command outcome over the surviving members.
-    pub outcome: MpOutcome,
+    /// Completion latency over the surviving members (the slowest), µs.
+    pub total_us: f64,
+    /// Extra latency over the surviving members (slowest − fastest), µs.
+    pub extra_us: f64,
     /// Members that failed this program (empty on healthy media).
     pub failures: Vec<FailedMember>,
+}
+
+/// The buffers a super word-line program fills, owned by the [`Writer`]
+/// and reused by every program, so a healthy program allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ProgramBuffers {
+    /// The staged pages of the member being programmed, in page order.
+    payload: Vec<u64>,
+    /// Their OOB records.
+    oob: Vec<PageOob>,
+    /// Each surviving member's program latency, µs, in member order.
+    pub(crate) member_us: Vec<f64>,
+    /// The surviving members' slots, in member order.
+    survived: Vec<usize>,
+    /// `(lpn, physical page)` for every non-filler page that programmed.
+    pub(crate) assignments: Vec<(u64, PageAddr)>,
 }
 
 /// One open superblock being filled super-word-line by super-word-line.
@@ -471,15 +501,17 @@ impl ActiveSuperblock {
         }
     }
 
-    /// Programs the next super word-line from the staging buffer.
+    /// Programs the next super word-line from the staging buffer, filling
+    /// `buf` with the surviving members' latencies and page assignments.
     ///
     /// Issues one word-line program per member (real multi-plane commands
     /// fail per-plane, so a member's program-status failure does not abort
     /// the others). Members that fail are dropped from the superblock —
     /// it keeps operating degraded — and returned in
     /// [`SuperwlProgram::failures`] so the caller can retire the block and
-    /// remap the lost pages. On healthy media the latencies, outcome and
-    /// assignments are bit-identical to a single multi-plane command.
+    /// remap the lost pages; only that path allocates. On healthy media the
+    /// latencies, outcome and assignments are bit-identical to a single
+    /// multi-plane command.
     ///
     /// The staging buffer must hold exactly one super word-line (use
     /// [`Self::pad`]).
@@ -501,6 +533,7 @@ impl ActiveSuperblock {
         &mut self,
         media: &mut Media,
         spor: &mut Spor,
+        buf: &mut ProgramBuffers,
     ) -> Result<SuperwlProgram> {
         debug_assert_eq!(self.staging.len(), self.data_pages());
         debug_assert!(!self.is_full());
@@ -512,48 +545,45 @@ impl ActiveSuperblock {
         let ppl = self.pages_per_lwl as usize;
         let members = self.members.len();
         let parity_slot = self.parity.then(|| parity::slot(members, ppl));
-        let lwl = flash_model::LwlId(self.next_lwl);
-        let wls: Vec<WlAddr> = self.members.iter().map(|&m| m.wl(lwl)).collect();
-        // Page-major striping: staged page `i` lands on member `i % members`
-        // as page `i / members`, so consecutive host pages form a *superpage*
-        // (one page per chip) and read back in parallel.
-        let payloads: Vec<Vec<u64>> = (0..members)
-            .map(|m| (0..ppl).map(|k| self.staging[k * members + m]).collect())
-            .collect();
-        let mut member_us = Vec::with_capacity(members);
-        let mut survived = Vec::with_capacity(members);
+        let lwl = LwlId(self.next_lwl);
+        buf.member_us.clear();
+        buf.survived.clear();
         let mut failures = Vec::new();
-        for (m, payload) in payloads.iter().enumerate() {
+        for m in 0..members {
+            let wl = self.members[m].wl(lwl);
             if spor.op_fires() {
                 // Power dies mid-program of this member: its word-line is
                 // torn. Earlier members already completed — their pages
                 // (with the newest sequence numbers) are readable, and
                 // recovery must discard them because the host write that
                 // spans this super word-line was never acknowledged.
-                media.tear(wls[m])?;
+                media.tear(wl)?;
                 return Err(FtlError::PowerLoss);
             }
-            let oob: Vec<PageOob> = payload
-                .iter()
-                .enumerate()
-                .map(|(k, &lpn)| {
-                    // The parity slot is identified by position, never by
-                    // value: its XOR payload can collide with any tag.
-                    let (lpn, seq) = match lpn {
-                        _ if parity_slot == Some((m, k)) => (PageOob::PARITY_LPN, 0),
-                        FILLER => (lpn, 0),
-                        _ => (lpn, spor.next_seq()),
-                    };
-                    PageOob { lpn, seq, sb_id: self.sb_id, member_slot: m as u16 }
-                })
-                .collect();
-            match media.program(wls[m], payload, &oob) {
+            // Page-major striping: staged page `i` lands on member
+            // `i % members` as page `i / members`, so consecutive host pages
+            // form a *superpage* (one page per chip) and read back in
+            // parallel.
+            buf.payload.clear();
+            buf.payload.extend((0..ppl).map(|k| self.staging[k * members + m]));
+            buf.oob.clear();
+            buf.oob.extend(buf.payload.iter().enumerate().map(|(k, &lpn)| {
+                // The parity slot is identified by position, never by
+                // value: its XOR payload can collide with any tag.
+                let (lpn, seq) = match lpn {
+                    _ if parity_slot == Some((m, k)) => (PageOob::PARITY_LPN, 0),
+                    FILLER => (lpn, 0),
+                    _ => (lpn, spor.next_seq()),
+                };
+                PageOob { lpn, seq, sb_id: self.sb_id, member_slot: m as u16 }
+            }));
+            match media.program(wl, &buf.payload, &buf.oob) {
                 Ok(t) => {
-                    member_us.push(t);
-                    survived.push(m);
+                    buf.member_us.push(t);
+                    buf.survived.push(m);
                 }
                 Err(e) if e.is_media_failure() => {
-                    let mut payload = payload.clone();
+                    let mut payload = buf.payload.clone();
                     if let Some((_, k)) = parity_slot.filter(|&(pm, _)| pm == m) {
                         // Never let the XOR tag be restaged as a logical page
                         // by the failure-relocation path.
@@ -565,19 +595,20 @@ impl ActiveSuperblock {
             }
         }
         // Feed the surviving members' gatherers with observed latencies.
-        for (&m, &lat) in survived.iter().zip(&member_us) {
+        for (&m, &lat) in buf.survived.iter().zip(&buf.member_us) {
             self.gatherers[m].record(self.next_lwl, lat).expect("gather follows program order");
         }
         // Compute page assignments for the pages that actually programmed.
         let cell = media.array().geometry().cell();
-        let mut assignments = Vec::new();
-        for &m in &survived {
+        buf.assignments.clear();
+        for &m in &buf.survived {
+            let wl = self.members[m].wl(lwl);
             for k in 0..ppl {
                 // Filler and the parity page are never mapped.
                 let lpn = self.staging[k * members + m];
                 if lpn != FILLER && parity_slot != Some((m, k)) {
                     let pt = PageType::from_index(cell, k as u32).expect("k < pages_per_lwl");
-                    assignments.push((lpn, wls[m].page(pt)));
+                    buf.assignments.push((lpn, wl.page(pt)));
                 }
             }
         }
@@ -590,7 +621,8 @@ impl ActiveSuperblock {
         }
         self.staging.clear();
         self.next_lwl += 1;
-        Ok(SuperwlProgram { assignments, outcome: MpOutcome::from_members(member_us), failures })
+        let (total_us, extra_us) = MpOutcome::fold(&buf.member_us);
+        Ok(SuperwlProgram { total_us, extra_us, failures })
     }
 
     /// Consumes the superblock when full, yielding each member's gathered
@@ -658,13 +690,14 @@ mod tests {
         }
         a.stage(FILLER);
         a.pad();
-        let result = a.program_superwl(&mut media, &mut spor()).unwrap();
-        assert_eq!(result.assignments.len(), 11);
-        assert_eq!(result.outcome.member_us.len(), 4);
-        assert!(result.outcome.extra_us >= 0.0);
+        let mut buf = ProgramBuffers::default();
+        let result = a.program_superwl(&mut media, &mut spor(), &mut buf).unwrap();
+        assert_eq!(buf.assignments.len(), 11);
+        assert_eq!(buf.member_us.len(), 4);
+        assert!(result.extra_us >= 0.0);
         assert!(result.failures.is_empty(), "healthy media never fails");
         // Check one assignment is readable with the right tag.
-        let (lpn, ppa) = result.assignments[5];
+        let (lpn, ppa) = buf.assignments[5];
         let (tag, _) = media.array().read_page(ppa).unwrap();
         assert_eq!(tag, lpn);
     }
@@ -689,11 +722,12 @@ mod tests {
             }
             let mut a = ActiveSuperblock::new(members.clone(), 0, media.array().geometry(), false);
             let mut spor = spor();
+            let mut buf = ProgramBuffers::default();
             for wl in 0..8u64 {
                 for p in 0..a.superwl_pages() as u64 {
                     a.stage(wl * 100 + p);
                 }
-                let result = a.program_superwl(&mut media, &mut spor).unwrap();
+                let result = a.program_superwl(&mut media, &mut spor, &mut buf).unwrap();
                 if result.failures.is_empty() {
                     continue;
                 }
@@ -704,7 +738,7 @@ mod tests {
                 assert!(!a.members.contains(&dead));
                 assert_eq!(a.members.len() + result.failures.len(), 4);
                 assert_eq!(result.failures[0].payload.len(), 3);
-                assert_eq!(result.outcome.member_us.len(), a.members.len());
+                assert_eq!(buf.member_us.len(), a.members.len());
                 return;
             }
         }
@@ -715,12 +749,13 @@ mod tests {
     fn full_superblock_finishes_with_summaries() {
         let (mut media, mut a) = setup();
         let mut spor = spor();
+        let mut buf = ProgramBuffers::default();
         let wls = 8; // 2 layers x 4 strings
         for wl in 0..wls as u64 {
             for p in 0..12 {
                 a.stage(wl * 12 + p);
             }
-            a.program_superwl(&mut media, &mut spor).unwrap();
+            a.program_superwl(&mut media, &mut spor, &mut buf).unwrap();
         }
         assert!(a.is_full());
         let summaries = a.finish();
@@ -747,9 +782,10 @@ mod tests {
             a.stage(i);
         }
         a.stage(FILLER);
-        let result = a.program_superwl(&mut media, &mut spor).unwrap();
+        let mut buf = ProgramBuffers::default();
+        a.program_superwl(&mut media, &mut spor, &mut buf).unwrap();
         let mut seen_seqs = Vec::new();
-        for &(lpn, ppa) in &result.assignments {
+        for &(lpn, ppa) in &buf.assignments {
             let oob = media.array().read_oob(ppa).unwrap();
             assert_eq!(oob.lpn, lpn);
             assert_eq!(oob.sb_id, 7);
@@ -781,7 +817,8 @@ mod tests {
         for i in 0..12 {
             a.stage(i);
         }
-        let err = a.program_superwl(&mut media, &mut spor).unwrap_err();
+        let err =
+            a.program_superwl(&mut media, &mut spor, &mut ProgramBuffers::default()).unwrap_err();
         assert!(matches!(err, FtlError::PowerLoss));
         assert!(spor.crashed());
         // Member 0 was interrupted: its word-line is torn and unreadable,
@@ -810,11 +847,12 @@ mod tests {
             assert!(!a.stage(100 + i), "trigger only at data_pages");
         }
         assert!(a.stage(110));
-        let result = a.program_superwl(&mut media, &mut spor).unwrap();
+        let mut buf = ProgramBuffers::default();
+        a.program_superwl(&mut media, &mut spor, &mut buf).unwrap();
         // All 11 data pages map; the parity page does not.
-        assert_eq!(result.assignments.len(), 11);
+        assert_eq!(buf.assignments.len(), 11);
         let parity_page = a.members[3].wl(flash_model::LwlId(0)).page(PageType::Msb);
-        assert!(!result.assignments.iter().any(|&(_, p)| p == parity_page));
+        assert!(!buf.assignments.iter().any(|&(_, p)| p == parity_page));
         let oob = media.array().read_oob(parity_page).unwrap();
         assert!(oob.is_parity());
         assert!(!oob.is_mapped());
@@ -840,8 +878,9 @@ mod tests {
         let (mut media, mut a) = setup_parity();
         a.stage(5);
         a.pad();
-        let result = a.program_superwl(&mut media, &mut spor()).unwrap();
-        assert_eq!(result.assignments.len(), 1);
+        let mut buf = ProgramBuffers::default();
+        a.program_superwl(&mut media, &mut spor(), &mut buf).unwrap();
+        assert_eq!(buf.assignments.len(), 1);
         // 1 data + 10 filler XOR to 5^(10 fillers): fillers cancel pairwise,
         // so the stored parity is FILLER-count-parity dependent — just check
         // the stripe XORs to zero.

@@ -1,6 +1,7 @@
 //! FTL configuration.
 
 use crate::gc::GcBudget;
+use crate::mapping::NO_PAGE;
 use crate::recovery::SporConfig;
 use crate::timing::{EngineMode, QueueModel};
 use flash_model::{FaultConfig, FlashConfig, RetryModel};
@@ -336,6 +337,15 @@ impl FtlConfig {
                 "parity needs super word-lines of at least 2 pages (1 data + 1 parity)".to_string()
             );
         }
+        // The FTL's per-page tables hold 32-bit page indices and LPNs below
+        // their "no page" sentinel; a larger array would not fit them.
+        let pages = self.flash.geometry.total_pages();
+        if pages >= u64::from(NO_PAGE) {
+            return Err(format!(
+                "{pages} physical pages exceed the FTL's 32-bit page index (at most {} pages)",
+                NO_PAGE - 1
+            ));
+        }
         // Every plane must hold: the high watermark of assemblable
         // superblocks, one block per open-superblock slot (the four
         // `Purpose` placement targets, each pinning one block per plane
@@ -380,6 +390,7 @@ impl Default for FtlConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_model::{CellType, Geometry};
 
     #[test]
     fn default_and_small_are_valid() {
@@ -421,6 +432,23 @@ mod tests {
         let mut cfg = FtlConfig::small_test();
         cfg.flash = FlashConfig::builder().chips(2).blocks_per_plane(3).pwl_layers(4).build();
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn geometries_past_32_bit_page_indices_are_rejected() {
+        // 65,535 chips × 65,536 blocks × 4 QLC pages: about 2^34 pages.
+        // `validate` reads only the dimensions, so nothing is allocated.
+        let mut cfg = FtlConfig::small_test();
+        cfg.flash.geometry = Geometry::new(u16::MAX, 1, 65_536, 1, 1, CellType::Qlc);
+        assert!(cfg.flash.geometry.total_pages() > 1 << 32);
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("32-bit page index"), "{err}");
+        assert!(matches!(crate::Ssd::new(cfg, 1), Err(crate::FtlError::InvalidConfig { .. })));
+        // The largest admitted array has one page fewer than the sentinel.
+        let mut cfg = FtlConfig::small_test();
+        cfg.flash.geometry = Geometry::new(1, 1, u32::MAX - 1, 1, 1, CellType::Slc);
+        assert_eq!(cfg.flash.geometry.total_pages(), u64::from(NO_PAGE) - 1);
+        cfg.validate().unwrap();
     }
 
     #[test]

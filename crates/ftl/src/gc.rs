@@ -211,8 +211,10 @@ impl Collector {
             if let Some(&(lpn, ppa)) = job.pending.get(job.pending_cursor) {
                 job.pending_cursor += 1;
                 // The host may have overwritten or trimmed the page while
-                // the job was parked; the mapping is the ground truth.
-                if mapping.lookup(lpn) != Some(ppa) {
+                // the job was parked; the mapping is the ground truth. The
+                // reverse table answers as L2P would (the two are a
+                // bijection) and is read in the block's page order.
+                if mapping.reverse(ppa) != Some(lpn) {
                     continue;
                 }
                 self.relocating = true;

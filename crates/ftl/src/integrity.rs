@@ -218,10 +218,13 @@ impl Integrity {
         let (birth, rate) = (self.birth_us.as_deref(), self.config.retention_hours_per_us);
         let job = self.job.as_mut().expect("a word-line is in progress");
         let (array, mut meter) = dev.media.split();
-        let pages = array.geometry().pages_per_lwl();
+        let geo = array.geometry();
+        let pages = geo.pages_per_lwl();
         while let Some(member) = self.members.get_mut(job.member) {
             // An unwritten or torn word-line has nothing to scan.
             let view = if job.slot < pages { array.readable_line(member, job.lwl)? } else { None };
+            // Slot `k`'s page index is slot 0's plus `k`: one encode per view.
+            let first = view.as_ref().map_or(0, |line| geo.page_index(line.page(0)));
             while let Some(line) = view.as_ref().filter(|_| job.slot < pages) {
                 let k = job.slot;
                 job.slot += 1;
@@ -229,7 +232,9 @@ impl Integrity {
                 if self.parity && !job.closure.visit(job.member, page, oob) {
                     continue;
                 }
-                if oob.is_filler() || dev.mapping.lookup(oob.lpn) != Some(page) {
+                // Liveness from the reverse table, read in page order.
+                let live = dev.mapping.reverse_at(first + k as usize, geo) == Some(oob.lpn);
+                if oob.is_filler() || !live {
                     continue; // filler or a stale copy: nothing to protect
                 }
                 let (tag, t_read) = line.read(k);

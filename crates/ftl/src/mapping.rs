@@ -2,16 +2,20 @@
 //!
 //! Two interchangeable stores implement the same semantics:
 //!
-//! * **Dense** (the default, [`Mapping::new`]) — the reverse map is a flat
-//!   `Vec` indexed by [`Geometry::page_index`], with a per-block valid-page
-//!   counter maintained incrementally on every map/unmap/trim. Validity
-//!   queries ([`Mapping::valid_in_block_count`]) are O(1) counter reads and
+//! * **Dense** (the default, [`Mapping::new`]) — both directions are flat
+//!   32-bit tables: L2P holds each logical page's [`Geometry::page_index`]
+//!   and P2L, indexed by that index, holds each page's logical page, with
+//!   [`NO_PAGE`] for "none" in both. A per-block valid-page counter is
+//!   maintained incrementally on every map/unmap/trim. Validity queries
+//!   ([`Mapping::valid_in_block_count`]) are O(1) counter reads and
 //!   [`Mapping::valid_in_block`] walks only the block's contiguous index
-//!   range, so garbage collection stops rescanning the whole device.
+//!   range, so garbage collection stops rescanning the whole device. A
+//!   [`PageAddr`] is decoded from an index only when a caller asks for one.
 //! * **Naive** ([`Mapping::new_naive`]) — the original `HashMap`-backed
-//!   reverse map whose per-block queries scan every mapped page. Retained as
-//!   the reference implementation for oracle tests (the recovery lockstep
-//!   tests, the mapping property tests) and the dense-vs-naive microbench
+//!   reverse map beside an `Option<PageAddr>` forward table, whose
+//!   per-block queries scan every mapped page. Retained as the reference
+//!   implementation for oracle tests (the recovery lockstep tests, the
+//!   mapping property tests) and the dense-vs-naive microbench
 //!   (`benches/gc.rs`); both stores make identical decisions, the dense one
 //!   just answers in O(1).
 //!
@@ -22,25 +26,61 @@
 use flash_model::{BlockAddr, Geometry, PageAddr};
 use std::collections::HashMap;
 
-/// Sentinel marking an invalid (unmapped) physical page in the dense store.
-/// Safe because stored LPNs are always below the logical capacity.
-const INVALID: u64 = u64::MAX;
+/// The "no page" sentinel of every 32-bit per-page table in the FTL: an
+/// L2P or checkpoint entry of a logical page that maps to no page, and a
+/// P2L entry of a page that holds no valid logical page. Safe because
+/// [`Mapping::new`] admits only geometries whose page indices, and so
+/// whose logical pages, all lie below it.
+pub(crate) const NO_PAGE: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
 enum Store {
-    Dense {
-        /// Reverse map indexed by `Geometry::page_index`; `INVALID` = stale.
-        p2l: Vec<u64>,
-        /// Valid-page count per `Geometry::block_index`.
-        block_valid: Vec<u32>,
-        /// Total valid pages (sum of `block_valid`).
-        valid: usize,
-        /// Geometry defining the flattening.
-        geo: Geometry,
-    },
-    Naive {
-        p2l: HashMap<PageAddr, u64>,
-    },
+    Dense(Dense),
+    Naive { l2p: Vec<Option<PageAddr>>, p2l: HashMap<PageAddr, u64> },
+}
+
+/// The dense store's tables.
+#[derive(Debug, Clone)]
+struct Dense {
+    /// Page index per LPN; [`NO_PAGE`] = unmapped.
+    l2p: Vec<u32>,
+    /// LPN per page index; [`NO_PAGE`] = stale or never written.
+    p2l: Vec<u32>,
+    /// Valid-page count per `Geometry::block_index`.
+    block_valid: Vec<u32>,
+    /// Total valid pages (sum of `block_valid`).
+    valid: usize,
+    /// Geometry defining the flattening.
+    geo: Geometry,
+}
+
+impl Dense {
+    /// The block index of page index `page`.
+    fn block_of(&self, page: usize) -> usize {
+        page / self.geo.pages_per_block() as usize
+    }
+
+    /// Records `lpn` at page index `page`, counting it valid.
+    fn set_reverse(&mut self, page: usize, lpn: usize) {
+        assert!(self.p2l[page] == NO_PAGE, "physical page written twice without erase");
+        // `lpn` is below the capacity, which `Mapping::new` bounds below
+        // the sentinel, as it bounds every page index.
+        self.p2l[page] = lpn as u32;
+        let block = self.block_of(page);
+        self.block_valid[block] += 1;
+        self.valid += 1;
+    }
+
+    /// Drops the reverse record of page index `page`, fixing the counters.
+    fn clear_reverse(&mut self, page: u32) {
+        let page = page as usize;
+        if self.p2l[page] != NO_PAGE {
+            self.p2l[page] = NO_PAGE;
+            let block = self.block_of(page);
+            self.block_valid[block] -= 1;
+            self.valid -= 1;
+        }
+    }
 }
 
 /// A set of logical pages: a per-LPN mark bitset deduplicates, and the list
@@ -98,33 +138,43 @@ impl LpnSet {
 
 /// Page-level L2P/P2L mapping.
 ///
-/// Invariant: `l2p[lpn] == Some(ppa)` iff the reverse store maps `ppa` to
+/// Invariant: L2P maps `lpn` to `ppa` iff the reverse store maps `ppa` to
 /// `lpn`; a physical page absent from the reverse store is invalid (stale or
 /// never written).
 #[derive(Debug, Clone)]
 pub struct Mapping {
-    l2p: Vec<Option<PageAddr>>,
     store: Store,
     /// Every LPN passed through `map`, `unmap` or `invalidate_block` since
     /// the last [`Mapping::take_changed`]. Every L2P change — writes,
-    /// relocations, trims, erase sweeps and recovery rebuilds — funnels
-    /// through those three, so the record is complete.
+    /// relocations, trims and erase sweeps — funnels through those three,
+    /// so the record is complete; a recovery [`Mapping::rebuild`] replaces
+    /// the whole mapping and resets it.
     changes: LpnSet,
 }
 
 impl Mapping {
     /// A dense mapping exporting `capacity` logical pages over `geo`'s
     /// physical space, all unmapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `geo.total_pages()` and `capacity` both lie below
+    /// `u32::MAX`, the tables' "no page" sentinel: every page index and
+    /// every logical page must fit a 32-bit entry. `FtlConfig::validate`
+    /// rejects such geometries before a device is built.
     #[must_use]
     pub fn new(capacity: u64, geo: &Geometry) -> Self {
+        let pages = geo.total_pages();
+        assert!(pages < u64::from(NO_PAGE), "{pages} physical pages overflow 32-bit page indices");
+        assert!(capacity < u64::from(NO_PAGE), "{capacity} logical pages overflow 32-bit LPNs");
         Mapping {
-            l2p: vec![None; capacity as usize],
-            store: Store::Dense {
-                p2l: vec![INVALID; geo.total_pages() as usize],
+            store: Store::Dense(Dense {
+                l2p: vec![NO_PAGE; capacity as usize],
+                p2l: vec![NO_PAGE; pages as usize],
                 block_valid: vec![0; geo.total_blocks() as usize],
                 valid: 0,
                 geo: geo.clone(),
-            },
+            }),
             changes: LpnSet::new(capacity),
         }
     }
@@ -137,8 +187,7 @@ impl Mapping {
     #[must_use]
     pub fn new_naive(capacity: u64) -> Self {
         Mapping {
-            l2p: vec![None; capacity as usize],
-            store: Store::Naive { p2l: HashMap::new() },
+            store: Store::Naive { l2p: vec![None; capacity as usize], p2l: HashMap::new() },
             changes: LpnSet::new(capacity),
         }
     }
@@ -154,25 +203,68 @@ impl Mapping {
     /// Exported logical capacity in pages.
     #[must_use]
     pub fn capacity(&self) -> u64 {
-        self.l2p.len() as u64
+        match &self.store {
+            Store::Dense(d) => d.l2p.len() as u64,
+            Store::Naive { l2p, .. } => l2p.len() as u64,
+        }
     }
 
     /// Physical location of a logical page.
     #[inline]
     #[must_use]
     pub fn lookup(&self, lpn: u64) -> Option<PageAddr> {
-        self.l2p.get(lpn as usize).copied().flatten()
+        match &self.store {
+            Store::Dense(d) => {
+                let page = *d.l2p.get(lpn as usize)?;
+                (page != NO_PAGE).then(|| d.geo.page_at_index(page as usize))
+            }
+            Store::Naive { l2p, .. } => l2p.get(lpn as usize).copied().flatten(),
+        }
+    }
+
+    /// Location of a logical page as a [`Geometry::page_index`] on `geo`,
+    /// or [`NO_PAGE`] when it is unmapped. The dense store holds the index
+    /// already; `geo` encodes the naive store's addresses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpn` is out of range.
+    pub(crate) fn page_index(&self, lpn: u64, geo: &Geometry) -> u32 {
+        match &self.store {
+            Store::Dense(d) => d.l2p[lpn as usize],
+            Store::Naive { l2p, .. } => l2p[lpn as usize].map_or(NO_PAGE, |ppa| {
+                u32::try_from(geo.page_index(ppa)).expect("page indices fit 32 bits")
+            }),
+        }
     }
 
     /// Logical page stored at a physical page, if it is valid.
     #[must_use]
     pub fn reverse(&self, ppa: PageAddr) -> Option<u64> {
         match &self.store {
-            Store::Dense { p2l, geo, .. } => {
-                let lpn = p2l[geo.page_index(ppa)];
-                (lpn != INVALID).then_some(lpn)
+            Store::Dense(d) => {
+                let lpn = d.p2l[d.geo.page_index(ppa)];
+                (lpn != NO_PAGE).then_some(u64::from(lpn))
             }
-            Store::Naive { p2l } => p2l.get(&ppa).copied(),
+            Store::Naive { p2l, .. } => p2l.get(&ppa).copied(),
+        }
+    }
+
+    /// [`Mapping::reverse`] of the page at [`Geometry::page_index`]
+    /// `page` on `geo`, for a caller that holds the index: the dense store
+    /// reads it without an encode, and `geo` decodes it for the naive
+    /// store, which holds addresses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is out of range.
+    pub(crate) fn reverse_at(&self, page: usize, geo: &Geometry) -> Option<u64> {
+        match &self.store {
+            Store::Dense(d) => {
+                let lpn = d.p2l[page];
+                (lpn != NO_PAGE).then_some(u64::from(lpn))
+            }
+            Store::Naive { p2l, .. } => p2l.get(&geo.page_at_index(page)).copied(),
         }
     }
 
@@ -186,8 +278,8 @@ impl Mapping {
     #[must_use]
     pub fn valid_pages(&self) -> usize {
         match &self.store {
-            Store::Dense { valid, .. } => *valid,
-            Store::Naive { p2l } => p2l.len(),
+            Store::Dense(d) => d.valid,
+            Store::Naive { p2l, .. } => p2l.len(),
         }
     }
 
@@ -198,25 +290,27 @@ impl Mapping {
     /// Panics if `lpn` is out of range or `ppa` already holds another
     /// logical page (a physical page is written once per erase cycle).
     pub fn map(&mut self, lpn: u64, ppa: PageAddr) {
-        assert!((lpn as usize) < self.l2p.len(), "lpn {lpn} out of range");
+        assert!(lpn < self.capacity(), "lpn {lpn} out of range");
         self.changes.insert(lpn);
-        if let Some(old) = self.l2p[lpn as usize].take() {
-            self.clear_reverse(old);
-        }
         match &mut self.store {
-            Store::Dense { p2l, block_valid, valid, geo } => {
-                let idx = geo.page_index(ppa);
-                assert!(p2l[idx] == INVALID, "physical page written twice without erase");
-                p2l[idx] = lpn;
-                block_valid[geo.block_index(ppa.wl.block)] += 1;
-                *valid += 1;
+            Store::Dense(d) => {
+                let old = d.l2p[lpn as usize];
+                if old != NO_PAGE {
+                    d.clear_reverse(old);
+                }
+                let page = d.geo.page_index(ppa);
+                d.set_reverse(page, lpn as usize);
+                d.l2p[lpn as usize] = page as u32;
             }
-            Store::Naive { p2l } => {
+            Store::Naive { l2p, p2l } => {
+                if let Some(old) = l2p[lpn as usize].take() {
+                    p2l.remove(&old);
+                }
                 let prev = p2l.insert(ppa, lpn);
                 assert!(prev.is_none(), "physical page written twice without erase");
+                l2p[lpn as usize] = Some(ppa);
             }
         }
-        self.l2p[lpn as usize] = Some(ppa);
     }
 
     /// Unmaps a logical page (trim); returns its old location. Records the
@@ -227,28 +321,22 @@ impl Mapping {
     ///
     /// Panics if `lpn` is out of range.
     pub fn unmap(&mut self, lpn: u64) -> Option<PageAddr> {
-        assert!((lpn as usize) < self.l2p.len(), "lpn {lpn} out of range");
+        assert!(lpn < self.capacity(), "lpn {lpn} out of range");
         self.changes.insert(lpn);
-        let old = self.l2p[lpn as usize].take();
-        if let Some(ppa) = old {
-            self.clear_reverse(ppa);
-        }
-        old
-    }
-
-    /// Drops the reverse-store record of one page, fixing the counters.
-    fn clear_reverse(&mut self, ppa: PageAddr) {
         match &mut self.store {
-            Store::Dense { p2l, block_valid, valid, geo } => {
-                let idx = geo.page_index(ppa);
-                if p2l[idx] != INVALID {
-                    p2l[idx] = INVALID;
-                    block_valid[geo.block_index(ppa.wl.block)] -= 1;
-                    *valid -= 1;
-                }
+            Store::Dense(d) => {
+                let old = std::mem::replace(&mut d.l2p[lpn as usize], NO_PAGE);
+                (old != NO_PAGE).then(|| {
+                    d.clear_reverse(old);
+                    d.geo.page_at_index(old as usize)
+                })
             }
-            Store::Naive { p2l } => {
-                p2l.remove(&ppa);
+            Store::Naive { l2p, p2l } => {
+                let old = l2p[lpn as usize].take();
+                if let Some(ppa) = old {
+                    p2l.remove(&ppa);
+                }
+                old
             }
         }
     }
@@ -258,34 +346,81 @@ impl Mapping {
         // Erase only happens after relocation, so every page of the block
         // must already be invalid; this is a defensive sweep.
         match &mut self.store {
-            Store::Dense { p2l, block_valid, valid, geo } => {
-                let bi = geo.block_index(block);
-                if block_valid[bi] == 0 {
+            Store::Dense(d) => {
+                let bi = d.geo.block_index(block);
+                if d.block_valid[bi] == 0 {
                     return;
                 }
-                let ppb = geo.pages_per_block() as usize;
+                let ppb = d.geo.pages_per_block() as usize;
                 let base = bi * ppb;
-                for slot in &mut p2l[base..base + ppb] {
-                    let lpn = std::mem::replace(slot, INVALID);
-                    if lpn != INVALID {
-                        self.l2p[lpn as usize] = None;
-                        self.changes.insert(lpn);
-                        *valid -= 1;
+                for slot in &mut d.p2l[base..base + ppb] {
+                    let lpn = std::mem::replace(slot, NO_PAGE);
+                    if lpn != NO_PAGE {
+                        d.l2p[lpn as usize] = NO_PAGE;
+                        self.changes.insert(u64::from(lpn));
+                        d.valid -= 1;
                     }
                 }
-                block_valid[bi] = 0;
+                d.block_valid[bi] = 0;
             }
-            Store::Naive { p2l } => {
+            Store::Naive { l2p, p2l } => {
                 let stale: Vec<PageAddr> =
                     p2l.keys().filter(|p| p.wl.block == block).copied().collect();
                 for ppa in stale {
                     if let Some(lpn) = p2l.remove(&ppa) {
-                        self.l2p[lpn as usize] = None;
+                        l2p[lpn as usize] = None;
                         self.changes.insert(lpn);
                     }
                 }
             }
         }
+    }
+
+    /// Replaces the whole mapping in one pass with `pages`, the location
+    /// of every logical page in LPN order as a [`Geometry::page_index`] on
+    /// `geo` ([`NO_PAGE`]: unmapped). L2P comes straight from `pages`, then
+    /// the reverse store and the block counters are scattered from it. The
+    /// change record is reset: the caller holds the state it rebuilt from.
+    /// `geo` decodes the indices for the naive store, which holds
+    /// addresses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pages` does not hold one entry per logical page, or two
+    /// logical pages share a physical page.
+    pub(crate) fn rebuild(&mut self, geo: &Geometry, pages: impl IntoIterator<Item = u32>) {
+        let capacity = self.capacity() as usize;
+        match &mut self.store {
+            Store::Dense(d) => {
+                debug_assert_eq!(&d.geo, geo, "the dense store indexes its own geometry");
+                d.l2p.clear();
+                d.l2p.extend(pages);
+                assert_eq!(d.l2p.len(), capacity, "one location per logical page");
+                d.p2l.fill(NO_PAGE);
+                d.block_valid.fill(0);
+                d.valid = 0;
+                for lpn in 0..capacity {
+                    let page = d.l2p[lpn];
+                    if page != NO_PAGE {
+                        d.set_reverse(page as usize, lpn);
+                    }
+                }
+            }
+            Store::Naive { l2p, p2l } => {
+                l2p.clear();
+                let decode = |page| (page != NO_PAGE).then(|| geo.page_at_index(page as usize));
+                l2p.extend(pages.into_iter().map(decode));
+                assert_eq!(l2p.len(), capacity, "one location per logical page");
+                p2l.clear();
+                for (lpn, ppa) in l2p.iter().enumerate() {
+                    if let Some(ppa) = *ppa {
+                        let prev = p2l.insert(ppa, lpn as u64);
+                        assert!(prev.is_none(), "physical page written twice without erase");
+                    }
+                }
+            }
+        }
+        self.changes.clear();
     }
 
     /// Number of valid pages currently stored in a block.
@@ -295,8 +430,8 @@ impl Mapping {
     #[must_use]
     pub fn valid_in_block_count(&self, block: BlockAddr) -> usize {
         match &self.store {
-            Store::Dense { block_valid, geo, .. } => block_valid[geo.block_index(block)] as usize,
-            Store::Naive { p2l } => p2l.keys().filter(|p| p.wl.block == block).count(),
+            Store::Dense(d) => d.block_valid[d.geo.block_index(block)] as usize,
+            Store::Naive { p2l, .. } => p2l.keys().filter(|p| p.wl.block == block).count(),
         }
     }
 
@@ -305,21 +440,21 @@ impl Mapping {
     /// buffer when the mapping must be mutated while iterating.
     pub fn valid_in_block(&self, block: BlockAddr) -> impl Iterator<Item = (u64, PageAddr)> + '_ {
         let dense = match &self.store {
-            Store::Dense { p2l, geo, .. } => {
-                let ppb = geo.pages_per_block() as usize;
-                let base = geo.block_index(block) * ppb;
+            Store::Dense(d) => {
+                let ppb = d.geo.pages_per_block() as usize;
+                let base = d.geo.block_index(block) * ppb;
                 Some(
-                    p2l[base..base + ppb]
+                    d.p2l[base..base + ppb]
                         .iter()
                         .enumerate()
-                        .filter(|&(_, &lpn)| lpn != INVALID)
-                        .map(move |(off, &lpn)| (lpn, geo.page_at_offset(block, off))),
+                        .filter(|&(_, &lpn)| lpn != NO_PAGE)
+                        .map(move |(off, &lpn)| (u64::from(lpn), d.geo.page_at_offset(block, off))),
                 )
             }
             Store::Naive { .. } => None,
         };
         let naive = match &self.store {
-            Store::Naive { p2l } => {
+            Store::Naive { p2l, .. } => {
                 let mut v: Vec<(u64, PageAddr)> = p2l
                     .iter()
                     .filter(|(p, _)| p.wl.block == block)
@@ -328,7 +463,7 @@ impl Mapping {
                 v.sort_by_key(|&(_, p)| (p.wl.lwl, p.page.index()));
                 Some(v.into_iter())
             }
-            Store::Dense { .. } => None,
+            Store::Dense(_) => None,
         };
         dense.into_iter().flatten().chain(naive.into_iter().flatten())
     }
@@ -336,22 +471,21 @@ impl Mapping {
     /// Checks the L2P/P2L bijection invariant (for tests).
     #[must_use]
     pub fn is_consistent(&self) -> bool {
-        let forward_ok = self
-            .l2p
-            .iter()
-            .enumerate()
-            .filter_map(|(l, p)| p.map(|p| (l as u64, p)))
-            .all(|(l, p)| self.reverse(p) == Some(l));
-        if !forward_ok {
-            return false;
-        }
         match &self.store {
-            Store::Dense { p2l, block_valid, valid, geo } => {
+            Store::Dense(Dense { l2p, p2l, block_valid, valid, geo }) => {
+                let forward_ok = l2p
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &page)| page != NO_PAGE)
+                    .all(|(lpn, &page)| p2l.get(page as usize) == Some(&(lpn as u32)));
+                if !forward_ok {
+                    return false;
+                }
                 let ppb = geo.pages_per_block() as usize;
                 let mut total = 0usize;
                 for (bi, &count) in block_valid.iter().enumerate() {
                     let base = bi * ppb;
-                    let live = p2l[base..base + ppb].iter().filter(|&&l| l != INVALID).count();
+                    let live = p2l[base..base + ppb].iter().filter(|&&l| l != NO_PAGE).count();
                     if live != count as usize {
                         return false;
                     }
@@ -360,14 +494,19 @@ impl Mapping {
                 if total != *valid {
                     return false;
                 }
-                p2l.iter().enumerate().filter(|(_, &l)| l != INVALID).all(|(i, &l)| {
-                    match self.l2p[l as usize] {
-                        Some(p) => geo.page_index(p) == i,
-                        None => false,
-                    }
-                })
+                p2l.iter()
+                    .enumerate()
+                    .filter(|&(_, &lpn)| lpn != NO_PAGE)
+                    .all(|(page, &lpn)| l2p.get(lpn as usize) == Some(&(page as u32)))
             }
-            Store::Naive { p2l } => p2l.iter().all(|(p, &l)| self.l2p[l as usize] == Some(*p)),
+            Store::Naive { l2p, p2l } => {
+                let forward_ok = l2p
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(l, p)| p.map(|p| (l as u64, p)))
+                    .all(|(l, p)| p2l.get(&p) == Some(&l));
+                forward_ok && p2l.iter().all(|(p, &l)| l2p.get(l as usize) == Some(&Some(*p)))
+            }
         }
     }
 }
@@ -376,13 +515,15 @@ impl Mapping {
 mod tests {
     use super::*;
     use flash_model::{BlockAddr, BlockId, CellType, ChipId, LwlId, PageType, PlaneId};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn geo() -> Geometry {
         Geometry::new(2, 1, 4, 2, 2, CellType::Tlc)
     }
 
-    fn both(capacity: u64) -> [Mapping; 2] {
-        [Mapping::new(capacity, &geo()), Mapping::new_naive(capacity)]
+    fn both(capacity: u64) -> Vec<Mapping> {
+        vec![Mapping::new(capacity, &geo()), Mapping::new_naive(capacity)]
     }
 
     fn ppa(b: u32, lwl: u32, pt: PageType) -> PageAddr {
@@ -503,6 +644,68 @@ mod tests {
             out.sort_unstable();
             assert_eq!(out, [2, 129], "an erase sweep records every LPN it unmaps");
             assert!(m.is_consistent());
+        }
+    }
+
+    /// Applies `steps` random maps (onto free pages only), unmaps and erase
+    /// sweeps drawn from `seed`.
+    fn drive(m: &mut Mapping, seed: u64, steps: usize) {
+        let geo = geo();
+        let blocks: Vec<BlockAddr> = geo.blocks().collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let capacity = m.capacity();
+        for _ in 0..steps {
+            match rng.random_range(0u32..10) {
+                0..=6 => {
+                    let ppa = geo.page_at_index(rng.random_range(0..geo.total_pages() as usize));
+                    if !m.is_valid(ppa) {
+                        m.map(rng.random_range(0..capacity), ppa);
+                    }
+                }
+                7..=8 => drop(m.unmap(rng.random_range(0..capacity))),
+                _ => m.invalidate_block(blocks[rng.random_range(0..blocks.len())]),
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_rebuild_reproduces_the_mapping_it_reads() {
+        let geo = geo();
+        let blocks: Vec<BlockAddr> = geo.blocks().collect();
+        let pages: Vec<PageAddr> =
+            (0..geo.total_pages() as usize).map(|i| geo.page_at_index(i)).collect();
+        for seed in 0..24 {
+            for store in 0..2 {
+                let mut source = both(60).swap_remove(store);
+                drive(&mut source, seed, 400);
+                // The target has its own history, so a rebuild that keeps
+                // any stale reverse entry or block count shows.
+                let mut target = both(60).swap_remove(store);
+                drive(&mut target, seed + 1000, 400);
+                let locations: Vec<u32> =
+                    (0..source.capacity()).map(|lpn| source.page_index(lpn, &geo)).collect();
+                target.rebuild(&geo, locations.iter().copied());
+                let tag = format!("seed {seed} store {store}");
+                assert!(target.is_consistent(), "{tag}: bijection and counters hold");
+                assert_eq!(target.valid_pages(), source.valid_pages(), "{tag}: valid pages");
+                for lpn in 0..source.capacity() {
+                    assert_eq!(target.lookup(lpn), source.lookup(lpn), "{tag}: lookup({lpn})");
+                }
+                for &ppa in &pages {
+                    assert_eq!(target.reverse(ppa), source.reverse(ppa), "{tag}: reverse({ppa})");
+                }
+                for &b in &blocks {
+                    let (got, want) =
+                        (target.valid_in_block_count(b), source.valid_in_block_count(b));
+                    assert_eq!(got, want, "{tag}: valid_in_block_count({b})");
+                    let got: Vec<_> = target.valid_in_block(b).collect();
+                    let want: Vec<_> = source.valid_in_block(b).collect();
+                    assert_eq!(got, want, "{tag}: valid_in_block({b})");
+                }
+                let mut changed = vec![1];
+                target.take_changed(&mut changed);
+                assert!(changed.is_empty(), "{tag}: a rebuild resets the change record");
+            }
         }
     }
 

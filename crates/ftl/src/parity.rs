@@ -119,7 +119,7 @@ pub(crate) fn rebuild(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::active::ActiveSuperblock;
+    use crate::active::{ActiveSuperblock, ProgramBuffers};
     use crate::recovery::{Spor, SporConfig};
     use flash_model::{BlockId, ChipId, FlashArray, FlashConfig, LwlId, PlaneId};
 
@@ -140,9 +140,10 @@ mod tests {
             active.stage(lpn);
         }
         let mut spor = Spor::new(&SporConfig::default());
-        let assignments = active.program_superwl(&mut media, &mut spor).unwrap().assignments;
+        let mut buf = ProgramBuffers::default();
+        active.program_superwl(&mut media, &mut spor, &mut buf).unwrap();
         media.set_timed(true);
-        (media, members, assignments)
+        (media, members, buf.assignments)
     }
 
     /// Each chip's time charged to `media` since the last drain.

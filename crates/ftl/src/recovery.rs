@@ -19,7 +19,7 @@
 
 use crate::active::ActiveSuperblock;
 use crate::gc::{Collector, SealedSuperblock};
-use crate::mapping::Mapping;
+use crate::mapping::{Mapping, NO_PAGE};
 use crate::Result;
 use flash_model::{BlockAddr, FlashArray, LwlId};
 use std::collections::{HashMap, HashSet};
@@ -96,27 +96,38 @@ enum JournalEntry {
     Trimmed { lpn: u64, seq: u64 },
 }
 
-/// [`Checkpoint::loc`] value of an LPN that maps to no page.
-const NO_PAGE: u64 = u64::MAX;
+/// One logical page's checkpointed state, and the latest-wins merge entry
+/// recovery rebuilds the mapping from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    /// The OOB write sequence of the page the LPN maps to, else its trim
+    /// tombstone sequence, else 0 (never written and never trimmed: no
+    /// entry).
+    seq: u64,
+    /// The page it maps to as a `Geometry::page_index`; [`NO_PAGE`] for
+    /// tombstones and absent entries.
+    page: u32,
+}
+
+impl Record {
+    /// The record of a logical page never written and never trimmed.
+    const NONE: Record = Record { seq: 0, page: NO_PAGE };
+}
 
 /// A periodic snapshot of FTL RAM state. Recovery replays the journal and
 /// scans only superblocks dirtied after this point.
 ///
-/// The per-LPN state lives in dense columns indexed by LPN. They are empty
+/// The per-LPN state lives in one dense column of records indexed by LPN,
+/// so refreshing a logical page touches one record. The column is empty
 /// until the first checkpoint (read as "no entry" everywhere) and then
-/// stay allocated: each later checkpoint rewrites only the LPNs whose
+/// stays allocated: each later checkpoint rewrites only the LPNs whose
 /// mapping changed since the previous one, so taking a checkpoint costs
-/// O(LPNs changed), not O(logical pages). The columns always equal a full
+/// O(LPNs changed), not O(logical pages). The records always equal a full
 /// rescan of the mapping, LPN for LPN.
 #[derive(Debug, Clone, Default)]
 struct Checkpoint {
-    /// Per-LPN sequence number: the OOB write sequence of the page the LPN
-    /// maps to, else its trim tombstone sequence, else 0 (never written
-    /// and never trimmed: no entry).
-    seq: Vec<u64>,
-    /// Per-LPN location as a `Geometry::page_index`; [`NO_PAGE`] for
-    /// tombstones and absent entries.
-    loc: Vec<u64>,
+    /// Per-LPN records.
+    records: Vec<Record>,
     /// Sealed superblocks at checkpoint time, as persisted (no speed
     /// class).
     sealed: Vec<SealedSuperblock>,
@@ -130,10 +141,10 @@ struct Checkpoint {
     seal_seq: u64,
     /// Bad-block table.
     retired: Vec<BlockAddr>,
-    /// Per-LPN write time, device-clock µs at the program of the page in
-    /// `loc` (only meaningful where `loc` names a page). Lets recovery
+    /// Per-LPN write time, device-clock µs at the program of the page its
+    /// record names (only meaningful where it names one). Lets recovery
     /// rebuild data ages from the OOB scan: a winner whose sequence equals
-    /// `seq[lpn]` takes this time; any other winner was written after this
+    /// its record's takes this time; any other winner was written after this
     /// checkpoint and conservatively reports age since power-on, so patrol
     /// re-examines it early rather than never. Empty unless integrity
     /// tracking is on.
@@ -257,7 +268,7 @@ impl Spor {
     /// clears the journal. Costs zero simulated time and zero RNG draws, so
     /// checkpointing never perturbs latency results.
     ///
-    /// Per-LPN columns are refreshed only for the LPNs the mapping recorded
+    /// Per-LPN records are refreshed only for the LPNs the mapping recorded
     /// as changed since the previous checkpoint. Every other LPN's entry is
     /// still current: a mapped page is never reprogrammed while mapped (so
     /// its OOB sequence holds), its write time changes only when it is
@@ -271,10 +282,9 @@ impl Spor {
         slots: &[Option<ActiveSuperblock>],
     ) -> Result<()> {
         let ckpt = &mut self.checkpoint;
-        if ckpt.seq.is_empty() {
+        if ckpt.records.is_empty() {
             let n = usize::try_from(mapping.capacity()).expect("capacity fits usize");
-            ckpt.seq = vec![0; n];
-            ckpt.loc = vec![NO_PAGE; n];
+            ckpt.records = vec![Record::NONE; n];
             if births.is_some() {
                 ckpt.birth = vec![0.0; n];
             }
@@ -283,10 +293,13 @@ impl Spor {
         let geo = array.geometry();
         for &lpn in &self.changed_lpns {
             let i = usize::try_from(lpn).expect("lpn fits usize");
-            (ckpt.seq[i], ckpt.loc[i]) = match mapping.lookup(lpn) {
-                Some(ppa) => (array.read_oob(ppa)?.seq, geo.page_index(ppa) as u64),
-                None => (self.trim_seqs.get(&lpn).copied().unwrap_or(0), NO_PAGE),
+            let page = mapping.page_index(lpn, geo);
+            let seq = if page == NO_PAGE {
+                self.trim_seqs.get(&lpn).copied().unwrap_or(0)
+            } else {
+                array.read_oob(geo.page_at_index(page as usize))?.seq
             };
+            ckpt.records[i] = Record { seq, page };
             if let Some(birth) = births {
                 ckpt.birth[i] = birth[i];
             }
@@ -322,15 +335,12 @@ impl Spor {
     ) -> Result<(Collector, Vec<BlockAddr>, RecoveryReport)> {
         let geo = array.geometry();
         // 1. Replay the journal over the checkpoint: its block sets, and a
-        // latest-wins merge on per-LPN columns cloned from it (before the
+        // latest-wins merge on per-LPN records cloned from it (before the
         // first checkpoint: no entries) taking the trim tombstones.
         let ckpt = &self.checkpoint;
         let n = usize::try_from(mapping.capacity()).expect("capacity fits usize");
-        let (mut seqs, mut locs) = if ckpt.seq.is_empty() {
-            (vec![0; n], vec![NO_PAGE; n])
-        } else {
-            (ckpt.seq.clone(), ckpt.loc.clone())
-        };
+        let mut records =
+            if ckpt.records.is_empty() { vec![Record::NONE; n] } else { ckpt.records.clone() };
         let mut max_seq = ckpt.write_seq.saturating_sub(1);
         let mut freed: HashSet<u64> = HashSet::new();
         let mut dirty: Vec<(u64, Vec<BlockAddr>)> = ckpt.actives.clone();
@@ -348,8 +358,8 @@ impl Spor {
                 JournalEntry::Trimmed { lpn, seq } => {
                     max_seq = max_seq.max(seq);
                     let i = usize::try_from(lpn).expect("lpn fits usize");
-                    if seq > seqs[i] {
-                        (seqs[i], locs[i]) = (seq, NO_PAGE);
+                    if seq > records[i].seq {
+                        records[i] = Record { seq, page: NO_PAGE };
                     }
                 }
             }
@@ -407,51 +417,49 @@ impl Spor {
                         }
                         debug_assert_eq!(oob.sb_id, *sb_id, "OOB names its superblock");
                         let i = usize::try_from(oob.lpn).expect("lpn fits usize");
-                        if oob.seq > seqs[i] {
-                            (seqs[i], locs[i]) = (oob.seq, geo.page_index(page) as u64);
+                        if oob.seq > records[i].seq {
+                            let page = u32::try_from(geo.page_index(page)).expect("32-bit index");
+                            records[i] = Record { seq: oob.seq, page };
                         }
                     }
                 }
             }
         }
-        // 3. Rebuild the mapping from the merge winners in LPN order, so the
-        // rebuild is deterministic end to end.
-        for lpn in 0..mapping.capacity() {
-            mapping.unmap(lpn);
-        }
+        // 3. Install the merge winners in one pass over the records, so the
+        // rebuild is deterministic end to end; then rebuild the write times
+        // and the tombstones in LPN order.
+        mapping.rebuild(geo, records.iter().map(|r| r.page));
         self.trim_seqs.clear();
-        for (i, (&seq, &loc)) in seqs.iter().zip(&locs).enumerate() {
-            let lpn = i as u64;
-            if loc != NO_PAGE {
-                mapping.map(lpn, geo.page_at_index(loc as usize));
+        for (i, r) in records.iter().enumerate() {
+            if r.page != NO_PAGE {
                 if let Some(birth) = births.as_deref_mut() {
                     // A winner the checkpoint already held takes its
                     // checkpointed write time (sequences are unique per
                     // write). One written after that checkpoint
                     // conservatively reports age since power-on — patrol
                     // re-examines it early rather than never.
-                    birth[i] = if ckpt.seq.get(i) == Some(&seq) { ckpt.birth[i] } else { 0.0 };
+                    let held = ckpt.records.get(i).is_some_and(|c| c.seq == r.seq);
+                    birth[i] = if held { ckpt.birth[i] } else { 0.0 };
                 }
                 report.recovered_mappings += 1;
-            } else if seq > 0 {
-                self.trim_seqs.insert(lpn, seq);
+            } else if r.seq > 0 {
+                self.trim_seqs.insert(i as u64, r.seq);
             }
         }
         // 4. Back to life: sequences continue past everything ever durably
         // assigned, and a fresh checkpoint, with no superblock open, bounds
-        // the next recovery's scan. The merge columns already are its
+        // the next recovery's scan. The merge records already are its
         // per-LPN state — each winner's sequence is its page's OOB
-        // sequence, each loser slot its tombstone — so the rebuild's change
-        // record is dropped instead of re-read from flash.
+        // sequence, each loser its tombstone — so the rebuild left the
+        // change record empty instead of re-reading everything from flash.
         self.crashed = false;
         self.write_seq = max_seq + 1;
         let ckpt = &mut self.checkpoint;
-        (ckpt.seq, ckpt.loc) = (seqs, locs);
+        ckpt.records = records;
         if let Some(birth) = births.as_deref() {
             ckpt.birth.clear();
             ckpt.birth.extend_from_slice(birth);
         }
-        mapping.take_changed(&mut self.changed_lpns);
         let births = births.as_deref();
         self.take_checkpoint(array, mapping, births, &collector, &[])?;
         Ok((collector, self.checkpoint.retired.clone(), report))
@@ -514,29 +522,35 @@ mod tests {
         assert!(!s.crashed);
     }
 
-    /// The checkpoint's per-LPN columns as a full rescan of RAM builds
+    /// The checkpoint's per-LPN records as a full rescan of RAM builds
     /// them — the original O(logical pages) algorithm, kept as the oracle
-    /// for the incremental one.
-    fn full_rescan_checkpoint(dev: &Ssd) -> (Vec<u64>, Vec<u64>, Vec<f64>) {
+    /// for the incremental one. Each location is re-encoded from the
+    /// decoded lookup, so it also checks the index the mapping holds.
+    fn full_rescan_checkpoint(dev: &Ssd) -> (Vec<Record>, Vec<f64>) {
         let (spor, array, births) = dev.spor_parts();
         let geo = array.geometry();
-        let (seq, loc) = (0..dev.mapping().capacity())
+        let records = (0..dev.mapping().capacity())
             .map(|lpn| match dev.mapping().lookup(lpn) {
-                Some(ppa) => (array.read_oob(ppa).unwrap().seq, geo.page_index(ppa) as u64),
-                None => (spor.trim_seqs.get(&lpn).copied().unwrap_or(0), NO_PAGE),
+                Some(ppa) => Record {
+                    seq: array.read_oob(ppa).unwrap().seq,
+                    page: geo.page_index(ppa) as u32,
+                },
+                None => {
+                    Record { seq: spor.trim_seqs.get(&lpn).copied().unwrap_or(0), page: NO_PAGE }
+                }
             })
-            .unzip();
-        (seq, loc, births.map(<[f64]>::to_vec).unwrap_or_default())
+            .collect();
+        (records, births.map(<[f64]>::to_vec).unwrap_or_default())
     }
 
     fn assert_checkpoint_is_full_rescan(dev: &Ssd, tag: &str) {
-        let (seq, loc, birth) = full_rescan_checkpoint(dev);
+        let (records, birth) = full_rescan_checkpoint(dev);
         let ckpt = &dev.spor_parts().0.checkpoint;
-        assert_eq!(ckpt.seq.len(), seq.len(), "{tag}: seq column allocated");
+        assert_eq!(ckpt.records.len(), records.len(), "{tag}: record column allocated");
         assert_eq!(ckpt.birth.len(), birth.len(), "{tag}: birth column iff tracking");
-        for lpn in 0..seq.len() {
-            assert_eq!(ckpt.seq[lpn], seq[lpn], "{tag}: seq of lpn {lpn}");
-            assert_eq!(ckpt.loc[lpn], loc[lpn], "{tag}: location of lpn {lpn}");
+        for (lpn, want) in records.iter().enumerate() {
+            assert_eq!(ckpt.records[lpn].seq, want.seq, "{tag}: seq of lpn {lpn}");
+            assert_eq!(ckpt.records[lpn].page, want.page, "{tag}: location of lpn {lpn}");
         }
         for (lpn, (got, want)) in ckpt.birth.iter().zip(&birth).enumerate() {
             assert_eq!(got.to_bits(), want.to_bits(), "{tag}: birth of lpn {lpn}");
@@ -591,16 +605,17 @@ mod tests {
                 };
                 if lost || (i == timed.len() / 2 && !power_cycled) {
                     dev.timed_end();
-                    let ckpt_seq = dev.spor_parts().0.checkpoint.seq.clone();
+                    let ckpt_records = dev.spor_parts().0.checkpoint.records.clone();
                     let birth = dev.spor_parts().2.unwrap().to_vec();
                     dev.recover().unwrap();
                     assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: after recover"));
                     // A recovered page the old checkpoint covered keeps
                     // its write time; one written after it reports 0.
-                    let (seq, _, recovered) = full_rescan_checkpoint(&dev);
-                    for lpn in 0..seq.len() {
+                    let (records, recovered) = full_rescan_checkpoint(&dev);
+                    for lpn in 0..records.len() {
                         if dev.mapping().lookup(lpn as u64).is_some() {
-                            let covered = ckpt_seq.get(lpn) == Some(&seq[lpn]);
+                            let covered =
+                                ckpt_records.get(lpn).map(|r| r.seq) == Some(records[lpn].seq);
                             let want = if covered { birth[lpn] } else { 0.0 };
                             assert_eq!(recovered[lpn], want, "{tag}: recovered age {lpn}");
                         }
@@ -613,7 +628,7 @@ mod tests {
                 // nothing was programmed or trimmed since it was taken.
                 let spor = dev.spor_parts().0;
                 let ckpt = &spor.checkpoint;
-                if i % 64 == 0 && !ckpt.seq.is_empty() && ckpt.write_seq == spor.write_seq {
+                if i % 64 == 0 && !ckpt.records.is_empty() && ckpt.write_seq == spor.write_seq {
                     assert_checkpoint_is_full_rescan(&dev, &format!("{tag}: op {i}"));
                     fresh_checks += 1;
                 }

@@ -181,6 +181,11 @@ proptest! {
         for lpn in 0..100 {
             prop_assert_eq!(dense.lookup(lpn), naive.lookup(lpn), "lookup({}) differs", lpn);
         }
+        // GC and patrol decide liveness from the reverse table.
+        for page in 0..blocks.len() * ppb {
+            let ppa = geo.page_at_offset(blocks[page / ppb], page % ppb);
+            prop_assert_eq!(dense.reverse(ppa), naive.reverse(ppa), "reverse({}) differs", ppa);
+        }
         for &b in &blocks {
             prop_assert_eq!(dense.valid_in_block_count(b), naive.valid_in_block_count(b));
             let d: Vec<_> = dense.valid_in_block(b).collect();
