@@ -92,7 +92,7 @@ pub struct FlashArray {
     /// uncached models (see [`LatencyCache`]); its tables are allocated on
     /// the first query that needs them.
     cache: LatencyCache,
-    /// Whether payload reads accumulate per-block read-disturb counters
+    /// Whether page reads accumulate per-block read-disturb counters
     /// ([`FlashArray::set_track_disturb`]). Off by default: untracked runs
     /// never allocate counters, and a zero disturb count multiplies the
     /// RBER by exactly 1.0, so tracking state never perturbs latencies.
@@ -142,8 +142,8 @@ impl FlashArray {
         }
     }
 
-    /// Turns read-disturb tracking on or off. When on, every payload read
-    /// bumps its block's disturb counters and
+    /// Turns read-disturb tracking on or off. When on, every page read
+    /// (not a payload peek) bumps its block's disturb counters and
     /// [`FlashArray::expected_error_bits`] folds the victim page's
     /// accumulated sibling reads into the RBER. When off (the default) no
     /// counter is ever touched, and since a zero count contributes a factor
@@ -357,7 +357,8 @@ impl FlashArray {
         &self.seals
     }
 
-    /// Reads one page, returning `(payload tag, read latency µs)`. With
+    /// Reads one page, returning `(payload tag, read latency µs)`: the
+    /// [`WordLine::peek`] and the [`WordLine::read`] of its slot. With
     /// read-disturb tracking on, the read first counts against every
     /// sibling page of its block.
     ///
@@ -373,7 +374,72 @@ impl FlashArray {
         // A bare read takes no RBER terms.
         let mut block = self.handle_at(page.wl.block, self.check(page.wl.block)?, false);
         let line = self.view(&mut block, page)?;
-        Ok(line.read(page.page.slot(self.geometry().cell())))
+        let k = page.page.slot(self.geometry().cell());
+        Ok((line.peek(k), line.read(k)))
+    }
+
+    /// Reads the page at dense index `index` ([`Geometry::page_index`], what
+    /// an FTL's mapping stores) for its time alone, under the rules of
+    /// [`FlashArray::read_page`]: the same readability checks and errors,
+    /// the same read disturb when tracking is on, the same memoized tR. It
+    /// loads no payload, and decodes the page's address only when the tR
+    /// memo misses or the read fails.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlashError::ReadUnwritten`] or [`FlashError::TornWordLine`]
+    /// naming the page at `index`, as [`FlashArray::read_page`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= total_pages()`.
+    ///
+    /// ```
+    /// use flash_model::{BlockAddr, BlockId, ChipId, FlashArray, FlashConfig, LwlId, PageType, PlaneId};
+    ///
+    /// # fn main() -> flash_model::Result<()> {
+    /// let mut array = FlashArray::new(FlashConfig::small_test(), 7);
+    /// let block = BlockAddr::new(ChipId(2), PlaneId(0), BlockId(5));
+    /// array.erase_block(block)?;
+    /// array.program_wl(block.wl(LwlId(0)), &[4, 5, 6])?;
+    /// let page = block.wl(LwlId(0)).page(PageType::Msb);
+    /// let read = array.read_at(array.geometry().page_index(page))?;
+    /// assert_eq!((read.peek(), read.us()), array.read_page(page)?);
+    /// let unwritten = array.geometry().page_index(block.wl(LwlId(1)).page(PageType::Lsb));
+    /// assert!(array.read_at(unwritten).is_err());
+    /// # Ok(())
+    /// # }
+    /// ```
+    #[inline]
+    pub fn read_at(&self, index: usize) -> Result<PageRead<'_>> {
+        let geo = self.geometry();
+        let per_block = geo.pages_per_block() as usize;
+        let (block_index, offset) = (index / per_block, index % per_block);
+        let block = &self.blocks[block_index];
+        let lwl = LwlId((offset / geo.pages_per_lwl() as usize) as u32);
+        let (pages, _) = block.readable_lwl(lwl, || geo.page_at_index(index))?;
+        let pe = block.wear.pe_cycles();
+        let us = self.sense(block, index, offset, pe, || geo.page_at_index(index));
+        Ok(PageRead { array: self, block, pages, block_index, offset, pe, us })
+    }
+
+    /// The time of every page read: records the read's disturb on `block`
+    /// when tracking is on, then looks up the page's memoized tR. `index`
+    /// and `offset` are the page's dense and in-block indices, `pe` the
+    /// block's P/E count, and `page` builds its address for a memo miss.
+    #[inline]
+    fn sense(
+        &self,
+        block: &BlockState,
+        index: usize,
+        offset: usize,
+        pe: u32,
+        page: impl FnOnce() -> PageAddr,
+    ) -> f64 {
+        if self.track_disturb {
+            block.record_read_disturb(self.geometry().pages_per_block() as usize, offset);
+        }
+        self.cache.read_latency_at(&self.model, index, pe, page)
     }
 
     /// A handle on `addr`'s static read and RBER terms, taken now (see
@@ -392,13 +458,13 @@ impl FlashArray {
     #[inline]
     fn handle_at(&self, addr: BlockAddr, index: usize, ber: bool) -> BlockHandle {
         let pe = self.blocks[index].wear.pe_cycles();
-        BlockHandle { addr, index, pe, ber: ber.then(|| self.ber_terms(addr, index, pe)) }
+        BlockHandle { addr, index, pe, ber: ber.then(|| self.ber_terms(index, pe, || addr)) }
     }
 
-    /// The RBER terms of the block `addr` at dense index `index` at `pe`
-    /// cycles.
-    fn ber_terms(&self, addr: BlockAddr, index: usize, pe: u32) -> BerTerms {
-        let (factors, weak) = self.cache.rber_factors(&self.ber, &self.fault, addr, index, pe);
+    /// The RBER terms of the block at dense index `index` at `pe` cycles;
+    /// `addr` builds its address, which only the block's first terms need.
+    fn ber_terms(&self, index: usize, pe: u32, addr: impl FnOnce() -> BlockAddr) -> BerTerms {
+        let (factors, weak) = self.cache.rber_factors(&self.ber, &self.fault, index, pe, addr);
         BerTerms { factors, weak }
     }
 
@@ -420,7 +486,8 @@ impl FlashArray {
     /// [`WordLine::oob`], [`WordLine::read`] and
     /// [`WordLine::expected_error_bits`] answer exactly what
     /// [`FlashArray::read_oob`], [`FlashArray::read_page`] and
-    /// [`FlashArray::expected_error_bits`] answer for that page.
+    /// [`FlashArray::expected_error_bits`] answer for that page;
+    /// [`WordLine::peek`] answers its payload.
     ///
     /// The view borrows the array, so nothing can program, erase or age
     /// the block while it lives; the handle outlives it.
@@ -495,8 +562,8 @@ impl FlashArray {
         self.line(&mut self.block(wl.block)?, wl.lwl)
     }
 
-    /// Accumulated read disturb of one page: payload reads of *sibling*
-    /// pages in its block since the last erase. Zero unless
+    /// Accumulated read disturb of one page: reads of *sibling* pages in
+    /// its block since the last erase. Zero unless
     /// [`FlashArray::set_track_disturb`] is on.
     ///
     /// # Panics
@@ -543,7 +610,7 @@ impl FlashArray {
         let (geo, addr) = (self.geometry(), page.wl.block);
         let index = geo.block_index(addr);
         let block = &self.blocks[index];
-        let ber = self.ber_terms(addr, index, block.wear.pe_cycles());
+        let ber = self.ber_terms(index, block.wear.pe_cycles(), || addr);
         let disturbs = block.read_disturbs(geo.page_offset_in_block(page));
         let slot_mult = self.slot_mult[page.page.slot(geo.cell()) as usize];
         self.error_bits(&ber, self.layer_term(page.wl.lwl), slot_mult, disturbs, retention_hours)
@@ -685,7 +752,7 @@ impl BlockHandle {
 /// array.program_wl(block.wl(LwlId(0)), &[4, 5, 6])?;
 /// let wl = array.word_line(block.wl(LwlId(0)))?;
 /// for k in 0..wl.pages() {
-///     let (tag, t_read) = wl.read(k);
+///     let (tag, t_read) = (wl.peek(k), wl.read(k));
 ///     assert_eq!((tag, t_read.to_bits()), {
 ///         let (d, t) = array.read_page(wl.page(k))?;
 ///         (d, t.to_bits())
@@ -752,26 +819,31 @@ impl WordLine<'_> {
         oob_at(self.oob, self.offset(k))
     }
 
-    /// Reads slot `k` exactly as [`FlashArray::read_page`] does — its read
-    /// disturb is recorded, then its memoized tR looked up — returning
-    /// `(payload tag, read latency µs)`.
+    /// Reads slot `k` for its time, exactly as [`FlashArray::read_page`]
+    /// does — its read disturb is recorded, then its memoized tR looked up
+    /// — returning the read latency, µs. The payload is
+    /// [`WordLine::peek`]'s.
     ///
     /// # Panics
     ///
     /// Panics if `k >= self.pages()`.
     #[inline]
-    pub fn read(&self, k: u32) -> (u64, f64) {
+    pub fn read(&self, k: u32) -> f64 {
         let offset = self.offset(k);
-        // The payload load goes first, so its cache miss overlaps the
-        // memo's: loaded after the memo lookup, it made
-        // `tenants_read_mostly` about 5% slower on 2 vCPUs.
-        let data = self.pages[offset];
-        if self.array.track_disturb {
-            self.block.record_read_disturb(self.pages.len(), offset);
-        }
-        let (cache, model) = (&self.array.cache, &self.array.model);
-        let t = cache.read_latency_at(model, self.index + k as usize, self.page(k), self.pe);
-        (data, t)
+        self.array.sense(self.block, self.index + k as usize, offset, self.pe, || self.page(k))
+    }
+
+    /// The payload tag of slot `k`, as [`FlashArray::read_page`] reports
+    /// it. A peek, not a read: it records no disturb and takes no time, for
+    /// parity math and debug checks on pages a read already charged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.pages()`.
+    #[inline]
+    #[must_use]
+    pub fn peek(&self, k: u32) -> u64 {
+        self.pages[self.offset(k)]
     }
 
     /// Expected error bits of slot `k` after `retention_hours` of data
@@ -790,6 +862,55 @@ impl WordLine<'_> {
         let (layer, slot_mult) =
             (self.array.layer_term(self.wl.lwl), self.array.slot_mult[k as usize]);
         self.array.error_bits(ber, layer, slot_mult, disturbs, retention_hours)
+    }
+}
+
+/// One page read by dense index ([`FlashArray::read_at`]): its time, and
+/// on demand its error bits and its payload.
+#[derive(Debug)]
+pub struct PageRead<'a> {
+    array: &'a FlashArray,
+    block: &'a BlockState,
+    /// The block's page payloads, by in-block offset.
+    pages: &'a [u64],
+    /// The block's dense index and the page's offset in it.
+    block_index: usize,
+    offset: usize,
+    /// The block's P/E count.
+    pe: u32,
+    us: f64,
+}
+
+impl PageRead<'_> {
+    /// The read latency (the page's memoized tR), µs.
+    #[inline]
+    #[must_use]
+    pub fn us(&self) -> f64 {
+        self.us
+    }
+
+    /// Expected error bits of the page after `retention_hours` of data
+    /// retention, as [`FlashArray::expected_error_bits`] computes them,
+    /// this read's disturb included. The block's address is decoded only
+    /// when its RBER terms are taken for the first time.
+    #[must_use]
+    pub fn expected_error_bits(&self, retention_hours: f64) -> f64 {
+        let (array, offset) = (self.array, self.offset);
+        let geo = array.geometry();
+        let ber =
+            array.ber_terms(self.block_index, self.pe, || geo.block_at_index(self.block_index));
+        let per_lwl = geo.pages_per_lwl() as usize;
+        let (layer, slot_mult) =
+            (array.layer_factor[offset / per_lwl], array.slot_mult[offset % per_lwl]);
+        array.error_bits(&ber, layer, slot_mult, self.block.read_disturbs(offset), retention_hours)
+    }
+
+    /// The page's payload tag, as [`FlashArray::read_page`] reports it. A
+    /// peek, like [`WordLine::peek`]: it records no disturb.
+    #[inline]
+    #[must_use]
+    pub fn peek(&self) -> u64 {
+        self.pages[self.offset]
     }
 }
 

@@ -176,9 +176,20 @@ impl BlockState {
     /// and not torn. Both slices are indexed by in-block page offset.
     #[inline]
     pub(crate) fn readable(&self, page: PageAddr) -> Result<(&[u64], Option<&[PageOob]>)> {
-        let lwl = page.wl.lwl;
+        self.readable_lwl(page.wl.lwl, || page)
+    }
+
+    /// [`BlockState::readable`] of word-line `lwl` for a caller that holds
+    /// no page address: `page` builds the one the error names, and runs
+    /// only when there is an error.
+    #[inline]
+    pub(crate) fn readable_lwl(
+        &self,
+        lwl: LwlId,
+        page: impl FnOnce() -> PageAddr,
+    ) -> Result<(&[u64], Option<&[PageOob]>)> {
         if self.torn_lwl == Some(lwl) {
-            return Err(FlashError::TornWordLine { wl: page.wl });
+            return Err(FlashError::TornWordLine { wl: page().wl });
         }
         let programmed = match self.phase {
             BlockPhase::Full => true,
@@ -187,7 +198,7 @@ impl BlockState {
         };
         match &self.pages {
             Some(pages) if programmed => Ok((pages, self.oob.as_deref())),
-            _ => Err(FlashError::ReadUnwritten { page }),
+            _ => Err(FlashError::ReadUnwritten { page: page() }),
         }
     }
 }

@@ -121,6 +121,7 @@ impl Geometry {
     }
 
     /// Total number of blocks in the array.
+    #[inline]
     #[must_use]
     pub fn total_blocks(&self) -> u64 {
         u64::from(self.chips) * u64::from(self.planes_per_chip) * u64::from(self.blocks_per_plane)
@@ -206,6 +207,7 @@ impl Geometry {
     }
 
     /// Total number of pages in the array.
+    #[inline]
     #[must_use]
     pub fn total_pages(&self) -> u64 {
         self.total_blocks() * u64::from(self.pages_per_block())
@@ -254,6 +256,7 @@ impl Geometry {
     /// # Panics
     ///
     /// Panics if `offset >= pages_per_block()`.
+    #[inline]
     #[must_use]
     pub fn page_at_offset(&self, block: BlockAddr, offset: usize) -> PageAddr {
         assert!(offset < self.pages_per_block() as usize, "page offset {offset} out of range");
@@ -270,20 +273,41 @@ impl Geometry {
     /// # Panics
     ///
     /// Panics if `index >= total_pages()`.
+    #[inline]
     #[must_use]
     pub fn page_at_index(&self, index: usize) -> PageAddr {
         assert!((index as u64) < self.total_pages(), "page index {index} out of range");
         let ppb = self.pages_per_block() as usize;
+        self.page_at_offset(self.block_at_index(index / ppb), index % ppb)
+    }
+
+    /// Inverse of [`Geometry::block_index`]: the block address at a flat
+    /// block index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= total_blocks()`.
+    #[inline]
+    #[must_use]
+    pub fn block_at_index(&self, index: usize) -> BlockAddr {
+        assert!((index as u64) < self.total_blocks(), "block index {index} out of range");
         let bpp = self.blocks_per_plane as usize;
         let planes = usize::from(self.planes_per_chip);
-        let (block, offset) = (index / ppb, index % ppb);
-        let group = block / bpp;
-        let addr = BlockAddr::new(
+        let group = index / bpp;
+        BlockAddr::new(
             ChipId((group / planes) as u16),
             PlaneId((group % planes) as u16),
-            BlockId((block % bpp) as u32),
-        );
-        self.page_at_offset(addr, offset)
+            BlockId((index % bpp) as u32),
+        )
+    }
+
+    /// [`Geometry::chip_plane_index`] of the block holding the page at flat
+    /// index `index` ([`Geometry::page_index`]), without decoding its
+    /// address: a group's blocks, and so its pages, are contiguous.
+    #[inline]
+    #[must_use]
+    pub fn chip_plane_at_index(&self, index: usize) -> usize {
+        index / (self.pages_per_block() as usize * self.blocks_per_plane as usize)
     }
 
     /// Number of independently schedulable chip/plane groups (one command
@@ -379,6 +403,7 @@ mod tests {
         let g = Geometry::new(2, 2, 3, 2, 2, CellType::Tlc);
         let mut seen = vec![false; g.total_pages() as usize];
         for b in g.blocks() {
+            assert_eq!(g.block_at_index(g.block_index(b)), b);
             let base = g.block_index(b) * g.pages_per_block() as usize;
             for (off, lwl) in g.lwls().enumerate() {
                 for (pi, pt) in PageType::for_cell(g.cell()).iter().enumerate() {
@@ -391,6 +416,7 @@ mod tests {
                     // Offset/address roundtrip.
                     assert_eq!(g.page_at_offset(b, g.page_offset_in_block(ppa)), ppa);
                     assert_eq!(g.page_at_index(idx), ppa);
+                    assert_eq!(g.chip_plane_at_index(idx), g.chip_plane_index(b));
                 }
             }
         }

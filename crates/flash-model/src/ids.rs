@@ -76,6 +76,7 @@ pub enum PageType {
 
 impl PageType {
     /// All page types valid for a cell technology, in read order.
+    #[inline]
     #[must_use]
     pub fn for_cell(cell: CellType) -> &'static [PageType] {
         match cell {
@@ -87,6 +88,7 @@ impl PageType {
     }
 
     /// Index of this page type within a word-line (0-based).
+    #[inline]
     #[must_use]
     pub fn index(self) -> u32 {
         match self {
@@ -116,6 +118,7 @@ impl PageType {
     /// Inverse of [`PageType::slot`] for a given cell type.
     ///
     /// Returns `None` when the slot is out of range for the cell type.
+    #[inline]
     #[must_use]
     pub fn from_index(cell: CellType, index: u32) -> Option<PageType> {
         PageType::for_cell(cell).get(index as usize).copied()

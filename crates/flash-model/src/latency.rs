@@ -556,19 +556,20 @@ impl LatencyCache {
     /// Memoized equivalent of [`LatencyModel::read_latency_us`] for the
     /// page at [`Geometry::page_index`] `index`; bit-identical to it as
     /// long as `pe` is the block's P/E count and the owner invalidated the
-    /// block when that count last changed.
+    /// block when that count last changed. `page` builds the page's
+    /// address, which only a miss needs.
     #[inline]
     pub(crate) fn read_latency_at(
         &self,
         model: &LatencyModel,
         index: usize,
-        page: PageAddr,
         pe: u32,
+        page: impl FnOnce() -> PageAddr,
     ) -> f64 {
         let mut table = self.read_us.borrow_mut();
         let table = sized(&mut table, self.blocks * self.pages_per_block);
         if table[index] == 0.0 {
-            table[index] = model.read_latency_us(page, pe);
+            table[index] = model.read_latency_us(page(), pe);
         }
         table[index]
     }
@@ -592,21 +593,22 @@ impl LatencyCache {
         *self.read_us.get_mut() = Vec::new();
     }
 
-    /// Memoized [`RberFactors`] of `addr` at `pe`, plus its
-    /// [`FaultInjector::ber_multiplier`]; bit-identical to computing them
-    /// from `ber` and `fault` directly. `block_index` is `addr`'s
-    /// [`Geometry::block_index`].
+    /// Memoized [`RberFactors`] of the block at [`Geometry::block_index`]
+    /// `block_index` at `pe`, plus its [`FaultInjector::ber_multiplier`];
+    /// bit-identical to computing them from `ber` and `fault` directly.
+    /// `addr` builds the block's address, which only a first query needs.
     pub(crate) fn rber_factors(
         &self,
         ber: &BerModel,
         fault: &FaultInjector,
-        addr: BlockAddr,
         block_index: usize,
         pe: u32,
+        addr: impl FnOnce() -> BlockAddr,
     ) -> (RberFactors, f64) {
         let mut table = self.ber.borrow_mut();
         let entry = &mut sized(&mut table, self.blocks)[block_index];
         if entry.block == 0.0 {
+            let addr = addr();
             entry.block = ber.block_factor(addr);
             entry.weak = fault.ber_multiplier(addr);
         }

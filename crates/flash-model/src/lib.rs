@@ -68,7 +68,7 @@ mod spor;
 mod variation;
 mod wear;
 
-pub use array::{BlockHandle, FlashArray, MpOutcome, WordLine};
+pub use array::{BlockHandle, FlashArray, MpOutcome, PageRead, WordLine};
 pub use ber::{BerModel, RberFactors};
 pub use chip::BlockPhase;
 pub use config::{FlashConfig, FlashConfigBuilder};

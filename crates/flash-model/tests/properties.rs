@@ -270,7 +270,7 @@ proptest! {
                             for k in 0..line.pages() {
                                 let page = line.page(k);
                                 prop_assert_eq!(Ok(line.oob(k)), paged.read_oob(page));
-                                let (d, t) = line.read(k);
+                                let (d, t) = (line.peek(k), line.read(k));
                                 let (pd, pt) = paged.read_page(page).unwrap();
                                 prop_assert_eq!((d, t.to_bits()), (pd, pt.to_bits()));
                                 prop_assert_eq!(
@@ -295,6 +295,96 @@ proptest! {
                     paged.expected_error_bits(page, retention).to_bits()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn index_reads_answer_what_per_page_reads_answer(
+        seed in any::<u64>(),
+        cell in prop_oneof![Just(CellType::Mlc), Just(CellType::Tlc), Just(CellType::Qlc)],
+        ops in collection::vec((0u8..10, 0usize..8, any::<u32>(), 0usize..4), 1..120),
+    ) {
+        // Twin arrays replay the same random stream of erases, programs
+        // (some failing), torn word-lines and aging, on two planes per chip
+        // so the index decodes every address field. A scan reads every page
+        // index in order, one array by `read_at`, the other by `read_page`
+        // of the decoded address: the tR bits, the error and the page it
+        // names, the error bits and the payload must agree, and so must
+        // every page's disturb count after every step. Peeks, by index or
+        // through a word-line view, must leave the disturb counts alone.
+        let geo = Geometry::new(2, 2, 2, 3, 2, cell);
+        let config = FlashConfig { geometry: geo.clone(), variation: VariationConfig::default() };
+        let faults = FaultConfig { program_fail_prob: 0.04, ..mixed_faults() };
+        let mut indexed = FlashArray::with_faults(config.clone(), seed, faults.clone());
+        let mut paged = FlashArray::with_faults(config, seed, faults);
+        indexed.set_track_disturb(true);
+        paged.set_track_disturb(true);
+        let blocks: Vec<BlockAddr> = geo.blocks().collect();
+        let pages: Vec<PageAddr> =
+            (0..geo.total_pages() as usize).map(|i| geo.page_at_index(i)).collect();
+        let disturbs = |array: &FlashArray| -> Vec<u64> {
+            pages.iter().map(|&page| array.read_disturbs(page)).collect()
+        };
+        let per_lwl = geo.pages_per_lwl();
+        for (kind, b, pick, age) in ops {
+            let addr = blocks[b];
+            let lwls = geo.lwls_per_block();
+            let next = addr.wl(indexed.next_lwl(addr).unwrap());
+            let data: Vec<u64> = (0..u64::from(per_lwl)).map(|k| u64::from(pick) + k).collect();
+            let retention = [0.0, 0.0, 3.5, 2000.0][age];
+            match kind {
+                0 => {
+                    let (x, y) = (indexed.erase_block(addr), paged.erase_block(addr));
+                    prop_assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits));
+                }
+                1 | 2 => {
+                    let (x, y) = (indexed.program_wl(next, &data), paged.program_wl(next, &data));
+                    prop_assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits));
+                }
+                3 => {
+                    if next.lwl.0 < lwls {
+                        indexed.mark_torn(next).unwrap();
+                        paged.mark_torn(next).unwrap();
+                    }
+                }
+                4 => {
+                    indexed.age_block(addr, 1 + pick % 300).unwrap();
+                    paged.age_block(addr, 1 + pick % 300).unwrap();
+                }
+                5 => {
+                    indexed.age_all(1 + pick % 50);
+                    paged.age_all(1 + pick % 50);
+                }
+                6 => {
+                    // Peeks through a word-line view record nothing.
+                    let before = disturbs(&indexed);
+                    if let Ok(line) = indexed.word_line(addr.wl(LwlId(pick % lwls))) {
+                        for k in 0..line.pages() {
+                            let _ = line.peek(k);
+                        }
+                    }
+                    prop_assert_eq!(disturbs(&indexed), before);
+                }
+                _ => {
+                    for (index, &page) in pages.iter().enumerate() {
+                        match indexed.read_at(index) {
+                            Ok(read) => {
+                                let (tag, t) = paged.read_page(page).unwrap();
+                                prop_assert_eq!(read.us().to_bits(), t.to_bits(), "{}", page);
+                                prop_assert_eq!(
+                                    read.expected_error_bits(retention).to_bits(),
+                                    paged.expected_error_bits(page, retention).to_bits()
+                                );
+                                let before = disturbs(&indexed);
+                                prop_assert_eq!(read.peek(), tag);
+                                prop_assert_eq!(disturbs(&indexed), before, "a peek is no read");
+                            }
+                            Err(e) => prop_assert_eq!(Err(e), paged.read_page(page).map(drop)),
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(disturbs(&indexed), disturbs(&paged));
         }
     }
 

@@ -18,8 +18,9 @@
 //!   are bit-identical regardless of worker count.
 //!
 //! The fleet aggregates target *tail-of-tails* latency: p99/p999/p9999
-//! over every command on every device (via [`LatencyHistogram::fold`]'s
-//! k-way merge), plus per-device skew (max and median device p99).
+//! over every command on every device (one [`LatencyHistogram::fold`] of
+//! the devices' samples), plus per-device skew (max and median device
+//! p99).
 //!
 //! # Example
 //!

@@ -322,9 +322,12 @@ impl Writer {
             scratch.clear();
             scratch.extend(dev.mapping.valid_in_block(f.addr));
             for &(lpn, ppa) in &scratch {
-                let (tag, t_read) = dev.media.array().read_page(ppa)?;
-                debug_assert_eq!(tag, lpn);
-                dev.media.read(ppa.wl.block, t_read);
+                let array = dev.media.array();
+                let index = array.geometry().page_index(ppa);
+                let read = array.read_at(index)?;
+                debug_assert_eq!(read.peek(), lpn);
+                let t_read = read.us();
+                dev.media.read_at(index, t_read);
                 time += t_read;
                 time += self.stage(dev, lpn, purpose)?;
                 dev.stats.remapped_writes += 1;

@@ -7,7 +7,7 @@ use crate::error::FtlError;
 use crate::gc::{Collector, GcBudget, GcStep, SealedSuperblock};
 use crate::integrity::{DeviceView, Integrity, PatrolStep, PatrolTime};
 use crate::manager::BlockManager;
-use crate::mapping::Mapping;
+use crate::mapping::{Mapping, NO_PAGE};
 use crate::media::Media;
 use crate::parity;
 use crate::recovery::{RecoveryReport, Spor};
@@ -334,10 +334,12 @@ impl Ssd {
         }
         // Patrol scrubbing rides whatever idle gap is left after GC (none,
         // and so no budget, once the clocks run past the arrival).
-        let t = self.patrol_slice(arrival - clocks.drained_at())?;
-        if t > 0.0 {
-            self.stats.patrol_us += t;
-            clocks.charge_idle(t, &mut self.media, &mut self.stats.chip_busy_us);
+        if self.integrity.patrols() {
+            let t = self.patrol_slice(arrival - clocks.drained_at())?;
+            if t > 0.0 {
+                self.stats.patrol_us += t;
+                clocks.charge_idle(t, &mut self.media, &mut self.stats.chip_busy_us);
+            }
         }
         let service = match r.op {
             IoOp::Write => self.serve_write(r.lpn, class)?,
@@ -491,25 +493,34 @@ impl Ssd {
         let latency = if self.writer.slots().iter().flatten().any(|a| a.has_staged(lpn)) {
             self.media.transfer()
         } else {
-            let Some(ppa) = self.mapping.lookup(lpn) else { return Ok(None) };
-            let (tag, t) = self.media.array().read_page(ppa)?;
-            debug_assert_eq!(tag, lpn, "mapping points at the right payload");
+            // The L2P holds the page index the flash reads by: a hit loads
+            // no payload and decodes no address.
+            let array = self.media.array();
+            let index = self.mapping.page_index(lpn, array.geometry());
+            if index == NO_PAGE {
+                return Ok(None);
+            }
+            let index = index as usize;
+            let read = array.read_at(index)?;
+            debug_assert_eq!(read.peek(), lpn, "mapping points at the right payload");
+            // Consult the ECC model at the page's true data age; pages past
+            // the retry ladder are refreshed (rewritten elsewhere) before
+            // they rot into data loss. Without integrity tracking the age
+            // is 0 and the disturb count is 0, reproducing the fault-only
+            // path bit for bit.
+            let (t, ecc) = (read.us(), self.consults_ecc());
+            let bits = ecc.then(|| read.expected_error_bits(self.data_age_hours(lpn)));
             let transfer = self.media.transfer();
-            if self.consults_ecc() {
-                // Consult the ECC model at the page's true data age; pages
-                // past the retry ladder are refreshed (rewritten elsewhere)
-                // before they rot into data loss. Without integrity tracking
-                // the age is 0 and the disturb count is 0, reproducing the
-                // fault-only path bit for bit.
-                let bits = self.media.array().expected_error_bits(ppa, self.data_age_hours(lpn));
+            if let Some(bits) = bits {
                 let flash_us = self.config.retry.read_latency_us(t, bits);
-                self.media.read(ppa.wl.block, flash_us);
+                self.media.read_at(index, flash_us);
                 if self.config.retry.is_uncorrectable(bits) {
                     // The relocation is background work: the host sees only
                     // the sensing + retry + transfer time, and the rewrite
                     // lands in `refresh_us` (still advancing `busy_us`).
                     self.stats.uncorrectable_reads += 1;
                     if self.config.parity.enabled() {
+                        let ppa = self.media.array().geometry().page_at_index(index);
                         self.rebuild_page(lpn, ppa, None)?;
                     }
                     // A read-heavy phase stages refreshes with no host write
@@ -534,7 +545,7 @@ impl Ssd {
                 }
                 flash_us + transfer
             } else {
-                self.media.read(ppa.wl.block, t);
+                self.media.read_at(index, t);
                 t + transfer
             }
         };
@@ -869,8 +880,8 @@ impl Ssd {
         let array = self.media.array();
         let line = array.line(block, ppa.wl.lwl)?;
         let k = ppa.page.slot(array.geometry().cell());
-        let (tag, mut t_read) = line.read(k);
-        debug_assert_eq!(tag, lpn);
+        let mut t_read = line.read(k);
+        debug_assert_eq!(line.peek(k), lpn);
         if let Some(bits) = ecc.then(|| line.expected_error_bits(k, self.data_age_hours(lpn))) {
             if self.config.retry.is_uncorrectable(bits) {
                 self.stats.uncorrectable_reads += 1;

@@ -151,6 +151,12 @@ impl Integrity {
         self.members_of = None;
     }
 
+    /// Whether a patrol is configured at all: with `PatrolConfig::Off` no
+    /// run ever scans, so callers skip it.
+    pub(crate) fn patrols(&self) -> bool {
+        matches!(self.config.patrol, PatrolConfig::On { .. })
+    }
+
     /// Whether patrol wants another super word-line at device time `clock`
     /// (a pass is in flight, or the next is due) after `spent_us` of a
     /// `budget_us` opportunity. The configured slice caps the budget, so
@@ -237,8 +243,8 @@ impl Integrity {
                 if oob.is_filler() || !live {
                     continue; // filler or a stale copy: nothing to protect
                 }
-                let (tag, t_read) = line.read(k);
-                debug_assert_eq!(tag, oob.lpn);
+                let t_read = line.read(k);
+                debug_assert_eq!(line.peek(k), oob.lpn);
                 meter.occupy(page.wl.block, t_read);
                 *time += t_read;
                 stats.patrol_scanned_pages += 1;

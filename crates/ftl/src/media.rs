@@ -4,8 +4,9 @@
 //! paper's superpage timing under `PerChip` clocks: a multi-plane command
 //! occupies each member chip for that member's latency and ends with its
 //! slowest. A read costs what the caller's ECC policy chose, so the caller
-//! charges it through [`Media::read`], or a [`Meter`] while it holds a
-//! word-line view; a host page transfer charges the controller slot.
+//! charges it through [`Media::read`] (or [`Media::read_at`] by page
+//! index), or a [`Meter`] while it holds a word-line view; a host page
+//! transfer charges the controller slot.
 
 use flash_model::{BlockAddr, FlashArray, Geometry, PageOob, Result, SealRecord, WlAddr};
 
@@ -70,6 +71,13 @@ impl Media {
     /// Charges a read of `block` that cost `us` under the caller's ECC policy.
     pub(crate) fn read(&mut self, block: BlockAddr, us: f64) {
         self.split().1.occupy(block, us);
+    }
+
+    /// [`Media::read`] of the page at [`Geometry::page_index`] `index`,
+    /// charged to its group without decoding its address.
+    pub(crate) fn read_at(&mut self, index: usize, us: f64) {
+        let group = self.array.geometry().chip_plane_at_index(index);
+        self.touches.record(group, us);
     }
 
     /// Charges a host page transfer to the controller slot; returns its µs.
@@ -263,6 +271,21 @@ mod tests {
         assert_eq!(media.transfer(), TRANSFER_US);
         media.read(BlockAddr::new(ChipId(1), PlaneId(1), BlockId(0)), 40.0);
         assert_eq!(drain(&mut media), vec![0.0, 0.0, 0.0, 40.0, TRANSFER_US]);
+    }
+
+    #[test]
+    fn a_read_by_page_index_charges_its_block_group() {
+        let mut media = timed(FaultConfig::default());
+        let geo = media.array().geometry().clone();
+        for block in geo.blocks() {
+            let last = geo.page_at_offset(block, geo.pages_per_block() as usize - 1);
+            for page in [block.wl(LwlId(0)).page(flash_model::PageType::Lsb), last] {
+                media.read_at(geo.page_index(page), 2.5);
+                let mut want = vec![0.0; 5];
+                want[geo.chip_plane_index(block)] = 2.5;
+                assert_eq!(drain(&mut media), want, "{page}");
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,8 @@ impl Closure {
         let Some((member, page)) = self.parity else { return Ok(None) };
         let array = media.array();
         let line = array.line(&mut members[member], page.wl.lwl)?;
-        let (tag, us) = line.read(page.page.slot(array.geometry().cell()));
+        let k = page.page.slot(array.geometry().cell());
+        let (tag, us) = (line.peek(k), line.read(k));
         media.read(page.wl.block, us);
         Ok(Some((tag == self.xor, us)))
     }
@@ -95,14 +96,14 @@ pub(crate) fn rebuild(
             continue;
         };
         for k in (0..line.pages()).filter(|&k| line.page(k) != lost) {
-            let (tag, t) = line.read(k);
+            let t = line.read(k);
             let bits = line.expected_error_bits(k, age_hours);
             us += retry.read_latency_us(t, bits);
             out.reads += 1;
             if retry.is_uncorrectable(bits) {
                 intact = false;
             } else {
-                acc ^= tag;
+                acc ^= line.peek(k);
                 saw_parity |= line.oob(k).is_parity();
             }
         }

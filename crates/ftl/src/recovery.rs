@@ -401,7 +401,7 @@ impl Spor {
                     };
                     for k in 0..line.pages() {
                         let (page, oob) = (line.page(k), line.oob(k));
-                        let (_, t_read) = line.read(k);
+                        let t_read = line.read(k);
                         report.scanned_pages += 1;
                         report.scan_us += t_read;
                         if !oob.is_mapped() {

@@ -6,11 +6,11 @@
 //!   retire are O(1) amortized with sequential memory traffic.
 //! * [`Tournament`] — a winner tree over a fixed set of `u64` keys: the
 //!   minimum in O(1), a key change in O(log n). The host frontend keys it by
-//!   each tenant's next arrival; [`crate::LatencyHistogram::fold`] keys it
-//!   by the head of each part's sorted run.
+//!   each tenant's next arrival.
 //! * [`total_key`] / [`from_total_key`] — the [`f64::total_cmp`] order as
-//!   plain unsigned integers, so trees and sorts compare `u64`s. Defined
-//!   in [`pvcheck::rank`], whose rank tables sort by the same keys.
+//!   plain unsigned integers, so trees, sorts and selections compare
+//!   `u64`s ([`crate::LatencyHistogram::quantile_us`] selects by them).
+//!   Defined in [`pvcheck::rank`], whose rank tables sort by the same keys.
 //!
 //! The depth tracker and the tournament are held to naive oracles by the
 //! proptest suite (`crates/ftl/tests/sched_equivalence.rs`); the depth

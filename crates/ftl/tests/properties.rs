@@ -214,12 +214,11 @@ proptest! {
     }
 }
 
-/// Latency parts drawn from a pool of special values (NaNs of both signs,
-/// signed zeros and infinities) and a coarse grid, so ties within and
-/// across parts are common; empty parts included. The flag per part warms
-/// its sorted cache before the fold.
-fn arb_parts() -> impl Strategy<Value = Vec<(Vec<f64>, bool)>> {
-    let value = (0usize..10, 0u32..6).prop_map(|(kind, x)| match kind {
+/// Latency samples drawn from a pool of special values (NaNs of both
+/// signs, signed zeros and infinities) and a coarse grid, so ties are
+/// common.
+fn arb_sample() -> impl Strategy<Value = f64> {
+    (0usize..10, 0u32..6).prop_map(|(kind, x)| match kind {
         0 => f64::NAN,
         1 => -f64::NAN,
         2 => 0.0,
@@ -227,8 +226,68 @@ fn arb_parts() -> impl Strategy<Value = Vec<(Vec<f64>, bool)>> {
         4 => f64::INFINITY,
         5 => f64::NEG_INFINITY,
         _ => f64::from(x) * 12.5,
-    });
-    proptest::collection::vec((proptest::collection::vec(value, 0..40), any::<bool>()), 0..6)
+    })
+}
+
+/// Latency parts of [`arb_sample`]s, so ties within and across parts are
+/// common; empty parts included. The flag per part asks it a quantile
+/// before the fold, which must leave the part as it was.
+fn arb_parts() -> impl Strategy<Value = Vec<(Vec<f64>, bool)>> {
+    let part = proptest::collection::vec(arb_sample(), 0..40);
+    proptest::collection::vec((part, any::<bool>()), 0..6)
+}
+
+/// One step on a histogram under test: one sample, a batch, a merge of
+/// another histogram, a fold of it with further parts, or a quantile query.
+#[derive(Debug, Clone)]
+enum HistOp {
+    Record(f64),
+    Extend(Vec<f64>),
+    Merge(Vec<f64>),
+    Fold(Vec<Vec<f64>>),
+    Query(f64),
+}
+
+/// Queries at every thousandth and at the reported tails, plus the clamped
+/// and NaN edges.
+fn arb_quantile() -> impl Strategy<Value = f64> {
+    (0usize..8, 0u32..1001).prop_map(|(kind, i)| match kind {
+        0 => [0.999, 0.9999, 0.0, 1.0][i as usize % 4],
+        1 => [-0.5, 1.5, f64::NAN, f64::NEG_INFINITY, f64::INFINITY][i as usize % 5],
+        _ => f64::from(i) / 1000.0,
+    })
+}
+
+fn arb_hist_ops() -> impl Strategy<Value = Vec<HistOp>> {
+    let batch = || proptest::collection::vec(arb_sample(), 0..12);
+    let op = (
+        0usize..10,
+        arb_sample(),
+        batch(),
+        proptest::collection::vec(batch(), 0..4),
+        arb_quantile(),
+    )
+        .prop_map(|(kind, x, samples, parts, q)| match kind {
+            0 | 1 => HistOp::Record(x),
+            2 => HistOp::Extend(samples),
+            3 => HistOp::Merge(samples),
+            4 => HistOp::Fold(parts),
+            _ => HistOp::Query(q),
+        });
+    proptest::collection::vec(op, 1..60)
+}
+
+/// The nearest-rank quantile spelled out: the sample at index
+/// `round((n - 1) * q)` of a `total_cmp` sort, `q` clamped to `[0, 1]` and
+/// NaN read as 0; 0 for no samples.
+fn nearest_rank(samples: &[f64], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[((n - 1) as f64 * q).round() as usize],
+    }
 }
 
 proptest! {
@@ -267,6 +326,9 @@ proptest! {
         };
         prop_assert_eq!(bits(&folded), bits(&chained));
         prop_assert_eq!(folded.mean_us().to_bits(), chained.mean_us().to_bits());
+        for (h, (samples, _)) in hists.iter().zip(&parts) {
+            prop_assert_eq!(bits(h), samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        }
         for h in hists.iter().chain([&folded, &chained]) {
             let qs = (0..=100).map(|i| f64::from(i) / 100.0).chain([0.999, 0.9999, 1.0]);
             let mut qs: Vec<f64> = qs.collect();
@@ -275,6 +337,52 @@ proptest! {
                 let (lo, hi) = (h.quantile_us(pair[0]), h.quantile_us(pair[1]));
                 prop_assert!(lo.total_cmp(&hi).is_le(), "q {} -> {} but q {} -> {}", pair[0], lo, pair[1], hi);
             }
+        }
+    }
+
+    #[test]
+    fn quantiles_select_the_nearest_rank_of_an_explicit_sort(ops in arb_hist_ops()) {
+        // Records, batches, merges and folds interleave with queries; every
+        // answer, asked twice, must be the nearest-rank element of a sort
+        // the test does itself over the samples it fed in.
+        let mut h = LatencyHistogram::new();
+        let mut fed: Vec<f64> = Vec::new();
+        for op in ops {
+            match op {
+                HistOp::Record(x) => {
+                    h.record(x);
+                    fed.push(x);
+                }
+                HistOp::Extend(samples) => {
+                    h.extend(&samples);
+                    fed.extend(&samples);
+                }
+                HistOp::Merge(samples) => {
+                    let mut other = LatencyHistogram::new();
+                    other.extend(&samples);
+                    h.merge(&other);
+                    fed.extend(&samples);
+                }
+                HistOp::Fold(parts) => {
+                    let others: Vec<LatencyHistogram> = parts
+                        .iter()
+                        .map(|samples| {
+                            let mut part = LatencyHistogram::new();
+                            part.extend(samples);
+                            part
+                        })
+                        .collect();
+                    h = LatencyHistogram::fold(std::iter::once(&h).chain(&others));
+                    fed.extend(parts.concat());
+                }
+                HistOp::Query(q) => {
+                    let want = nearest_rank(&fed, q).to_bits();
+                    prop_assert_eq!(h.quantile_us(q).to_bits(), want, "q {}", q);
+                    prop_assert_eq!(h.quantile_us(q).to_bits(), want, "repeated q {}", q);
+                }
+            }
+            let bits: Vec<u64> = h.samples_us().iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(bits, fed.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
         }
     }
 }
