@@ -52,8 +52,15 @@ pub(crate) fn fill_rows<T: Send>(
         }
     };
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(chunks) {
-            scope.spawn(work);
+        let handles: Vec<_> = (0..workers.min(chunks)).map(|_| scope.spawn(work)).collect();
+        // Joined here, not by the scope: the scope returns once the
+        // closures finish, while the threads may still be exiting, and
+        // glibc frees a thread's allocator arena for reuse only as it
+        // exits. Threads the caller spawns next would then grow new arenas.
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 }

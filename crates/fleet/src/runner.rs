@@ -231,18 +231,35 @@ fn run_shards<R: Send + Sync>(
     }
     .min(n);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let report = per_device(config, idx);
-                results[idx].set(report).map_err(drop).expect("each device runs exactly once");
-            });
-        }
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n {
+                        break;
+                    }
+                    let report = per_device(config, idx);
+                    results[idx].set(report).map_err(drop).expect("each device runs exactly once");
+                })
+            })
+            .collect();
+        join_all(handles);
     });
     results.into_iter().map(|slot| slot.into_inner().expect("scope joined every worker")).collect()
+}
+
+/// Joins every worker before the fleet goes on. The scope alone would
+/// return once the workers' closures finish, while the threads may still
+/// be exiting: glibc hands a thread's allocator arena back only as the
+/// thread exits, so threads spawned next (the next fleet's workers, or a
+/// device's characterization threads) would find none free and grow new
+/// arenas, and peak memory would depend on the race.
+fn join_all(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for handle in handles {
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 /// Replays one device and summarizes its tail latency and background work.
