@@ -39,15 +39,11 @@ impl Characterizer {
         Characterizer { geometry: config.geometry.clone() }
     }
 
-    /// Pool index of a block: one pool per (chip, plane).
-    fn pool_index(geo: &Geometry, addr: flash_model::BlockAddr) -> usize {
-        usize::from(addr.chip.0) * usize::from(geo.planes_per_chip()) + usize::from(addr.plane.0)
-    }
-
-    /// Number of pools this characterizer produces.
+    /// Number of pools this characterizer produces: one per chip/plane
+    /// group ([`Geometry::chip_plane_index`] is a block's pool).
     #[must_use]
     pub fn pool_count(&self) -> usize {
-        usize::from(self.geometry.chips()) * usize::from(self.geometry.planes_per_chip())
+        self.geometry.chip_plane_groups()
     }
 
     /// Erases and fully programs every block, recording `tBERS` and each
@@ -106,7 +102,7 @@ impl Characterizer {
                     Err(e) => return Err(e.into()),
                 }
             }
-            pool.push(Self::pool_index(&geo, addr), BlockProfile::new(addr, pe, tprog, tbers))?;
+            pool.push(geo.chip_plane_index(addr), BlockProfile::new(addr, pe, tprog, tbers))?;
         }
         Ok((pool, dead))
     }
@@ -169,7 +165,7 @@ impl Characterizer {
         // the serial sequence.
         let mut pool = BlockPool::new(self.pool_count(), geo.strings());
         for profile in profiles.into_iter().flatten() {
-            pool.push(Self::pool_index(geo, profile.addr()), profile)
+            pool.push(geo.chip_plane_index(profile.addr()), profile)
                 .expect("pool indices derive from the same geometry");
         }
         pool

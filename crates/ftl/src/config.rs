@@ -256,7 +256,7 @@ impl FtlConfig {
     #[must_use]
     pub fn superwl_pages(&self) -> u64 {
         let geo = &self.flash.geometry;
-        u64::from(geo.chips()) * u64::from(geo.planes_per_chip()) * u64::from(geo.pages_per_lwl())
+        geo.chip_plane_groups() as u64 * u64::from(geo.pages_per_lwl())
     }
 
     /// Physical pages reserved for parity out of `physical_pages`, before

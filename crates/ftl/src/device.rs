@@ -143,32 +143,14 @@ impl Ssd {
         })
     }
 
-    /// Swaps the page mapping for the original `HashMap`-backed reference
-    /// implementation. Semantics are identical; per-block validity queries
-    /// go back to scanning every mapped page. The recovery lockstep tests
-    /// and `naive_mapping_reproduces_dense_results_bit_for_bit` run a naive
-    /// device beside a dense one as their oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any page has been written already (the existing mapping
-    /// state would be lost).
-    pub fn use_naive_mapping_for_benchmarks(&mut self) {
-        assert_eq!(self.mapping.valid_pages(), 0, "switch mappings only on a fresh device");
-        let fresh = self.writer.slots().iter().all(Option::is_none);
-        assert!(fresh, "switch mappings only on a fresh device");
-        self.mapping = Mapping::new_naive(self.mapping.capacity());
-    }
-
     /// Shape summary for workload generation.
     #[must_use]
     pub fn geometry_info(&self) -> GeometryInfo {
         let geo = self.media.array().geometry();
-        let pools = u64::from(geo.chips()) * u64::from(geo.planes_per_chip());
         GeometryInfo {
             logical_pages: self.mapping.capacity(),
             physical_pages: geo.total_blocks() * u64::from(geo.pages_per_block()),
-            pages_per_superblock: pools * u64::from(geo.pages_per_block()),
+            pages_per_superblock: geo.chip_plane_groups() as u64 * u64::from(geo.pages_per_block()),
         }
     }
 
@@ -496,7 +478,7 @@ impl Ssd {
             // The L2P holds the page index the flash reads by: a hit loads
             // no payload and decodes no address.
             let array = self.media.array();
-            let index = self.mapping.page_index(lpn, array.geometry());
+            let index = self.mapping.page_index(lpn);
             if index == NO_PAGE {
                 return Ok(None);
             }
@@ -1454,30 +1436,6 @@ mod tests {
         // exceeds foreground service alone.
         let occupancy: f64 = s.chip_busy_us.iter().sum();
         assert!(occupancy > 0.0);
-    }
-
-    #[test]
-    fn naive_mapping_reproduces_dense_results_bit_for_bit() {
-        // The HashMap reference implementation must make identical decisions
-        // — this is what makes it an oracle for the dense store.
-        let run = |naive: bool| {
-            let mut dev = ssd(OrganizationScheme::QstrMed { candidates: 4 });
-            if naive {
-                dev.use_naive_mapping_for_benchmarks();
-            }
-            let info = dev.geometry_info();
-            let reqs =
-                Workload::random_write(0.5).generate(&info, (info.logical_pages * 3) as usize, 7);
-            dev.run(&reqs).unwrap();
-            (
-                dev.stats().write_latency.mean_us().to_bits(),
-                dev.stats().waf().to_bits(),
-                dev.stats().busy_us.to_bits(),
-                dev.stats().gc_relocations,
-                dev.stats().gc_runs,
-            )
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

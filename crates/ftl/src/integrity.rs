@@ -239,7 +239,7 @@ impl Integrity {
                     continue;
                 }
                 // Liveness from the reverse table, read in page order.
-                let live = dev.mapping.reverse_at(first + k as usize, geo) == Some(oob.lpn);
+                let live = dev.mapping.reverse_at(first + k as usize) == Some(oob.lpn);
                 if oob.is_filler() || !live {
                     continue; // filler or a stale copy: nothing to protect
                 }

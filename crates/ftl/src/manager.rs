@@ -34,8 +34,8 @@ pub(crate) fn speed_class_for(purpose: Purpose) -> SpeedClass {
 #[derive(Debug)]
 pub struct BlockManager {
     scheme: OrganizationScheme,
-    planes_per_chip: u16,
-    pool_count: usize,
+    /// The geometry whose chip/plane groups are the pools.
+    geo: Geometry,
     /// Free blocks without a usable summary (or all free blocks for the
     /// non-QSTR schemes), kept sorted by block index.
     unknown: Vec<Vec<BlockAddr>>,
@@ -54,24 +54,20 @@ impl BlockManager {
     /// A manager with every block of the geometry free and unobserved.
     #[must_use]
     pub fn new(geo: &Geometry, scheme: OrganizationScheme, seed: u64) -> Self {
-        let pool_count = usize::from(geo.chips()) * usize::from(geo.planes_per_chip());
         let candidates = match scheme {
             OrganizationScheme::QstrMed { candidates } => candidates,
             _ => 4,
         };
-        let mut unknown = vec![Vec::new(); pool_count];
+        let mut unknown = vec![Vec::new(); geo.chip_plane_groups()];
         for addr in geo.blocks() {
-            let pool = usize::from(addr.chip.0) * usize::from(geo.planes_per_chip())
-                + usize::from(addr.plane.0);
-            unknown[pool].push(addr);
+            unknown[geo.chip_plane_index(addr)].push(addr);
         }
         for pool in &mut unknown {
             pool.sort_by_key(|a| a.block);
         }
         BlockManager {
             scheme,
-            planes_per_chip: geo.planes_per_chip(),
-            pool_count,
+            geo: geo.clone(),
             unknown,
             qstr: QstrMed::with_candidates(candidates),
             summaries: HashMap::new(),
@@ -83,7 +79,7 @@ impl BlockManager {
     /// Pool index of a block.
     #[must_use]
     pub fn pool_of(&self, addr: BlockAddr) -> usize {
-        usize::from(addr.chip.0) * usize::from(self.planes_per_chip) + usize::from(addr.plane.0)
+        self.geo.chip_plane_index(addr)
     }
 
     fn uses_qstr(&self) -> bool {
@@ -115,7 +111,7 @@ impl BlockManager {
     /// only (a mixed assembly is also possible but rare).
     #[must_use]
     pub fn assemblable(&self) -> usize {
-        (0..self.pool_count).map(|p| self.free_in_pool(p)).min().unwrap_or(0)
+        (0..self.geo.chip_plane_groups()).map(|p| self.free_in_pool(p)).min().unwrap_or(0)
     }
 
     /// Permanently removes a block from service (bad-block table). The
@@ -197,7 +193,7 @@ impl BlockManager {
                 if self.unknown.iter().any(Vec::is_empty) {
                     return None;
                 }
-                let mut members = Vec::with_capacity(self.pool_count);
+                let mut members = Vec::with_capacity(self.geo.chip_plane_groups());
                 for pool in &mut self.unknown {
                     let idx = self.rng.random_range(0..pool.len());
                     members.push(pool.remove(idx));
@@ -217,9 +213,9 @@ impl BlockManager {
                 // Warm-up: not enough characterized blocks everywhere; fall
                 // back to blind grouping, mixing in known blocks where a
                 // pool has no unobserved ones left.
-                if (0..self.pool_count).all(|p| self.free_in_pool(p) > 0) {
-                    let mut members = Vec::with_capacity(self.pool_count);
-                    for p in 0..self.pool_count {
+                if (0..self.geo.chip_plane_groups()).all(|p| self.free_in_pool(p) > 0) {
+                    let mut members = Vec::with_capacity(self.geo.chip_plane_groups());
+                    for p in 0..self.geo.chip_plane_groups() {
                         let addr = if self.unknown[p].is_empty() {
                             self.qstr.take_fastest(p).expect("pool has a known free block")
                         } else {
@@ -240,7 +236,7 @@ impl BlockManager {
         if !self.uses_qstr() {
             return;
         }
-        for p in 0..self.pool_count {
+        for p in 0..self.geo.chip_plane_groups() {
             let pool = std::mem::take(&mut self.unknown[p]);
             for addr in pool {
                 if let Some(s) = self.summaries.get(&addr) {

@@ -293,7 +293,7 @@ impl Spor {
         let geo = array.geometry();
         for &lpn in &self.changed_lpns {
             let i = usize::try_from(lpn).expect("lpn fits usize");
-            let page = mapping.page_index(lpn, geo);
+            let page = mapping.page_index(lpn);
             let seq = if page == NO_PAGE {
                 self.trim_seqs.get(&lpn).copied().unwrap_or(0)
             } else {
@@ -428,7 +428,7 @@ impl Spor {
         // 3. Install the merge winners in one pass over the records, so the
         // rebuild is deterministic end to end; then rebuild the write times
         // and the tombstones in LPN order.
-        mapping.rebuild(geo, records.iter().map(|r| r.page));
+        mapping.rebuild(records.iter().map(|r| r.page));
         self.trim_seqs.clear();
         for (i, r) in records.iter().enumerate() {
             if r.page != NO_PAGE {

@@ -48,8 +48,8 @@ impl Arbitration {
 /// use host::{Arbiter, Arbitration};
 ///
 /// let mut arb = Arbiter::new(Arbitration::WeightedRoundRobin, vec![2, 1]);
-/// let ready = [true, true];
-/// let picks: Vec<usize> = (0..6).map(|_| arb.pick(&ready).unwrap()).collect();
+/// let ready = [0b11]; // queues 0 and 1
+/// let picks: Vec<usize> = (0..6).map(|_| arb.pick_mask(&ready).unwrap()).collect();
 /// // Each round of 3 grants queue 0 twice and queue 1 once; the scan
 /// // cursor carries across rounds, so rounds interleave differently.
 /// assert_eq!(picks, [0, 1, 0, 1, 0, 0]);
@@ -89,24 +89,11 @@ impl Arbiter {
     }
 
     /// Picks the next queue to service given which queues are ready
-    /// (non-empty), or `None` when no queue is ready.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ready.len()` differs from the number of queues.
-    pub fn pick(&mut self, ready: &[bool]) -> Option<usize> {
-        assert_eq!(ready.len(), self.weights.len(), "ready mask must cover every queue");
-        let packed: Vec<u64> = ready
-            .chunks(64)
-            .map(|c| c.iter().rev().fold(0, |w, &r| w << 1 | u64::from(r)))
-            .collect();
-        self.pick_mask(&packed)
-    }
-
-    /// [`Arbiter::pick`] over a packed readiness bitmask (bit `i % 64` of
-    /// word `i / 64` marks queue `i` ready) — the representation the
-    /// batched frontend maintains incrementally instead of rebuilding a
-    /// `Vec<bool>` per dispatch. Bits past the last queue are ignored.
+    /// (non-empty), or `None` when no queue is ready. Readiness is a packed
+    /// bitmask (bit `i % 64` of word `i / 64` marks queue `i` ready) — the
+    /// representation the frontend maintains incrementally instead of
+    /// rebuilding a `Vec<bool>` per dispatch. Bits past the last queue are
+    /// ignored.
     ///
     /// # Panics
     ///
@@ -161,6 +148,25 @@ fn next_set(words: usize, start: usize, word: impl Fn(usize) -> u64) -> Option<u
         let w = word(j);
         (w != 0).then(|| j * 64 + w.trailing_zeros() as usize)
     })
+}
+
+#[cfg(test)]
+impl Arbiter {
+    /// [`Arbiter::pick_mask`] over one `bool` per queue: the picker of the
+    /// rescan drain and of the lockstep test that holds the two forms to
+    /// each other.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ready.len()` differs from the number of queues.
+    pub(crate) fn pick(&mut self, ready: &[bool]) -> Option<usize> {
+        assert_eq!(ready.len(), self.weights.len(), "ready mask must cover every queue");
+        let packed: Vec<u64> = ready
+            .chunks(64)
+            .map(|c| c.iter().rev().fold(0, |w, &r| w << 1 | u64::from(r)))
+            .collect();
+        self.pick_mask(&packed)
+    }
 }
 
 #[cfg(test)]

@@ -32,10 +32,10 @@ proptest! {
     #[test]
     fn rr_equal_share_never_drifts_by_more_than_one(n in 2usize..6, picks in 8usize..200) {
         let mut arb = Arbiter::new(Arbitration::RoundRobin, vec![1u32; n]);
-        let ready = vec![true; n];
+        let ready = [u64::MAX]; // every queue (bits past the last are ignored)
         let mut counts = vec![0u64; n];
         for _ in 0..picks {
-            counts[arb.pick(&ready).unwrap()] += 1;
+            counts[arb.pick_mask(&ready).unwrap()] += 1;
             let max = *counts.iter().max().unwrap();
             let min = *counts.iter().min().unwrap();
             prop_assert!(max - min <= 1, "saturated RR drifted: {counts:?}");
@@ -49,11 +49,11 @@ proptest! {
     ) {
         let sum: u32 = weights.iter().sum();
         let mut arb = Arbiter::new(Arbitration::WeightedRoundRobin, weights.clone());
-        let ready = vec![true; weights.len()];
+        let ready = [u64::MAX]; // every queue (bits past the last are ignored)
         for round in 0..rounds {
             let mut counts = vec![0u32; weights.len()];
             for _ in 0..sum {
-                counts[arb.pick(&ready).unwrap()] += 1;
+                counts[arb.pick_mask(&ready).unwrap()] += 1;
             }
             // Credits drain from full to empty over exactly sum picks, so
             // every aligned round reproduces the weight vector.
@@ -70,10 +70,10 @@ proptest! {
     ) {
         let sum: u32 = weights.iter().sum();
         let mut arb = Arbiter::new(Arbitration::WeightedRoundRobin, weights.clone());
-        let ready = vec![true; weights.len()];
+        let ready = [u64::MAX]; // every queue (bits past the last are ignored)
         let mut counts = vec![0u32; weights.len()];
         for _ in 0..sum {
-            counts[arb.pick(&ready).unwrap()] += 1;
+            counts[arb.pick_mask(&ready).unwrap()] += 1;
             for (i, (&c, &w)) in counts.iter().zip(&weights).enumerate() {
                 prop_assert!(c <= w, "queue {i} overgranted: {c} of {w}");
             }
